@@ -14,12 +14,14 @@
      dune exec bench/main.exe -- scale-smoke      # 10k only (CI)
      dune exec bench/main.exe -- attribution      # K=100 overhead + O(K) memory
      dune exec bench/main.exe -- trace-io         # sink throughput + analyzer RSS
+     dune exec bench/main.exe -- overlay-growth   # build time vs n, log-log slope
      dune exec bench/main.exe -- --scheduler heap # force the event-queue impl
 
    The scale targets are explicit-only (never part of the default
    target set): they record events/sec and peak RSS through the
    struct-of-arrays scale runner and cross-check that sharded runs are
-   byte-identical to shards=1.
+   byte-identical to shards=1.  [overlay-growth] runs with the default
+   set at n <= 2^15 and adds its 2^20 builds only when named.
 
    Independent simulator runs fan out across a Cup_parallel domain
    pool ([--jobs N]; default: one job per core, [--jobs 1] is fully
@@ -55,6 +57,7 @@ let trace_io_json : (string * Json.t) list ref = ref []
 let micro_json : (string * float) list ref = ref []
 let metrics_json : (string * float) list ref = ref []
 let fuzz_json : (string * Json.t) list ref = ref []
+let overlay_growth_json : (string * Json.t) list ref = ref []
 
 let write_csv name ~header rows =
   match !csv_dir with
@@ -1094,6 +1097,104 @@ let scale_runs which =
     exit 1
   end
 
+(* {1 Overlay build growth} *)
+
+(* Build time of each overlay against n: the median of 3 [Net.create]
+   calls at each n = 2^10 .. 2^15, and the least-squares slope of
+   log time on log n over those points.  An O(n log n) build fits a
+   little above 1 (GC and cache effects push it up); an O(n^2) build
+   fits about 2.  With [~big], each overlay also builds once at 2^20,
+   a point kept out of the fit so the slope means the same either
+   way. *)
+let overlay_growth ~big =
+  let module Net = Cup_overlay.Net in
+  let kinds =
+    [
+      ("can_random", Net.Can `Random);
+      ("can_grid", Net.Can `Grid);
+      ("chord", Net.Chord);
+    ]
+  in
+  let fit_ns = List.init 6 (fun i -> 1 lsl (10 + i)) in
+  let build kind n =
+    Gc.compact ();
+    let rng = Cup_prng.Rng.create ~seed:n in
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (Net.create ~rng ~kind ~n ()));
+    Unix.gettimeofday () -. t0
+  in
+  let median_build kind n =
+    let s = Array.init 3 (fun _ -> build kind n) in
+    Array.sort compare s;
+    s.(1)
+  in
+  let slope points =
+    let xy = List.map (fun (n, s) -> (log (float_of_int n), log s)) points in
+    let mean f =
+      List.fold_left (fun a p -> a +. f p) 0. xy /. float_of_int (List.length xy)
+    in
+    let mx = mean fst and my = mean snd in
+    let sxy = List.fold_left (fun a (x, y) -> a +. ((x -. mx) *. (y -. my))) 0. xy in
+    let sxx = List.fold_left (fun a (x, _) -> a +. ((x -. mx) *. (x -. mx))) 0. xy in
+    sxy /. sxx
+  in
+  let results =
+    List.map
+      (fun (name, kind) ->
+        (* untimed: the first build also pays for growing the heap *)
+        ignore (build kind (List.hd fit_ns));
+        let points = List.map (fun n -> (n, median_build kind n)) fit_ns in
+        let big_point = if big then Some (build kind (1 lsl 20)) else None in
+        (name, points, slope points, big_point))
+      kinds
+  in
+  let table =
+    Table.create ~title:"Overlay build seconds (median of 3) and log-log slope"
+      ~columns:("n" :: List.map fst kinds)
+  in
+  List.iteri
+    (fun i n ->
+      Table.add_row table
+        (string_of_int n
+        :: List.map
+             (fun (_, points, _, _) -> Printf.sprintf "%.4f" (snd (List.nth points i)))
+             results))
+    fit_ns;
+  if big then
+    Table.add_row table
+      (string_of_int (1 lsl 20)
+      :: List.map
+           (fun (_, _, _, b) ->
+             Printf.sprintf "%.2f (1 build)" (Option.value b ~default:nan))
+           results);
+  Table.add_row table
+    ("slope" :: List.map (fun (_, _, s, _) -> Printf.sprintf "%.2f" s) results);
+  Table.print table;
+  overlay_growth_json :=
+    ( "estimator",
+      Json.String
+        "median of 3 builds per n; least-squares slope of log seconds on log \
+         n over n = 2^10..2^15; the 2^20 point is one build, outside the fit"
+    )
+    :: List.map
+         (fun (name, points, s, b) ->
+           ( name,
+             Json.Obj
+               ([
+                  ( "build_s",
+                    Json.List
+                      (List.map
+                         (fun (n, sec) ->
+                           Json.Obj [ ("n", Json.Int n); ("s", Json.Float sec) ])
+                         points) );
+                  ("slope", Json.Float s);
+                ]
+               @
+               match b with
+               | Some sec -> [ ("build_s_2e20", Json.Float sec) ]
+               | None -> []) ))
+         results
+
 (* {1 Attribution: hot-path overhead and O(K) memory} *)
 
 (* The cost-attribution contract has two measurable halves: attaching
@@ -1912,6 +2013,9 @@ let write_harness_json ~jobs ~scale =
       @ (match !fuzz_json with
         | [] -> []
         | fields -> [ ("fuzz", Json.Obj fields) ])
+      @ (match !overlay_growth_json with
+        | [] -> []
+        | fields -> [ ("overlay_growth", Json.Obj fields) ])
       @ (match !micro_json with
         | [] -> []
         | rows ->
@@ -2072,6 +2176,9 @@ let () =
   timed_explicit "scale-smoke" (fun () ->
       section "Scale smoke: 10k-node run, shards=1 vs shards=4";
       scale_runs `Smoke);
+  timed "overlay-growth" (fun () ->
+      section "Overlay build growth: CAN random, CAN grid and Chord, n = 2^10..2^15";
+      overlay_growth ~big:(List.mem "overlay-growth" targets));
   timed_explicit "attribution" (fun () ->
       section "Attribution: K=100 overhead on the 100k scale run, O(K) memory";
       attribution_bench ());

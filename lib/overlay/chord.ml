@@ -32,6 +32,7 @@ end)
 type t = {
   nodes : node Node_id.Table.t;
   mutable ring : Node_id.t Pos_map.t; (* alive nodes by position *)
+  mutable alive_count : int; (* [Pos_map.cardinal ring], which is O(n) *)
   mutable next_id : int;
   mutable generation : int; (* bumped on every membership change *)
   mutable ids_gen : int;
@@ -49,7 +50,7 @@ let get t id =
   | Some node when node.alive -> node
   | Some _ | None -> raise Not_found
 
-let size t = Pos_map.cardinal t.ring
+let size t = t.alive_count
 
 let generation t = t.generation
 
@@ -131,7 +132,7 @@ let neighbors t id =
 
 let owns t node key =
   let kp = key_pos key in
-  if Pos_map.cardinal t.ring = 1 then true
+  if t.alive_count = 1 then true
   else
     let pred_pos = (get t node.pred).pos in
     in_oc ~a:pred_pos ~b:node.pos kp
@@ -188,6 +189,7 @@ let fresh_node t pos =
   let node = { id; pos; fingers = [||]; pred = id; alive = true } in
   Node_id.Table.replace t.nodes id node;
   t.ring <- Pos_map.add pos id t.ring;
+  t.alive_count <- t.alive_count + 1;
   t.generation <- t.generation + 1;
   node
 
@@ -222,6 +224,7 @@ let leave t id =
   let before = neighbor_snapshot t in
   node.alive <- false;
   t.ring <- Pos_map.remove node.pos t.ring;
+  t.alive_count <- t.alive_count - 1;
   t.generation <- t.generation + 1;
   let taker = successor_of_pos t node.pos in
   rebuild_all t;
@@ -235,6 +238,7 @@ let create ?rng ~n () =
     {
       nodes = Node_id.Table.create (2 * n);
       ring = Pos_map.empty;
+      alive_count = 0;
       next_id = 0;
       generation = 0;
       ids_gen = -1;
@@ -264,6 +268,10 @@ let check_invariants t =
   let ( let* ) = Result.bind in
   let* () =
     if Pos_map.cardinal t.ring >= 1 then Ok () else Error "empty ring"
+  in
+  let* () =
+    if t.alive_count = Pos_map.cardinal t.ring then Ok ()
+    else Error "alive count does not match ring"
   in
   let ids = node_ids t in
   let check_node acc id =

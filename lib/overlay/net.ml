@@ -49,12 +49,6 @@ let create ?rng ?(route_cache = true) ?(churn_lookups = 0) ~kind ~n () =
     cache_misses = 0;
   }
 
-let kind net =
-  match net.impl with
-  | Can_net _ -> Can `Random
-  | Chord_net _ -> Chord
-  | Pastry_net _ -> Pastry
-
 let size net =
   match net.impl with
   | Can_net t -> Topology.size t

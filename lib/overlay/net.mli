@@ -42,7 +42,6 @@ val create :
     cost) until it proves stable by surviving that many lookups.
     Speed-only, like [route_cache] itself. *)
 
-val kind : t -> kind
 val size : t -> int
 
 val generation : t -> int

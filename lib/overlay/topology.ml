@@ -5,11 +5,25 @@
    folds over the current node's neighbors once per hop — touches no
    hashtable and performs no per-neighbor [get].  Key order of the map
    preserves the old [Node_id.Set] iteration order, so routing
-   tie-breaks and all published neighbor lists are unchanged. *)
+   tie-breaks and all published neighbor lists are unchanged.
+
+   Point location: CAN's zone-split history is kept as a binary
+   space-partition tree over the unit square, so finding the zone that
+   holds a point is one root-to-leaf walk, not a scan of the node
+   table.  Cells live in two flat arrays; cell 0 is the root.  A leaf's
+   [tags] entry is the id of the node owning its zone.  An inner cell's
+   entry is [lnot ((low lsl 1) lor axis)], which is negative: its
+   halves are cells [low] (coordinates below the cut) and [low + 1],
+   the cut runs along x when [axis = 0] and along y when [axis = 1],
+   and [mids] holds the cut's coordinate — exactly {!Zone.split}'s.
+   [join_at] turns the leaf holding the join point into an inner cell
+   and [leave] re-points the departing node's leaves at the taker, so
+   the leaves always tile the square as the alive nodes' zones do. *)
 
 type node = {
   id : Node_id.t;
   mutable zones : Zone.t list;
+  mutable leaves : int list; (* the tree cells of [zones], same order *)
   mutable neighbors : node Node_id.Map.t;
   mutable alive : bool;
 }
@@ -21,6 +35,9 @@ type t = {
   mutable generation : int; (* bumped on every membership change *)
   mutable ids_gen : int; (* generation [ids_cache] was computed at *)
   mutable ids_cache : Node_id.t list;
+  mutable tags : int array; (* per cell: leaf owner, or inner code *)
+  mutable mids : float array; (* per inner cell: the cut coordinate *)
+  mutable cells : int; (* cells in use *)
 }
 
 type change = {
@@ -81,20 +98,22 @@ let region_distance node p =
 
 let region_contains node p = List.exists (fun z -> Zone.contains z p) node.zones
 
-let owner_of_point t p =
-  let found =
-    Node_id.Table.fold
-      (fun id node acc ->
-        if node.alive && region_contains node p then
-          match acc with
-          | Some best when Node_id.compare best id <= 0 -> acc
-          | Some _ | None -> Some id
-        else acc)
-      t.nodes None
-  in
-  match found with
-  | Some id -> id
-  | None -> failwith "Topology.owner_of_point: space not covered"
+(* The leaf below cell [c] whose zone holds [p]. *)
+let rec leaf_below t c (p : Point.t) =
+  let tag = t.tags.(c) in
+  if tag >= 0 then c
+  else
+    let code = lnot tag in
+    let coord = if code land 1 = 0 then p.x else p.y in
+    let low = code lsr 1 in
+    leaf_below t (if coord < t.mids.(c) then low else low + 1) p
+
+let leaf_of_point t p =
+  if not (Zone.contains Zone.unit p) then
+    failwith "Topology.owner_of_point: space not covered";
+  leaf_below t 0 p
+
+let owner_of_point t p = Node_id.of_int t.tags.(leaf_of_point t p)
 
 let owner_of_key t k = owner_of_point t (Key.to_point k)
 
@@ -149,32 +168,66 @@ let refresh_edges node candidates =
       end)
     candidates
 
-let fresh_node t zones =
+(* A new node owning [zone], whose tree leaf is [leaf]. *)
+let fresh_node t zone leaf =
   let id = Node_id.of_int t.next_id in
   t.next_id <- t.next_id + 1;
-  let node = { id; zones; neighbors = Node_id.Map.empty; alive = true } in
+  let node =
+    {
+      id;
+      zones = [ zone ];
+      leaves = [ leaf ];
+      neighbors = Node_id.Map.empty;
+      alive = true;
+    }
+  in
   Node_id.Table.replace t.nodes id node;
+  t.tags.(leaf) <- (id :> int);
   t.alive_count <- t.alive_count + 1;
   t.generation <- t.generation + 1;
   node
 
+(* Turn leaf [leaf], whose zone is [zone], into an inner cell cut as
+   [Zone.split zone] cuts; returns [low], the cell of the low half
+   ([low + 1] is the high half).  The caller sets both new tags. *)
+let split_leaf t leaf zone =
+  let low = t.cells in
+  if low + 2 > Array.length t.tags then begin
+    t.tags <- Array.append t.tags (Array.make (Array.length t.tags) 0);
+    t.mids <- Array.append t.mids (Array.make (Array.length t.mids) 0.)
+  end;
+  let axis, mid = Zone.split_axis zone in
+  let axis = match axis with Zone.X -> 0 | Zone.Y -> 1 in
+  t.tags.(leaf) <- lnot ((low lsl 1) lor axis);
+  t.mids.(leaf) <- mid;
+  t.cells <- low + 2;
+  low
+
 let join_at t p =
   if t.alive_count = 0 then begin
-    let node = fresh_node t [ Zone.unit ] in
+    t.cells <- 1;
+    let node = fresh_node t Zone.unit 0 in
     { subject = node.id; peer = None; affected = [] }
   end
   else begin
-    let owner = get t (owner_of_point t p) in
+    let leaf = leaf_of_point t p in
+    let owner = get t (Node_id.of_int t.tags.(leaf)) in
     let zone =
       match List.find_opt (fun z -> Zone.contains z p) owner.zones with
       | Some z -> z
       | None -> assert false
     in
     let low, high = Zone.split zone in
-    let keep, give = if Zone.contains low p then (high, low) else (low, high) in
+    let low_cell = split_leaf t leaf zone in
+    let keep, keep_cell, give, give_cell =
+      if Zone.contains low p then (high, low_cell + 1, low, low_cell)
+      else (low, low_cell, high, low_cell + 1)
+    in
     owner.zones <-
       keep :: List.filter (fun z -> not (Zone.equal z zone)) owner.zones;
-    let node = fresh_node t [ give ] in
+    owner.leaves <- keep_cell :: List.filter (fun c -> c <> leaf) owner.leaves;
+    t.tags.(keep_cell) <- (owner.id :> int);
+    let node = fresh_node t give give_cell in
     (* Only previous neighbors of the split node (and the split node
        itself) can gain or lose an edge. *)
     let candidates = owner :: neighbor_nodes owner in
@@ -232,6 +285,8 @@ let leave t id =
     (fun n -> n.neighbors <- Node_id.Map.remove id n.neighbors)
     departing_neighbors;
   taker.zones <- node.zones @ taker.zones;
+  taker.leaves <- node.leaves @ taker.leaves;
+  List.iter (fun c -> t.tags.(c) <- (taker.id :> int)) node.leaves;
   let candidates =
     List.filter (fun n -> not (Node_id.equal n.id taker.id)) departing_neighbors
     @ neighbor_nodes taker
@@ -245,26 +300,6 @@ let leave t id =
   in
   { subject = id; peer = Some taker.id; affected }
 
-let largest_zone_owner t =
-  let best =
-    Node_id.Table.fold
-      (fun _ node acc ->
-        if not node.alive then acc
-        else
-          let v =
-            List.fold_left (fun m z -> Float.max m (Zone.volume z)) 0.
-              node.zones
-          in
-          match acc with
-          | Some (_, best_v) when best_v > v -> acc
-          | Some (best_node, best_v)
-            when best_v = v && Node_id.compare best_node.id node.id <= 0 ->
-              acc
-          | Some _ | None -> Some (node, v))
-      t.nodes None
-  in
-  match best with Some (node, _) -> node | None -> assert false
-
 let create ?rng ~n ~placement () =
   if n < 1 then invalid_arg "Topology.create: n must be >= 1";
   let t =
@@ -275,29 +310,29 @@ let create ?rng ~n ~placement () =
       generation = 0;
       ids_gen = -1;
       ids_cache = [];
+      tags = Array.make (2 * n) 0;
+      mids = Array.make (2 * n) 0.;
+      cells = 0;
     }
   in
   ignore (join_at t (Point.make ~x:0.5 ~y:0.5));
-  for _ = 2 to n do
+  (* [`Grid] splits the largest zone, lowest owner id on ties.  That
+     order is fixed: once nodes 0 .. 2^g - 1 each own one zone of
+     volume 2^-g, they split in id order and node i's split creates
+     node 2^g + i.  So node j joins in the high half of the one zone
+     of node j - 2^g, where 2^g = [level] is the largest power of two
+     <= j; that half's center lands in it after the split. *)
+  let level = ref 1 in
+  for j = 1 to n - 1 do
     match placement with
     | `Random -> (
         match rng with
         | Some rng -> ignore (join_random t ~rng)
         | None -> invalid_arg "Topology.create: `Random needs ~rng")
     | `Grid ->
-        (* Split the largest zone: its high half's center is a point
-           guaranteed to land in that half after the split. *)
-        let owner = largest_zone_owner t in
-        let zone =
-          match
-            List.sort
-              (fun a b -> Float.compare (Zone.volume b) (Zone.volume a))
-              owner.zones
-          with
-          | z :: _ -> z
-          | [] -> assert false
-        in
-        let _, high = Zone.split zone in
+        if j = 2 * !level then level := j;
+        let victim = get t (Node_id.of_int (j - !level)) in
+        let _, high = Zone.split (List.hd victim.zones) in
         ignore (join_at t (Zone.center high))
   done;
   t
@@ -319,6 +354,50 @@ let check_invariants t =
   let* () =
     if Float.abs (volume -. 1.) < 1e-9 then Ok ()
     else Error (Printf.sprintf "zones do not tile the torus: volume %f" volume)
+  in
+  (* The split tree: every inner cell cuts its zone as [Zone.split]
+     does, and every leaf's owner is alive and holds the leaf's zone at
+     the leaf's position in its lists.  Distinct leaves match distinct
+     (node, position) pairs, so equal totals make the leaves and the
+     alive nodes' zones one to one. *)
+  let rec held c zone leaves zones =
+    match (leaves, zones) with
+    | l :: ls, z :: zs -> (l = c && Zone.equal z zone) || held c zone ls zs
+    | _ -> false
+  in
+  let rec check_cell c zone count =
+    let tag = t.tags.(c) in
+    if tag >= 0 then
+      match Node_id.Table.find_opt t.nodes (Node_id.of_int tag) with
+      | Some owner when owner.alive && held c zone owner.leaves owner.zones ->
+          Ok (count + 1)
+      | Some _ | None ->
+          Error
+            (Format.asprintf "tree leaf %d: zone %a not held by alive n%d" c
+               Zone.pp zone tag)
+    else
+      let code = lnot tag in
+      let low = code lsr 1 in
+      let axis, mid = Zone.split_axis zone in
+      if
+        low + 1 >= t.cells
+        || code land 1 <> (match axis with Zone.X -> 0 | Zone.Y -> 1)
+        || t.mids.(c) <> mid
+      then Error (Printf.sprintf "tree cell %d: cut differs from Zone.split" c)
+      else
+        let low_zone, high_zone = Zone.split zone in
+        let* count = check_cell low low_zone count in
+        check_cell (low + 1) high_zone count
+  in
+  let* tree_leaves = check_cell 0 Zone.unit 0 in
+  let* () =
+    let zones = List.fold_left (fun acc n -> acc + List.length n.zones) 0 all in
+    let leaves = List.fold_left (fun acc n -> acc + List.length n.leaves) 0 all in
+    if tree_leaves = zones && leaves = zones then Ok ()
+    else
+      Error
+        (Printf.sprintf "tree has %d leaves; alive nodes hold %d zones, %d leaves"
+           tree_leaves zones leaves)
   in
   let check_node node =
     let geometric =

@@ -11,7 +11,11 @@
     All mutation goes through {!join_random}, {!join_at} and {!leave},
     which return the set of nodes whose neighbor sets changed so the
     protocol layer can patch its per-neighbor bookkeeping (interest
-    bit vectors, Section 2.9 of the paper). *)
+    bit vectors, Section 2.9 of the paper).
+
+    The zone-split history is kept as a binary space-partition tree
+    whose leaves are the alive nodes' zones, so point location is one
+    root-to-leaf walk, as in CAN itself. *)
 
 type t
 
@@ -27,8 +31,11 @@ type change = {
 val create : ?rng:Cup_prng.Rng.t -> n:int -> placement:[ `Random | `Grid ] -> unit -> t
 (** [create ~n ~placement ()] bootstraps an overlay of [n] nodes.
     [`Random] joins each node at a uniformly random point (requires
-    [rng]); [`Grid] repeatedly splits the largest zone, producing a
-    regular grid when [n] is a power of two.  Requires [n >= 1]. *)
+    [rng]); [`Grid] repeatedly splits the largest zone (lowest owner id
+    on ties), producing a regular grid when [n] is a power of two.
+    Requires [n >= 1].  Each join costs one {!owner_of_point} walk plus
+    work linear in the split node's neighbor count, so the build is
+    O(n log n): expected for [`Random], exact for [`Grid]. *)
 
 val size : t -> int
 (** Number of alive nodes. *)
@@ -50,7 +57,11 @@ val neighbors : t -> Node_id.t -> Node_id.t list
 val zones_of : t -> Node_id.t -> Zone.t list
 
 val owner_of_point : t -> Point.t -> Node_id.t
-(** The alive node whose region contains the point. *)
+(** The alive node whose region contains the point (zones are
+    half-open).  One walk down the zone-split tree, never a scan of the
+    nodes: expected O(log n) steps after random joins, at most
+    ⌈log₂ n⌉ right after a [`Grid] build; a leave adds no depth.
+    Raises [Failure] for a point outside the unit square. *)
 
 val owner_of_key : t -> Key.t -> Node_id.t
 (** [owner_of_point] of the key's hash — the key's authority node. *)
@@ -84,5 +95,6 @@ val leave : t -> Node_id.t -> change
 
 val check_invariants : t -> (unit, string) result
 (** Full O(n^2) consistency check: zones tile the torus (volumes sum
-    to 1), neighbor sets are symmetric and match geometric adjacency.
-    For tests. *)
+    to 1), the zone-split tree's leaves are exactly the alive nodes'
+    zones and each leaf's owner holds its zone, and neighbor sets are
+    symmetric and match geometric adjacency.  For tests. *)

@@ -11,14 +11,17 @@ let make ~x_lo ~x_hi ~y_lo ~y_hi =
 let contains z (p : Point.t) =
   z.x_lo <= p.x && p.x < z.x_hi && z.y_lo <= p.y && p.y < z.y_hi
 
-let split z =
+type axis = X | Y
+
+let split_axis z =
   let width = z.x_hi -. z.x_lo and height = z.y_hi -. z.y_lo in
-  if width >= height then
-    let mid = (z.x_lo +. z.x_hi) /. 2. in
-    ({ z with x_hi = mid }, { z with x_lo = mid })
-  else
-    let mid = (z.y_lo +. z.y_hi) /. 2. in
-    ({ z with y_hi = mid }, { z with y_lo = mid })
+  if width >= height then (X, (z.x_lo +. z.x_hi) /. 2.)
+  else (Y, (z.y_lo +. z.y_hi) /. 2.)
+
+let split z =
+  match split_axis z with
+  | X, mid -> ({ z with x_hi = mid }, { z with x_lo = mid })
+  | Y, mid -> ({ z with y_hi = mid }, { z with y_lo = mid })
 
 let volume z = (z.x_hi -. z.x_lo) *. (z.y_hi -. z.y_lo)
 

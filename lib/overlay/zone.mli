@@ -21,6 +21,13 @@ val split : t -> t * t
 (** [split z] halves [z] along its longer dimension (x on ties).  The
     first component is the low half. *)
 
+type axis = X | Y
+
+val split_axis : t -> axis * float
+(** The axis and coordinate {!split} cuts [z] at: a point of [z] lies
+    in the low half exactly when its coordinate on that axis is below
+    the cut. *)
+
 val volume : t -> float
 
 val center : t -> Point.t

@@ -256,6 +256,130 @@ let prop_route_terminates =
           | last :: _ -> Node_id.equal last owner)
         (T.node_ids t))
 
+(* {1 Point location: zone-split tree vs linear scan} *)
+
+(* Reference oracle: the linear scan [Topology.owner_of_point] used to
+   be, over the public API — every alive node whose region holds [p],
+   lowest id first. *)
+let scan_owner_of_point t p =
+  let found =
+    List.fold_left
+      (fun acc id ->
+        if List.exists (fun z -> Zone.contains z p) (T.zones_of t id) then
+          match acc with
+          | Some best when Node_id.compare best id <= 0 -> acc
+          | Some _ | None -> Some id
+        else acc)
+      None (T.node_ids t)
+  in
+  match found with
+  | Some id -> id
+  | None -> failwith "Topology.owner_of_point: space not covered"
+
+let located f p = match f p with id -> Ok id | exception Failure m -> Error m
+
+(* Where the tree and the scan could disagree: every zone's corners,
+   edge midpoints and center (the zone's next cut runs through its
+   center), the float just below each high edge, the torus seams, the
+   key points, and points outside the unit square, where both must
+   fail alike. *)
+let probe_points t =
+  let pt x y = { Point.x; y } in
+  let zone_points (z : Zone.t) =
+    let xs = [ z.x_lo; Float.pred z.x_hi; z.x_hi; (z.x_lo +. z.x_hi) /. 2. ] in
+    let ys = [ z.y_lo; Float.pred z.y_hi; z.y_hi; (z.y_lo +. z.y_hi) /. 2. ] in
+    List.concat_map (fun x -> List.map (pt x) ys) xs
+  in
+  List.concat_map (fun id -> List.concat_map zone_points (T.zones_of t id))
+    (T.node_ids t)
+  @ [ pt 0. 0.; pt (-0.) 0.5; pt 1. 0.5; pt 0.5 1.; pt (-1e-300) 0.5;
+      pt 0.5 2.; pt Float.nan 0.5; pt 0.5 Float.infinity ]
+  @ List.init 64 (fun k -> Key.to_point (Key.of_int k))
+
+let tree_matches_scan t =
+  List.for_all
+    (fun p -> located (T.owner_of_point t) p = located (scan_owner_of_point t) p)
+    (probe_points t)
+
+type move = Join_random | Join_at_corner of int | Leave of int
+
+let move_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Join_random);
+        (1, map (fun i -> Join_at_corner i) nat);
+        (2, map (fun i -> Leave i) nat);
+      ])
+
+let print_move = function
+  | Join_random -> "join"
+  | Join_at_corner i -> Printf.sprintf "corner %d" i
+  | Leave i -> Printf.sprintf "leave %d" i
+
+let prop_tree_matches_scan =
+  QCheck.Test.make ~count:60
+    ~name:"tree point location equals the linear scan under churn"
+    QCheck.(
+      triple small_int bool
+        (make ~print:(Print.list print_move)
+           Gen.(list_size (0 -- 25) move_gen)))
+    (fun (seed, grid, moves) ->
+      let rng = Rng.create ~seed in
+      let n = 1 + (seed mod 24) in
+      let t =
+        if grid then T.create ~n ~placement:`Grid ()
+        else T.create ~rng ~n ~placement:`Random ()
+      in
+      let pick i = List.nth (T.node_ids t) (i mod T.size t) in
+      tree_matches_scan t
+      && List.for_all
+           (fun move ->
+             (match move with
+             | Join_random -> ignore (T.join_random t ~rng)
+             | Join_at_corner i ->
+                 (* a join exactly on a zone's low corner splits at the
+                    half-open boundary *)
+                 let z = List.hd (T.zones_of t (pick i)) in
+                 ignore (T.join_at t { Point.x = z.Zone.x_lo; y = z.Zone.y_lo })
+             | Leave i -> if T.size t > 1 then ignore (T.leave t (pick i)));
+             tree_matches_scan t && T.check_invariants t = Ok ())
+           moves)
+
+(* Reference for [`Grid]: split the largest zone, lowest owner id on
+   ties, at its high half's center — the rule [Topology.create] used to
+   apply by scanning every node per join. *)
+let test_grid_matches_largest_zone_rule () =
+  let reference = T.create ~n:1 ~placement:`Grid () in
+  for n = 1 to 300 do
+    let grid = T.create ~n ~placement:`Grid () in
+    List.iter
+      (fun id ->
+        Alcotest.(check bool)
+          (Format.asprintf "n=%d %a" n Node_id.pp id)
+          true
+          (List.equal Zone.equal (T.zones_of grid id) (T.zones_of reference id)))
+      (T.node_ids reference);
+    Alcotest.(check int) "size" (T.size reference) (T.size grid);
+    let largest id =
+      List.fold_left (fun m z -> Float.max m (Zone.volume z)) 0.
+        (T.zones_of reference id)
+    in
+    let owner =
+      List.fold_left
+        (fun best id -> if largest id > largest best then id else best)
+        (List.hd (T.node_ids reference))
+        (T.node_ids reference)
+    in
+    let zone =
+      List.hd
+        (List.stable_sort
+           (fun a b -> Float.compare (Zone.volume b) (Zone.volume a))
+           (T.zones_of reference owner))
+    in
+    ignore (T.join_at reference (Zone.center (snd (Zone.split zone))))
+  done
+
 (* {1 Chord} *)
 
 module Chord = Cup_overlay.Chord
@@ -656,6 +780,12 @@ let () =
       ( "topology properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_churn_preserves_invariants; prop_route_terminates ] );
+      ( "point location",
+        [
+          QCheck_alcotest.to_alcotest prop_tree_matches_scan;
+          Alcotest.test_case "grid matches largest-zone rule" `Quick
+            test_grid_matches_largest_zone_rule;
+        ] );
       ( "chord",
         [
           Alcotest.test_case "single node" `Quick test_chord_single_node;
