@@ -15,6 +15,7 @@
      dune exec bench/main.exe -- attribution      # K=100 overhead + O(K) memory
      dune exec bench/main.exe -- trace-io         # sink throughput + analyzer RSS
      dune exec bench/main.exe -- overlay-growth   # build time vs n, log-log slope
+     dune exec bench/main.exe -- time-growth      # events/s, 150 vs 1200 s window
      dune exec bench/main.exe -- --scheduler heap # force the event-queue impl
 
    The scale targets are explicit-only (never part of the default
@@ -22,6 +23,7 @@
    struct-of-arrays scale runner and cross-check that sharded runs are
    byte-identical to shards=1.  [overlay-growth] runs with the default
    set at n <= 2^15 and adds its 2^20 builds only when named.
+   [time-growth] is explicit-only too.
 
    Independent simulator runs fan out across a Cup_parallel domain
    pool ([--jobs N]; default: one job per core, [--jobs 1] is fully
@@ -58,6 +60,7 @@ let micro_json : (string * float) list ref = ref []
 let metrics_json : (string * float) list ref = ref []
 let fuzz_json : (string * Json.t) list ref = ref []
 let overlay_growth_json : (string * Json.t) list ref = ref []
+let time_growth_json : (string * Json.t) list ref = ref []
 
 let write_csv name ~header rows =
   match !csv_dir with
@@ -1195,6 +1198,96 @@ let overlay_growth ~big =
                | None -> []) ))
          results
 
+(* {1 Per-event cost against simulated time} *)
+
+(* Host time per event must not grow with how long the simulated run
+   has lasted.  The zipf-1k shape (1024 nodes, 1024 Zipf-0.9 keys,
+   200 q/s) runs with a 150 s and a 1200 s query window, three
+   interleaved repeats each.  Only the query phase is timed: an
+   untimed [run_until query_start], then a timed [run_until] to the
+   window's end.  The ratio of the two windows' median events/s is
+   about 1 when per-event cost is flat; per-(node, key) tables whose
+   chains lengthen as the run fills them pull it down. *)
+let time_growth () =
+  let module Scenario = Cup_sim.Scenario in
+  let module Live = Cup_sim.Runner.Live in
+  let module Engine = Cup_dess.Engine in
+  let windows = [| 150.; 1200. |] and repeats = 3 in
+  let events_per_s window =
+    let sc =
+      {
+        Scenario.default with
+        seed = 3;
+        nodes = 1024;
+        total_keys_override = Some 1024;
+        key_dist = `Zipf 0.9;
+        query_rate = 200.;
+        query_duration = window;
+        drain = 0.;
+      }
+    in
+    let live = Live.create sc in
+    Live.run_until live sc.query_start;
+    Gc.compact ();
+    let engine = Live.engine live in
+    let e0 = Engine.events_executed engine in
+    let t0 = Unix.gettimeofday () in
+    Live.run_until live (sc.query_start +. window);
+    let s = Unix.gettimeofday () -. t0 in
+    float_of_int (Engine.events_executed engine - e0) /. s
+  in
+  let samples = Array.map (fun _ -> Array.make repeats 0.) windows in
+  for r = 0 to repeats - 1 do
+    Array.iteri (fun i w -> samples.(i).(r) <- events_per_s w) windows
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let medians = Array.map median samples in
+  let ratio = medians.(1) /. medians.(0) in
+  let table =
+    Table.create
+      ~title:"Query-phase events/s against query window (zipf-1k shape)"
+      ~columns:[ "window s"; "events/s per repeat"; "median" ]
+  in
+  Array.iteri
+    (fun i w ->
+      Table.add_row table
+        [
+          Printf.sprintf "%g" w;
+          String.concat " "
+            (Array.to_list (Array.map (Printf.sprintf "%.0f") samples.(i)));
+          Printf.sprintf "%.0f" medians.(i);
+        ])
+    windows;
+  Table.print table;
+  Printf.printf "1200 s over 150 s median events/s: %.2f\n" ratio;
+  time_growth_json :=
+    [
+      ( "estimator",
+        Json.String
+          "query phase only; median events/s of 3 interleaved repeats per \
+           window; ratio = 1200 s median over 150 s median" );
+      ( "windows",
+        Json.List
+          (Array.to_list
+             (Array.mapi
+                (fun i w ->
+                  Json.Obj
+                    [
+                      ("query_window_s", Json.Float w);
+                      ( "events_per_s",
+                        Json.List
+                          (Array.to_list
+                             (Array.map (fun x -> Json.Float x) samples.(i))) );
+                      ("median_events_per_s", Json.Float medians.(i));
+                    ])
+                windows)) );
+      ("ratio", Json.Float ratio);
+    ]
+
 (* {1 Attribution: hot-path overhead and O(K) memory} *)
 
 (* The cost-attribution contract has two measurable halves: attaching
@@ -2016,6 +2109,9 @@ let write_harness_json ~jobs ~scale =
       @ (match !overlay_growth_json with
         | [] -> []
         | fields -> [ ("overlay_growth", Json.Obj fields) ])
+      @ (match !time_growth_json with
+        | [] -> []
+        | fields -> [ ("time_growth", Json.Obj fields) ])
       @ (match !micro_json with
         | [] -> []
         | rows ->
@@ -2179,6 +2275,10 @@ let () =
   timed "overlay-growth" (fun () ->
       section "Overlay build growth: CAN random, CAN grid and Chord, n = 2^10..2^15";
       overlay_growth ~big:(List.mem "overlay-growth" targets));
+  timed_explicit "time-growth" (fun () ->
+      section
+        "Per-event cost vs simulated time: 150 s and 1200 s query windows";
+      time_growth ());
   timed_explicit "attribution" (fun () ->
       section "Attribution: K=100 overhead on the 100k scale run, O(K) memory";
       attribution_bench ());

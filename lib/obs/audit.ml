@@ -4,6 +4,7 @@ module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
 module Counters = Cup_metrics.Counters
 module Update = Cup_proto.Update
+module Int_map = Map.Make (Int)
 
 type violation = {
   code : string;
@@ -24,10 +25,10 @@ type t = {
   check_every : int;
   tolerate_stale : bool;
   context : string option;
-  (* per node: (key, replica) -> expiry high-water of entries already
+  (* node -> key -> replica -> expiry high-water of entries already
      delivered there, mirroring the receiving cache's overwrite
      semantics (Delete/First_time/crash reset it) *)
-  fresh : (int, (int * int, float) Hashtbl.t) Hashtbl.t;
+  fresh : (int, (int, float Int_map.t) Hashtbl.t) Hashtbl.t;
   seen_spans : (int, unit) Hashtbl.t;
   mutable events_checked : int;
   mutable last_at : float;
@@ -110,59 +111,54 @@ let check_span t ~at event =
             (Printf.sprintf "span id %d emitted twice" span_id)
         else Hashtbl.replace t.seen_spans span_id ()
 
-let node_table t node =
-  let id = Node_id.to_int node in
-  match Hashtbl.find_opt t.fresh id with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 16 in
-      Hashtbl.replace t.fresh id tbl;
-      tbl
-
 (* V2: mirror of [Node.apply_update] — [Refresh]/[Append] overwrite
    cache entries unconditionally, so an entry staler than one already
    delivered would regress the receiver's cache.  Entries expired on
    arrival are exempt: the receiver prunes them. *)
 let check_freshness t ~at ~to_ ~key ~kind entries =
-  let tbl = node_table t to_ in
-  let k = Key.to_int key in
-  match kind with
-  | Update.Delete -> List.iter (fun (r, _) -> Hashtbl.remove tbl (k, r)) entries
-  | Update.First_time ->
-      (* the receiver replaces its entry list for the key wholesale *)
-      let stale =
-        Hashtbl.fold
-          (fun (k', r) _ acc -> if k' = k then (k', r) :: acc else acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) stale;
-      List.iter
-        (fun (r, expiry) ->
-          if expiry >= at then Hashtbl.replace tbl (k, r) expiry)
-        entries
-  | Update.Refresh | Update.Append ->
-      List.iter
-        (fun (r, expiry) ->
-          if expiry >= at then begin
-            (match Hashtbl.find_opt tbl (k, r) with
-            | Some prev when expiry < prev -. 1e-9 ->
-                (* Under reordering/duplication a stale arrival is a
-                   channel artifact the receiver's last-writer-wins
-                   guard discards, not a protocol bug; [tolerate_stale]
-                   mirrors that guard (the high-water below never moves
-                   down either way). *)
-                if not t.tolerate_stale then
-                fail t ~code:"V2" ~invariant:"freshness" ~at
-                  (Printf.sprintf
-                     "node %d key %d replica %d: delivered expiry %.6g \
-                      regresses the %.6g already delivered"
-                     (Node_id.to_int to_) k r expiry prev)
-            | _ -> ());
-            match Hashtbl.find_opt tbl (k, r) with
-            | Some prev when prev >= expiry -> ()
-            | _ -> Hashtbl.replace tbl (k, r) expiry
-          end)
-        entries
+  let node = Node_id.to_int to_ and k = Key.to_int key in
+  let keys =
+    match Hashtbl.find_opt t.fresh node with
+    | Some keys -> keys
+    | None ->
+        let keys = Hashtbl.create 16 in
+        Hashtbl.replace t.fresh node keys;
+        keys
+  in
+  let seen = Option.value (Hashtbl.find_opt keys k) ~default:Int_map.empty in
+  let seen =
+    match kind with
+    | Update.Delete ->
+        List.fold_left (fun m (r, _) -> Int_map.remove r m) seen entries
+    | Update.First_time ->
+        (* the receiver replaces its entry list for the key wholesale *)
+        List.fold_left
+          (fun m (r, expiry) ->
+            if expiry >= at then Int_map.add r expiry m else m)
+          Int_map.empty entries
+    | Update.Refresh | Update.Append ->
+        List.fold_left
+          (fun m (r, expiry) ->
+            if expiry < at then m
+            else
+              match Int_map.find_opt r m with
+              | Some prev when prev >= expiry ->
+                  (* Under reordering/duplication a stale arrival is a
+                     channel artifact the receiver's last-writer-wins
+                     guard discards, not a protocol bug; [tolerate_stale]
+                     mirrors that guard (the high-water never moves down
+                     either way). *)
+                  if expiry < prev -. 1e-9 && not t.tolerate_stale then
+                    fail t ~code:"V2" ~invariant:"freshness" ~at
+                      (Printf.sprintf
+                         "node %d key %d replica %d: delivered expiry %.6g \
+                          regresses the %.6g already delivered"
+                         node k r expiry prev);
+                  m
+              | _ -> Int_map.add r expiry m)
+          seen entries
+  in
+  Hashtbl.replace keys k seen
 
 let observe t event =
   t.events_checked <- t.events_checked + 1;

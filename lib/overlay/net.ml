@@ -9,13 +9,13 @@ type impl =
    over — every query for a key walks next_hop from the querying node,
    and the key universe is small.  The overlays answer from static
    routing state that only changes on membership events, so the
-   answers are cacheable: [hop_cache] memoizes next_hop keyed by a
-   packed (node, key) int and is flushed whenever the underlying
-   overlay's generation counter moves (join/leave/churn). *)
+   answers are cacheable: [hop_cache] memoizes next_hop per
+   [Node_key] pair and is flushed whenever the underlying overlay's
+   generation counter moves (join/leave/churn). *)
 type t = {
   impl : impl;
   cache_enabled : bool;
-  hop_cache : (int, Route.hop) Hashtbl.t;
+  hop_cache : Route.hop Node_key.Table.t;
   mutable hop_gen : int; (* generation [hop_cache] entries belong to *)
   churn_lookups : int; (* bypass threshold; 0 = never bypass *)
   mutable gen_lookups : int; (* lookups served in the current generation *)
@@ -40,7 +40,7 @@ let create ?rng ?(route_cache = true) ?(churn_lookups = 0) ~kind ~n () =
   {
     impl;
     cache_enabled = route_cache;
-    hop_cache = Hashtbl.create (if route_cache then 4096 else 1);
+    hop_cache = Node_key.Table.create (if route_cache then 4096 else 1);
     hop_gen = -1;
     churn_lookups;
     gen_lookups = 0;
@@ -93,11 +93,6 @@ let next_hop_uncached impl id key =
   | Chord_net c -> Chord.next_hop c id key
   | Pastry_net p -> Pastry.next_hop p id key
 
-(* Packed (node, key) cache key: both fit comfortably below 31 bits,
-   and an int key avoids the tuple allocation and polymorphic hashing
-   a [(int * int)] key would pay on every lookup. *)
-let pack_hop_key id key = (Node_id.to_int id lsl 31) lor Key.to_int key
-
 let next_hop net id key =
   if not net.cache_enabled then begin
     net.cache_misses <- net.cache_misses + 1;
@@ -115,7 +110,8 @@ let next_hop net id key =
         net.churn_lookups > 0 && net.hop_gen >= 0
         && net.gen_lookups < net.churn_lookups;
       net.gen_lookups <- 0;
-      if Hashtbl.length net.hop_cache > 0 then Hashtbl.reset net.hop_cache;
+      if Node_key.Table.length net.hop_cache > 0 then
+        Node_key.Table.reset net.hop_cache;
       net.hop_gen <- gen
     end;
     net.gen_lookups <- net.gen_lookups + 1;
@@ -126,15 +122,15 @@ let next_hop net id key =
       next_hop_uncached net.impl id key
     end
     else
-      let packed = pack_hop_key id key in
-      match Hashtbl.find_opt net.hop_cache packed with
+      let packed = Node_key.pack id key in
+      match Node_key.Table.find_opt net.hop_cache packed with
       | Some hop ->
           net.cache_hits <- net.cache_hits + 1;
           hop
       | None ->
           net.cache_misses <- net.cache_misses + 1;
           let hop = next_hop_uncached net.impl id key in
-          Hashtbl.add net.hop_cache packed hop;
+          Node_key.Table.add net.hop_cache packed hop;
           hop
   end
 

@@ -1,5 +1,6 @@
 module Key = Cup_overlay.Key
 module Node_id = Cup_overlay.Node_id
+module Node_key = Cup_overlay.Node_key
 module Time = Cup_dess.Time
 
 (* One pool of (node, key) slots holds every node's protocol state.
@@ -46,19 +47,15 @@ type t = {
   mutable e_rep : int array array; (* entries: replica ids, sorted *)
   mutable e_exp : float array array; (* entries: expiry seconds *)
   mutable e_len : int array;
-  index : (int, int) Hashtbl.t; (* packed (node, key, kind) -> slot *)
+  cache_index : int Node_key.Table.t; (* (node, key) -> cached-key slot *)
+  local_index : int Node_key.Table.t;
+      (* (node, key) -> authority slot.  A node's cached state and its
+         authority state for one key legally coexist across churn, so
+         each kind has its own index. *)
   head : (int, int) Hashtbl.t; (* node -> first slot of its chain *)
   known : (int, unit) Hashtbl.t; (* registered node ids *)
   unset : Intset.t; (* placeholder marking never-initialized set cells *)
 }
-
-(* Packed index key: (node lsl 31 | key) lsl 1 | kind-tag.  Node and
-   key both fit well below 31 bits (same packing as the runner's justif
-   table and the overlay's hop cache); the tag keeps a node's cached
-   state and its authority state for the same key — which legally
-   coexist across churn — in distinct slots. *)
-let pack_cache nid kid = (((nid lsl 31) lor kid) lsl 1)
-let pack_local nid kid = (((nid lsl 31) lor kid) lsl 1) lor 1
 
 let create ?(slots_hint = 1024) config =
   let cap = Stdlib.max 16 slots_hint in
@@ -97,7 +94,8 @@ let create ?(slots_hint = 1024) config =
     e_rep = Array.make cap [||];
     e_exp = Array.make cap [||];
     e_len = Array.make cap 0;
-    index = Hashtbl.create (2 * cap);
+    cache_index = Node_key.Table.create (2 * cap);
+    local_index = Node_key.Table.create 256;
     head = Hashtbl.create 256;
     known = Hashtbl.create 256;
     unset;
@@ -153,7 +151,7 @@ let fresh_set t arr slot =
   if arr.(slot) == t.unset then arr.(slot) <- Intset.create ()
   else Intset.clear arr.(slot)
 
-let alloc_slot t ~packed ~nid ~kid ~local =
+let alloc_slot t ~packed ~local =
   let slot =
     match t.free_head with
     | -1 ->
@@ -165,8 +163,9 @@ let alloc_slot t ~packed ~nid ~kid ~local =
         t.free_head <- t.s_next.(s);
         s
   in
+  let nid = Node_id.to_int (Node_key.node packed) in
   t.s_node.(slot) <- nid;
-  t.s_key.(slot) <- kid;
+  t.s_key.(slot) <- Key.to_int (Node_key.key packed);
   Bytes.set t.s_local slot (if local then '\001' else '\000');
   Bytes.set t.s_pending slot '\000';
   Bytes.set t.s_cut_sent slot '\000';
@@ -184,7 +183,9 @@ let alloc_slot t ~packed ~nid ~kid ~local =
   t.s_next.(slot) <-
     (match Hashtbl.find_opt t.head nid with Some h -> h | None -> -1);
   Hashtbl.replace t.head nid slot;
-  Hashtbl.replace t.index packed slot;
+  Node_key.Table.replace
+    (if local then t.local_index else t.cache_index)
+    packed slot;
   slot
 
 let unlink_slot t slot =
@@ -202,21 +203,25 @@ let unlink_slot t slot =
       t.s_next.(!prev) <- t.s_next.(slot)
   | None -> ())
 
+(* Only authority slots are ever freed. *)
 let free_slot t ~packed slot =
   unlink_slot t slot;
-  Hashtbl.remove t.index packed;
+  Node_key.Table.remove t.local_index packed;
   t.s_next.(slot) <- t.free_head;
   t.free_head <- slot
 
-let find_cache t nid kid = Hashtbl.find_opt t.index (pack_cache nid kid)
-let find_local t nid kid = Hashtbl.find_opt t.index (pack_local nid kid)
+let find_cache t node key =
+  Node_key.Table.find_opt t.cache_index (Node_key.pack node key)
+
+let find_local t node key =
+  Node_key.Table.find_opt t.local_index (Node_key.pack node key)
 
 (* [Node.get_state]: look up the cached-key slot, creating it empty. *)
-let cache_slot t nid kid =
-  let packed = pack_cache nid kid in
-  match Hashtbl.find_opt t.index packed with
+let cache_slot t node key =
+  let packed = Node_key.pack node key in
+  match Node_key.Table.find_opt t.cache_index packed with
   | Some s -> s
-  | None -> alloc_slot t ~packed ~nid ~kid ~local:false
+  | None -> alloc_slot t ~packed ~local:false
 
 (* {2 Per-slot entry sets: sorted (replica, expiry) parallel arrays} *)
 
@@ -303,16 +308,14 @@ let fresh_ent_list t slot ~now =
 (* {2 Authority side} *)
 
 let add_local_key t node key =
-  let nid = Node_id.to_int node and kid = Key.to_int key in
-  let packed = pack_local nid kid in
-  if not (Hashtbl.mem t.index packed) then
-    ignore (alloc_slot t ~packed ~nid ~kid ~local:true)
+  let packed = Node_key.pack node key in
+  if not (Node_key.Table.mem t.local_index packed) then
+    ignore (alloc_slot t ~packed ~local:true)
 
-let owns t node key =
-  find_local t (Node_id.to_int node) (Key.to_int key) <> None
+let owns t node key = find_local t node key <> None
 
 let local_directory t node key =
-  match find_local t (Node_id.to_int node) (Key.to_int key) with
+  match find_local t node key with
   | Some slot -> ent_list t slot
   | None -> []
 
@@ -332,7 +335,7 @@ let originate t slot (update : Update.t) =
       (Intset.to_list t.s_interest.(slot))
 
 let local_slot_exn t node key op =
-  match find_local t (Node_id.to_int node) (Key.to_int key) with
+  match find_local t node key with
   | Some slot -> slot
   | None -> invalid_arg ("Node_store." ^ op ^ ": key not owned")
 
@@ -395,17 +398,16 @@ let answer_as_authority t slot ~now key source =
 
 let handle_query t ~node ~now ~next_hop source key =
   t.stats.Node.queries_in <- t.stats.Node.queries_in + 1;
-  let nid = Node_id.to_int node and kid = Key.to_int key in
-  match find_local t nid kid with
+  match find_local t node key with
   | Some slot ->
       t.stats.Node.cache_answers <- t.stats.Node.cache_answers + 1;
       answer_as_authority t slot ~now key source
   | None when next_hop = None ->
       add_local_key t node key;
-      let slot = Option.get (find_local t nid kid) in
+      let slot = Option.get (find_local t node key) in
       answer_as_authority t slot ~now key source
   | None -> (
-      let slot = cache_slot t nid kid in
+      let slot = cache_slot t node key in
       t.s_qsu.(slot) <- t.s_qsu.(slot) + 1;
       (match source with
       | Node.From_neighbor from ->
@@ -566,7 +568,7 @@ let merge_targets waiting interest ~proactive_ok =
 
 let handle_update t ~node ~now ~from (u : Update.t) =
   t.stats.Node.updates_in <- t.stats.Node.updates_in + 1;
-  let slot = cache_slot t (Node_id.to_int node) (Key.to_int u.key) in
+  let slot = cache_slot t node u.key in
   t.s_upstream.(slot) <- Node_id.to_int from;
   if Update.is_expired u ~now then begin
     t.stats.Node.expired_updates_dropped <-
@@ -659,13 +661,12 @@ let handle_update t ~node ~now ~from (u : Update.t) =
 
 let handle_clear_bit t ~node ~now:_ ~from key =
   t.stats.Node.clear_bits_in <- t.stats.Node.clear_bits_in + 1;
-  let nid = Node_id.to_int node and kid = Key.to_int key in
-  match find_local t nid kid with
+  match find_local t node key with
   | Some slot ->
       Intset.remove t.s_interest.(slot) (Node_id.to_int from);
       []
   | None -> (
-      match find_cache t nid kid with
+      match find_cache t node key with
       | None -> []
       | Some slot ->
           Intset.remove t.s_interest.(slot) (Node_id.to_int from);
@@ -738,9 +739,8 @@ let retain_neighbors t ~node current =
         if up >= 0 && not (Intset.mem keep up) then lose_upstream t slot)
 
 let handover_local t node key =
-  let nid = Node_id.to_int node and kid = Key.to_int key in
-  let packed = pack_local nid kid in
-  match Hashtbl.find_opt t.index packed with
+  let packed = Node_key.pack node key in
+  match Node_key.Table.find_opt t.local_index packed with
   | None -> []
   | Some slot ->
       let entries = ent_list t slot in
@@ -750,7 +750,7 @@ let handover_local t node key =
 let receive_local t node key entries =
   add_local_key t node key;
   let slot =
-    Option.get (find_local t (Node_id.to_int node) (Key.to_int key))
+    Option.get (find_local t node key)
   in
   List.iter
     (fun (e : Entry.t) ->
@@ -764,27 +764,27 @@ let receive_local t node key entries =
 (* {2 Introspection} *)
 
 let fresh_entries t ~node ~now key =
-  match find_cache t (Node_id.to_int node) (Key.to_int key) with
+  match find_cache t node key with
   | None -> []
   | Some slot -> fresh_ent_list t slot ~now
 
 let pending_first t node key =
-  match find_cache t (Node_id.to_int node) (Key.to_int key) with
+  match find_cache t node key with
   | None -> false
   | Some slot -> Bytes.get t.s_pending slot = '\001'
 
 let interested_neighbors t node key =
-  match find_cache t (Node_id.to_int node) (Key.to_int key) with
+  match find_cache t node key with
   | None -> []
   | Some slot -> List.map Node_id.of_int (Intset.to_list t.s_interest.(slot))
 
 let popularity t node key =
-  match find_cache t (Node_id.to_int node) (Key.to_int key) with
+  match find_cache t node key with
   | None -> 0
   | Some slot -> t.s_qsu.(slot)
 
 let distance_of t node key =
-  match find_cache t (Node_id.to_int node) (Key.to_int key) with
+  match find_cache t node key with
   | None -> None
   | Some slot ->
       if t.s_upstream.(slot) = -1 && t.e_len.(slot) = 0 then None

@@ -4,6 +4,7 @@ module Net = Cup_overlay.Net
 module Route = Cup_overlay.Route
 module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
+module Node_key = Cup_overlay.Node_key
 module Splitmix = Cup_prng.Splitmix
 module Node = Cup_proto.Node
 module Node_store = Cup_proto.Node_store
@@ -133,15 +134,16 @@ type live = {
   dup_rng : Rng.t; (* per-delivery duplication draws, in event order *)
   partition_salt : int64; (* per-run salt for island membership *)
   fault_mode : bool; (* any Scenario fault axis present *)
-  repair : (int, repair_state) Hashtbl.t; (* packed (node, key) *)
+  repair : repair_state Node_key.Table.t;
   repair_timeout : float; (* seconds a subscriber waits for an answer *)
   repair_slack : float; (* grace past an entry expiry before repairing *)
   batches : Entry.t list ref Key.Table.t; (* authority-side refresh batching *)
-  justif : (int, float list ref) Hashtbl.t;
-      (* packed (node, key) -> justification deadlines of updates
-         applied there and not yet judged (Section 3.1).  Judged
-         entries are emptied in place, not removed, so the ref cell is
-         reused by the next update at the same (node, key). *)
+  justif : float list ref Node_key.Table.t;
+      (* (node, key) -> justification deadlines of updates applied
+         there and not yet judged (Section 3.1).  Judged entries are
+         emptied in place, not removed, so the ref cell is reused by
+         the next update at the same (node, key). *)
+  mutable justif_backlog : int; (* deadlines held in [justif] *)
   inv_hop_delay : float; (* 1 / hop_delay, or 0 under zero delay *)
   mutable tracked_updates : int;
   mutable justified_updates : int;
@@ -437,10 +439,6 @@ let retry_delay t attempt =
    non-answering update is applied at a node and judge all pending
    deadlines at the node's next query for the key. *)
 
-(* Packed (node, key) table key: an int avoids the tuple allocation
-   and polymorphic hashing a pair key pays on every probe. *)
-let justif_key node key = (Node_id.to_int node lsl 31) lor Key.to_int key
-
 let register_update_for_justification t ~node (update : Update.t) =
   let deadline =
     List.fold_left
@@ -453,22 +451,27 @@ let register_update_for_justification t ~node (update : Update.t) =
       Attribution.record_delivery a ~key:(Key.to_int update.key)
         ~node:(Node_id.to_int node)
   | None -> ());
-  let k = justif_key node update.key in
-  match Hashtbl.find_opt t.justif k with
+  let k = Node_key.pack node update.key in
+  t.justif_backlog <- t.justif_backlog + 1;
+  match Node_key.Table.find_opt t.justif k with
   | Some deadlines ->
       (* Sweep entries whose critical window already closed: they can
          never count as justified, and without the sweep a (node, key)
          that receives updates but no queries grows its deadline list
          without bound for the whole run. *)
       let tnow = Time.to_seconds (Engine.now t.engine) in
-      deadlines := deadline :: List.filter (fun d -> d >= tnow) !deadlines
-  | None -> Hashtbl.replace t.justif k (ref [ deadline ])
+      let pending = List.filter (fun d -> d >= tnow) !deadlines in
+      t.justif_backlog <-
+        t.justif_backlog - List.length !deadlines + List.length pending;
+      deadlines := deadline :: pending
+  | None -> Node_key.Table.replace t.justif k (ref [ deadline ])
 
 let judge_pending_updates t ~node ~key =
-  match Hashtbl.find_opt t.justif (justif_key node key) with
+  match Node_key.Table.find_opt t.justif (Node_key.pack node key) with
   | None | Some { contents = [] } -> ()
   | Some deadlines ->
       let now = Time.to_seconds (Engine.now t.engine) in
+      t.justif_backlog <- t.justif_backlog - List.length !deadlines;
       List.iter
         (fun deadline ->
           if deadline >= now then begin
@@ -507,7 +510,8 @@ and perform_one t ~ctx ~from = function
       end;
       (* The sender is cutting itself out of the key's tree: it no
          longer expects updates, so stop watching its deadline. *)
-      if t.fault_mode then Hashtbl.remove t.repair (justif_key from key);
+      if t.fault_mode then
+        Node_key.Table.remove t.repair (Node_key.pack from key);
       Counters.record_sent t.counters;
       let sid = new_span t in
       if dropped_in_transit t ~from ~to_ then begin
@@ -922,8 +926,8 @@ and deliver_update t ~ctx ?(sid = 0) ~from ~to_ ~answering (update : Update.t)
    expiration-based polling after [max_repair_attempts]. *)
 
 and arm_repair t ~node ~key ~deadline =
-  let packed = justif_key node key in
-  match Hashtbl.find_opt t.repair packed with
+  let packed = Node_key.pack node key in
+  match Node_key.Table.find_opt t.repair packed with
   | Some st ->
       if deadline > st.r_deadline then st.r_deadline <- deadline;
       schedule_repair_check t st
@@ -938,7 +942,7 @@ and arm_repair t ~node ~key ~deadline =
           r_started = 0.;
         }
       in
-      Hashtbl.replace t.repair packed st;
+      Node_key.Table.replace t.repair packed st;
       schedule_repair_check t st
 
 (* An update arrived: the subscription works.  Reset the attempt
@@ -954,8 +958,8 @@ and note_update_for_repair t ~node (update : Update.t) =
   let deadline =
     Float.max (expiry +. t.repair_slack) (tnow +. t.repair_timeout)
   in
-  let packed = justif_key node update.key in
-  match Hashtbl.find_opt t.repair packed with
+  let packed = Node_key.pack node update.key in
+  match Node_key.Table.find_opt t.repair packed with
   | Some st ->
       if st.r_attempts > 0 then begin
         st.r_attempts <- 0;
@@ -989,8 +993,8 @@ and repair_check t st =
     (* The deadline moved while this check was queued. *)
     schedule_repair_check t st
   else begin
-    let packed = justif_key st.r_node st.r_key in
-    let drop () = Hashtbl.remove t.repair packed in
+    let packed = Node_key.pack st.r_node st.r_key in
+    let drop () = Node_key.Table.remove t.repair packed in
     if not (Net.is_alive t.net st.r_node) then drop ()
     else begin
       let needs =
@@ -1351,13 +1355,14 @@ let create_base cfg =
          membership are uncorrelated hashes of the same seed. *)
       partition_salt = Splitmix.mix (Int64.lognot (Int64.of_int cfg.seed));
       fault_mode = Scenario.fault_injection cfg;
-      repair = Hashtbl.create 256;
+      repair = Node_key.Table.create 256;
       repair_timeout =
         Float.max 1.0 (64. *. cfg.hop_delay) +. cfg.refresh_batch_window;
       repair_slack =
         Float.max 1.0 (64. *. cfg.hop_delay) +. cfg.refresh_batch_window;
       batches = Key.Table.create 16;
-      justif = Hashtbl.create 1024;
+      justif = Node_key.Table.create 1024;
+      justif_backlog = 0;
       inv_hop_delay =
         (if cfg.hop_delay > 0. then 1. /. cfg.hop_delay else 0.);
       tracked_updates = 0;
@@ -1584,10 +1589,13 @@ let node_leave ?(graceful = true) t id =
      there again — and nothing else sweeps them: left in place they
      would sit in the table (and the V3 backlog probe) for the rest of
      the run. *)
-  let departed = Node_id.to_int id in
-  Hashtbl.filter_map_inplace
+  Node_key.Table.filter_map_inplace
     (fun packed deadlines ->
-      if packed lsr 31 = departed then None else Some deadlines)
+      if Node_id.equal (Node_key.node packed) id then begin
+        t.justif_backlog <- t.justif_backlog - List.length !deadlines;
+        None
+      end
+      else Some deadlines)
     t.justif;
   (* Graceful departure hands directories over; a crash loses them and
      the replicas' keep-alives rebuild the index at the new owner. *)
@@ -1762,6 +1770,17 @@ module Live = struct
   let set_attribution t a = t.attribution <- a
   let attribution t = t.attribution
 
-  let justification_backlog t =
-    Hashtbl.fold (fun _ deadlines acc -> acc + List.length !deadlines) t.justif 0
+  let justification_backlog t = t.justif_backlog
+
+  let check_invariants t =
+    let counted =
+      Node_key.Table.fold
+        (fun _ deadlines acc -> acc + List.length !deadlines)
+        t.justif 0
+    in
+    if counted = t.justif_backlog then Ok ()
+    else
+      Error
+        (Printf.sprintf "justification backlog %d, but the table holds %d"
+           t.justif_backlog counted)
 end

@@ -163,5 +163,11 @@ module Live : sig
       Section 3.1 accounting, summed over all (node, key) slots.
       Expired deadlines are swept when the next update for the same
       (node, key) arrives, so the backlog stays bounded even for pairs
-      that receive updates but no queries. *)
+      that receive updates but no queries.  O(1): kept as a running
+      count. *)
+
+  val check_invariants : t -> (unit, string) Stdlib.result
+  (** Recounts what the runner keeps incrementally: the running
+      {!justification_backlog} must equal a fold over the deadline
+      table.  O(table size); for tests. *)
 end

@@ -1217,14 +1217,14 @@ let check_violation name code f =
   | exception Audit.Violation v ->
       Alcotest.(check string) (name ^ " code") code v.Audit.code
 
-let delivered ~at ~span ~parent ~entries =
+let delivery ~key ~kind ~at ~span ~parent ~entries =
   Trace.Update_delivered
     {
       at = Time.of_seconds at;
       from_ = Node_id.of_int 9;
       to_ = Node_id.of_int 4;
-      key = Key.of_int 3;
-      kind = Cup_proto.Update.Refresh;
+      key = Key.of_int key;
+      kind;
       level = 1;
       answering = false;
       entries;
@@ -1233,12 +1233,31 @@ let delivered ~at ~span ~parent ~entries =
       parent_id = parent;
     }
 
+let delivered = delivery ~key:3 ~kind:Cup_proto.Update.Refresh
+
 let test_audit_catches_stale_delivery () =
   let a = Audit.create ~counters:(Counters.create ()) () in
   Audit.observe a (delivered ~at:100. ~span:1 ~parent:0 ~entries:[ (1, 500.) ]);
   check_violation "stale refresh" "V2" (fun () ->
       Audit.observe a
         (delivered ~at:110. ~span:2 ~parent:0 ~entries:[ (1, 400.) ]))
+
+(* A first-time update replaces the receiver's entries for its key, so
+   it resets that key's high-water mark and no other key's. *)
+let test_audit_first_time_resets_one_key () =
+  let a = Audit.create ~counters:(Counters.create ()) () in
+  let refresh key = delivery ~key ~kind:Cup_proto.Update.Refresh in
+  Audit.observe a
+    (refresh 3 ~at:100. ~span:1 ~parent:0 ~entries:[ (1, 500.); (2, 500.) ]);
+  Audit.observe a (refresh 5 ~at:100. ~span:2 ~parent:0 ~entries:[ (1, 500.) ]);
+  Audit.observe a
+    (delivery ~key:3 ~kind:Cup_proto.Update.First_time ~at:110. ~span:3
+       ~parent:0 ~entries:[ (1, 400.) ]);
+  Audit.observe a
+    (refresh 3 ~at:120. ~span:4 ~parent:0 ~entries:[ (1, 420.); (2, 420.) ]);
+  check_violation "stale refresh of another key" "V2" (fun () ->
+      Audit.observe a
+        (refresh 5 ~at:130. ~span:5 ~parent:0 ~entries:[ (1, 420.) ]))
 
 let test_audit_exempts_expired_entries () =
   let a = Audit.create ~counters:(Counters.create ()) () in
@@ -1632,6 +1651,8 @@ let () =
             test_audit_clean_runs_pass;
           Alcotest.test_case "catches stale delivery" `Quick
             test_audit_catches_stale_delivery;
+          Alcotest.test_case "first-time resets one key" `Quick
+            test_audit_first_time_resets_one_key;
           Alcotest.test_case "exempts expired entries" `Quick
             test_audit_exempts_expired_entries;
           Alcotest.test_case "catches orphan span" `Quick

@@ -606,6 +606,43 @@ let prop_pastry_churn_invariants =
         moves;
       Pastry.check_invariants p = Ok ())
 
+(* {1 Node_key} *)
+
+module Node_key = Cup_overlay.Node_key
+
+(* Every pair of an n x n grid in one table.  [Hashtbl.hash] folds the
+   node bits onto the key bits, so these grids would chain 1,024 and
+   256 deep; the mixing hash keeps the longest chain short. *)
+let test_node_key_spread () =
+  List.iter
+    (fun n ->
+      let tbl = Node_key.Table.create 16 in
+      for node = 0 to n - 1 do
+        for key = 0 to n - 1 do
+          Node_key.Table.replace tbl
+            (Node_key.pack (Node_id.of_int node) (Key.of_int key))
+            ()
+        done
+      done;
+      let stats = Node_key.Table.stats tbl in
+      Alcotest.(check int)
+        "every pair stored" (n * n) stats.Hashtbl.num_bindings;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d x %d grid: longest chain %d <= 32" n n
+           stats.Hashtbl.max_bucket_length)
+        true
+        (stats.Hashtbl.max_bucket_length <= 32))
+    [ 1024; 256 ]
+
+let prop_node_key_inverts_pack =
+  let below_2_30 = QCheck.int_bound ((1 lsl 30) - 1) in
+  QCheck.Test.make ~count:1000 ~name:"node and key invert pack"
+    QCheck.(pair below_2_30 below_2_30)
+    (fun (n, k) ->
+      let packed = Node_key.pack (Node_id.of_int n) (Key.of_int k) in
+      Node_id.to_int (Node_key.node packed) = n
+      && Key.to_int (Node_key.key packed) = k)
+
 (* {1 Net dispatch} *)
 
 let test_net_dispatch () =
@@ -810,6 +847,11 @@ let () =
             test_pastry_owner_is_numerically_closest;
           Alcotest.test_case "join/leave" `Quick test_pastry_join_leave;
           QCheck_alcotest.to_alcotest prop_pastry_churn_invariants;
+        ] );
+      ( "node key",
+        [
+          Alcotest.test_case "spread" `Quick test_node_key_spread;
+          QCheck_alcotest.to_alcotest prop_node_key_inverts_pack;
         ] );
       ( "net",
         [

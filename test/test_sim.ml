@@ -551,6 +551,33 @@ let test_justification_backlog_bounded () =
     true
     (long < (2 * short) + 64)
 
+(* The backlog is a running count, moved where deadlines are
+   registered, swept on expiry, judged at a query and purged with a
+   crashed node.  A crash+loss run takes all four paths; at every
+   checkpoint the count must equal a recount of the table. *)
+let test_justification_backlog_recount () =
+  let live = Runner.Live.create fault_cfg in
+  let crashes = ref 0 and peak = ref 0 in
+  Runner.Live.set_tracer live
+    (Some (function Cup_sim.Trace.Node_crashed _ -> incr crashes | _ -> ()));
+  let check at =
+    match Runner.Live.check_invariants live with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "t=%g: %s" at e
+  in
+  let sim_end = Scenario.sim_end fault_cfg in
+  List.iter
+    (fun frac ->
+      let at = sim_end *. frac in
+      Runner.Live.run_until live at;
+      peak := max !peak (Runner.Live.justification_backlog live);
+      check at)
+    [ 0.25; 0.4; 0.55; 0.7; 0.85 ];
+  ignore (Runner.Live.finish live);
+  check sim_end;
+  Alcotest.(check bool) "nodes crashed" true (!crashes > 0);
+  Alcotest.(check bool) "deadlines were held" true (!peak > 0)
+
 (* {1 Replication} *)
 
 let test_replicate_statistics () =
@@ -978,6 +1005,8 @@ let () =
             test_fault_counters_in_pp;
           Alcotest.test_case "justification backlog bounded" `Quick
             test_justification_backlog_bounded;
+          Alcotest.test_case "justification backlog recount" `Quick
+            test_justification_backlog_recount;
         ] );
       ( "replication",
         [ Alcotest.test_case "statistics" `Quick test_replicate_statistics ] );
