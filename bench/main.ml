@@ -20,7 +20,7 @@
 
    The scale targets are explicit-only (never part of the default
    target set): they record events/sec and peak RSS through the
-   struct-of-arrays scale runner and cross-check that sharded runs are
+   ring-overlay scale runner and cross-check that sharded runs are
    byte-identical to shards=1.  [overlay-growth] runs with the default
    set at n <= 2^15 and adds its 2^20 builds only when named.
    [time-growth] is explicit-only too.
@@ -883,7 +883,7 @@ let faults scale =
 (* {1 Scale: batch-synchronous sharded runs up to a million nodes} *)
 
 (* The ISSUE-7 tentpole record: events/sec and peak RSS at 10k / 100k /
-   1M nodes through the struct-of-arrays + ring-overlay scale runner,
+   1M nodes through the ring-overlay scale runner,
    plus the shard byte-identity witness — shards=4 must reproduce the
    shards=1 summary (and, at 10k, the full JSONL trace) byte for byte.
    Runs in increasing size order so the per-size VmHWM snapshots are

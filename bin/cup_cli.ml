@@ -155,17 +155,6 @@ let scheduler =
            or calendar (bucketed calendar queue).  Results are \
            byte-identical either way; only wall-clock speed differs.")
 
-let flat_state =
-  Arg.(
-    value & flag
-    & info [ "flat-state" ]
-        ~doc:
-          "Run the protocol state machine on the flat struct-of-arrays \
-           backend (Node_store) instead of the map-backed nodes.  Results \
-           are byte-identical either way (enforced by the state-equivalence \
-           suite); the flat backend allocates per-(node, key) slots from \
-           pre-sized arrays and exists for very large runs.")
-
 let runs =
   Arg.(
     value & opt int 1
@@ -675,7 +664,7 @@ let run_observed cfg ~trace_out ~metrics_out ~sample_interval ~sample_out
 
 let run_cmd =
   let action seed nodes keys rate duration lifetime replicas policy overlay
-      scheduler flat_state runs jobs trace_out metrics_out sample_interval
+      scheduler runs jobs trace_out metrics_out sample_interval
       sample_out profile serve audit attribution crash_rate crash_recover
       loss_rate loss_jitter zipf partition_frac partition_start
       partition_duration partition_symmetric reorder_rate reorder_spread
@@ -686,7 +675,6 @@ let run_cmd =
            ~policy ~overlay)
         with
         scheduler;
-        flat_node_state = flat_state;
         key_dist = (if zipf > 0. then `Zipf zipf else `Uniform);
         crashes =
           (if crash_rate > 0. then
@@ -800,7 +788,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ seed $ nodes $ keys $ rate $ duration $ lifetime
-      $ replicas $ policy $ overlay $ scheduler $ flat_state $ runs $ jobs
+      $ replicas $ policy $ overlay $ scheduler $ runs $ jobs
       $ trace_out
       $ metrics_out $ sample_interval $ sample_out $ profile_flag
       $ serve_port $ audit_flag $ attribution_arg $ crash_rate
@@ -1171,10 +1159,10 @@ let scale_cmd =
   Cmd.v
     (Cmd.info "scale"
        ~doc:
-         "Run CUP at very large network sizes: struct-of-arrays node state \
-          over an arithmetic ring overlay, optionally sharded across \
-          domains.  Output (and --trace-out) is byte-identical for every \
-          --shards value.")
+         "Run CUP at very large network sizes: protocol state in packed \
+          (node, key) tables over an arithmetic ring overlay, optionally \
+          sharded across domains.  Output (and --trace-out) is \
+          byte-identical for every --shards value.")
     term
 
 (* {1 cup top}
@@ -1220,7 +1208,7 @@ let top_cmd =
              across --jobs domains and merged exactly in seed order.")
   in
   let action seed nodes keys rate duration lifetime replicas policy overlay
-      scheduler flat_state zipf seeds jobs by topk capacity top_out =
+      scheduler zipf seeds jobs by topk capacity top_out =
     if seeds < 1 then begin
       prerr_endline "cup top: --seeds must be >= 1";
       exit 1
@@ -1235,7 +1223,6 @@ let top_cmd =
            ~policy ~overlay)
         with
         scheduler;
-        flat_node_state = flat_state;
         key_dist = (if zipf > 0. then `Zipf zipf else `Uniform);
       }
     in
@@ -1280,7 +1267,7 @@ let top_cmd =
   let term =
     Term.(
       const action $ seed $ nodes $ keys $ rate $ duration $ lifetime
-      $ replicas $ policy $ overlay $ scheduler $ flat_state $ zipf $ seeds
+      $ replicas $ policy $ overlay $ scheduler $ zipf $ seeds
       $ jobs $ by_arg $ topk $ capacity $ top_out_arg)
   in
   Cmd.v

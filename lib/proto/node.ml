@@ -1,15 +1,20 @@
 module Key = Cup_overlay.Key
 module Node_id = Cup_overlay.Node_id
 module Time = Cup_dess.Time
+module Store = Node_store
 
-type config = { policy : Policy.t; replica_independent_cutoff : bool }
+type config = Store.config = {
+  policy : Policy.t;
+  replica_independent_cutoff : bool;
+}
 
-let default_config =
-  { policy = Policy.second_chance; replica_independent_cutoff = true }
+let default_config = Store.default_config
 
-type source = From_neighbor of Node_id.t | From_local of Time.t
+type source = Store.source =
+  | From_neighbor of Node_id.t
+  | From_local of Time.t
 
-type action =
+type action = Store.action =
   | Send_query of { to_ : Node_id.t; key : Key.t }
   | Send_update of { to_ : Node_id.t; update : Update.t; answering : bool }
   | Send_clear_bit of { to_ : Node_id.t; key : Key.t }
@@ -20,7 +25,7 @@ type action =
       hit : bool;
     }
 
-type stats = {
+type stats = Store.stats = {
   mutable queries_in : int;
   mutable queries_coalesced : int;
   mutable cache_answers : int;
@@ -31,581 +36,50 @@ type stats = {
   mutable expired_updates_dropped : int;
 }
 
-(* State for one cached (non-local) key: Section 2.3 bookkeeping. *)
-type key_state = {
-  mutable entries : Entry.t Replica_id.Map.t;
-  mutable pending_first : bool;
-  interest : Interest.t;
-  mutable queries_since_update : int;
-  mutable dry_updates : int; (* consecutive trigger updates with 0 queries *)
-  mutable distance : int; (* hops from the authority, from update levels *)
-  mutable trigger : Replica_id.t option; (* replica-independent cut-off *)
-  mutable upstream : Node_id.t option; (* whom we receive updates from *)
-  mutable cut_sent : bool; (* clear-bit pushed and not yet re-subscribed *)
-  mutable waiters : Time.t list; (* open local client connections *)
-  mutable waiting : Node_id.Set.t;
-      (* neighbors whose query we absorbed and owe a response to;
-         always a subset of the interested set *)
-  mutable queried_to : Node_id.t option;
-      (* where the pending query instance was pushed; lets churn
-         patching un-stick the pending flag if that hop disappears *)
-}
+type t = { store : Store.t; node : Node_id.t }
 
-(* State for one owned key: the local index directory slice plus the
-   interest bits of neighbors that queried for it. *)
-type local_state = {
-  mutable directory : Entry.t Replica_id.Map.t;
-  local_interest : Interest.t;
-}
-
-type t = {
-  node_id : Node_id.t;
-  config : config;
-  cache : key_state Key.Table.t;
-  local : local_state Key.Table.t;
-  stats : stats;
-}
-
-let create ~id config =
-  {
-    node_id = id;
-    config;
-    cache = Key.Table.create 64;
-    local = Key.Table.create 8;
-    stats =
-      {
-        queries_in = 0;
-        queries_coalesced = 0;
-        cache_answers = 0;
-        updates_in = 0;
-        updates_forwarded = 0;
-        clear_bits_sent = 0;
-        clear_bits_in = 0;
-        expired_updates_dropped = 0;
-      };
-  }
-
-let id t = t.node_id
-let config t = t.config
-let stats t = t.stats
-
-let get_state t key =
-  match Key.Table.find_opt t.cache key with
-  | Some state -> state
-  | None ->
-      let state =
-        {
-          entries = Replica_id.Map.empty;
-          pending_first = false;
-          interest = Interest.create ();
-          queries_since_update = 0;
-          dry_updates = 0;
-          distance = 1;
-          trigger = None;
-          upstream = None;
-          cut_sent = false;
-          waiters = [];
-          waiting = Node_id.Set.empty;
-          queried_to = None;
-        }
-      in
-      Key.Table.replace t.cache key state;
-      state
-
-let prune_expired entries ~now =
-  Replica_id.Map.filter (fun _ e -> Entry.is_fresh e ~now) entries
-
-let fresh_entry_list state ~now =
-  state.entries <- prune_expired state.entries ~now;
-  List.map snd (Replica_id.Map.bindings state.entries)
-
-(* {2 Authority side} *)
-
-let add_local_key t key =
-  if not (Key.Table.mem t.local key) then
-    Key.Table.replace t.local key
-      { directory = Replica_id.Map.empty; local_interest = Interest.create () }
-
-let owns t key = Key.Table.mem t.local key
-
-let local_directory t key =
-  match Key.Table.find_opt t.local key with
-  | Some ls -> List.map snd (Replica_id.Map.bindings ls.directory)
-  | None -> []
-
-(* Originate an update at the authority (distance 0): push to every
-   interested neighbor, unless the policy bounds propagation at the
-   sender and level 1 already exceeds the bound. *)
-let originate t ls (update : Update.t) =
-  let allowed =
-    match Policy.sender_limit t.config.policy with
-    | Some p -> 1 <= p
-    | None -> true
-  in
-  if not allowed then []
-  else
-    List.map
-      (fun neighbor ->
-        t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-        Send_update { to_ = neighbor; update; answering = false })
-      (Interest.interested ls.local_interest)
-
-let replica_birth t ~now:_ ~key entry =
-  match Key.Table.find_opt t.local key with
-  | None -> invalid_arg "Node.replica_birth: key not owned"
-  | Some ls ->
-      ls.directory <-
-        Replica_id.Map.add entry.Entry.replica entry ls.directory;
-      originate t ls (Update.append ~key ~entry ~level:1)
-
-let replica_refresh t ~now:_ ~key entry =
-  match Key.Table.find_opt t.local key with
-  | None -> invalid_arg "Node.replica_refresh: key not owned"
-  | Some ls ->
-      ls.directory <-
-        Replica_id.Map.add entry.Entry.replica entry ls.directory;
-      originate t ls (Update.refresh ~key ~entry ~level:1)
-
-let replica_refresh_batch t ~now:_ ~key entries =
-  match (Key.Table.find_opt t.local key, entries) with
-  | None, _ -> invalid_arg "Node.replica_refresh_batch: key not owned"
-  | Some _, [] -> []
-  | Some ls, entries ->
-      ls.directory <-
-        List.fold_left
-          (fun dir (e : Entry.t) -> Replica_id.Map.add e.replica e dir)
-          ls.directory entries;
-      let update =
-        { (Update.refresh ~key ~entry:(List.hd entries) ~level:1) with
-          Update.entries }
-      in
-      originate t ls update
-
-let replica_death t ~now:_ ~key replica =
-  match Key.Table.find_opt t.local key with
-  | None -> invalid_arg "Node.replica_death: key not owned"
-  | Some ls -> (
-      match Replica_id.Map.find_opt replica ls.directory with
-      | None -> []
-      | Some entry ->
-          ls.directory <- Replica_id.Map.remove replica ls.directory;
-          originate t ls (Update.delete ~key ~entry ~level:1))
-
-(* {2 Queries (Section 2.5)} *)
-
-let answer_as_authority t ls ~now key source =
-  ls.directory <- prune_expired ls.directory ~now;
-  let entries = List.map snd (Replica_id.Map.bindings ls.directory) in
-  match source with
-  | From_local posted ->
-      [ Answer_local { key; entries; posted_at = [ posted ]; hit = true } ]
-  | From_neighbor from ->
-      Interest.set ls.local_interest from;
-      let update = Update.first_time ~key ~entries ~level:1 in
-      t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-      [ Send_update { to_ = from; update; answering = true } ]
+let create ~id config = { store = Store.create config; node = id }
+let view store node = { store; node }
+let stats t = Store.stats t.store
 
 let handle_query t ~now ~next_hop source key =
-  t.stats.queries_in <- t.stats.queries_in + 1;
-  match Key.Table.find_opt t.local key with
-  | Some ls ->
-      t.stats.cache_answers <- t.stats.cache_answers + 1;
-      answer_as_authority t ls ~now key source
-  | None when next_hop = None ->
-      (* Routing says our zone contains the key but we have no
-         directory for it: become its (empty) authority. *)
-      add_local_key t key;
-      let ls = Key.Table.find t.local key in
-      answer_as_authority t ls ~now key source
-  | None -> (
-      let state = get_state t key in
-      (* Bookkeeping common to all three cases. *)
-      state.queries_since_update <- state.queries_since_update + 1;
-      (match source with
-      | From_neighbor from -> Interest.set state.interest from
-      | From_local _ -> ());
-      match fresh_entry_list state ~now with
-      | _ :: _ as entries -> (
-          (* Case 1: fresh entries cached — answer immediately. *)
-          t.stats.cache_answers <- t.stats.cache_answers + 1;
-          match source with
-          | From_local posted ->
-              [
-                Answer_local
-                  { key; entries; posted_at = [ posted ]; hit = true };
-              ]
-          | From_neighbor from ->
-              let update =
-                Update.first_time ~key ~entries ~level:(state.distance + 1)
-              in
-              t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-              [ Send_update { to_ = from; update; answering = true } ])
-      | [] ->
-          (* Cases 2 and 3: no usable entries.  Queue local clients;
-             push one query instance unless one is already pending. *)
-          (match source with
-          | From_local posted -> state.waiters <- posted :: state.waiters
-          | From_neighbor from ->
-              state.waiting <- Node_id.Set.add from state.waiting);
-          if state.pending_first && Policy.coalesces_queries t.config.policy
-          then begin
-            t.stats.queries_coalesced <- t.stats.queries_coalesced + 1;
-            []
-          end
-          else begin
-            state.pending_first <- true;
-            state.cut_sent <- false;
-            match next_hop with
-            | Some hop ->
-                state.queried_to <- Some hop;
-                [ Send_query { to_ = hop; key } ]
-            | None -> assert false (* handled above *)
-          end)
+  Store.handle_query t.store ~node:t.node ~now ~next_hop source key
 
-(* {2 Updates (Section 2.6)} *)
+let handle_update t ~now ~from update =
+  Store.handle_update t.store ~node:t.node ~now ~from update
 
-(* Apply [u] to the key's cached entry set.  Returns whether the cache
-   actually changed: a no-news arrival — a duplicated delivery, or an
-   update that travelled a (fault-rewired) interest cycle back around —
-   must not be forwarded again, or the cycle amplifies it into an
-   update storm. *)
-let apply_update state (u : Update.t) =
-  match u.kind with
-  | First_time ->
-      let entries =
-        List.fold_left
-          (fun m (e : Entry.t) -> Replica_id.Map.add e.replica e m)
-          Replica_id.Map.empty u.entries
-      in
-      let changed =
-        not
-          (Replica_id.Map.equal
-             (fun (a : Entry.t) (b : Entry.t) -> a.expiry = b.expiry)
-             state.entries entries)
-      in
-      state.entries <- entries;
-      changed
-  | Refresh | Append ->
-      (* Last-writer-wins by expiry: an entry at or below the cached
-         expiry is no news — discarded, so a reordered or duplicated
-         channel can never regress the cache to older data.  In-order
-         tree-shaped propagation always carries strictly fresher
-         expiries, making the guard a no-op there. *)
-      List.fold_left
-        (fun changed (e : Entry.t) ->
-          match Replica_id.Map.find_opt e.replica state.entries with
-          | Some (prev : Entry.t) when Time.(prev.expiry >= e.expiry) ->
-              changed
-          | Some _ | None ->
-              state.entries <- Replica_id.Map.add e.replica e state.entries;
-              true)
-        false u.entries
-  | Delete ->
-      List.fold_left
-        (fun changed (e : Entry.t) ->
-          let present = Replica_id.Map.mem e.replica state.entries in
-          state.entries <- Replica_id.Map.remove e.replica state.entries;
-          (* A deleted trigger replica cannot trigger decisions any
-             more: adopt another cached replica (or none). *)
-          if state.trigger = Some e.replica then
-            state.trigger <-
-              (match Replica_id.Map.min_binding_opt state.entries with
-              | Some (r, _) -> Some r
-              | None -> None);
-          changed || present)
-        false u.entries
+let handle_clear_bit t ~now ~from key =
+  Store.handle_clear_bit t.store ~node:t.node ~now ~from key
 
-(* Forward an update to every interested neighbor, respecting a
-   sender-side push-level bound.  Answers to waiting neighbors do not
-   go through here — this path is purely proactive propagation. *)
-let forward_update t state (u : Update.t) =
-  let next = Update.forwarded u in
-  let allowed =
-    match Policy.sender_limit t.config.policy with
-    | Some p -> next.Update.level <= p
-    | None -> true
-  in
-  if not allowed then []
-  else
-    List.map
-      (fun neighbor ->
-        t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-        Send_update { to_ = neighbor; update = next; answering = false })
-      (Interest.interested state.interest)
+let add_local_key t key = Store.add_local_key t.store t.node key
+let owns t key = Store.owns t.store t.node key
+let local_directory t key = Store.local_directory t.store t.node key
 
-(* Whether this arrival triggers the cut-off evaluation (and the
-   popularity reset).  Always in naive mode; only for the trigger
-   replica (adopting one if none) in replica-independent mode.
-   First-time updates always count: they are query responses, not
-   per-replica refreshes. *)
-let is_trigger_arrival t state (u : Update.t) =
-  if not t.config.replica_independent_cutoff then true
-  else
-    match Update.subject u with
-    | None -> true
-    | Some replica -> (
-        match state.trigger with
-        | None ->
-            state.trigger <- Some replica;
-            true
-        | Some r -> Replica_id.equal r replica)
+let replica_birth t ~now ~key entry =
+  Store.replica_birth t.store ~node:t.node ~now ~key entry
 
-let record_trigger_arrival state =
-  if state.queries_since_update = 0 then
-    state.dry_updates <- state.dry_updates + 1
-  else state.dry_updates <- 0;
-  state.queries_since_update <- 0
+let replica_refresh t ~now ~key entry =
+  Store.replica_refresh t.store ~node:t.node ~now ~key entry
 
-let handle_update t ~now ~from (u : Update.t) =
-  t.stats.updates_in <- t.stats.updates_in + 1;
-  let state = get_state t u.key in
-  state.upstream <- Some from;
-  if Update.is_expired u ~now then begin
-    (* Case 3: the update did not arrive in time — drop it. *)
-    t.stats.expired_updates_dropped <-
-      t.stats.expired_updates_dropped + 1;
-    []
-  end
-  else begin
-    state.distance <- u.level;
-    if state.pending_first then begin
-      (* Case 1: this answers our pending query.  Apply it, answer the
-         waiting local clients, and push the response as a first-time
-         update to every interested neighbor. *)
-      let (_ : bool) = apply_update state u in
-      let trigger = is_trigger_arrival t state u in
-      if trigger then record_trigger_arrival state;
-      let entries = fresh_entry_list state ~now in
-      if u.kind = Update.First_time || entries <> [] then begin
-        state.pending_first <- false;
-        state.queried_to <- None;
-        let response =
-          Update.forwarded (Update.first_time ~key:u.key ~entries ~level:u.level)
-        in
-        (* Waiting neighbors always get their answer; other interested
-           neighbors get it proactively only when the policy's
-           sender-side bound allows pushing one level deeper. *)
-        let proactive_ok =
-          match Policy.sender_limit t.config.policy with
-          | Some p -> response.Update.level <= p
-          | None -> true
-        in
-        let waiting = state.waiting in
-        let targets =
-          if proactive_ok then
-            Node_id.Set.union waiting
-              (Node_id.Set.of_list (Interest.interested state.interest))
-          else waiting
-        in
-        state.waiting <- Node_id.Set.empty;
-        let forwards =
-          List.map
-            (fun neighbor ->
-              t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-              Send_update
-                {
-                  to_ = neighbor;
-                  update = response;
-                  answering = Node_id.Set.mem neighbor waiting;
-                })
-            (Node_id.Set.elements targets)
-        in
-        let answers =
-          match state.waiters with
-          | [] -> []
-          | posted_at ->
-              state.waiters <- [];
-              [
-                Answer_local
-                  { key = u.key; entries; posted_at; hit = false };
-              ]
-        in
-        forwards @ answers
-      end
-      else
-        (* e.g. a Delete arrived while pending: keep waiting for the
-           actual response. *)
-        []
-    end
-    else begin
-      (* Case 2: pending flag clear. *)
-      let downstream_interest = Interest.any state.interest in
-      let trigger = is_trigger_arrival t state u in
-      if downstream_interest then begin
-        state.cut_sent <- false;
-        if trigger then record_trigger_arrival state;
-        (* Forward only updates that carried news.  A no-news arrival
-           has already been seen along another path (duplication, or an
-           interest graph that a crash rewired into a cycle); pushing
-           it onward again is what turns the cycle into an unbounded
-           update storm.  Found by fuzzing — see fuzz seeds 36, 267,
-           580, 1827: all-out refresh waves ping-ponged forever across
-           crash-rewired CAN neighborhoods. *)
-        if apply_update state u then forward_update t state u else []
-      end
-      else if not trigger then begin
-        (* Replica-independent mode, non-trigger replica: apply but do
-           not touch the popularity measure or the decision. *)
-        let (_ : bool) = apply_update state u in
-        []
-      end
-      else begin
-        let queries_since_update = state.queries_since_update in
-        record_trigger_arrival state;
-        match
-          Policy.decide t.config.policy ~distance:state.distance
-            ~queries_since_update ~dry_updates:state.dry_updates
-        with
-        | Policy.Keep ->
-            state.cut_sent <- false;
-            let (_ : bool) = apply_update state u in
-            []
-        | Policy.Cut ->
-            (* An update arriving while our clear-bit is already in
-               flight does not warrant another one. *)
-            if state.cut_sent then []
-            else begin
-              state.cut_sent <- true;
-              t.stats.clear_bits_sent <- t.stats.clear_bits_sent + 1;
-              [ Send_clear_bit { to_ = from; key = u.key } ]
-            end
-      end
-    end
-  end
+let replica_refresh_batch t ~now ~key entries =
+  Store.replica_refresh_batch t.store ~node:t.node ~now ~key entries
 
-(* {2 Clear-bits (Section 2.7)} *)
-
-let handle_clear_bit t ~now:_ ~from key =
-  t.stats.clear_bits_in <- t.stats.clear_bits_in + 1;
-  match Key.Table.find_opt t.local key with
-  | Some ls ->
-      Interest.clear ls.local_interest from;
-      []
-  | None -> (
-      match Key.Table.find_opt t.cache key with
-      | None -> []
-      | Some state ->
-          Interest.clear state.interest from;
-          if
-            Policy.uses_clear_bits t.config.policy
-            && (not (Interest.any state.interest))
-            && (not state.pending_first)
-            && not state.cut_sent
-          then
-            let decision =
-              Policy.decide t.config.policy ~distance:state.distance
-                ~queries_since_update:state.queries_since_update
-                ~dry_updates:state.dry_updates
-            in
-            match (decision, state.upstream) with
-            | Policy.Cut, Some up ->
-                state.cut_sent <- true;
-                t.stats.clear_bits_sent <- t.stats.clear_bits_sent + 1;
-                [ Send_clear_bit { to_ = up; key } ]
-            | Policy.Cut, None | Policy.Keep, _ -> []
-          else [])
-
-(* {2 Churn (Section 2.9)} *)
+let replica_death t ~now ~key replica =
+  Store.replica_death t.store ~node:t.node ~now ~key replica
 
 let remap_neighbor t ~old_id ~new_id =
-  Key.Table.iter
-    (fun _ state ->
-      Interest.remap state.interest ~old_id ~new_id;
-      if state.upstream = Some old_id then state.upstream <- Some new_id)
-    t.cache;
-  Key.Table.iter
-    (fun _ ls -> Interest.remap ls.local_interest ~old_id ~new_id)
-    t.local
+  Store.remap_neighbor t.store ~node:t.node ~old_id ~new_id
 
-(* Losing the upstream while a query is pending would leave the
-   pending flag stuck and suppress re-queries forever; dropping the
-   flag lets the next query restart the propagation (the queued local
-   waiters are answered when that response arrives). *)
-let lose_upstream state =
-  state.upstream <- None;
-  state.queried_to <- None;
-  if state.pending_first then state.pending_first <- false
-
-let drop_neighbor t neighbor =
-  Key.Table.iter
-    (fun _ state ->
-      Interest.clear state.interest neighbor;
-      if state.upstream = Some neighbor || state.queried_to = Some neighbor
-      then lose_upstream state)
-    t.cache;
-  Key.Table.iter
-    (fun _ ls -> Interest.clear ls.local_interest neighbor)
-    t.local
+let drop_neighbor t neighbor = Store.drop_neighbor t.store ~node:t.node neighbor
 
 let retain_neighbors t current =
-  let keep = Node_id.Set.of_list current in
-  let patch interest =
-    List.iter
-      (fun member ->
-        if not (Node_id.Set.mem member keep) then Interest.clear interest member)
-      (Interest.interested interest)
-  in
-  Key.Table.iter
-    (fun _ state ->
-      patch state.interest;
-      match state.upstream with
-      | Some up when not (Node_id.Set.mem up keep) -> lose_upstream state
-      | Some _ | None -> ())
-    t.cache;
-  Key.Table.iter (fun _ ls -> patch ls.local_interest) t.local
+  Store.retain_neighbors t.store ~node:t.node current
 
-let handover_local t key =
-  match Key.Table.find_opt t.local key with
-  | None -> []
-  | Some ls ->
-      Key.Table.remove t.local key;
-      List.map snd (Replica_id.Map.bindings ls.directory)
-
-let receive_local t key entries =
-  add_local_key t key;
-  let ls = Key.Table.find t.local key in
-  ls.directory <-
-    List.fold_left
-      (fun m (e : Entry.t) ->
-        match Replica_id.Map.find_opt e.replica m with
-        | Some existing when Time.(existing.Entry.expiry >= e.expiry) -> m
-        | Some _ | None -> Replica_id.Map.add e.replica e m)
-      ls.directory entries
-
-(* {2 Introspection} *)
-
-let fresh_entries t ~now key =
-  match Key.Table.find_opt t.cache key with
-  | None -> []
-  | Some state -> fresh_entry_list state ~now
-
-let pending_first t key =
-  match Key.Table.find_opt t.cache key with
-  | None -> false
-  | Some state -> state.pending_first
-
-let interested_neighbors t key =
-  match Key.Table.find_opt t.cache key with
-  | None -> []
-  | Some state -> Interest.interested state.interest
-
-let popularity t key =
-  match Key.Table.find_opt t.cache key with
-  | None -> 0
-  | Some state -> state.queries_since_update
-
-let distance_of t key =
-  match Key.Table.find_opt t.cache key with
-  | None -> None
-  | Some state ->
-      if state.upstream = None && Replica_id.Map.is_empty state.entries then
-        None
-      else Some state.distance
-
-let cached_keys t =
-  Key.Table.fold (fun key _ acc -> key :: acc) t.cache []
-  |> List.sort Key.compare
-
-let owned_keys t =
-  Key.Table.fold (fun key _ acc -> key :: acc) t.local []
-  |> List.sort Key.compare
+let handover_local t key = Store.handover_local t.store t.node key
+let receive_local t key entries = Store.receive_local t.store t.node key entries
+let fresh_entries t ~now key = Store.fresh_entries t.store ~node:t.node ~now key
+let pending_first t key = Store.pending_first t.store t.node key
+let interested_neighbors t key = Store.interested_neighbors t.store t.node key
+let distance_of t key = Store.distance_of t.store t.node key
+let cached_keys t = Store.cached_keys t.store t.node
+let owned_keys t = Store.owned_keys t.store t.node

@@ -1,71 +1,61 @@
-(** The CUP node state machine (Sections 2.3–2.9).
+(** One node's view of a {!Node_store}: the CUP node state machine
+    (Sections 2.3–2.9) with the node argument fixed.
 
-    A node is pure protocol state: it consumes protocol inputs
-    (queries, updates, clear-bits, replica events at the authority) and
-    returns the list of {!action}s to perform.  It never performs I/O
-    and knows nothing about time sources or message delays — the
-    simulation layer (or a real transport) executes the actions and
-    invokes the handlers.  This keeps every protocol rule directly
-    unit-testable.
+    The protocol state and every handler live in the store; a view only
+    names the node.  {!create} gives the node a store of its own, which
+    is what the protocol unit tests drive.  {!view} looks at one node of
+    a shared store, the way [Runner.Live.node] exposes a running
+    simulation.  The types are {!Node_store}'s, documented there. *)
 
-    Per neighbor there are two logical channels: handlers that emit
-    [Send_query] use the query channel (upstream, toward the
-    authority); [Send_update] and [Send_clear_bit] use the update
-    channel (downstream, along reverse query paths) — clear-bits
-    travel on it in the reverse direction, as in Figure 1 of the
-    paper.
-
-    State per cached key (Section 2.3): the cached entry set, the
-    Pending-First-Update flag, the interest bit vector, the popularity
-    measure (queries since last update), the dry-update streak for
-    log-based policies, the hop distance from the authority, and the
-    cut-off trigger replica (Section 3.6). *)
-
-type config = {
+type config = Node_store.config = {
   policy : Policy.t;
   replica_independent_cutoff : bool;
-      (** evaluate (and reset) the cut-off popularity measure only on
-          updates for the key's trigger replica, so the decision is
-          independent of the number of replicas (Section 3.6).  When
-          [false], the naive implementation: every update arrival
-          triggers the decision. *)
 }
 
 val default_config : config
 (** Second-chance policy, replica-independent cut-off. *)
 
-type t
-
-type source =
+type source = Node_store.source =
   | From_neighbor of Cup_overlay.Node_id.t
-  | From_local of Cup_dess.Time.t  (** a local client; payload = post time *)
+  | From_local of Cup_dess.Time.t
 
-type action =
+type action = Node_store.action =
   | Send_query of { to_ : Cup_overlay.Node_id.t; key : Cup_overlay.Key.t }
   | Send_update of {
       to_ : Cup_overlay.Node_id.t;
       update : Update.t;
       answering : bool;
-          (** [true] when this first-time update answers a query the
-              recipient is waiting on (miss-cost hop in the Section 3.1
-              accounting); [false] for proactive propagation *)
     }
   | Send_clear_bit of { to_ : Cup_overlay.Node_id.t; key : Cup_overlay.Key.t }
   | Answer_local of {
       key : Cup_overlay.Key.t;
       entries : Entry.t list;
       posted_at : Cup_dess.Time.t list;
-          (** post times of the local queries being answered *)
       hit : bool;
-          (** [true] when served synchronously from a fresh cache or
-              the local directory; [false] when the answer arrived by
-              first-time update *)
     }
 
-val create : id:Cup_overlay.Node_id.t -> config -> t
+type stats = Node_store.stats = {
+  mutable queries_in : int;
+  mutable queries_coalesced : int;
+  mutable cache_answers : int;
+  mutable updates_in : int;
+  mutable updates_forwarded : int;
+  mutable clear_bits_sent : int;
+  mutable clear_bits_in : int;
+  mutable expired_updates_dropped : int;
+}
 
-val id : t -> Cup_overlay.Node_id.t
-val config : t -> config
+type t
+
+val create : id:Cup_overlay.Node_id.t -> config -> t
+(** A node with a store of its own. *)
+
+val view : Node_store.t -> Cup_overlay.Node_id.t -> t
+(** The node's states inside a shared store. *)
+
+val stats : t -> stats
+(** The store's stats: this node's own under {!create}, every node's
+    sum under {!view}. *)
 
 (** {1 Protocol handlers} *)
 
@@ -76,10 +66,7 @@ val handle_query :
   source ->
   Cup_overlay.Key.t ->
   action list
-(** Section 2.5.  [next_hop] is the routing decision toward the key's
-    authority ([None] when this node's zone contains the key — then
-    the node answers as authority, with an empty entry set if it has
-    no directory entries for the key). *)
+(** {!Node_store.handle_query}. *)
 
 val handle_update :
   t ->
@@ -87,31 +74,23 @@ val handle_update :
   from:Cup_overlay.Node_id.t ->
   Update.t ->
   action list
-(** Section 2.6. *)
+(** {!Node_store.handle_update}. *)
 
 val handle_clear_bit :
   t -> now:Cup_dess.Time.t -> from:Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> action list
-(** Section 2.7. *)
+(** {!Node_store.handle_clear_bit}. *)
 
-(** {1 Authority-side operations (Section 2.4 update origination)} *)
+(** {1 Authority-side operations} *)
 
 val add_local_key : t -> Cup_overlay.Key.t -> unit
-(** Declare this node the authority for [key] with an empty directory. *)
-
 val owns : t -> Cup_overlay.Key.t -> bool
-
 val local_directory : t -> Cup_overlay.Key.t -> Entry.t list
-(** Current directory entries (unpruned) for an owned key; [\[\]] if
-    not owned. *)
 
 val replica_birth :
   t -> now:Cup_dess.Time.t -> key:Cup_overlay.Key.t -> Entry.t -> action list
-(** A replica announced it serves [key]: add it to the directory and
-    originate an Append. *)
 
 val replica_refresh :
   t -> now:Cup_dess.Time.t -> key:Cup_overlay.Key.t -> Entry.t -> action list
-(** A replica keep-alive extended its entry: originate a Refresh. *)
 
 val replica_refresh_batch :
   t ->
@@ -119,9 +98,6 @@ val replica_refresh_batch :
   key:Cup_overlay.Key.t ->
   Entry.t list ->
   action list
-(** Aggregated refreshes (Section 3.6): apply several replicas'
-    keep-alives to the directory and originate them as a single
-    Refresh update carrying all the entries.  Empty input is a no-op. *)
 
 val replica_death :
   t ->
@@ -129,57 +105,22 @@ val replica_death :
   key:Cup_overlay.Key.t ->
   Replica_id.t ->
   action list
-(** The replica left (or missed its keep-alives): drop the entry and
-    originate a Delete. *)
 
-(** {1 Churn support (Section 2.9)} *)
+(** {1 Churn support} *)
 
 val remap_neighbor :
   t -> old_id:Cup_overlay.Node_id.t -> new_id:Cup_overlay.Node_id.t -> unit
-(** Patch every interest bit vector: the bit that pointed at [old_id]
-    now points at [new_id]. *)
 
 val drop_neighbor : t -> Cup_overlay.Node_id.t -> unit
-(** Clear the departed neighbor's bit in every vector. *)
-
 val retain_neighbors : t -> Cup_overlay.Node_id.t list -> unit
-(** Clear every interest bit that does not point at one of the given
-    (current) neighbors — the conservative patch applied when a node's
-    neighborhood changes shape under churn. *)
-
 val handover_local : t -> Cup_overlay.Key.t -> Entry.t list
-(** Remove and return the directory entries for an owned key (for
-    handing the key over to the node taking over the zone). *)
-
 val receive_local : t -> Cup_overlay.Key.t -> Entry.t list -> unit
-(** Accept directory entries for a newly owned key, merging with any
-    existing ones (keeping the later expiry per replica). *)
 
-(** {1 Introspection (tests and metrics)} *)
+(** {1 Introspection} *)
 
 val fresh_entries : t -> now:Cup_dess.Time.t -> Cup_overlay.Key.t -> Entry.t list
 val pending_first : t -> Cup_overlay.Key.t -> bool
 val interested_neighbors : t -> Cup_overlay.Key.t -> Cup_overlay.Node_id.t list
-val popularity : t -> Cup_overlay.Key.t -> int
-(** Queries since the last cut-off-triggering update. *)
-
 val distance_of : t -> Cup_overlay.Key.t -> int option
-(** Hop distance from the key's authority, once learned. *)
-
 val cached_keys : t -> Cup_overlay.Key.t list
 val owned_keys : t -> Cup_overlay.Key.t list
-
-type stats = {
-  mutable queries_in : int;
-  mutable queries_coalesced : int;
-      (** queries absorbed by an already-pending flag (Section 2.5
-          case 3 / the burst-coalescing benefit) *)
-  mutable cache_answers : int;  (** queries served from fresh cache *)
-  mutable updates_in : int;
-  mutable updates_forwarded : int;
-  mutable clear_bits_sent : int;
-  mutable clear_bits_in : int;
-  mutable expired_updates_dropped : int;
-}
-
-val stats : t -> stats

@@ -3,68 +3,108 @@ module Node_id = Cup_overlay.Node_id
 module Node_key = Cup_overlay.Node_key
 module Time = Cup_dess.Time
 
-(* One pool of (node, key) slots holds every node's protocol state.
-   Scalar per-slot fields live in parallel arrays; set-valued fields
-   (interest, waiting) are sorted int arrays ({!Intset}); directory /
-   cache entries are per-slot (replica, expiry) parallel arrays kept
-   sorted by replica.  [s_next] is intrusive: the freelist chain while
-   a slot is free, the owning node's slot chain while it is live — the
-   tigerbeetle iops/fifo idiom, one int per slot either way.
+type config = { policy : Policy.t; replica_independent_cutoff : bool }
 
-   A slot is either a cached-key state (Node.key_state) or an owned-key
-   authority state (Node.local_state), told apart by [s_local]; both
-   kinds share the pool and the per-node chain so churn patching walks
-   one list.  Only authority slots are ever freed (handover); cache
-   states, as in {!Node}, live for the run.
+let default_config =
+  { policy = Policy.second_chance; replica_independent_cutoff = true }
 
-   Byte-identity contract: every handler returns the exact action list
-   the map-backed {!Node} returns for the same history.  The orders
-   that matter — [Node_id.Set.elements] (ascending), [Replica_id.Map.
-   bindings] (ascending), [Set.union] (sorted merge), [min_binding_opt]
-   (smallest) — are reproduced by the sorted-array representations. *)
+type source = From_neighbor of Node_id.t | From_local of Time.t
 
-type t = {
-  config : Node.config;
-  stats : Node.stats; (* aggregated over all nodes *)
-  mutable cap : int;
-  mutable hwm : int; (* slots ever initialized; next fresh slot *)
-  mutable free_head : int; (* intrusive freelist head, -1 = empty *)
-  mutable s_next : int array;
-  mutable s_node : int array;
-  mutable s_key : int array;
-  mutable s_local : Bytes.t; (* 1 = authority (local_state) slot *)
-  mutable s_pending : Bytes.t;
-  mutable s_cut_sent : Bytes.t;
-  mutable s_qsu : int array; (* queries_since_update *)
-  mutable s_dry : int array;
-  mutable s_dist : int array;
-  mutable s_trigger : int array; (* replica id, -1 = None *)
-  mutable s_upstream : int array; (* node id, -1 = None *)
-  mutable s_queried_to : int array; (* node id, -1 = None *)
-  mutable s_interest : Intset.t array;
-  mutable s_waiting : Intset.t array;
-  mutable s_waiters : Time.t list array;
-  mutable e_rep : int array array; (* entries: replica ids, sorted *)
-  mutable e_exp : float array array; (* entries: expiry seconds *)
-  mutable e_len : int array;
-  cache_index : int Node_key.Table.t; (* (node, key) -> cached-key slot *)
-  local_index : int Node_key.Table.t;
-      (* (node, key) -> authority slot.  A node's cached state and its
-         authority state for one key legally coexist across churn, so
-         each kind has its own index. *)
-  head : (int, int) Hashtbl.t; (* node -> first slot of its chain *)
-  known : (int, unit) Hashtbl.t; (* registered node ids *)
-  unset : Intset.t; (* placeholder marking never-initialized set cells *)
+type action =
+  | Send_query of { to_ : Node_id.t; key : Key.t }
+  | Send_update of { to_ : Node_id.t; update : Update.t; answering : bool }
+  | Send_clear_bit of { to_ : Node_id.t; key : Key.t }
+  | Answer_local of {
+      key : Key.t;
+      entries : Entry.t list;
+      posted_at : Time.t list;
+      hit : bool;
+    }
+
+type stats = {
+  mutable queries_in : int;
+  mutable queries_coalesced : int;
+  mutable cache_answers : int;
+  mutable updates_in : int;
+  mutable updates_forwarded : int;
+  mutable clear_bits_sent : int;
+  mutable clear_bits_in : int;
+  mutable expired_updates_dropped : int;
 }
 
-let create ?(slots_hint = 1024) config =
-  let cap = Stdlib.max 16 slots_hint in
-  let unset = Intset.create () in
+(* State for one (node, key) pair.  A cached (non-local) key uses every
+   field: the Section 2.3 bookkeeping.  An owned key's authority state
+   uses only [entries], as its slice of the local index directory, and
+   [interest], for the neighbors that queried it; its other fields keep
+   their initial values, which no churn patch below ever matches. *)
+type state = {
+  key : Key.t;
+  mutable entries : Entry.t Replica_id.Map.t;
+  mutable pending_first : bool;
+  interest : Interest.t;
+  mutable queries_since_update : int;
+  mutable dry_updates : int; (* consecutive trigger updates with 0 queries *)
+  mutable distance : int; (* hops from the authority, from update levels *)
+  mutable trigger : Replica_id.t option; (* replica-independent cut-off *)
+  mutable upstream : int; (* node we receive updates from; [none] if unknown *)
+  mutable cut_sent : bool; (* clear-bit pushed and not yet re-subscribed *)
+  mutable waiters : Time.t list; (* open local client connections *)
+  mutable waiting : Node_id.Set.t;
+      (* neighbors whose query we absorbed and owe a response to;
+         always a subset of the interested set *)
+  mutable queried_to : int;
+      (* where the pending query instance was pushed, or [none]; lets
+         churn patching un-stick the pending flag if that hop
+         disappears *)
+  mutable next : state; (* the owning node's next state; [nil] ends it *)
+}
+
+(* Node ids are non-negative, so [none] never matches one. *)
+let none = -1
+
+(* Ends every node's chain, and holds the initial value of every field
+   a new state does not set itself.  Never mutated. *)
+let rec nil =
+  {
+    key = Key.of_int 0;
+    entries = Replica_id.Map.empty;
+    pending_first = false;
+    interest = Interest.create ();
+    queries_since_update = 0;
+    dry_updates = 0;
+    distance = 1;
+    trigger = None;
+    upstream = none;
+    cut_sent = false;
+    waiters = [];
+    waiting = Node_id.Set.empty;
+    queried_to = none;
+    next = nil;
+  }
+
+let fresh_state key = { nil with key; interest = Interest.create () }
+
+(* Every node's states live in two tables keyed by the packed
+   (node, key) pair, and each node's states are also chained through
+   [next] from [heads.(node)], so churn patching and [remove_node] walk
+   one node's states without a table per node. *)
+type t = {
+  config : config;
+  stats : stats; (* summed over every node in the store *)
+  cache : state Node_key.Table.t; (* cached-key states *)
+  local : state Node_key.Table.t;
+      (* authority states.  A node's cached state and its authority
+         state for one key legally coexist across churn, so each kind
+         has its own table. *)
+  mutable heads : state array; (* node id -> first state of its chain *)
+}
+
+let create ?(nodes = 16) config =
   {
     config;
     stats =
       {
-        Node.queries_in = 0;
+        queries_in = 0;
         queries_coalesced = 0;
         cache_answers = 0;
         updates_in = 0;
@@ -73,255 +113,111 @@ let create ?(slots_hint = 1024) config =
         clear_bits_in = 0;
         expired_updates_dropped = 0;
       };
-    cap;
-    hwm = 0;
-    free_head = -1;
-    s_next = Array.make cap (-1);
-    s_node = Array.make cap 0;
-    s_key = Array.make cap 0;
-    s_local = Bytes.make cap '\000';
-    s_pending = Bytes.make cap '\000';
-    s_cut_sent = Bytes.make cap '\000';
-    s_qsu = Array.make cap 0;
-    s_dry = Array.make cap 0;
-    s_dist = Array.make cap 1;
-    s_trigger = Array.make cap (-1);
-    s_upstream = Array.make cap (-1);
-    s_queried_to = Array.make cap (-1);
-    s_interest = Array.make cap unset;
-    s_waiting = Array.make cap unset;
-    s_waiters = Array.make cap [];
-    e_rep = Array.make cap [||];
-    e_exp = Array.make cap [||];
-    e_len = Array.make cap 0;
-    cache_index = Node_key.Table.create (2 * cap);
-    local_index = Node_key.Table.create 256;
-    head = Hashtbl.create 256;
-    known = Hashtbl.create 256;
-    unset;
+    (* The tables start small and grow: most (node, key) pairs never
+       hold state, so sizing them by [nodes] only costs set-up time. *)
+    cache = Node_key.Table.create 1024;
+    local = Node_key.Table.create 256;
+    heads = Array.make nodes nil;
   }
 
-let config t = t.config
 let stats t = t.stats
-let register t id = Hashtbl.replace t.known (Node_id.to_int id) ()
-let mem t id = Hashtbl.mem t.known (Node_id.to_int id)
-
 let live_slots t =
-  let free = ref 0 in
-  let s = ref t.free_head in
-  while !s >= 0 do
-    incr free;
-    s := t.s_next.(!s)
-  done;
-  t.hwm - !free
+  Node_key.Table.length t.cache + Node_key.Table.length t.local
 
-let grow t =
-  let ncap = 2 * t.cap in
-  let garr a init =
-    let b = Array.make ncap init in
-    Array.blit a 0 b 0 t.cap;
-    b
+let head t node =
+  let n = Node_id.to_int node in
+  if n < Array.length t.heads then t.heads.(n) else nil
+
+let iter_node t node f =
+  let rec go state =
+    if state != nil then begin
+      f state;
+      go state.next
+    end
   in
-  let gbytes a =
-    let b = Bytes.make ncap '\000' in
-    Bytes.blit a 0 b 0 t.cap;
-    b
-  in
-  t.s_next <- garr t.s_next (-1);
-  t.s_node <- garr t.s_node 0;
-  t.s_key <- garr t.s_key 0;
-  t.s_local <- gbytes t.s_local;
-  t.s_pending <- gbytes t.s_pending;
-  t.s_cut_sent <- gbytes t.s_cut_sent;
-  t.s_qsu <- garr t.s_qsu 0;
-  t.s_dry <- garr t.s_dry 0;
-  t.s_dist <- garr t.s_dist 1;
-  t.s_trigger <- garr t.s_trigger (-1);
-  t.s_upstream <- garr t.s_upstream (-1);
-  t.s_queried_to <- garr t.s_queried_to (-1);
-  t.s_interest <- garr t.s_interest t.unset;
-  t.s_waiting <- garr t.s_waiting t.unset;
-  t.s_waiters <- garr t.s_waiters [];
-  t.e_rep <- garr t.e_rep [||];
-  t.e_exp <- garr t.e_exp [||];
-  t.e_len <- garr t.e_len 0;
-  t.cap <- ncap
+  go (head t node)
 
-let fresh_set t arr slot =
-  if arr.(slot) == t.unset then arr.(slot) <- Intset.create ()
-  else Intset.clear arr.(slot)
+let add_state t table node key =
+  let state = fresh_state key in
+  let n = Node_id.to_int node in
+  let len = Array.length t.heads in
+  if n >= len then begin
+    let grown = Array.make (Stdlib.max (n + 1) (2 * len)) nil in
+    Array.blit t.heads 0 grown 0 len;
+    t.heads <- grown
+  end;
+  state.next <- t.heads.(n);
+  t.heads.(n) <- state;
+  (* Callers add only absent pairs, so skip [replace]'s bucket scan. *)
+  Node_key.Table.add table (Node_key.pack node key) state;
+  state
 
-let alloc_slot t ~packed ~local =
-  let slot =
-    match t.free_head with
-    | -1 ->
-        if t.hwm = t.cap then grow t;
-        let s = t.hwm in
-        t.hwm <- t.hwm + 1;
-        s
-    | s ->
-        t.free_head <- t.s_next.(s);
-        s
-  in
-  let nid = Node_id.to_int (Node_key.node packed) in
-  t.s_node.(slot) <- nid;
-  t.s_key.(slot) <- Key.to_int (Node_key.key packed);
-  Bytes.set t.s_local slot (if local then '\001' else '\000');
-  Bytes.set t.s_pending slot '\000';
-  Bytes.set t.s_cut_sent slot '\000';
-  t.s_qsu.(slot) <- 0;
-  t.s_dry.(slot) <- 0;
-  t.s_dist.(slot) <- 1;
-  t.s_trigger.(slot) <- -1;
-  t.s_upstream.(slot) <- -1;
-  t.s_queried_to.(slot) <- -1;
-  fresh_set t t.s_interest slot;
-  fresh_set t t.s_waiting slot;
-  t.s_waiters.(slot) <- [];
-  t.e_len.(slot) <- 0;
-  (* Link at the head of the owning node's chain. *)
-  t.s_next.(slot) <-
-    (match Hashtbl.find_opt t.head nid with Some h -> h | None -> -1);
-  Hashtbl.replace t.head nid slot;
-  Node_key.Table.replace
-    (if local then t.local_index else t.cache_index)
-    packed slot;
-  slot
-
-let unlink_slot t slot =
-  let nid = t.s_node.(slot) in
-  (match Hashtbl.find_opt t.head nid with
-  | Some h when h = slot -> (
-      match t.s_next.(slot) with
-      | -1 -> Hashtbl.remove t.head nid
-      | nxt -> Hashtbl.replace t.head nid nxt)
-  | Some h ->
-      let prev = ref h in
-      while t.s_next.(!prev) <> slot do
-        prev := t.s_next.(!prev)
-      done;
-      t.s_next.(!prev) <- t.s_next.(slot)
-  | None -> ())
-
-(* Only authority slots are ever freed. *)
-let free_slot t ~packed slot =
-  unlink_slot t slot;
-  Node_key.Table.remove t.local_index packed;
-  t.s_next.(slot) <- t.free_head;
-  t.free_head <- slot
+let unlink t node state =
+  let n = Node_id.to_int node in
+  if t.heads.(n) == state then t.heads.(n) <- state.next
+  else begin
+    let prev = ref t.heads.(n) in
+    while !prev.next != state do
+      prev := !prev.next
+    done;
+    !prev.next <- state.next
+  end
 
 let find_cache t node key =
-  Node_key.Table.find_opt t.cache_index (Node_key.pack node key)
+  Node_key.Table.find_opt t.cache (Node_key.pack node key)
 
 let find_local t node key =
-  Node_key.Table.find_opt t.local_index (Node_key.pack node key)
+  Node_key.Table.find_opt t.local (Node_key.pack node key)
 
-(* [Node.get_state]: look up the cached-key slot, creating it empty. *)
-let cache_slot t node key =
-  let packed = Node_key.pack node key in
-  match Node_key.Table.find_opt t.cache_index packed with
-  | Some s -> s
-  | None -> alloc_slot t ~packed ~local:false
+let get_state t node key =
+  match Node_key.Table.find t.cache (Node_key.pack node key) with
+  | state -> state
+  | exception Not_found -> add_state t t.cache node key
 
-(* {2 Per-slot entry sets: sorted (replica, expiry) parallel arrays} *)
+let prune_expired entries ~now =
+  Replica_id.Map.filter (fun _ e -> Entry.is_fresh e ~now) entries
 
-(* Index of [r] in the slot's replica array, or [-(insertion) - 1]. *)
-let ent_search t slot r =
-  let rep = t.e_rep.(slot) in
-  let lo = ref 0 and hi = ref t.e_len.(slot) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if rep.(mid) < r then lo := mid + 1 else hi := mid
+let fresh_entry_list state ~now =
+  state.entries <- prune_expired state.entries ~now;
+  List.map snd (Replica_id.Map.bindings state.entries)
+
+let nodes t =
+  let acc = ref [] in
+  for n = Array.length t.heads - 1 downto 0 do
+    if t.heads.(n) != nil then acc := Node_id.of_int n :: !acc
   done;
-  if !lo < t.e_len.(slot) && rep.(!lo) = r then !lo else -(!lo) - 1
+  !acc
 
-(* [Replica_id.Map.add]: replace on the same replica, insert sorted
-   otherwise. *)
-let ent_upsert t slot r exp =
-  let i = ent_search t slot r in
-  if i >= 0 then t.e_exp.(slot).(i) <- exp
-  else begin
-    let pos = -i - 1 in
-    let len = t.e_len.(slot) in
-    if len = Array.length t.e_rep.(slot) then begin
-      let ncap = Stdlib.max 4 (2 * len) in
-      let nrep = Array.make ncap 0 and nexp = Array.make ncap 0. in
-      Array.blit t.e_rep.(slot) 0 nrep 0 len;
-      Array.blit t.e_exp.(slot) 0 nexp 0 len;
-      t.e_rep.(slot) <- nrep;
-      t.e_exp.(slot) <- nexp
-    end;
-    let rep = t.e_rep.(slot) and expa = t.e_exp.(slot) in
-    Array.blit rep pos rep (pos + 1) (len - pos);
-    Array.blit expa pos expa (pos + 1) (len - pos);
-    rep.(pos) <- r;
-    expa.(pos) <- exp;
-    t.e_len.(slot) <- len + 1
-  end
-
-let ent_remove t slot r =
-  let i = ent_search t slot r in
-  if i >= 0 then begin
-    let len = t.e_len.(slot) in
-    let rep = t.e_rep.(slot) and expa = t.e_exp.(slot) in
-    Array.blit rep (i + 1) rep i (len - i - 1);
-    Array.blit expa (i + 1) expa i (len - i - 1);
-    t.e_len.(slot) <- len - 1
-  end
-
-(* [prune_expired]: drop entries with [expiry <= now], keeping order. *)
-let ent_prune t slot ~now_s =
-  let len = t.e_len.(slot) in
-  let rep = t.e_rep.(slot) and expa = t.e_exp.(slot) in
-  let w = ref 0 in
-  for i = 0 to len - 1 do
-    if now_s < expa.(i) then begin
-      if !w < i then begin
-        rep.(!w) <- rep.(i);
-        expa.(!w) <- expa.(i)
-      end;
-      incr w
-    end
-  done;
-  t.e_len.(slot) <- !w
-
-(* Entries as [Entry.t list] in replica order — what
-   [Replica_id.Map.bindings] yields. *)
-let ent_list t slot =
-  let rep = t.e_rep.(slot) and expa = t.e_exp.(slot) in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      go (i - 1)
-        (Entry.make
-           ~replica:(Replica_id.of_int rep.(i))
-           ~expiry:(Time.of_seconds expa.(i))
-         :: acc)
-  in
-  go (t.e_len.(slot) - 1) []
-
-(* [fresh_entry_list]: prune in place, then list what is left. *)
-let fresh_ent_list t slot ~now =
-  ent_prune t slot ~now_s:(Time.to_seconds now);
-  ent_list t slot
+(* Every state of a departed node goes.  A node can hold a cached and
+   an authority state for the same key, both on its chain, so each
+   state's pair is dropped from both tables. *)
+let remove_node t node =
+  iter_node t node (fun state ->
+      let packed = Node_key.pack node state.key in
+      Node_key.Table.remove t.cache packed;
+      Node_key.Table.remove t.local packed);
+  let n = Node_id.to_int node in
+  if n < Array.length t.heads then t.heads.(n) <- nil
 
 (* {2 Authority side} *)
 
 let add_local_key t node key =
-  let packed = Node_key.pack node key in
-  if not (Node_key.Table.mem t.local_index packed) then
-    ignore (alloc_slot t ~packed ~local:true)
+  if not (Node_key.Table.mem t.local (Node_key.pack node key)) then
+    ignore (add_state t t.local node key)
 
-let owns t node key = find_local t node key <> None
+let owns t node key = Node_key.Table.mem t.local (Node_key.pack node key)
 
 let local_directory t node key =
   match find_local t node key with
-  | Some slot -> ent_list t slot
+  | Some ls -> List.map snd (Replica_id.Map.bindings ls.entries)
   | None -> []
 
-let originate t slot (update : Update.t) =
+(* Originate an update at the authority (distance 0): push to every
+   interested neighbor, unless the policy bounds propagation at the
+   sender and level 1 already exceeds the bound. *)
+let originate t ls (update : Update.t) =
   let allowed =
-    match Policy.sender_limit t.config.Node.policy with
+    match Policy.sender_limit t.config.policy with
     | Some p -> 1 <= p
     | None -> true
   in
@@ -329,192 +225,177 @@ let originate t slot (update : Update.t) =
   else
     List.map
       (fun neighbor ->
-        t.stats.Node.updates_forwarded <- t.stats.Node.updates_forwarded + 1;
-        Node.Send_update
-          { to_ = Node_id.of_int neighbor; update; answering = false })
-      (Intset.to_list t.s_interest.(slot))
+        t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+        Send_update { to_ = neighbor; update; answering = false })
+      (Interest.interested ls.interest)
 
-let local_slot_exn t node key op =
+let local_exn t node key op =
   match find_local t node key with
-  | Some slot -> slot
-  | None -> invalid_arg ("Node_store." ^ op ^ ": key not owned")
+  | Some ls -> ls
+  | None -> invalid_arg ("Node." ^ op ^ ": key not owned")
 
-let replica_birth t ~node ~now:_ ~key (entry : Entry.t) =
-  let slot = local_slot_exn t node key "replica_birth" in
-  ent_upsert t slot
-    (Replica_id.to_int entry.Entry.replica)
-    (Time.to_seconds entry.Entry.expiry);
-  originate t slot (Update.append ~key ~entry ~level:1)
+let replica_birth t ~node ~now:_ ~key entry =
+  let ls = local_exn t node key "replica_birth" in
+  ls.entries <- Replica_id.Map.add entry.Entry.replica entry ls.entries;
+  originate t ls (Update.append ~key ~entry ~level:1)
 
-let replica_refresh t ~node ~now:_ ~key (entry : Entry.t) =
-  let slot = local_slot_exn t node key "replica_refresh" in
-  ent_upsert t slot
-    (Replica_id.to_int entry.Entry.replica)
-    (Time.to_seconds entry.Entry.expiry);
-  originate t slot (Update.refresh ~key ~entry ~level:1)
+let replica_refresh t ~node ~now:_ ~key entry =
+  let ls = local_exn t node key "replica_refresh" in
+  ls.entries <- Replica_id.Map.add entry.Entry.replica entry ls.entries;
+  originate t ls (Update.refresh ~key ~entry ~level:1)
 
 let replica_refresh_batch t ~node ~now:_ ~key entries =
-  let slot = local_slot_exn t node key "replica_refresh_batch" in
+  let ls = local_exn t node key "replica_refresh_batch" in
   match entries with
   | [] -> []
   | entries ->
-      List.iter
-        (fun (e : Entry.t) ->
-          ent_upsert t slot
-            (Replica_id.to_int e.replica)
-            (Time.to_seconds e.expiry))
-        entries;
+      ls.entries <-
+        List.fold_left
+          (fun dir (e : Entry.t) -> Replica_id.Map.add e.replica e dir)
+          ls.entries entries;
       let update =
         { (Update.refresh ~key ~entry:(List.hd entries) ~level:1) with
           Update.entries }
       in
-      originate t slot update
+      originate t ls update
 
 let replica_death t ~node ~now:_ ~key replica =
-  let slot = local_slot_exn t node key "replica_death" in
-  let r = Replica_id.to_int replica in
-  match ent_search t slot r with
-  | i when i < 0 -> []
-  | i ->
-      let entry =
-        Entry.make ~replica ~expiry:(Time.of_seconds t.e_exp.(slot).(i))
-      in
-      ent_remove t slot r;
-      originate t slot (Update.delete ~key ~entry ~level:1)
+  let ls = local_exn t node key "replica_death" in
+  match Replica_id.Map.find_opt replica ls.entries with
+  | None -> []
+  | Some entry ->
+      ls.entries <- Replica_id.Map.remove replica ls.entries;
+      originate t ls (Update.delete ~key ~entry ~level:1)
 
 (* {2 Queries (Section 2.5)} *)
 
-let answer_as_authority t slot ~now key source =
-  ent_prune t slot ~now_s:(Time.to_seconds now);
-  let entries = ent_list t slot in
+let answer_as_authority t ls ~now key source =
+  ls.entries <- prune_expired ls.entries ~now;
+  let entries = List.map snd (Replica_id.Map.bindings ls.entries) in
   match source with
-  | Node.From_local posted ->
-      [ Node.Answer_local { key; entries; posted_at = [ posted ]; hit = true } ]
-  | Node.From_neighbor from ->
-      Intset.add t.s_interest.(slot) (Node_id.to_int from);
+  | From_local posted ->
+      [ Answer_local { key; entries; posted_at = [ posted ]; hit = true } ]
+  | From_neighbor from ->
+      Interest.set ls.interest from;
       let update = Update.first_time ~key ~entries ~level:1 in
-      t.stats.Node.updates_forwarded <- t.stats.Node.updates_forwarded + 1;
-      [ Node.Send_update { to_ = from; update; answering = true } ]
+      t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+      [ Send_update { to_ = from; update; answering = true } ]
 
 let handle_query t ~node ~now ~next_hop source key =
-  t.stats.Node.queries_in <- t.stats.Node.queries_in + 1;
+  t.stats.queries_in <- t.stats.queries_in + 1;
   match find_local t node key with
-  | Some slot ->
-      t.stats.Node.cache_answers <- t.stats.Node.cache_answers + 1;
-      answer_as_authority t slot ~now key source
+  | Some ls ->
+      t.stats.cache_answers <- t.stats.cache_answers + 1;
+      answer_as_authority t ls ~now key source
   | None when next_hop = None ->
-      add_local_key t node key;
-      let slot = Option.get (find_local t node key) in
-      answer_as_authority t slot ~now key source
+      (* Routing says our zone contains the key but we have no
+         directory for it: become its (empty) authority. *)
+      answer_as_authority t (add_state t t.local node key) ~now key source
   | None -> (
-      let slot = cache_slot t node key in
-      t.s_qsu.(slot) <- t.s_qsu.(slot) + 1;
+      let state = get_state t node key in
+      (* Bookkeeping common to all three cases. *)
+      state.queries_since_update <- state.queries_since_update + 1;
       (match source with
-      | Node.From_neighbor from ->
-          Intset.add t.s_interest.(slot) (Node_id.to_int from)
-      | Node.From_local _ -> ());
-      match fresh_ent_list t slot ~now with
+      | From_neighbor from -> Interest.set state.interest from
+      | From_local _ -> ());
+      match fresh_entry_list state ~now with
       | _ :: _ as entries -> (
-          t.stats.Node.cache_answers <- t.stats.Node.cache_answers + 1;
+          (* Case 1: fresh entries cached — answer immediately. *)
+          t.stats.cache_answers <- t.stats.cache_answers + 1;
           match source with
-          | Node.From_local posted ->
+          | From_local posted ->
               [
-                Node.Answer_local
+                Answer_local
                   { key; entries; posted_at = [ posted ]; hit = true };
               ]
-          | Node.From_neighbor from ->
+          | From_neighbor from ->
               let update =
-                Update.first_time ~key ~entries ~level:(t.s_dist.(slot) + 1)
+                Update.first_time ~key ~entries ~level:(state.distance + 1)
               in
-              t.stats.Node.updates_forwarded <-
-                t.stats.Node.updates_forwarded + 1;
-              [ Node.Send_update { to_ = from; update; answering = true } ])
+              t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+              [ Send_update { to_ = from; update; answering = true } ])
       | [] ->
+          (* Cases 2 and 3: no usable entries.  Queue local clients;
+             push one query instance unless one is already pending. *)
           (match source with
-          | Node.From_local posted ->
-              t.s_waiters.(slot) <- posted :: t.s_waiters.(slot)
-          | Node.From_neighbor from ->
-              Intset.add t.s_waiting.(slot) (Node_id.to_int from));
-          if
-            Bytes.get t.s_pending slot = '\001'
-            && Policy.coalesces_queries t.config.Node.policy
+          | From_local posted -> state.waiters <- posted :: state.waiters
+          | From_neighbor from ->
+              state.waiting <- Node_id.Set.add from state.waiting);
+          if state.pending_first && Policy.coalesces_queries t.config.policy
           then begin
-            t.stats.Node.queries_coalesced <-
-              t.stats.Node.queries_coalesced + 1;
+            t.stats.queries_coalesced <- t.stats.queries_coalesced + 1;
             []
           end
           else begin
-            Bytes.set t.s_pending slot '\001';
-            Bytes.set t.s_cut_sent slot '\000';
+            state.pending_first <- true;
+            state.cut_sent <- false;
             match next_hop with
             | Some hop ->
-                t.s_queried_to.(slot) <- Node_id.to_int hop;
-                [ Node.Send_query { to_ = hop; key } ]
+                state.queried_to <- Node_id.to_int hop;
+                [ Send_query { to_ = hop; key } ]
             | None -> assert false (* handled above *)
           end)
 
 (* {2 Updates (Section 2.6)} *)
 
-(* Mirror of {!Node.apply_update}, including its changed-result
-   contract: returns whether the slot's entry set actually changed, so
-   the caller can refuse to forward no-news arrivals (the update-storm
-   guard). *)
-let apply_update t slot (u : Update.t) =
+(* Apply [u] to the key's cached entry set.  Returns whether the cache
+   actually changed: a no-news arrival — a duplicated delivery, or an
+   update that travelled a (fault-rewired) interest cycle back around —
+   must not be forwarded again, or the cycle amplifies it into an
+   update storm. *)
+let apply_update state (u : Update.t) =
   match u.kind with
-  | Update.First_time ->
-      let old_len = t.e_len.(slot) in
-      let old_rep = Array.sub t.e_rep.(slot) 0 old_len in
-      let old_exp = Array.sub t.e_exp.(slot) 0 old_len in
-      t.e_len.(slot) <- 0;
-      List.iter
-        (fun (e : Entry.t) ->
-          ent_upsert t slot
-            (Replica_id.to_int e.replica)
-            (Time.to_seconds e.expiry))
-        u.entries;
-      let len = t.e_len.(slot) in
-      len <> old_len
-      ||
-      let rep = t.e_rep.(slot) and exp = t.e_exp.(slot) in
-      let changed = ref false in
-      for i = 0 to len - 1 do
-        if rep.(i) <> old_rep.(i) || exp.(i) <> old_exp.(i) then changed := true
-      done;
-      !changed
-  | Update.Refresh | Update.Append ->
-      (* Last-writer-wins guard: keep the cached expiry when it is at
-         least as fresh — an equal-or-staler entry is no news. *)
+  | First_time ->
+      let entries =
+        List.fold_left
+          (fun m (e : Entry.t) -> Replica_id.Map.add e.replica e m)
+          Replica_id.Map.empty u.entries
+      in
+      let changed =
+        not
+          (Replica_id.Map.equal
+             (fun (a : Entry.t) (b : Entry.t) -> a.expiry = b.expiry)
+             state.entries entries)
+      in
+      state.entries <- entries;
+      changed
+  | Refresh | Append ->
+      (* Last-writer-wins by expiry: an entry at or below the cached
+         expiry is no news — discarded, so a reordered or duplicated
+         channel can never regress the cache to older data.  In-order
+         tree-shaped propagation always carries strictly fresher
+         expiries, making the guard a no-op there. *)
       List.fold_left
         (fun changed (e : Entry.t) ->
-          let r = Replica_id.to_int e.replica in
-          let exp = Time.to_seconds e.expiry in
-          match ent_search t slot r with
-          | i when i >= 0 ->
-              if t.e_exp.(slot).(i) < exp then begin
-                t.e_exp.(slot).(i) <- exp;
-                true
-              end
-              else changed
-          | _ ->
-              ent_upsert t slot r exp;
+          match Replica_id.Map.find_opt e.replica state.entries with
+          | Some (prev : Entry.t) when Time.(prev.expiry >= e.expiry) ->
+              changed
+          | Some _ | None ->
+              state.entries <- Replica_id.Map.add e.replica e state.entries;
               true)
         false u.entries
-  | Update.Delete ->
+  | Delete ->
       List.fold_left
         (fun changed (e : Entry.t) ->
-          let r = Replica_id.to_int e.replica in
-          let present = ent_search t slot r >= 0 in
-          ent_remove t slot r;
-          if t.s_trigger.(slot) = r then
-            t.s_trigger.(slot) <-
-              (if t.e_len.(slot) > 0 then t.e_rep.(slot).(0) else -1);
+          let present = Replica_id.Map.mem e.replica state.entries in
+          state.entries <- Replica_id.Map.remove e.replica state.entries;
+          (* A deleted trigger replica cannot trigger decisions any
+             more: adopt another cached replica (or none). *)
+          if state.trigger = Some e.replica then
+            state.trigger <-
+              (match Replica_id.Map.min_binding_opt state.entries with
+              | Some (r, _) -> Some r
+              | None -> None);
           changed || present)
         false u.entries
 
-let forward_update t slot (u : Update.t) =
+(* Forward an update to every interested neighbor, respecting a
+   sender-side push-level bound.  Answers to waiting neighbors do not
+   go through here — this path is purely proactive propagation. *)
+let forward_update t state (u : Update.t) =
   let next = Update.forwarded u in
   let allowed =
-    match Policy.sender_limit t.config.Node.policy with
+    match Policy.sender_limit t.config.policy with
     | Some p -> next.Update.level <= p
     | None -> true
   in
@@ -522,136 +403,145 @@ let forward_update t slot (u : Update.t) =
   else
     List.map
       (fun neighbor ->
-        t.stats.Node.updates_forwarded <- t.stats.Node.updates_forwarded + 1;
-        Node.Send_update
-          { to_ = Node_id.of_int neighbor; update = next; answering = false })
-      (Intset.to_list t.s_interest.(slot))
+        t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+        Send_update { to_ = neighbor; update = next; answering = false })
+      (Interest.interested state.interest)
 
-let is_trigger_arrival t slot (u : Update.t) =
-  if not t.config.Node.replica_independent_cutoff then true
+(* Whether this arrival triggers the cut-off evaluation (and the
+   popularity reset).  Always in naive mode; only for the trigger
+   replica (adopting one if none) in replica-independent mode.
+   First-time updates always count: they are query responses, not
+   per-replica refreshes. *)
+let is_trigger_arrival t state (u : Update.t) =
+  if not t.config.replica_independent_cutoff then true
   else
     match Update.subject u with
     | None -> true
-    | Some replica ->
-        let r = Replica_id.to_int replica in
-        if t.s_trigger.(slot) = -1 then begin
-          t.s_trigger.(slot) <- r;
-          true
-        end
-        else t.s_trigger.(slot) = r
+    | Some replica -> (
+        match state.trigger with
+        | None ->
+            state.trigger <- Some replica;
+            true
+        | Some r -> Replica_id.equal r replica)
 
-let record_trigger_arrival t slot =
-  if t.s_qsu.(slot) = 0 then t.s_dry.(slot) <- t.s_dry.(slot) + 1
-  else t.s_dry.(slot) <- 0;
-  t.s_qsu.(slot) <- 0
-
-(* The pending-answer fan-out: waiting ∪ interested in ascending node
-   order (what [Node_id.Set.elements (Set.union ...)] yields), each
-   tagged with waiting-membership for the [answering] flag.  Two-pointer
-   merge over the two sorted arrays. *)
-let merge_targets waiting interest ~proactive_ok =
-  let nw = Intset.cardinal waiting in
-  if not proactive_ok then
-    List.init nw (fun i -> (Intset.get waiting i, true))
-  else begin
-    let ni = Intset.cardinal interest in
-    let rec go i j acc =
-      if i >= nw && j >= ni then List.rev acc
-      else if j >= ni || (i < nw && Intset.get waiting i < Intset.get interest j)
-      then go (i + 1) j ((Intset.get waiting i, true) :: acc)
-      else if i >= nw || Intset.get interest j < Intset.get waiting i then
-        go i (j + 1) ((Intset.get interest j, false) :: acc)
-      else go (i + 1) (j + 1) ((Intset.get waiting i, true) :: acc)
-    in
-    go 0 0 []
-  end
+let record_trigger_arrival state =
+  if state.queries_since_update = 0 then
+    state.dry_updates <- state.dry_updates + 1
+  else state.dry_updates <- 0;
+  state.queries_since_update <- 0
 
 let handle_update t ~node ~now ~from (u : Update.t) =
-  t.stats.Node.updates_in <- t.stats.Node.updates_in + 1;
-  let slot = cache_slot t node u.key in
-  t.s_upstream.(slot) <- Node_id.to_int from;
+  t.stats.updates_in <- t.stats.updates_in + 1;
+  let state = get_state t node u.key in
+  state.upstream <- Node_id.to_int from;
   if Update.is_expired u ~now then begin
-    t.stats.Node.expired_updates_dropped <-
-      t.stats.Node.expired_updates_dropped + 1;
+    (* Case 3: the update did not arrive in time — drop it. *)
+    t.stats.expired_updates_dropped <-
+      t.stats.expired_updates_dropped + 1;
     []
   end
   else begin
-    t.s_dist.(slot) <- u.level;
-    if Bytes.get t.s_pending slot = '\001' then begin
-      let (_ : bool) = apply_update t slot u in
-      let trigger = is_trigger_arrival t slot u in
-      if trigger then record_trigger_arrival t slot;
-      let entries = fresh_ent_list t slot ~now in
+    state.distance <- u.level;
+    if state.pending_first then begin
+      (* Case 1: this answers our pending query.  Apply it, answer the
+         waiting local clients, and push the response as a first-time
+         update to every interested neighbor. *)
+      let (_ : bool) = apply_update state u in
+      let trigger = is_trigger_arrival t state u in
+      if trigger then record_trigger_arrival state;
+      let entries = fresh_entry_list state ~now in
       if u.kind = Update.First_time || entries <> [] then begin
-        Bytes.set t.s_pending slot '\000';
-        t.s_queried_to.(slot) <- -1;
+        state.pending_first <- false;
+        state.queried_to <- none;
         let response =
-          Update.forwarded
-            (Update.first_time ~key:u.key ~entries ~level:u.level)
+          Update.forwarded (Update.first_time ~key:u.key ~entries ~level:u.level)
         in
+        (* Waiting neighbors always get their answer; other interested
+           neighbors get it proactively only when the policy's
+           sender-side bound allows pushing one level deeper. *)
         let proactive_ok =
-          match Policy.sender_limit t.config.Node.policy with
+          match Policy.sender_limit t.config.policy with
           | Some p -> response.Update.level <= p
           | None -> true
         in
+        let waiting = state.waiting in
         let targets =
-          merge_targets t.s_waiting.(slot) t.s_interest.(slot) ~proactive_ok
+          if proactive_ok then
+            Node_id.Set.union waiting
+              (Node_id.Set.of_list (Interest.interested state.interest))
+          else waiting
         in
-        Intset.clear t.s_waiting.(slot);
+        state.waiting <- Node_id.Set.empty;
         let forwards =
           List.map
-            (fun (neighbor, answering) ->
-              t.stats.Node.updates_forwarded <-
-                t.stats.Node.updates_forwarded + 1;
-              Node.Send_update
-                { to_ = Node_id.of_int neighbor; update = response; answering })
-            targets
+            (fun neighbor ->
+              t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+              Send_update
+                {
+                  to_ = neighbor;
+                  update = response;
+                  answering = Node_id.Set.mem neighbor waiting;
+                })
+            (Node_id.Set.elements targets)
         in
         let answers =
-          match t.s_waiters.(slot) with
+          match state.waiters with
           | [] -> []
           | posted_at ->
-              t.s_waiters.(slot) <- [];
+              state.waiters <- [];
               [
-                Node.Answer_local
+                Answer_local
                   { key = u.key; entries; posted_at; hit = false };
               ]
         in
         forwards @ answers
       end
-      else []
+      else
+        (* e.g. a Delete arrived while pending: keep waiting for the
+           actual response. *)
+        []
     end
     else begin
-      let downstream_interest = not (Intset.is_empty t.s_interest.(slot)) in
-      let trigger = is_trigger_arrival t slot u in
+      (* Case 2: pending flag clear. *)
+      let downstream_interest = Interest.any state.interest in
+      let trigger = is_trigger_arrival t state u in
       if downstream_interest then begin
-        Bytes.set t.s_cut_sent slot '\000';
-        if trigger then record_trigger_arrival t slot;
-        (* Update-storm guard, as in {!Node.handle_update}: no-news
-           arrivals are never pushed onward. *)
-        if apply_update t slot u then forward_update t slot u else []
+        state.cut_sent <- false;
+        if trigger then record_trigger_arrival state;
+        (* Forward only updates that carried news.  A no-news arrival
+           has already been seen along another path (duplication, or an
+           interest graph that a crash rewired into a cycle); pushing
+           it onward again is what turns the cycle into an unbounded
+           update storm.  Found by fuzzing — see fuzz seeds 36, 267,
+           580, 1827: all-out refresh waves ping-ponged forever across
+           crash-rewired CAN neighborhoods. *)
+        if apply_update state u then forward_update t state u else []
       end
       else if not trigger then begin
-        let (_ : bool) = apply_update t slot u in
+        (* Replica-independent mode, non-trigger replica: apply but do
+           not touch the popularity measure or the decision. *)
+        let (_ : bool) = apply_update state u in
         []
       end
       else begin
-        let queries_since_update = t.s_qsu.(slot) in
-        record_trigger_arrival t slot;
+        let queries_since_update = state.queries_since_update in
+        record_trigger_arrival state;
         match
-          Policy.decide t.config.Node.policy ~distance:t.s_dist.(slot)
-            ~queries_since_update ~dry_updates:t.s_dry.(slot)
+          Policy.decide t.config.policy ~distance:state.distance
+            ~queries_since_update ~dry_updates:state.dry_updates
         with
         | Policy.Keep ->
-            Bytes.set t.s_cut_sent slot '\000';
-            let (_ : bool) = apply_update t slot u in
+            state.cut_sent <- false;
+            let (_ : bool) = apply_update state u in
             []
         | Policy.Cut ->
-            if Bytes.get t.s_cut_sent slot = '\001' then []
+            (* An update arriving while our clear-bit is already in
+               flight does not warrant another one. *)
+            if state.cut_sent then []
             else begin
-              Bytes.set t.s_cut_sent slot '\001';
-              t.stats.Node.clear_bits_sent <- t.stats.Node.clear_bits_sent + 1;
-              [ Node.Send_clear_bit { to_ = from; key = u.key } ]
+              state.cut_sent <- true;
+              t.stats.clear_bits_sent <- t.stats.clear_bits_sent + 1;
+              [ Send_clear_bit { to_ = from; key = u.key } ]
             end
       end
     end
@@ -660,142 +550,125 @@ let handle_update t ~node ~now ~from (u : Update.t) =
 (* {2 Clear-bits (Section 2.7)} *)
 
 let handle_clear_bit t ~node ~now:_ ~from key =
-  t.stats.Node.clear_bits_in <- t.stats.Node.clear_bits_in + 1;
+  t.stats.clear_bits_in <- t.stats.clear_bits_in + 1;
   match find_local t node key with
-  | Some slot ->
-      Intset.remove t.s_interest.(slot) (Node_id.to_int from);
+  | Some ls ->
+      Interest.clear ls.interest from;
       []
   | None -> (
       match find_cache t node key with
       | None -> []
-      | Some slot ->
-          Intset.remove t.s_interest.(slot) (Node_id.to_int from);
+      | Some state ->
+          Interest.clear state.interest from;
           if
-            Policy.uses_clear_bits t.config.Node.policy
-            && Intset.is_empty t.s_interest.(slot)
-            && Bytes.get t.s_pending slot = '\000'
-            && Bytes.get t.s_cut_sent slot = '\000'
+            Policy.uses_clear_bits t.config.policy
+            && (not (Interest.any state.interest))
+            && (not state.pending_first)
+            && not state.cut_sent
           then
             let decision =
-              Policy.decide t.config.Node.policy ~distance:t.s_dist.(slot)
-                ~queries_since_update:t.s_qsu.(slot)
-                ~dry_updates:t.s_dry.(slot)
+              Policy.decide t.config.policy ~distance:state.distance
+                ~queries_since_update:state.queries_since_update
+                ~dry_updates:state.dry_updates
             in
-            match (decision, t.s_upstream.(slot)) with
-            | Policy.Cut, up when up >= 0 ->
-                Bytes.set t.s_cut_sent slot '\001';
-                t.stats.Node.clear_bits_sent <-
-                  t.stats.Node.clear_bits_sent + 1;
-                [ Node.Send_clear_bit { to_ = Node_id.of_int up; key } ]
+            match (decision, state.upstream) with
+            | Policy.Cut, up when up <> none ->
+                state.cut_sent <- true;
+                t.stats.clear_bits_sent <- t.stats.clear_bits_sent + 1;
+                [ Send_clear_bit { to_ = Node_id.of_int up; key } ]
             | Policy.Cut, _ | Policy.Keep, _ -> []
           else [])
 
 (* {2 Churn (Section 2.9)} *)
 
-let lose_upstream t slot =
-  t.s_upstream.(slot) <- -1;
-  t.s_queried_to.(slot) <- -1;
-  Bytes.set t.s_pending slot '\000'
-
-let iter_node_slots t nid f =
-  match Hashtbl.find_opt t.head nid with
-  | None -> ()
-  | Some h ->
-      let s = ref h in
-      while !s >= 0 do
-        (* Read the link first so [f] may free the slot. *)
-        let next = t.s_next.(!s) in
-        f !s;
-        s := next
-      done
-
 let remap_neighbor t ~node ~old_id ~new_id =
-  let o = Node_id.to_int old_id and n = Node_id.to_int new_id in
-  iter_node_slots t (Node_id.to_int node) (fun slot ->
-      Intset.remap t.s_interest.(slot) ~old_id:o ~new_id:n;
-      if Bytes.get t.s_local slot = '\000' && t.s_upstream.(slot) = o then
-        t.s_upstream.(slot) <- n)
+  let old_n = Node_id.to_int old_id in
+  iter_node t node (fun state ->
+      Interest.remap state.interest ~old_id ~new_id;
+      if state.upstream = old_n then state.upstream <- Node_id.to_int new_id)
+
+(* Losing the upstream while a query is pending would leave the
+   pending flag stuck and suppress re-queries forever; dropping the
+   flag lets the next query restart the propagation (the queued local
+   waiters are answered when that response arrives). *)
+let lose_upstream state =
+  state.upstream <- none;
+  state.queried_to <- none;
+  state.pending_first <- false
 
 let drop_neighbor t ~node neighbor =
-  let nb = Node_id.to_int neighbor in
-  iter_node_slots t (Node_id.to_int node) (fun slot ->
-      Intset.remove t.s_interest.(slot) nb;
-      if
-        Bytes.get t.s_local slot = '\000'
-        && (t.s_upstream.(slot) = nb || t.s_queried_to.(slot) = nb)
-      then lose_upstream t slot)
+  let n = Node_id.to_int neighbor in
+  iter_node t node (fun state ->
+      Interest.clear state.interest neighbor;
+      if state.upstream = n || state.queried_to = n then lose_upstream state)
 
 let retain_neighbors t ~node current =
-  let keep = Intset.create () in
-  List.iter (fun id -> Intset.add keep (Node_id.to_int id)) current;
-  iter_node_slots t (Node_id.to_int node) (fun slot ->
+  let keep = Node_id.Set.of_list current in
+  iter_node t node (fun state ->
       List.iter
         (fun member ->
-          if not (Intset.mem keep member) then
-            Intset.remove t.s_interest.(slot) member)
-        (Intset.to_list t.s_interest.(slot));
-      if Bytes.get t.s_local slot = '\000' then
-        let up = t.s_upstream.(slot) in
-        if up >= 0 && not (Intset.mem keep up) then lose_upstream t slot)
+          if not (Node_id.Set.mem member keep) then
+            Interest.clear state.interest member)
+        (Interest.interested state.interest);
+      if
+        state.upstream <> none
+        && not (Node_id.Set.mem (Node_id.of_int state.upstream) keep)
+      then lose_upstream state)
 
 let handover_local t node key =
   let packed = Node_key.pack node key in
-  match Node_key.Table.find_opt t.local_index packed with
+  match Node_key.Table.find_opt t.local packed with
   | None -> []
-  | Some slot ->
-      let entries = ent_list t slot in
-      free_slot t ~packed slot;
-      entries
+  | Some ls ->
+      Node_key.Table.remove t.local packed;
+      unlink t node ls;
+      List.map snd (Replica_id.Map.bindings ls.entries)
 
 let receive_local t node key entries =
   add_local_key t node key;
-  let slot =
-    Option.get (find_local t node key)
-  in
-  List.iter
-    (fun (e : Entry.t) ->
-      let r = Replica_id.to_int e.replica in
-      let exp = Time.to_seconds e.expiry in
-      match ent_search t slot r with
-      | i when i >= 0 -> if t.e_exp.(slot).(i) < exp then t.e_exp.(slot).(i) <- exp
-      | _ -> ent_upsert t slot r exp)
-    entries
+  let ls = Node_key.Table.find t.local (Node_key.pack node key) in
+  ls.entries <-
+    List.fold_left
+      (fun m (e : Entry.t) ->
+        match Replica_id.Map.find_opt e.replica m with
+        | Some existing when Time.(existing.Entry.expiry >= e.expiry) -> m
+        | Some _ | None -> Replica_id.Map.add e.replica e m)
+      ls.entries entries
 
 (* {2 Introspection} *)
 
 let fresh_entries t ~node ~now key =
   match find_cache t node key with
   | None -> []
-  | Some slot -> fresh_ent_list t slot ~now
+  | Some state -> fresh_entry_list state ~now
 
 let pending_first t node key =
   match find_cache t node key with
   | None -> false
-  | Some slot -> Bytes.get t.s_pending slot = '\001'
+  | Some state -> state.pending_first
 
 let interested_neighbors t node key =
   match find_cache t node key with
   | None -> []
-  | Some slot -> List.map Node_id.of_int (Intset.to_list t.s_interest.(slot))
-
-let popularity t node key =
-  match find_cache t node key with
-  | None -> 0
-  | Some slot -> t.s_qsu.(slot)
+  | Some state -> Interest.interested state.interest
 
 let distance_of t node key =
   match find_cache t node key with
   | None -> None
-  | Some slot ->
-      if t.s_upstream.(slot) = -1 && t.e_len.(slot) = 0 then None
-      else Some t.s_dist.(slot)
+  | Some state ->
+      if state.upstream = none && Replica_id.Map.is_empty state.entries then
+        None
+      else Some state.distance
 
-let keys_of t node ~local =
+(* A node's chain holds both kinds of state; a state belongs to the
+   table that maps its pair to it. *)
+let keys_in table t node =
   let acc = ref [] in
-  iter_node_slots t (Node_id.to_int node) (fun slot ->
-      if Bytes.get t.s_local slot = (if local then '\001' else '\000') then
-        acc := Key.of_int t.s_key.(slot) :: !acc);
+  iter_node t node (fun state ->
+      match Node_key.Table.find_opt table (Node_key.pack node state.key) with
+      | Some s when s == state -> acc := state.key :: !acc
+      | Some _ | None -> ());
   List.sort Key.compare !acc
 
-let cached_keys t node = keys_of t node ~local:false
-let owned_keys t node = keys_of t node ~local:true
+let cached_keys t node = keys_in t.cache t node
+let owned_keys t node = keys_in t.local t node

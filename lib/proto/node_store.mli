@@ -1,54 +1,120 @@
-(** Flat struct-of-arrays node-state tables.
+(** The CUP node state machine (Sections 2.3–2.9), for every node at
+    once.
 
-    A drop-in state backend for the CUP protocol: one {!t} holds the
-    per-(node, key) protocol state of {e every} node in the overlay in
-    pre-allocated, int-indexed parallel arrays, instead of one {!Node.t}
-    heap object per node with functional maps inside.  Slots are
-    recycled through an intrusive freelist and chained per node, so a
-    million-node run costs a few flat arrays rather than millions of
-    balanced-tree nodes.
+    A store is pure protocol state: it consumes protocol inputs
+    (queries, updates, clear-bits, replica events at the authority) for
+    a given node and returns the list of {!action}s that node performs.
+    It never performs I/O and knows nothing about time sources or
+    message delays — the simulation layer (or a real transport)
+    executes the actions and invokes the handlers.  This keeps every
+    protocol rule directly unit-testable; {!Node} is the one-node view
+    the unit tests drive.
 
-    Every handler mirrors the corresponding {!Node} handler exactly:
-    given the same history it returns the same action list, element for
-    element, and advances the (aggregated) {!Node.stats} by the same
-    amounts.  [test/test_state_equiv.ml] checks this end-to-end against
-    whole simulation traces.  The handlers take an explicit [node]
-    argument where {!Node}'s take the state object itself; stats are
-    aggregated across all nodes in one shared record. *)
+    Per neighbor there are two logical channels: handlers that emit
+    [Send_query] use the query channel (upstream, toward the
+    authority); [Send_update] and [Send_clear_bit] use the update
+    channel (downstream, along reverse query paths) — clear-bits
+    travel on it in the reverse direction, as in Figure 1 of the
+    paper.
+
+    State per cached key (Section 2.3): the cached entry set, the
+    Pending-First-Update flag, the interest bit vector, the popularity
+    measure (queries since last update), the dry-update streak for
+    log-based policies, the hop distance from the authority, and the
+    cut-off trigger replica (Section 3.6).
+
+    Layout: one record per (node, key) state, every node's records in
+    one hash table keyed by the packed (node, key) pair (authority
+    states in a second one), and each node's records chained together
+    for the churn patches.  There is no table per node, so a
+    million-node run pays only for the pairs that hold state. *)
+
+type config = {
+  policy : Policy.t;
+  replica_independent_cutoff : bool;
+      (** evaluate (and reset) the cut-off popularity measure only on
+          updates for the key's trigger replica, so the decision is
+          independent of the number of replicas (Section 3.6).  When
+          [false], the naive implementation: every update arrival
+          triggers the decision. *)
+}
+
+val default_config : config
+(** Second-chance policy, replica-independent cut-off. *)
+
+type source =
+  | From_neighbor of Cup_overlay.Node_id.t
+  | From_local of Cup_dess.Time.t  (** a local client; payload = post time *)
+
+type action =
+  | Send_query of { to_ : Cup_overlay.Node_id.t; key : Cup_overlay.Key.t }
+  | Send_update of {
+      to_ : Cup_overlay.Node_id.t;
+      update : Update.t;
+      answering : bool;
+          (** [true] when this first-time update answers a query the
+              recipient is waiting on (miss-cost hop in the Section 3.1
+              accounting); [false] for proactive propagation *)
+    }
+  | Send_clear_bit of { to_ : Cup_overlay.Node_id.t; key : Cup_overlay.Key.t }
+  | Answer_local of {
+      key : Cup_overlay.Key.t;
+      entries : Entry.t list;
+      posted_at : Cup_dess.Time.t list;
+          (** post times of the local queries being answered *)
+      hit : bool;
+          (** [true] when served synchronously from a fresh cache or
+              the local directory; [false] when the answer arrived by
+              first-time update *)
+    }
+
+type stats = {
+  mutable queries_in : int;
+  mutable queries_coalesced : int;
+      (** queries absorbed by an already-pending flag (Section 2.5
+          case 3 / the burst-coalescing benefit) *)
+  mutable cache_answers : int;  (** queries served from fresh cache *)
+  mutable updates_in : int;
+  mutable updates_forwarded : int;
+  mutable clear_bits_sent : int;
+  mutable clear_bits_in : int;
+  mutable expired_updates_dropped : int;
+}
 
 type t
 
-val create : ?slots_hint:int -> Node.config -> t
-(** [slots_hint] pre-sizes the slot pool (it still grows on demand). *)
+val create : ?nodes:int -> config -> t
+(** [nodes] pre-sizes the store for node ids below it; larger ids grow
+    it on demand. *)
 
-val config : t -> Node.config
-
-val stats : t -> Node.stats
-(** Aggregate over all nodes — the sum the runner computes by folding
-    per-node stats in the map-backed representation. *)
+val stats : t -> stats
+(** Summed over every node in the store, updated in place as the
+    handlers run. *)
 
 val live_slots : t -> int
-(** Currently allocated (node, key) state slots, for capacity
-    telemetry. *)
+(** (node, key) states currently held, cached and authority, for
+    capacity telemetry. *)
 
-(** {1 Node registry}
+val nodes : t -> Cup_overlay.Node_id.t list
+(** Nodes holding at least one state, in increasing order. *)
 
-    The map-backed runner tracks node liveness by table membership;
-    the flat backend tracks it here. *)
+val remove_node : t -> Cup_overlay.Node_id.t -> unit
+(** Drop every state of a node that has left the overlay for good. *)
 
-val register : t -> Cup_overlay.Node_id.t -> unit
-val mem : t -> Cup_overlay.Node_id.t -> bool
-
-(** {1 Protocol handlers (mirror {!Node})} *)
+(** {1 Protocol handlers} *)
 
 val handle_query :
   t ->
   node:Cup_overlay.Node_id.t ->
   now:Cup_dess.Time.t ->
   next_hop:Cup_overlay.Node_id.t option ->
-  Node.source ->
+  source ->
   Cup_overlay.Key.t ->
-  Node.action list
+  action list
+(** Section 2.5.  [next_hop] is the routing decision toward the key's
+    authority ([None] when this node's zone contains the key — then
+    the node answers as authority, with an empty entry set if it has
+    no directory entries for the key). *)
 
 val handle_update :
   t ->
@@ -56,7 +122,8 @@ val handle_update :
   now:Cup_dess.Time.t ->
   from:Cup_overlay.Node_id.t ->
   Update.t ->
-  Node.action list
+  action list
+(** Section 2.6. *)
 
 val handle_clear_bit :
   t ->
@@ -64,15 +131,21 @@ val handle_clear_bit :
   now:Cup_dess.Time.t ->
   from:Cup_overlay.Node_id.t ->
   Cup_overlay.Key.t ->
-  Node.action list
+  action list
+(** Section 2.7. *)
 
-(** {1 Authority-side operations} *)
+(** {1 Authority-side operations (Section 2.4 update origination)} *)
 
 val add_local_key : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> unit
+(** Declare the node the authority for the key with an empty
+    directory. *)
+
 val owns : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> bool
 
 val local_directory :
   t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> Entry.t list
+(** Current directory entries (unpruned) for an owned key; [\[\]] if
+    not owned. *)
 
 val replica_birth :
   t ->
@@ -80,7 +153,9 @@ val replica_birth :
   now:Cup_dess.Time.t ->
   key:Cup_overlay.Key.t ->
   Entry.t ->
-  Node.action list
+  action list
+(** A replica announced it serves [key]: add it to the directory and
+    originate an Append. *)
 
 val replica_refresh :
   t ->
@@ -88,7 +163,8 @@ val replica_refresh :
   now:Cup_dess.Time.t ->
   key:Cup_overlay.Key.t ->
   Entry.t ->
-  Node.action list
+  action list
+(** A replica keep-alive extended its entry: originate a Refresh. *)
 
 val replica_refresh_batch :
   t ->
@@ -96,7 +172,10 @@ val replica_refresh_batch :
   now:Cup_dess.Time.t ->
   key:Cup_overlay.Key.t ->
   Entry.t list ->
-  Node.action list
+  action list
+(** Aggregated refreshes (Section 3.6): apply several replicas'
+    keep-alives to the directory and originate them as a single
+    Refresh update carrying all the entries.  Empty input is a no-op. *)
 
 val replica_death :
   t ->
@@ -104,9 +183,11 @@ val replica_death :
   now:Cup_dess.Time.t ->
   key:Cup_overlay.Key.t ->
   Replica_id.t ->
-  Node.action list
+  action list
+(** The replica left (or missed its keep-alives): drop the entry and
+    originate a Delete. *)
 
-(** {1 Churn support} *)
+(** {1 Churn support (Section 2.9)} *)
 
 val remap_neighbor :
   t ->
@@ -114,22 +195,30 @@ val remap_neighbor :
   old_id:Cup_overlay.Node_id.t ->
   new_id:Cup_overlay.Node_id.t ->
   unit
+(** Patch every interest bit vector of the node: the bit that pointed
+    at [old_id] now points at [new_id]. *)
 
 val drop_neighbor :
   t -> node:Cup_overlay.Node_id.t -> Cup_overlay.Node_id.t -> unit
+(** Clear the departed neighbor's bit in every vector of the node. *)
 
 val retain_neighbors :
   t -> node:Cup_overlay.Node_id.t -> Cup_overlay.Node_id.t list -> unit
+(** Clear every interest bit that does not point at one of the given
+    (current) neighbors — the conservative patch applied when a node's
+    neighborhood changes shape under churn. *)
 
 val handover_local :
   t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> Entry.t list
-(** Remove and return the directory entries for an owned key, freeing
-    its slot back to the pool. *)
+(** Remove and return the directory entries for an owned key (for
+    handing the key over to the node taking over the zone). *)
 
 val receive_local :
   t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> Entry.t list -> unit
+(** Accept directory entries for a newly owned key, merging with any
+    existing ones (keeping the later expiry per replica). *)
 
-(** {1 Introspection} *)
+(** {1 Introspection (tests and metrics)} *)
 
 val fresh_entries :
   t ->
@@ -143,7 +232,8 @@ val pending_first : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> bool
 val interested_neighbors :
   t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> Cup_overlay.Node_id.t list
 
-val popularity : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> int
 val distance_of : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> int option
+(** Hop distance from the key's authority, once learned. *)
+
 val cached_keys : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t list
 val owned_keys : t -> Cup_overlay.Node_id.t -> Cup_overlay.Key.t list

@@ -106,19 +106,11 @@ type metric_set = {
   mutable level_latency : Histogram.t option array;
 }
 
-(* Which representation holds the per-(node, key) protocol state.  The
-   two are byte-equivalent (checked end-to-end by [test_state_equiv]):
-   [Map_nodes] is one {!Node.t} heap object per node, [Flat_nodes] is
-   the struct-of-arrays pool sized for million-node runs. *)
-type backend =
-  | Map_nodes of Node.t Node_id.Table.t
-  | Flat_nodes of Node_store.t
-
 type live = {
   cfg : Scenario.t;
   engine : Engine.t;
   net : Net.t;
-  nodes : backend;
+  store : Node_store.t; (* every node's protocol state *)
   keys : Key.t array;
   authority : Node_id.t Key.Table.t;
   counters : Counters.t;
@@ -197,113 +189,6 @@ let level_hist ms level =
       h
 
 let now t = Engine.now t.engine
-
-(* {2 State-backend dispatch}
-
-   Every protocol-state touch goes through one of these [b_]
-   wrappers.  The match is a two-way branch on an immutable field, so
-   the cost is noise next to the handler bodies. *)
-
-let b_register t id =
-  match t.nodes with
-  | Map_nodes nodes -> Node_id.Table.replace nodes id (Node.create ~id t.cfg.Scenario.node_config)
-  | Flat_nodes store -> Node_store.register store id
-
-let b_mem t id =
-  match t.nodes with
-  | Map_nodes nodes -> Node_id.Table.mem nodes id
-  | Flat_nodes store -> Node_store.mem store id
-
-let b_handle_query t id ~now ~next_hop source key =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.handle_query (Node_id.Table.find nodes id) ~now ~next_hop source key
-  | Flat_nodes store ->
-      Node_store.handle_query store ~node:id ~now ~next_hop source key
-
-let b_handle_update t id ~now ~from update =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.handle_update (Node_id.Table.find nodes id) ~now ~from update
-  | Flat_nodes store -> Node_store.handle_update store ~node:id ~now ~from update
-
-let b_handle_clear_bit t id ~now ~from key =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.handle_clear_bit (Node_id.Table.find nodes id) ~now ~from key
-  | Flat_nodes store ->
-      Node_store.handle_clear_bit store ~node:id ~now ~from key
-
-let b_add_local_key t id key =
-  match t.nodes with
-  | Map_nodes nodes -> Node.add_local_key (Node_id.Table.find nodes id) key
-  | Flat_nodes store -> Node_store.add_local_key store id key
-
-let b_replica_birth t id ~now ~key entry =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.replica_birth (Node_id.Table.find nodes id) ~now ~key entry
-  | Flat_nodes store -> Node_store.replica_birth store ~node:id ~now ~key entry
-
-let b_replica_refresh t id ~now ~key entry =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.replica_refresh (Node_id.Table.find nodes id) ~now ~key entry
-  | Flat_nodes store ->
-      Node_store.replica_refresh store ~node:id ~now ~key entry
-
-let b_replica_refresh_batch t id ~now ~key entries =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.replica_refresh_batch (Node_id.Table.find nodes id) ~now ~key entries
-  | Flat_nodes store ->
-      Node_store.replica_refresh_batch store ~node:id ~now ~key entries
-
-let b_replica_death t id ~now ~key replica =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.replica_death (Node_id.Table.find nodes id) ~now ~key replica
-  | Flat_nodes store ->
-      Node_store.replica_death store ~node:id ~now ~key replica
-
-let b_pending_first t id key =
-  match t.nodes with
-  | Map_nodes nodes -> Node.pending_first (Node_id.Table.find nodes id) key
-  | Flat_nodes store -> Node_store.pending_first store id key
-
-let b_interested_neighbors t id key =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.interested_neighbors (Node_id.Table.find nodes id) key
-  | Flat_nodes store -> Node_store.interested_neighbors store id key
-
-let b_remap_neighbor t id ~old_id ~new_id =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.remap_neighbor (Node_id.Table.find nodes id) ~old_id ~new_id
-  | Flat_nodes store -> Node_store.remap_neighbor store ~node:id ~old_id ~new_id
-
-let b_drop_neighbor t id neighbor =
-  match t.nodes with
-  | Map_nodes nodes -> Node.drop_neighbor (Node_id.Table.find nodes id) neighbor
-  | Flat_nodes store -> Node_store.drop_neighbor store ~node:id neighbor
-
-let b_retain_neighbors t id current =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.retain_neighbors (Node_id.Table.find nodes id) current
-  | Flat_nodes store -> Node_store.retain_neighbors store ~node:id current
-
-let b_handover_local t id key =
-  match t.nodes with
-  | Map_nodes nodes -> Node.handover_local (Node_id.Table.find nodes id) key
-  | Flat_nodes store -> Node_store.handover_local store id key
-
-let b_receive_local t id key entries =
-  match t.nodes with
-  | Map_nodes nodes ->
-      Node.receive_local (Node_id.Table.find nodes id) key entries
-  | Flat_nodes store -> Node_store.receive_local store id key entries
 
 let capacity_of t id =
   match Node_id.Table.find_opt t.capacity id with
@@ -679,7 +564,7 @@ and deliver_query t ~ctx ?(sid = 0) ?(attempt = 0) ~from ~to_ key =
           match hop with Route.Forward h -> Some h | _ -> None
         in
         perform t ~ctx:(child_ctx ctx sid) ~from:to_
-          (b_handle_query t to_ ~now:(now t) ~next_hop
+          (Node_store.handle_query t.store ~node:to_ ~now:(now t) ~next_hop
              (Node.From_neighbor from) key)
   end
   else begin
@@ -750,7 +635,7 @@ and deliver_clear_bit t ~ctx ?(sid = 0) ~from ~to_ key =
     perform t
       ~ctx:(child_ctx ctx sid)
       ~from:to_
-      (b_handle_clear_bit t to_ ~now:(now t) ~from key)
+      (Node_store.handle_clear_bit t.store ~node:to_ ~now:(now t) ~from key)
   end
   else
     (* A clear-bit to a dead receiver needs no repair, but it must
@@ -887,7 +772,7 @@ and deliver_update t ~ctx ?(sid = 0) ~from ~to_ ~answering (update : Update.t)
     perform t
       ~ctx:(child_ctx ctx sid)
       ~from:to_
-      (b_handle_update t to_ ~now:(now t) ~from update)
+      (Node_store.handle_update t.store ~node:to_ ~now:(now t) ~from update)
   end
   else begin
     Counters.record_transport_lost t.counters;
@@ -908,8 +793,8 @@ and deliver_update t ~ctx ?(sid = 0) ~from ~to_ ~answering (update : Update.t)
              span_id = new_span t;
              parent_id = sid;
            });
-    if Net.is_alive t.net from && b_mem t from then begin
-      b_drop_neighbor t from to_;
+    if Net.is_alive t.net from then begin
+      Node_store.drop_neighbor t.store ~node:from to_;
       Counters.record_repair t.counters
     end
     end
@@ -998,8 +883,8 @@ and repair_check t st =
     if not (Net.is_alive t.net st.r_node) then drop ()
     else begin
       let needs =
-        b_pending_first t st.r_node st.r_key
-        || b_interested_neighbors t st.r_node st.r_key <> []
+        Node_store.pending_first t.store st.r_node st.r_key
+        || Node_store.interested_neighbors t.store st.r_node st.r_key <> []
       in
       if not needs then
         (* No waiters and no downstream interest: a stale leaf cache
@@ -1161,7 +1046,7 @@ let post_query t ~node ~key =
           match hop with Route.Forward h -> Some h | _ -> None
         in
         perform t ~ctx ~from:node
-          (b_handle_query t node ~now:(now t) ~next_hop
+          (Node_store.handle_query t.store ~node ~now:(now t) ~next_hop
              (Node.From_local (now t)) key)
   end
 
@@ -1207,10 +1092,11 @@ let dispatch_replica_event t (e : Cup_workload.Replica_gen.event) =
     | Cup_workload.Replica_gen.Birth ->
         let entry = Entry.make ~replica ~expiry:(Time.add e.at e.lifetime) in
         perform t ~ctx:(origin_ctx t) ~from:auth
-          (b_replica_birth t auth ~now:(now t) ~key entry)
+          (Node_store.replica_birth t.store ~node:auth ~now:(now t) ~key entry)
     | Cup_workload.Replica_gen.Death ->
         perform t ~ctx:(origin_ctx t) ~from:auth
-          (b_replica_death t auth ~now:(now t) ~key replica)
+          (Node_store.replica_death t.store ~node:auth ~now:(now t) ~key
+             replica)
     | Cup_workload.Replica_gen.Refresh ->
         let entry = Entry.make ~replica ~expiry:(Time.add e.at e.lifetime) in
         if t.cfg.refresh_batch_window > 0. then begin
@@ -1230,11 +1116,14 @@ let dispatch_replica_event t (e : Cup_workload.Replica_gen.event) =
                        (* The batched flush is the root cause: it is
                           what actually enters the tree. *)
                        perform t ~ctx:(origin_ctx t) ~from:auth
-                         (b_replica_refresh_batch t auth ~now:(now t) ~key
-                            !buffer)))
+                         (Node_store.replica_refresh_batch t.store ~node:auth
+                            ~now:(now t) ~key !buffer)))
         end
         else begin
-          let actions = b_replica_refresh t auth ~now:(now t) ~key entry in
+          let actions =
+            Node_store.replica_refresh t.store ~node:auth ~now:(now t) ~key
+              entry
+          in
           if
             t.cfg.refresh_sample >= 1.
             || Dist.bernoulli t.sample_rng ~p:t.cfg.refresh_sample
@@ -1304,40 +1193,21 @@ let create_base cfg =
       ~churn_lookups:cfg.route_cache_churn_lookups ~kind:cfg.overlay
       ~n:cfg.nodes ()
   in
-  let nodes =
-    if cfg.flat_node_state then begin
-      let store =
-        Node_store.create ~slots_hint:(4 * cfg.nodes) cfg.node_config
-      in
-      List.iter (Node_store.register store) (Net.node_ids net);
-      Flat_nodes store
-    end
-    else begin
-      let table = Node_id.Table.create cfg.nodes in
-      List.iter
-        (fun id ->
-          Node_id.Table.replace table id (Node.create ~id cfg.node_config))
-        (Net.node_ids net);
-      Map_nodes table
-    end
-  in
+  let store = Node_store.create ~nodes:cfg.nodes cfg.node_config in
   let keys = Array.init (Scenario.total_keys cfg) Key.of_int in
   let authority = Key.Table.create (Array.length keys) in
   Array.iter
     (fun key ->
       let owner = Net.owner_of_key net key in
       Key.Table.replace authority key owner;
-      match nodes with
-      | Map_nodes table ->
-          Node.add_local_key (Node_id.Table.find table owner) key
-      | Flat_nodes store -> Node_store.add_local_key store owner key)
+      Node_store.add_local_key store owner key)
     keys;
   let t =
     {
       cfg;
       engine = Engine.create ?scheduler:cfg.scheduler ();
       net;
-      nodes;
+      store;
       keys;
       authority;
       counters = Counters.create ();
@@ -1412,50 +1282,6 @@ let create_base cfg =
            ~warmup:(cfg.query_start +. warmup)));
   t
 
-let aggregate_stats t =
-  let total : Node.stats =
-    {
-      queries_in = 0;
-      queries_coalesced = 0;
-      cache_answers = 0;
-      updates_in = 0;
-      updates_forwarded = 0;
-      clear_bits_sent = 0;
-      clear_bits_in = 0;
-      expired_updates_dropped = 0;
-    }
-  in
-  (match t.nodes with
-  | Map_nodes nodes ->
-      Node_id.Table.iter
-        (fun _ node ->
-          let s = Node.stats node in
-          total.queries_in <- total.queries_in + s.queries_in;
-          total.queries_coalesced <-
-            total.queries_coalesced + s.queries_coalesced;
-          total.cache_answers <- total.cache_answers + s.cache_answers;
-          total.updates_in <- total.updates_in + s.updates_in;
-          total.updates_forwarded <-
-            total.updates_forwarded + s.updates_forwarded;
-          total.clear_bits_sent <- total.clear_bits_sent + s.clear_bits_sent;
-          total.clear_bits_in <- total.clear_bits_in + s.clear_bits_in;
-          total.expired_updates_dropped <-
-            total.expired_updates_dropped + s.expired_updates_dropped)
-        nodes
-  | Flat_nodes store ->
-      (* The store aggregates as it goes (one shared record); copy so
-         the result owns its stats like the map path's fold does. *)
-      let s = Node_store.stats store in
-      total.queries_in <- s.queries_in;
-      total.queries_coalesced <- s.queries_coalesced;
-      total.cache_answers <- s.cache_answers;
-      total.updates_in <- s.updates_in;
-      total.updates_forwarded <- s.updates_forwarded;
-      total.clear_bits_sent <- s.clear_bits_sent;
-      total.clear_bits_in <- s.clear_bits_in;
-      total.expired_updates_dropped <- s.expired_updates_dropped);
-  total
-
 (* Snapshot the run's counters into the attached registry so a
    [--metrics-out] dump carries the whole-run totals next to the
    latency histograms recorded live.  Standalone over (counters,
@@ -1521,7 +1347,10 @@ let finish t =
   let wallclock = Unix.gettimeofday () -. t.started in
   {
     counters = t.counters;
-    node_stats = aggregate_stats t;
+    node_stats =
+      (* The store sums the stats as it runs; the result keeps a copy. *)
+      (let s = Node_store.stats t.store in
+       { s with queries_in = s.queries_in });
     queries_posted = t.queries_posted;
     replica_events = t.replica_events;
     engine_events;
@@ -1545,12 +1374,9 @@ let reassign_authorities ?(handover = true) t =
     (fun key auth ->
       let owner = Net.owner_of_key t.net key in
       if not (Node_id.equal owner auth) then begin
-        (if b_mem t auth then begin
-           let entries = b_handover_local t auth key in
-           if handover then b_receive_local t owner key entries
-           else b_add_local_key t owner key
-         end
-         else b_add_local_key t owner key);
+        let entries = Node_store.handover_local t.store auth key in
+        if handover then Node_store.receive_local t.store owner key entries
+        else Node_store.add_local_key t.store owner key;
         Key.Table.replace t.authority key owner
       end)
     t.authority
@@ -1558,8 +1384,8 @@ let reassign_authorities ?(handover = true) t =
 let patch_affected t affected =
   List.iter
     (fun id ->
-      if Net.is_alive t.net id && b_mem t id then
-        b_retain_neighbors t id (Net.neighbors t.net id))
+      if Net.is_alive t.net id then
+        Node_store.retain_neighbors t.store ~node:id (Net.neighbors t.net id))
     affected
 
 let node_join t =
@@ -1570,7 +1396,6 @@ let node_join t =
         (Format.pp_print_option Node_id.pp)
         change.peer
         (List.length change.affected));
-  b_register t change.subject;
   reassign_authorities t;
   patch_affected t (change.subject :: change.affected);
   change.subject
@@ -1607,10 +1432,15 @@ let node_leave ?(graceful = true) t id =
       List.iter
         (fun a ->
           if Net.is_alive t.net a then
-            b_remap_neighbor t a ~old_id:id ~new_id:taker)
+            Node_store.remap_neighbor t.store ~node:a ~old_id:id
+              ~new_id:taker)
         change.affected
   | None -> ());
-  patch_affected t change.affected
+  patch_affected t change.affected;
+  (* Its protocol state goes last, once the handover above has read its
+     directories.  Every handler call sits behind [Net.is_alive], so
+     nothing reads that state again. *)
+  Node_store.remove_node t.store id
 
 (* {2 Crash / recovery injection}
 
@@ -1721,13 +1551,8 @@ module Live = struct
             in
             if depth > 0 then Some (id, depth) else None)
       (Net.node_ids t.net)
-  let node t id =
-    match t.nodes with
-    | Map_nodes nodes -> Node_id.Table.find nodes id
-    | Flat_nodes _ ->
-        invalid_arg
-          "Runner.Live.node: per-node introspection is unavailable under \
-           flat_node_state"
+
+  let node t id = Node.view t.store id
   let counters t = t.counters
   let key_of_index t i = t.keys.(i)
   let authority_of t key = Key.Table.find t.authority key
@@ -1778,9 +1603,19 @@ module Live = struct
         (fun _ deadlines acc -> acc + List.length !deadlines)
         t.justif 0
     in
-    if counted = t.justif_backlog then Ok ()
-    else
+    if counted <> t.justif_backlog then
       Error
         (Printf.sprintf "justification backlog %d, but the table holds %d"
            t.justif_backlog counted)
+    else
+      match
+        List.find_opt
+          (fun id -> not (Net.is_alive t.net id))
+          (Node_store.nodes t.store)
+      with
+      | Some id ->
+          Error
+            (Format.asprintf "departed node %a still holds protocol state"
+               Node_id.pp id)
+      | None -> Ok ()
 end

@@ -103,6 +103,10 @@ module Live : sig
   (** Locally posted queries so far. *)
 
   val node : t -> Cup_overlay.Node_id.t -> Cup_proto.Node.t
+  (** A view of the node inside the run's one {!Cup_proto.Node_store}.
+      Views share that store, so their {!Cup_proto.Node.stats} are the
+      whole run's.  A departed node's view holds no state. *)
+
   val counters : t -> Cup_metrics.Counters.t
   val key_of_index : t -> int -> Cup_overlay.Key.t
   val authority_of : t -> Cup_overlay.Key.t -> Cup_overlay.Node_id.t
@@ -156,7 +160,8 @@ module Live : sig
       over; [false] models a crash (Section 2.9's unplanned
       departure): the directories are lost and rebuilt at the new
       authority by the replicas' next keep-alives, while dependent
-      caches simply expire as in standard caching. *)
+      caches simply expire as in standard caching.  Either way the
+      node's protocol state is freed: node ids are never reused. *)
 
   val justification_backlog : t -> int
   (** Total number of justification deadlines currently held for the
@@ -169,5 +174,6 @@ module Live : sig
   val check_invariants : t -> (unit, string) Stdlib.result
   (** Recounts what the runner keeps incrementally: the running
       {!justification_backlog} must equal a fold over the deadline
-      table.  O(table size); for tests. *)
+      table, and no departed node may hold protocol state.  O(table
+      size); for tests. *)
 end

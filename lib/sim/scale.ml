@@ -310,9 +310,8 @@ let run ?tracer cfg =
       incr idx);
   (* {2 Shard state} *)
   let node_cfg = Node.default_config in
-  let slots_hint = max 1024 (cfg.nodes / shards / 4) in
   let stores =
-    Array.init shards (fun _ -> Node_store.create ~slots_hint node_cfg)
+    Array.init shards (fun _ -> Node_store.create ~nodes:cfg.nodes node_cfg)
   in
   for k = 0 to cfg.keys - 1 do
     let auth = Ring.owner ring k in

@@ -4,8 +4,8 @@
     overlays, per-message engine events, churn, faults — and tops out
     around [10^5] nodes on one machine.  This module trades those
     features for scale: the overlay is the O(1)-memory arithmetic
-    {!Cup_overlay.Ring}, node state lives in per-shard
-    {!Cup_proto.Node_store} struct-of-arrays tables, and the event loop
+    {!Cup_overlay.Ring}, node state lives in one {!Cup_proto.Node_store}
+    per shard, and the event loop
     is {e batch-synchronous}: virtual time is quantized into windows of
     one hop delay, every message emitted in window [w] is delivered in
     window [w + 1] (the conservative lookahead of

@@ -163,12 +163,11 @@ type t = {
           (Section 2.7 allows piggy-backing them onto queries or
           updates; the paper's accounting conservatively does not). *)
   flat_node_state : bool;
-      (** run the protocol state machine on the flat struct-of-arrays
-          tables ({!Cup_proto.Node_store}) instead of one map-backed
-          {!Cup_proto.Node} per node.  Byte-identical results either
-          way (checked by [test_state_equiv]); the flat backend exists
-          for memory footprint at large [nodes].  The live-introspection
-          hook {!Runner.Live.node} is unavailable under it. *)
+      (** Has no effect: every run keeps its protocol state in the one
+          {!Cup_proto.Node_store}.  The field stays because the
+          benchmark's [proto.flat_over_map_wall] pair sets it (the
+          pair now reads about 1.0); it goes once that pair is
+          dropped. *)
   route_cache_churn_lookups : int;
       (** the overlay's next-hop cache is bypassed for a topology
           generation when the {e previous} generation served fewer than

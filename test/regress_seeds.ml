@@ -26,12 +26,14 @@ let corpus =
     ("flash-crowd-partitioned-chord", 2);
     (* pastry with crash + symmetric cut + reorder + duplication *)
     ("pastry-crash-reorder-dup", 13);
-    (* flat struct-of-arrays backend under loss + cut + reorder +
-       duplication and a flash crowd *)
+    (* loss + cut + reorder + duplication under a flash crowd on
+       Chord.  "flat-state" in this name and two below records a
+       generator coin that once picked the protocol-state layout; the
+       generator still draws it, so the seeds keep their scenarios. *)
     ("flat-state-flash-all-channel-faults", 61);
     (* minimum population: 4 nodes crashing while duplicating *)
     ("four-nodes-crash-dup", 101);
-    (* flat backend with crash + loss + reorder + duplication *)
+    (* crash + loss + reorder + duplication on the grid CAN *)
     ("flat-state-crash-loss-reorder-dup", 33);
     (* The first real bug harvest (2000-seed sweep, 14 failures, all
        V3 backlog): crash-rewired CAN interest graphs formed cycles,
@@ -39,8 +41,8 @@ let corpus =
        around them forever — one refresh wave amplified into an update
        storm (425 deliveries to a single (node, key) in ~2 simulated
        seconds on seed 36).  Fixed by the no-news forwarding guard in
-       [Node.apply_update] / [Node_store.apply_update]; these four
-       seeds pin the storm shapes that failed. *)
+       [Node_store.apply_update]; these four seeds pin the storm shapes
+       that failed. *)
     ("update-storm-all-out-can-flash", 36);
     ("update-storm-all-out-can-multikey", 267);
     ("update-storm-all-out-grid", 580);

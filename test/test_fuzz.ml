@@ -82,6 +82,104 @@ let test_repro_command_shape () =
         Alcotest.failf "repro %S lacks %S" cmd needle)
     [ "cup run"; "--seed 42"; "--nodes"; "--audit" ]
 
+(* Generator stability: the regress corpus pins seeds, not scenarios,
+   so a generator draw added, dropped or reordered would silently
+   re-map every pinned seed to a different scenario.  These are the
+   corpus seeds' scenarios as repro commands. *)
+let pinned_repros =
+  [
+    ( 46,
+      "cup run --seed 46 --nodes 21 --keys 1 --rate 2.10581 --duration 480\
+      \ --lifetime 300 --replicas 2 --policy log:2 --overlay can\
+      \ --crash-rate 0.196031 --crash-recover 29.2147 --loss-rate 0.0626883\
+      \ --loss-jitter 0.656962 --partition 0.252262 --partition-start 5.31689\
+      \ --partition-duration 88.4578 --partition-symmetric\
+      \ --reorder-rate 0.478138 --reorder-spread 2.6182\
+      \ --duplicate-rate 0.124639 --audit" );
+    ( 58,
+      "cup run --seed 58 --nodes 49 --keys 1 --rate 3.98542 --duration 120\
+      \ --lifetime 300 --replicas 3 --policy push-level:2 --overlay can\
+      \ --scheduler calendar --zipf 1.15376 --crash-rate 0.0709281\
+      \ --crash-recover 27.0131 --loss-rate 0.283615 --loss-jitter 0.457528\
+      \ --partition 0.190088 --partition-start 25.5542\
+      \ --partition-duration 30.5353 --reorder-rate 0.38035\
+      \ --reorder-spread 4.972 --duplicate-rate 0.191993 --audit" );
+    ( 6,
+      "cup run --seed 6 --nodes 45 --keys 1 --rate 2.58831 --duration 480\
+      \ --lifetime 60 --replicas 1 --policy push-level:2 --overlay can-grid\
+      \ --crash-rate 0.028263 --crash-recover 49.5235 --loss-rate 0.0985802\
+      \ --loss-jitter 0.742531 --partition 0.172923 --partition-start 183.883\
+      \ --partition-duration 122.488 --reorder-rate 0.193526\
+      \ --reorder-spread 6.92134 --audit" );
+    ( 2,
+      "cup run --seed 2 --nodes 13 --keys 4 --rate 53.1823 --duration 120\
+      \ --lifetime 60 --replicas 2 --policy linear:1 --overlay chord\
+      \ --scheduler heap --zipf 0.733483 --partition 0.283957\
+      \ --partition-start 38.5313 --partition-duration 40.3088\
+      \ --partition-symmetric --reorder-rate 0.478653 --reorder-spread 1.4092\
+      \ --audit" );
+    ( 13,
+      "cup run --seed 13 --nodes 70 --keys 3 --rate 3.20331 --duration 120\
+      \ --lifetime 60 --replicas 3 --policy all-out --overlay pastry\
+      \ --scheduler calendar --zipf 0.968731 --crash-rate 0.0101396\
+      \ --crash-recover 31.3657 --partition 0.12572 --partition-start 27.0241\
+      \ --partition-duration 33.7839 --partition-symmetric\
+      \ --reorder-rate 0.129715 --reorder-spread 2.99052\
+      \ --duplicate-rate 0.24867 --audit" );
+    ( 61,
+      "cup run --seed 61 --nodes 56 --keys 2 --rate 49.414 --duration 120\
+      \ --lifetime 300 --replicas 2 --policy all-out --overlay chord\
+      \ --zipf 1.13223 --loss-rate 0.18513 --loss-jitter 0.769055\
+      \ --partition 0.2489 --partition-start 53.4992\
+      \ --partition-duration 11.1181 --partition-symmetric\
+      \ --reorder-rate 0.55573 --reorder-spread 3.00192\
+      \ --duplicate-rate 0.0764455 --audit" );
+    ( 101,
+      "cup run --seed 101 --nodes 4 --keys 4 --rate 1.59095 --duration 240\
+      \ --lifetime 120 --replicas 2 --policy log:2 --overlay can\
+      \ --scheduler heap --zipf 1.12615 --crash-rate 0.188559\
+      \ --crash-recover 7.93344 --duplicate-rate 0.0686776 --audit" );
+    ( 33,
+      "cup run --seed 33 --nodes 30 --keys 1 --rate 1.04335 --duration 240\
+      \ --lifetime 300 --replicas 1 --policy all-out --overlay can-grid\
+      \ --scheduler heap --crash-rate 0.101703 --crash-recover 50.5248\
+      \ --loss-rate 0.104165 --loss-jitter 0.527501 --reorder-rate 0.523872\
+      \ --reorder-spread 3.92996 --duplicate-rate 0.210055 --audit" );
+    ( 36,
+      "cup run --seed 36 --nodes 73 --keys 2 --rate 58.5771 --duration 120\
+      \ --lifetime 300 --replicas 2 --policy all-out --overlay can\
+      \ --zipf 1.04854 --crash-rate 0.165223 --crash-recover 44.454\
+      \ --partition 0.240234 --partition-start 46.1734\
+      \ --partition-duration 15.0205 --reorder-rate 0.118667\
+      \ --reorder-spread 4.44221 --audit" );
+    ( 267,
+      "cup run --seed 267 --nodes 54 --keys 4 --rate 2.47521 --duration 480\
+      \ --lifetime 120 --replicas 3 --policy all-out --overlay can\
+      \ --crash-rate 0.128104 --crash-recover 10.746 --audit" );
+    ( 580,
+      "cup run --seed 580 --nodes 32 --keys 1 --rate 53.7799 --duration 120\
+      \ --lifetime 120 --replicas 1 --policy all-out --overlay can-grid\
+      \ --zipf 0.698478 --crash-rate 0.141676 --crash-recover 56.2223\
+      \ --partition 0.498149 --partition-start 32.5109\
+      \ --partition-duration 56.7308 --reorder-rate 0.104261\
+      \ --reorder-spread 2.35699 --audit" );
+    ( 1827,
+      "cup run --seed 1827 --nodes 38 --keys 2 --rate 3.8865 --duration 480\
+      \ --lifetime 300 --replicas 2 --policy linear:1 --overlay can\
+      \ --scheduler heap --zipf 0.950784 --crash-rate 0.191741\
+      \ --crash-recover 56.199 --loss-rate 0.0607742 --loss-jitter 0.326073\
+      \ --duplicate-rate 0.204677 --audit" );
+  ]
+
+let test_generator_stability () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (Fuzz.repro_command (Fuzz.scenario_of_seed seed)))
+    pinned_repros
+
 (* {1 Determinism} *)
 
 (* The acceptance bar for the sweep driver: pooled and sequential
@@ -258,6 +356,8 @@ let () =
           Alcotest.test_case "axis coverage" `Quick test_generator_covers_axes;
           Alcotest.test_case "repro command shape" `Quick
             test_repro_command_shape;
+          Alcotest.test_case "corpus seeds keep their scenarios" `Quick
+            test_generator_stability;
         ] );
       ( "determinism",
         [
