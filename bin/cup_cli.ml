@@ -675,7 +675,7 @@ let run_cmd =
            ~policy ~overlay)
         with
         scheduler;
-        key_dist = (if zipf > 0. then `Zipf zipf else `Uniform);
+        key_dist = (if zipf = 0. then `Uniform else `Zipf zipf);
         crashes =
           (if crash_rate > 0. then
              Some
@@ -1223,7 +1223,7 @@ let top_cmd =
            ~policy ~overlay)
         with
         scheduler;
-        key_dist = (if zipf > 0. then `Zipf zipf else `Uniform);
+        key_dist = (if zipf = 0. then `Uniform else `Zipf zipf);
       }
     in
     (match Scenario.validate cfg with

@@ -184,7 +184,10 @@ let direct_search t =
    bound on every live time) and inspects each virtual bucket's window
    once; an event found inside its window is the global minimum because
    earlier windows were already ruled out and later occupants of the
-   same physical bucket belong to later calendar years. *)
+   same physical bucket belong to later calendar years.  The window test
+   is the same floor that {!bucket_index} takes: comparing the time with
+   [(vb + 1) *. width] instead disagrees with it when that product
+   rounds down onto the time, and the event then pops a year late. *)
 let find_min t =
   if t.live = 0 then begin
     (* An all-cancelled calendar must report empty without scanning on
@@ -203,8 +206,7 @@ let find_min t =
         let idx = vb mod n in
         prune t idx;
         match t.buckets.(idx) with
-        | c :: _ when Time.to_seconds c.time < float_of_int (vb + 1) *. t.width
-          ->
+        | c :: _ when int_of_float (Time.to_seconds c.time /. t.width) <= vb ->
             t.pos <- Time.to_seconds c.time;
             Some idx
         | _ -> sweep (vb + 1) (steps + 1)

@@ -11,12 +11,13 @@ type probe = {
 type scheduler = [ `Heap | `Calendar ]
 
 (* Process-wide default used by [create] when no [?scheduler] is
-   given.  On the end-to-end Table 1 grid (bench/main.ml's [sched]
-   target) the heap and the calendar queue are within ~2% of each
-   other — CUP queues stay shallow, so the heap's log factor is tiny —
-   with the heap ahead in most paired runs, so it is the shipped
-   default.  The ref exists so harnesses can flip every engine in the
-   process (e.g. bench --scheduler, CI's sched-equivalence job)
+   given: the heap.  CUP queues are not always shallow.  perfbench's
+   faults-audited workload keeps a repair watch queued per subscriber
+   and peaks at about 23,000 pending events; there traced runs time one
+   heap push+pop at 470-640 ns and the whole run at 1.33-1.49 times as
+   long under the calendar queue (seeds 3, 5 and 7, 2-core Intel Xeon,
+   OCaml 5.1.1).  The ref exists so harnesses can flip every engine in
+   the process (e.g. bench --scheduler, CI's sched-equivalence job)
    without threading a parameter through every scenario
    constructor. *)
 let default_scheduler : scheduler ref = ref `Heap

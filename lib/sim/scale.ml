@@ -133,30 +133,51 @@ type local_ev =
 
 type work = W_msg of msg | W_local of local_ev
 
+(* Canonical in-window order of deliveries: destination, message class
+   (query, update, clear-bit), source, then the source's emission
+   sequence.  (src, seq) is globally unique, so no two messages tie. *)
+let compare_msg (a : msg) (b : msg) =
+  if a.dst <> b.dst then Int.compare a.dst b.dst
+  else if a.cls <> b.cls then Int.compare a.cls b.cls
+  else if a.src <> b.src then Int.compare a.src b.src
+  else Int.compare a.seq b.seq
+
+let local_idx = function L_refresh { idx; _ } | L_post { idx; _ } -> idx
+
 (* Canonical in-window processing order: deliveries first (they were
-   in flight when the window opened), then authority refreshes, then
-   query posts; ties broken by ids that are independent of the shard
-   layout. *)
-let work_key = function
-  | W_msg m -> (0, m.dst, m.cls, m.src, m.seq)
-  | W_local (L_refresh { key; idx }) -> (1, idx, key, 0, 0)
-  | W_local (L_post { node; idx; _ }) -> (2, idx, node, 0, 0)
+   in flight when the window opened), then the window's workload
+   events by pre-generation index — which puts every authority refresh
+   before every query post, since all refreshes are generated first.
+   Every tie-break is an id independent of the shard layout. *)
+let compare_work a b =
+  match (a, b) with
+  | W_msg a, W_msg b -> compare_msg a b
+  | W_msg _, W_local _ -> -1
+  | W_local _, W_msg _ -> 1
+  | W_local a, W_local b -> Int.compare (local_idx a) (local_idx b)
 
-let compare_work a b : int = Stdlib.compare (work_key a) (work_key b)
-
+(* Each float check is written so that NaN and infinity fail it. *)
 let validate cfg =
   let fail msg = invalid_arg ("Scale.run: " ^ msg) in
+  let positive name x =
+    if not (Float.is_finite x && x > 0.) then
+      fail (name ^ " must be finite and > 0")
+  in
+  let nonneg name x =
+    if not (Float.is_finite x && x >= 0.) then
+      fail (name ^ " must be finite and >= 0")
+  in
   if cfg.nodes < 1 then fail "nodes must be >= 1";
   if cfg.keys < 1 then fail "keys must be >= 1";
   if cfg.replicas < 1 then fail "replicas must be >= 1";
-  if cfg.rate <= 0. then fail "rate must be > 0";
+  positive "rate" cfg.rate;
   if cfg.shards < 1 then fail "shards must be >= 1";
-  if cfg.hop_delay <= 0. then fail "hop_delay must be > 0";
-  if cfg.lifetime <= 0. then fail "lifetime must be > 0";
-  if cfg.query_start < 0. then fail "query_start must be >= 0";
-  if cfg.query_duration <= 0. then fail "query_duration must be > 0";
-  if cfg.drain < 0. then fail "drain must be >= 0";
-  if cfg.zipf < 0. then fail "zipf must be >= 0";
+  positive "hop_delay" cfg.hop_delay;
+  positive "lifetime" cfg.lifetime;
+  nonneg "query_start" cfg.query_start;
+  positive "query_duration" cfg.query_duration;
+  nonneg "drain" cfg.drain;
+  nonneg "zipf" cfg.zipf;
   if cfg.attribution < 0 then fail "attribution must be >= 0"
 
 (* {1 Trace records}
@@ -230,18 +251,17 @@ let trace_event_of w work out =
   | W_local (L_refresh { key; idx }) -> T_refresh { w; key; idx; out }
   | W_local (L_post { node; key; idx }) -> T_post { w; node; key; idx; out }
 
-(* Each shard's trace segment is already in canonical (ascending
-   work-key) order — works are processed sorted — so the global
-   canonical order is a k-way merge of the per-shard segments, not a
-   re-sort.  Keys are globally unique, so ties cannot occur. *)
+(* Each shard's trace segment is already in canonical order — works
+   are processed in that order — so the global canonical order is a
+   k-way merge of the per-shard segments, not a re-sort.  No two works
+   tie (see {!compare_work}). *)
 let merge_segments segments =
   let merge2 a b =
     let rec go acc a b =
       match (a, b) with
       | [], rest | rest, [] -> List.rev_append acc rest
-      | ((ka, _) as xa) :: ta, ((kb, _) as xb) :: tb ->
-          if Stdlib.compare (ka : int * int * int * int * int) kb <= 0 then
-            go (xa :: acc) ta b
+      | ((wa, _) as xa) :: ta, ((wb, _) as xb) :: tb ->
+          if compare_work wa wb <= 0 then go (xa :: acc) ta b
           else go (xb :: acc) a tb
     in
     go [] a b
@@ -351,7 +371,7 @@ let run ?tracer cfg =
   (* With one shard the per-window work list is the canonical order
      already — processing order equals the merged order — so the
      tracer can be fed directly from the work loop, skipping the
-     per-event (work_key, event) accumulation, reversal and merge.
+     per-event (work, event) accumulation, reversal and merge.
      Multi-shard runs must keep the segment machinery for the k-way
      merge below; its output is byte-identical to this fast path. *)
   let direct_tracer =
@@ -364,11 +384,16 @@ let run ?tracer cfg =
     let store = stores.(s) in
     let t = tot.(s) in
     let at = attrs.(s) in
+    (* Only the deliveries need sorting.  [push_local] prepended the
+       window's workload events in ascending pre-generation index — all
+       refreshes, then all posts — so reversing the bin gives their
+       canonical order, and they follow the sorted deliveries. *)
     let works =
-      List.sort compare_work
-        (List.rev_append
-           (List.rev_map (fun m -> W_msg m) (Window_sync.drain sync ~shard:s ~window:w))
-           (List.map (fun l -> W_local l) locals.(w).(s)))
+      List.rev_append
+        (List.rev_map
+           (fun m -> W_msg m)
+           (List.sort compare_msg (Window_sync.drain sync ~shard:s ~window:w)))
+        (List.rev_map (fun l -> W_local l) locals.(w).(s))
     in
     locals.(w).(s) <- [];
     let out = ref [] in
@@ -503,8 +528,7 @@ let run ?tracer cfg =
           | Some f -> f (trace_event_of w work (!emitted - emitted0))
           | None ->
               lines :=
-                (work_key work, trace_event_of w work (!emitted - emitted0))
-                :: !lines)
+                (work, trace_event_of w work (!emitted - emitted0)) :: !lines)
       works;
     (List.rev !out, List.rev !lines)
   in
@@ -534,8 +558,7 @@ let run ?tracer cfg =
         | Some _ when direct_tracer <> None -> ()
         | Some emit ->
             merge_segments (List.map snd results)
-            |> List.iter (fun ((_ : int * int * int * int * int), ev) ->
-                   emit ev)
+            |> List.iter (fun (_, ev) -> emit ev)
       done);
   let totals = zero_totals () in
   Array.iter (fun t -> add_totals totals t) tot;

@@ -13,10 +13,11 @@
     processed in one canonical order.
 
     {b Byte-identity across shard counts.}  Within a window, a shard
-    processes exactly the events addressed to its own nodes, sorted by
-    a canonical key — (delivery class, destination, source, per-source
-    emission sequence) for messages, pre-generation index for workload
-    events — and cross-shard effects are deferred to the next window.
+    processes exactly the events addressed to its own nodes in one
+    canonical order — messages first, by (destination, message class,
+    source, per-source emission sequence), then workload events by
+    pre-generation index — and cross-shard effects are deferred to the
+    next window.
     The global state at every window barrier is therefore independent
     of the partitioning, so {!summary} output and the optional trace
     are byte-identical for any [shards] value, including [1].  All

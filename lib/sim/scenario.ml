@@ -115,36 +115,43 @@ let fault_injection t =
   t.crashes <> None || t.loss <> None || t.partition <> None
   || t.reorder <> None || t.duplication <> None
 
+(* Every float bound below is written so that NaN fails it, and the
+   unbounded ones also demand a finite value: an infinite rate or
+   duration would never finish, an infinite lifetime never expire. *)
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in
   let ( let* ) = Result.bind in
+  let positive name x =
+    check (Float.is_finite x && x > 0.) (name ^ " must be finite and > 0")
+  in
+  let nonneg name x =
+    check (Float.is_finite x && x >= 0.) (name ^ " must be finite and >= 0")
+  in
+  let unit_interval name x =
+    check (x >= 0. && x <= 1.) (name ^ " must be in [0, 1]")
+  in
   let* () = check (t.nodes >= 1) "nodes must be >= 1" in
-  let* () = check (t.keys_per_node > 0.) "keys_per_node must be > 0" in
+  let* () = positive "keys_per_node" t.keys_per_node in
   let* () =
     check
       (match t.total_keys_override with Some k -> k >= 1 | None -> true)
       "total_keys_override must be >= 1"
   in
   let* () = check (t.replicas_per_key >= 1) "replicas_per_key must be >= 1" in
-  let* () = check (t.replica_lifetime > 0.) "replica_lifetime must be > 0" in
+  let* () = positive "replica_lifetime" t.replica_lifetime in
+  let* () = unit_interval "death_prob" t.death_prob in
+  let* () = nonneg "hop_delay" t.hop_delay in
+  let* () = positive "query_rate" t.query_rate in
+  let* () = nonneg "query_start" t.query_start in
+  let* () = positive "query_duration" t.query_duration in
+  let* () = nonneg "drain" t.drain in
   let* () =
-    check
-      (t.death_prob >= 0. && t.death_prob <= 1.)
-      "death_prob must be in [0, 1]"
+    match t.key_dist with
+    | `Uniform -> Ok ()
+    | `Zipf s -> nonneg "zipf exponent" s
   in
-  let* () = check (t.hop_delay >= 0.) "hop_delay must be >= 0" in
-  let* () = check (t.query_rate > 0.) "query_rate must be > 0" in
-  let* () = check (t.query_start >= 0.) "query_start must be >= 0" in
-  let* () = check (t.query_duration > 0.) "query_duration must be > 0" in
-  let* () = check (t.drain >= 0.) "drain must be >= 0" in
-  let* () =
-    check (t.refresh_batch_window >= 0.) "refresh_batch_window must be >= 0"
-  in
-  let* () =
-    check
-      (t.refresh_sample >= 0. && t.refresh_sample <= 1.)
-      "refresh_sample must be in [0, 1]"
-  in
+  let* () = nonneg "refresh_batch_window" t.refresh_batch_window in
+  let* () = unit_interval "refresh_sample" t.refresh_sample in
   let* () =
     check
       (t.route_cache_churn_lookups >= 0)
@@ -153,69 +160,50 @@ let validate t =
   let* () =
     match t.capacity_mode with
     | Bernoulli -> Ok ()
-    | Token_bucket rate ->
-        check (rate > 0.) "token bucket rate must be > 0"
+    | Token_bucket rate -> positive "token bucket rate" rate
   in
   let* () =
     match t.faults with
     | None -> Ok ()
     | Some (Up_and_down { fraction; reduced; warmup; down; gap }) ->
-        let* () =
-          check (fraction >= 0. && fraction <= 1.) "fraction must be in [0, 1]"
-        in
-        let* () =
-          check (reduced >= 0. && reduced <= 1.) "reduced must be in [0, 1]"
-        in
-        check
-          (warmup >= 0. && down > 0. && gap >= 0.)
-          "fault timing must be nonnegative (down > 0)"
+        let* () = unit_interval "fraction" fraction in
+        let* () = unit_interval "reduced" reduced in
+        let* () = nonneg "warmup" warmup in
+        let* () = positive "down" down in
+        nonneg "gap" gap
     | Some (Once_down { fraction; reduced; warmup }) ->
-        let* () =
-          check (fraction >= 0. && fraction <= 1.) "fraction must be in [0, 1]"
-        in
-        let* () =
-          check (reduced >= 0. && reduced <= 1.) "reduced must be in [0, 1]"
-        in
-        check (warmup >= 0.) "warmup must be >= 0"
+        let* () = unit_interval "fraction" fraction in
+        let* () = unit_interval "reduced" reduced in
+        nonneg "warmup" warmup
   in
   let* () =
     match t.crashes with
     | None -> Ok ()
     | Some { crash_rate; recover_after; warmup } ->
-        let* () = check (crash_rate > 0.) "crash_rate must be > 0" in
-        let* () =
-          check (recover_after >= 0.) "recover_after must be >= 0"
-        in
-        check (warmup >= 0.) "crash warmup must be >= 0"
+        let* () = positive "crash_rate" crash_rate in
+        let* () = nonneg "recover_after" recover_after in
+        nonneg "crash warmup" warmup
   in
   let* () =
     match t.loss with
     | None -> Ok ()
     | Some { drop; jitter } ->
-        let* () = check (drop >= 0. && drop <= 1.) "drop must be in [0, 1]" in
-        check (jitter >= 0. && jitter <= 1.) "jitter must be in [0, 1]"
+        let* () = unit_interval "drop" drop in
+        unit_interval "jitter" jitter
   in
   let* () =
     match t.partition with
     | None -> Ok ()
     | Some { fraction; p_start; p_duration; symmetric = _ } ->
-        let* () =
-          check
-            (fraction >= 0. && fraction <= 1.)
-            "partition fraction must be in [0, 1]"
-        in
-        let* () = check (p_start >= 0.) "partition start must be >= 0" in
-        check (p_duration > 0.) "partition duration must be > 0"
+        let* () = unit_interval "partition fraction" fraction in
+        let* () = nonneg "partition start" p_start in
+        positive "partition duration" p_duration
   in
   let* () =
     match t.reorder with
     | None -> Ok ()
     | Some { r_probability; r_spread } ->
-        let* () =
-          check
-            (r_probability >= 0. && r_probability <= 1.)
-            "reorder probability must be in [0, 1]"
-        in
+        let* () = unit_interval "reorder probability" r_probability in
         check
           (r_spread > 0. && r_spread <= 32.)
           "reorder spread must be in (0, 32] hop delays"
@@ -223,6 +211,4 @@ let validate t =
   match t.duplication with
   | None -> Ok ()
   | Some { d_probability } ->
-      check
-        (d_probability >= 0. && d_probability <= 1.)
-        "duplicate probability must be in [0, 1]"
+      unit_interval "duplicate probability" d_probability

@@ -149,6 +149,60 @@ module Queue_suite (S : SCHED) = struct
     Alcotest.(check (option (pair (float 1e-9) int))) "pop none" None
       (S.pop h)
 
+  (* The seventeenth push makes the calendar queue re-tune its bucket
+     width to [82.5 /. 7.].  Then [82.5 /. width] falls just below 7,
+     placing the first 82.5 event in bucket 6, while [7. *. width]
+     rounds to exactly 82.5: bucket 6's window test must agree with
+     that placement, or the event pops after 95 and 97.5. *)
+  let test_bucket_boundary () =
+    let h = S.create () in
+    let times =
+      [ 97.5; 0.; 0.; 97.5; 0.; 82.5; 72.5; 0.; 0.; 70.; 0.; 0.; 95.; 82.5;
+        0.; 0.; 0. ]
+    in
+    List.iteri (fun i t -> ignore (S.push h ~time:(Time.of_seconds t) i)) times;
+    let expected =
+      List.stable_sort
+        (fun (a, _) (b, _) -> Float.compare a b)
+        (List.mapi (fun i t -> (t, i)) times)
+    in
+    Alcotest.(check (list (pair (float 0.) int)))
+      "(time, insertion) order" expected (drain h)
+
+  (* Pushes [n] events whose values each hold a 100 kB buffer, cancels
+     every fifth, drains the queue and returns weak pointers to the
+     buffers.  Kept out of line so that no stack slot of the caller
+     still points at a buffer when it collects. *)
+  let[@inline never] fill_and_drain h n =
+    let weak = Weak.create n in
+    let handles =
+      List.init n (fun i ->
+          let buf = Bytes.make 100_000 'x' in
+          Weak.set weak i (Some buf);
+          S.push h
+            ~time:(Time.of_seconds (float_of_int (i * 37 mod n)))
+            (fun () -> Bytes.length buf))
+    in
+    List.iteri (fun i handle -> if i mod 5 = 0 then ignore (S.cancel h handle))
+      handles;
+    ignore (Sys.opaque_identity (drain h));
+    weak
+
+  (* A fired or discarded event must not stay reachable from the queue:
+     its closure may capture arbitrarily large state. *)
+  let test_no_retention_after_drain () =
+    let h = S.create () in
+    let weak = fill_and_drain h 100 in
+    Gc.full_major ();
+    Gc.full_major ();
+    let alive = ref 0 in
+    for i = 0 to Weak.length weak - 1 do
+      if Weak.check weak i then incr alive
+    done;
+    Alcotest.(check int) "buffers still reachable" 0 !alive;
+    (* [h] stays live through both collections *)
+    Alcotest.(check bool) "drained" true (S.is_empty h)
+
   let cases =
     [
       Alcotest.test_case "orders by time" `Quick test_orders_by_time;
@@ -161,6 +215,10 @@ module Queue_suite (S : SCHED) = struct
         test_length_interleaved_cancel_pop;
       Alcotest.test_case "all cancelled is empty" `Quick
         test_all_cancelled_reports_empty;
+      Alcotest.test_case "drained events unreachable" `Quick
+        test_no_retention_after_drain;
+      Alcotest.test_case "event on a bucket boundary" `Quick
+        test_bucket_boundary;
     ]
 
   let prop_sorts name =
@@ -215,10 +273,14 @@ let queue_props =
 
 (* The determinism contract behind Engine's ?scheduler knob: an
    arbitrary interleaving of pushes, pops and cancels observes the
-   identical stream of (time, value) from both implementations. *)
+   identical stream of (time, value) from both implementations.  Times
+   come from 40 instants, so most events share their time with others
+   and pop order among them rests on the insertion-order tie-break;
+   scripts of up to 5,000 steps (about 3,000 pushes) sift deep heaps and
+   grow the queues' arrays several times over. *)
 let prop_heap_calendar_equivalent =
-  QCheck.Test.make ~count:400 ~name:"heap and calendar pop identical streams"
-    QCheck.(list (pair (float_range 0. 1000.) (int_range 0 9)))
+  QCheck.Test.make ~count:100 ~name:"heap and calendar pop identical streams"
+    QCheck.(list_of_size Gen.(0 -- 5000) (pair (int_bound 39) (int_range 0 9)))
     (fun script ->
       let module C = Cup_dess.Calendar_queue in
       let h = Heap.create () and c = C.create () in
@@ -227,11 +289,11 @@ let prop_heap_calendar_equivalent =
       let ok = ref true in
       let observe b = if not b then ok := false in
       List.iter
-        (fun (time, action) ->
+        (fun (instant, action) ->
           if action <= 5 then begin
             let v = !pushed in
             incr pushed;
-            let time = Time.of_seconds time in
+            let time = Time.of_seconds (2.5 *. float_of_int instant) in
             handles := (Heap.push h ~time v, C.push c ~time v) :: !handles
           end
           else if action <= 7 then begin

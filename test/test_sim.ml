@@ -730,6 +730,48 @@ let test_pinned_zipf_multikey () =
        (Policy.Logarithmic 0.5))
     "5a0606c6dd8b202889ce1e7c19e43bc5"
 
+(* [Scale.run] on a 4096-node ring: the summary block and every trace
+   record, rendered through [Scale.trace_line], digested together.  One
+   shard feeds the tracer straight from its work loop; two shards go
+   through the per-shard trace segments and their merge.  Both must
+   print the pinned bytes. *)
+
+module Scale = Cup_sim.Scale
+
+let scale_digest shards =
+  let cfg =
+    {
+      Scale.default with
+      seed = 7;
+      nodes = 4096;
+      keys = 256;
+      rate = 1000.;
+      shards;
+      lifetime = 4.;
+      query_start = 2.;
+      query_duration = 3.;
+      drain = 1.;
+    }
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  let r =
+    Scale.run
+      ~tracer:(fun ev ->
+        Buffer.add_string buf (Scale.trace_line ev);
+        Buffer.add_char buf '\n')
+      cfg
+  in
+  Buffer.add_string buf (Scale.summary r);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_pinned_scale () =
+  List.iter
+    (fun shards ->
+      Alcotest.(check string)
+        (Printf.sprintf "scale, %d shards" shards)
+        "80df4e502f99b28b06d643725494a318" (scale_digest shards))
+    [ 1; 2 ]
+
 (* {1 Replication} *)
 
 let test_replicate_statistics () =
@@ -1062,6 +1104,126 @@ let test_invalid_scenarios_rejected () =
       faults = Some (Scenario.Once_down { fraction = 2.; reduced = 0.5; warmup = 0. });
     }
 
+(* Every float field either validator checks must hold a finite value.
+   A bare [x <= 0.] test lets NaN through, and an infinite rate or
+   duration never finishes.  Each row gives a field, a valid value for
+   it, and the scenario with that field set. *)
+let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let non_finite_scenario_cases =
+  let up_down ?(fraction = 0.5) ?(reduced = 0.5) ?(warmup = 0.) ?(down = 10.)
+      ?(gap = 10.) () =
+    let spec = Scenario.Up_and_down { fraction; reduced; warmup; down; gap } in
+    { base with faults = Some spec }
+  in
+  let once_down ?(fraction = 0.5) ?(reduced = 0.5) ?(warmup = 0.) () =
+    let spec = Scenario.Once_down { fraction; reduced; warmup } in
+    { base with faults = Some spec }
+  in
+  let crashes ?(crash_rate = 0.01) ?(recover_after = 10.) ?(warmup = 0.) () =
+    { base with crashes = Some { Scenario.crash_rate; recover_after; warmup } }
+  in
+  let loss ?(drop = 0.1) ?(jitter = 0.5) () =
+    { base with loss = Some { Scenario.drop; jitter } }
+  in
+  let partition ?(fraction = 0.5) ?(p_start = 0.) ?(p_duration = 10.) () =
+    {
+      base with
+      partition =
+        Some { Scenario.fraction; p_start; p_duration; symmetric = true };
+    }
+  in
+  let reorder ?(r_probability = 0.5) ?(r_spread = 1.) () =
+    { base with reorder = Some { Scenario.r_probability; r_spread } }
+  in
+  let fields : (string * float * (float -> Scenario.t)) list =
+    [
+      ("keys_per_node", 1., fun x -> { base with keys_per_node = x });
+      ("replica_lifetime", 300., fun x -> { base with replica_lifetime = x });
+      ("death_prob", 0.5, fun x -> { base with death_prob = x });
+      ("hop_delay", 0.01, fun x -> { base with hop_delay = x });
+      ("query_rate", 1., fun x -> { base with query_rate = x });
+      ("query_start", 300., fun x -> { base with query_start = x });
+      ("query_duration", 900., fun x -> { base with query_duration = x });
+      ("drain", 300., fun x -> { base with drain = x });
+      ("zipf", 0.9, fun x -> { base with key_dist = `Zipf x });
+      ( "refresh_batch_window",
+        5.,
+        fun x -> { base with refresh_batch_window = x } );
+      ("refresh_sample", 0.5, fun x -> { base with refresh_sample = x });
+      ( "token bucket rate",
+        50.,
+        fun x -> { base with capacity_mode = Scenario.Token_bucket x } );
+      ("up-and-down fraction", 0.5, fun fraction -> up_down ~fraction ());
+      ("up-and-down reduced", 0.5, fun reduced -> up_down ~reduced ());
+      ("up-and-down warmup", 0., fun warmup -> up_down ~warmup ());
+      ("up-and-down down", 10., fun down -> up_down ~down ());
+      ("up-and-down gap", 10., fun gap -> up_down ~gap ());
+      ("once-down fraction", 0.5, fun fraction -> once_down ~fraction ());
+      ("once-down reduced", 0.5, fun reduced -> once_down ~reduced ());
+      ("once-down warmup", 60., fun warmup -> once_down ~warmup ());
+      ("crash_rate", 0.01, fun crash_rate -> crashes ~crash_rate ());
+      ("recover_after", 10., fun recover_after -> crashes ~recover_after ());
+      ("crash warmup", 30., fun warmup -> crashes ~warmup ());
+      ("drop", 0.1, fun drop -> loss ~drop ());
+      ("jitter", 0.5, fun jitter -> loss ~jitter ());
+      ("partition fraction", 0.5, fun fraction -> partition ~fraction ());
+      ("partition start", 0., fun p_start -> partition ~p_start ());
+      ("partition duration", 10., fun p_duration -> partition ~p_duration ());
+      ( "reorder probability",
+        0.5,
+        fun r_probability -> reorder ~r_probability () );
+      ("reorder spread", 1., fun r_spread -> reorder ~r_spread ());
+      ( "duplicate probability",
+        0.5,
+        fun d -> { base with duplication = Some { Scenario.d_probability = d } }
+      );
+    ]
+  in
+  List.map
+    (fun (name, valid, make) ->
+      Alcotest.test_case ("non-finite " ^ name) `Quick (fun () ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = %g accepted" name valid)
+            true
+            (Scenario.validate (make valid) = Ok ());
+          List.iter
+            (fun x ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s = %g rejected" name x)
+                true
+                (Result.is_error (Scenario.validate (make x))))
+            non_finite))
+    fields
+
+let non_finite_scale_cases =
+  let d = Scale.default in
+  let fields : (string * (float -> Scale.config)) list =
+    [
+      ("rate", fun rate -> { d with rate });
+      ("hop_delay", fun hop_delay -> { d with hop_delay });
+      ("lifetime", fun lifetime -> { d with lifetime });
+      ("query_start", fun query_start -> { d with query_start });
+      ("query_duration", fun query_duration -> { d with query_duration });
+      ("drain", fun drain -> { d with drain });
+      ("zipf", fun zipf -> { d with zipf });
+    ]
+  in
+  List.map
+    (fun (name, make) ->
+      Alcotest.test_case ("non-finite scale " ^ name) `Quick (fun () ->
+          List.iter
+            (fun x ->
+              match Scale.run (make x) with
+              | _ -> Alcotest.failf "Scale.run accepted %s = %g" name x
+              | exception Invalid_argument msg ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s = %g: %s" name x msg)
+                    true
+                    (String.starts_with ~prefix:("Scale.run: " ^ name) msg))
+            non_finite))
+    fields
+
 let test_runner_rejects_invalid () =
   Alcotest.check_raises "runner validates"
     (Invalid_argument "Runner: invalid scenario: nodes must be >= 1")
@@ -1171,6 +1333,7 @@ let () =
           Alcotest.test_case "token bucket + batching" `Quick
             test_pinned_token_bucket_batching;
           Alcotest.test_case "zipf multi-key" `Quick test_pinned_zipf_multikey;
+          Alcotest.test_case "scale, shards 1 and 2" `Quick test_pinned_scale;
         ] );
       ( "replication",
         [ Alcotest.test_case "statistics" `Quick test_replicate_statistics ] );
@@ -1199,7 +1362,8 @@ let () =
         [
           Alcotest.test_case "scenarios" `Quick test_invalid_scenarios_rejected;
           Alcotest.test_case "runner" `Quick test_runner_rejects_invalid;
-        ] );
+        ]
+        @ non_finite_scenario_cases @ non_finite_scale_cases );
       ( "experiments",
         [
           Alcotest.test_case "push level sweep" `Slow
