@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- --csv results    # also write CSV files
      dune exec bench/main.exe -- table1 --jobs 4  # fan runs over 4 domains
      dune exec bench/main.exe -- harness          # sequential-vs-parallel timing
-     dune exec bench/main.exe -- sched            # scheduler/route-cache before-after
+     dune exec bench/main.exe -- sched            # heap vs calendar throughput
      dune exec bench/main.exe -- scale            # 10k/100k/1M-node sharded runs
      dune exec bench/main.exe -- scale-smoke      # 10k only (CI)
      dune exec bench/main.exe -- attribution      # K=100 overhead + O(K) memory
@@ -571,21 +571,20 @@ let print_profiles scale =
       | None -> ())
     rows
 
-(* {1 Scheduler and route-cache before/after measurement} *)
+(* {1 Scheduler throughput: heap vs calendar} *)
 
-(* The Table 1 policy grid, always jobs=1, run under three engine
-   configurations:
+(* The Table 1 policy grid, always jobs=1, run under both engine
+   schedulers:
 
-     sched-heap-nocache   binary heap, route cache off  (the pre-PR shape)
-     sched-heap           binary heap, route cache on
-     sched-calendar       calendar queue, route cache on
+     sched-heap       binary heap
+     sched-calendar   calendar queue
 
    Aggregate events/sec (summed engine events over summed wall time)
    is the end-to-end number the perf work is judged by; the winner of
    heap-vs-calendar should match [Engine.default_scheduler].  Per-run
-   total costs are compared across all three configurations — any
-   difference means a scheduler or the route cache changed simulation
-   behaviour, which the determinism contract forbids.
+   total costs are compared across both configurations — any
+   difference means a scheduler changed simulation behaviour, which
+   the determinism contract forbids.
 
    [Experiments.table1] does not export its policy list, so the grid
    is restated here (keep in sync). *)
@@ -612,15 +611,14 @@ let sched scale =
       (fun policy -> List.map (fun rate -> (policy, rate)) (E.rates scale))
       sched_policies
   in
-  let run_grid ~scheduler ~route_cache =
+  let run_grid ~scheduler =
     List.fold_left
       (fun (events, wall, costs) (policy, rate) ->
         let cfg =
           Scenario.with_policy
             { base with
               Scenario.query_rate = rate;
-              scheduler = Some scheduler;
-              route_cache }
+              scheduler = Some scheduler }
             policy
         in
         let r = Cup_sim.Runner.run cfg in
@@ -629,17 +627,11 @@ let sched scale =
           Cup_metrics.Counters.total_cost r.counters :: costs ))
       (0, 0., []) grid
   in
-  let configs =
-    [
-      ("sched-heap-nocache", `Heap, false);
-      ("sched-heap", `Heap, true);
-      ("sched-calendar", `Calendar, true);
-    ]
-  in
+  let configs = [ ("sched-heap", `Heap); ("sched-calendar", `Calendar) ] in
   let results =
     List.map
-      (fun (name, scheduler, route_cache) ->
-        let events, wall, costs = run_grid ~scheduler ~route_cache in
+      (fun (name, scheduler) ->
+        let events, wall, costs = run_grid ~scheduler in
         let eps = if wall > 0. then float_of_int events /. wall else 0. in
         (name, events, wall, eps, costs))
       configs
@@ -657,10 +649,10 @@ let sched scale =
     Table.create
       ~title:
         (Printf.sprintf
-           "Scheduler / route cache: Table 1 grid end-to-end, jobs=1 (%d runs each)"
+           "Scheduler: Table 1 grid end-to-end, jobs=1 (%d runs each)"
            (List.length grid))
       ~columns:
-        [ "config"; "engine events"; "wall (s)"; "events/sec"; "vs baseline" ]
+        [ "config"; "engine events"; "wall (s)"; "events/sec"; "vs heap" ]
   in
   List.iter
     (fun (name, events, wall, eps, _) ->
@@ -723,28 +715,24 @@ let sched scale =
                    ("events_per_sec", Json.Float eps);
                  ])
              results) );
-      ( "improvement_vs_baseline",
-        Json.Float
-          (if baseline_eps > 0. then Float.max heap_eps cal_eps /. baseline_eps
-           else 1.) );
       ("winner", Json.String winner);
       ("default_scheduler", Json.String default);
       ("identical_results", Json.Bool identical);
     ];
   if not identical then begin
     prerr_endline
-      "sched: per-run results differ between scheduler/route-cache \
-       configurations — determinism contract broken";
+      "sched: per-run results differ between scheduler configurations \
+       — determinism contract broken";
     exit 1
   end
 
 (* {1 Fault-injection determinism and overhead} *)
 
-(* One crash+loss scenario run under every scheduler / route-cache
-   combination: the printed counters (including the fault line) must
-   be byte-identical, and the run must complete with the repair
-   machinery visibly firing.  This is the bench-side witness of the
-   fault-tolerance determinism contract. *)
+(* One crash+loss scenario run under both schedulers: the printed
+   counters (including the fault line) must be byte-identical, and the
+   run must complete with the repair machinery visibly firing.  This is
+   the bench-side witness of the fault-tolerance determinism
+   contract. *)
 let faults scale =
   let module Scenario = Cup_sim.Scenario in
   let module Policy = Cup_proto.Policy in
@@ -759,19 +747,12 @@ let faults scale =
       }
       Policy.second_chance
   in
-  let configs =
-    [
-      ("faults-heap", `Heap, true);
-      ("faults-heap-nocache", `Heap, false);
-      ("faults-calendar", `Calendar, true);
-    ]
-  in
+  let configs = [ ("faults-heap", `Heap); ("faults-calendar", `Calendar) ] in
   let results =
     List.map
-      (fun (name, scheduler, route_cache) ->
+      (fun (name, scheduler) ->
         let r =
-          Cup_sim.Runner.run
-            { cfg with Scenario.scheduler = Some scheduler; route_cache }
+          Cup_sim.Runner.run { cfg with Scenario.scheduler = Some scheduler }
         in
         (* Show the conservation identity in the compared bytes: the
            transport line is deterministic, so flipping it on for every
@@ -791,10 +772,9 @@ let faults scale =
   in
   let table =
     Table.create
-      ~title:"Fault injection: crash+loss run across scheduler/cache configs"
+      ~title:"Fault injection: crash+loss run under both schedulers"
       ~columns:
-        [ "config"; "lost"; "retries"; "repairs"; "unreachable";
-          "cache hit/miss"; "events/sec" ]
+        [ "config"; "lost"; "retries"; "repairs"; "unreachable"; "events/sec" ]
   in
   List.iter
     (fun (name, _, (r : Cup_sim.Runner.result)) ->
@@ -806,11 +786,6 @@ let faults scale =
           Table.cell_int (Cup_metrics.Counters.retries c);
           Table.cell_int (Cup_metrics.Counters.repairs c);
           Table.cell_int (Cup_metrics.Counters.unreachable c);
-          (* Host-independent but config-dependent: lives outside the
-             byte-compared counter block (Counters.pp), printed here. *)
-          Printf.sprintf "%d/%d"
-            (Cup_metrics.Counters.route_cache_hits c)
-            (Cup_metrics.Counters.route_cache_misses c);
           Printf.sprintf "%.0f" r.events_per_sec;
         ])
     results;
@@ -859,18 +834,14 @@ let faults scale =
                    ("repairs", Json.Int (Cup_metrics.Counters.repairs c));
                    ( "unreachable",
                      Json.Int (Cup_metrics.Counters.unreachable c) );
-                   ( "route_cache_hits",
-                     Json.Int (Cup_metrics.Counters.route_cache_hits c) );
-                   ( "route_cache_misses",
-                     Json.Int (Cup_metrics.Counters.route_cache_misses c) );
                    ("events_per_sec", Json.Float r.events_per_sec);
                  ])
              results) );
     ];
   if not identical then begin
     prerr_endline
-      "faults: counters differ between scheduler/route-cache configurations \
-       under fault injection — determinism contract broken";
+      "faults: counters differ between scheduler configurations under \
+       fault injection — determinism contract broken";
     exit 1
   end;
   if not conserved then begin
@@ -2255,7 +2226,7 @@ let () =
       section "Section 3.1 justified-update accounting";
       print_justification (E.justification ?pool scale));
   timed "sched" (fun () ->
-      section "Scheduler / route-cache before-after (always jobs=1)";
+      section "Scheduler heap vs calendar (always jobs=1)";
       sched scale);
   timed "faults" (fun () ->
       section "Fault injection: determinism and repair overhead";

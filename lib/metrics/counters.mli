@@ -97,11 +97,12 @@ val expose_transport : t -> unit
 val set_route_cache_stats : t -> hits:int -> misses:int -> unit
 (** Copy the overlay's next-hop cache tally
     ({!Cup_overlay.Net.route_cache_stats}) into this counter set at run
-    end.  Never printed by {!pp} — cache effectiveness varies across
-    cache configurations whose protocol results are byte-identical, so
-    it stays out of every deterministic surface and is read back only
-    through {!route_cache_hits}/{!route_cache_misses} (bench reports,
-    diagnostics). *)
+    end.  The runner's net has no cache, so every routing call is a
+    miss and the sum counts routing calls.  Never printed by {!pp} —
+    the tally depends on how the net routes, not on the protocol's
+    results — so it stays out of every deterministic surface and is
+    read back only through {!route_cache_hits}/{!route_cache_misses}
+    (benchmark reports, tests, diagnostics). *)
 
 (** {1 Reading} *)
 

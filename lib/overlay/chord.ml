@@ -130,19 +130,24 @@ let neighbors t id =
   Node_id.Set.elements
     (Node_id.Set.remove id (Node_id.Set.union out !inbound))
 
-let owns t node key =
+let node_owns t node key =
   let kp = key_pos key in
   if t.alive_count = 1 then true
   else
     let pred_pos = (get t node.pred).pos in
     in_oc ~a:pred_pos ~b:node.pos kp
 
+let owns t id key =
+  match Node_id.Table.find_opt t.nodes id with
+  | Some node when node.alive -> node_owns t node key
+  | Some _ | None -> false
+
 let next_hop t id key =
   match Node_id.Table.find_opt t.nodes id with
   | None -> Route.Stuck Route.Dead_node
   | Some node when not node.alive -> Route.Stuck Route.Dead_node
   | Some node ->
-      if owns t node key then Route.Owner
+      if node_owns t node key then Route.Owner
       else begin
         let kp = key_pos key in
         (* closest preceding finger: the finger whose position lies

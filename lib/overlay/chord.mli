@@ -58,6 +58,10 @@ val neighbors : t -> Node_id.t -> Node_id.t list
 val owner_of_key : t -> Key.t -> Node_id.t
 (** The successor of the key's ring hash. *)
 
+val owns : t -> Node_id.t -> Key.t -> bool
+(** Whether {!next_hop} answers [Owner]: the node is alive and the key
+    falls in its range. *)
+
 val next_hop : t -> Node_id.t -> Key.t -> Route.hop
 (** [Owner] when the node owns the key; otherwise [Forward] to the
     closest preceding finger (falling back to the successor), as in

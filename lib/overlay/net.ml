@@ -5,21 +5,16 @@ type impl =
   | Chord_net of Chord.t
   | Pastry_net of Pastry.t
 
-(* The simulation layer routes the same (node, key) pairs over and
-   over — every query for a key walks next_hop from the querying node,
-   and the key universe is small.  The overlays answer from static
-   routing state that only changes on membership events, so the
-   answers are cacheable: [hop_cache] memoizes next_hop per
+(* [hop_cache], when [route_cache] asks for it, memoizes next_hop per
    [Node_key] pair and is flushed whenever the underlying overlay's
-   generation counter moves (join/leave/churn). *)
+   generation counter moves (join/leave/churn).  The simulator leaves
+   it off: it routes only queries that are forwarded, and a flat CAN
+   [next_hop] costs little more than a table lookup. *)
 type t = {
   impl : impl;
   cache_enabled : bool;
   hop_cache : Route.hop Node_key.Table.t;
   mutable hop_gen : int; (* generation [hop_cache] entries belong to *)
-  churn_lookups : int; (* bypass threshold; 0 = never bypass *)
-  mutable gen_lookups : int; (* lookups served in the current generation *)
-  mutable bypass : bool; (* skip cache maintenance this generation *)
   mutable cache_hits : int;
   mutable cache_misses : int;
 }
@@ -30,7 +25,7 @@ type change = {
   affected : Node_id.t list;
 }
 
-let create ?rng ?(route_cache = true) ?(churn_lookups = 0) ~kind ~n () =
+let create ?rng ?(route_cache = false) ~kind ~n () =
   let impl =
     match kind with
     | Can placement -> Can_net (Topology.create ?rng ~n ~placement ())
@@ -42,9 +37,6 @@ let create ?rng ?(route_cache = true) ?(churn_lookups = 0) ~kind ~n () =
     cache_enabled = route_cache;
     hop_cache = Node_key.Table.create (if route_cache then 4096 else 1);
     hop_gen = -1;
-    churn_lookups;
-    gen_lookups = 0;
-    bypass = false;
     cache_hits = 0;
     cache_misses = 0;
   }
@@ -60,8 +52,6 @@ let generation net =
   | Can_net t -> Topology.generation t
   | Chord_net c -> Chord.generation c
   | Pastry_net p -> Pastry.generation p
-
-let route_cache_enabled net = net.cache_enabled
 
 let node_ids net =
   match net.impl with
@@ -87,9 +77,15 @@ let owner_of_key net key =
   | Chord_net c -> Chord.owner_of_key c key
   | Pastry_net p -> Pastry.owner_of_key p key
 
+let owns net id key =
+  match net.impl with
+  | Can_net t -> Topology.owns t id (Topology.key_point t key)
+  | Chord_net c -> Chord.owns c id key
+  | Pastry_net p -> Pastry.owns p id key
+
 let next_hop_uncached impl id key =
   match impl with
-  | Can_net t -> Topology.next_hop t id (Key.to_point key)
+  | Can_net t -> Topology.next_hop t id (Topology.key_point t key)
   | Chord_net c -> Chord.next_hop c id key
   | Pastry_net p -> Pastry.next_hop p id key
 
@@ -101,37 +97,20 @@ let next_hop net id key =
   else begin
     let gen = generation net in
     if gen <> net.hop_gen then begin
-      (* Under heavy churn a generation can be invalidated before the
-         refill pays for itself.  When the generation that just died
-         served fewer lookups than the refill would need to amortize,
-         route the next generation uncached instead of rebuilding — and
-         if it then survives past the threshold, resume caching. *)
-      net.bypass <-
-        net.churn_lookups > 0 && net.hop_gen >= 0
-        && net.gen_lookups < net.churn_lookups;
-      net.gen_lookups <- 0;
       if Node_key.Table.length net.hop_cache > 0 then
         Node_key.Table.reset net.hop_cache;
       net.hop_gen <- gen
     end;
-    net.gen_lookups <- net.gen_lookups + 1;
-    if net.bypass && net.gen_lookups > net.churn_lookups then
-      net.bypass <- false;
-    if net.bypass then begin
-      net.cache_misses <- net.cache_misses + 1;
-      next_hop_uncached net.impl id key
-    end
-    else
-      let packed = Node_key.pack id key in
-      match Node_key.Table.find_opt net.hop_cache packed with
-      | Some hop ->
-          net.cache_hits <- net.cache_hits + 1;
-          hop
-      | None ->
-          net.cache_misses <- net.cache_misses + 1;
-          let hop = next_hop_uncached net.impl id key in
-          Node_key.Table.add net.hop_cache packed hop;
-          hop
+    let packed = Node_key.pack id key in
+    match Node_key.Table.find_opt net.hop_cache packed with
+    | Some hop ->
+        net.cache_hits <- net.cache_hits + 1;
+        hop
+    | None ->
+        net.cache_misses <- net.cache_misses + 1;
+        let hop = next_hop_uncached net.impl id key in
+        Node_key.Table.add net.hop_cache packed hop;
+        hop
   end
 
 let route_cache_stats net = (net.cache_hits, net.cache_misses)
@@ -146,7 +125,7 @@ let route_limit net =
 let route net ~from key =
   if not net.cache_enabled then begin
     match net.impl with
-    | Can_net t -> Topology.route t ~from (Key.to_point key)
+    | Can_net t -> Topology.route t ~from (Topology.key_point t key)
     | Chord_net c -> Chord.route c ~from key
     | Pastry_net p -> Pastry.route p ~from key
   end

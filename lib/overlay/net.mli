@@ -21,7 +21,6 @@ type change = {
 val create :
   ?rng:Cup_prng.Rng.t ->
   ?route_cache:bool ->
-  ?churn_lookups:int ->
   kind:kind ->
   n:int ->
   unit ->
@@ -29,18 +28,13 @@ val create :
 (** [Can `Random] and [Chord] require [rng] for placement ([Chord]
     falls back to evenly-spaced positions without it).
 
-    [route_cache] (default [true]) enables the per-node next-hop
-    cache: {!next_hop} and {!route} answers are memoized per
-    (node, key) pair and invalidated wholesale whenever the overlay's
-    {!generation} moves (any join, leave, or churn event).  Caching
-    never changes any answer — overlay routing is a pure function of
-    the membership — so runs are byte-identical with it on or off.
-
-    [churn_lookups] (default [0] = off) adapts the cache to churn:
-    when a generation is invalidated after serving fewer than this
-    many lookups, the next generation is routed uncached (no refill
-    cost) until it proves stable by surviving that many lookups.
-    Speed-only, like [route_cache] itself. *)
+    [route_cache] (default [false]) enables a per-node next-hop cache:
+    {!next_hop} and {!route} answers are memoized per (node, key) pair
+    and invalidated wholesale whenever the overlay's {!generation}
+    moves (any join, leave, or churn event).  Caching never changes
+    any answer — overlay routing is a pure function of the membership
+    — so runs are byte-identical with it on or off.  The simulator
+    leaves it off: it routes a query only when a node forwards it. *)
 
 val size : t -> int
 
@@ -48,12 +42,11 @@ val generation : t -> int
 (** The underlying overlay's membership generation; bumped on every
     join and leave.  The next-hop cache is keyed to this stamp. *)
 
-val route_cache_enabled : t -> bool
-
 val route_cache_stats : t -> int * int
 (** [(hits, misses)] of the next-hop cache over this net's lifetime.
-    Bypassed and cache-disabled lookups count as misses.  Diagnostic
-    only — deliberately outside the deterministic counter set. *)
+    Without the cache every {!next_hop} call counts as a miss, so the
+    sum is the number of routing calls.  Diagnostic only — deliberately
+    outside the deterministic counter set. *)
 
 val node_ids : t -> Node_id.t list
 (** Alive node ids in increasing order; memoized per {!generation}. *)
@@ -61,6 +54,11 @@ val node_ids : t -> Node_id.t list
 val is_alive : t -> Node_id.t -> bool
 val neighbors : t -> Node_id.t -> Node_id.t list
 val owner_of_key : t -> Key.t -> Node_id.t
+
+val owns : t -> Node_id.t -> Key.t -> bool
+(** [owns net n key] is [true] exactly when {!next_hop}[ net n key] is
+    [Owner]: [n] is alive and its region/range contains the key.  It
+    makes no routing decision and is not counted as a routing call. *)
 
 val next_hop : t -> Node_id.t -> Key.t -> Route.hop
 (** [Owner] when the node's region/range contains the key; [Stuck]

@@ -35,6 +35,7 @@ end)
 type t = {
   nodes : node Node_id.Table.t;
   mutable ring : Node_id.t Pos_map.t;
+  mutable alive_count : int; (* [Pos_map.cardinal ring], which is O(n) *)
   leaf_radius : int;
   mutable next_id : int;
   mutable generation : int; (* bumped on every membership change *)
@@ -53,7 +54,7 @@ let get t id =
   | Some node when node.alive -> node
   | Some _ | None -> raise Not_found
 
-let size t = Pos_map.cardinal t.ring
+let size t = t.alive_count
 
 let generation t = t.generation
 
@@ -104,6 +105,8 @@ let closest_to t target =
   | None, None -> failwith "Pastry.closest_to: empty overlay"
 
 let owner_of_key t key = closest_to t (key_ident key)
+
+let owns t id key = is_alive t id && Node_id.equal (owner_of_key t key) id
 
 (* Rebuild one node's routing table and leaf set from the ring. *)
 let rebuild_node t node =
@@ -247,6 +250,7 @@ let fresh_node t ident =
   let node = { id; ident; table = [||]; leaves = [||]; alive = true } in
   Node_id.Table.replace t.nodes id node;
   t.ring <- Pos_map.add ident id t.ring;
+  t.alive_count <- t.alive_count + 1;
   t.generation <- t.generation + 1;
   node
 
@@ -279,6 +283,7 @@ let leave t id =
   let before = neighbor_snapshot t in
   node.alive <- false;
   t.ring <- Pos_map.remove node.ident t.ring;
+  t.alive_count <- t.alive_count - 1;
   t.generation <- t.generation + 1;
   let taker = closest_to t node.ident in
   rebuild_all t;
@@ -296,6 +301,7 @@ let create ?rng ?(leaf_radius = 4) ~n () =
     {
       nodes = Node_id.Table.create (2 * n);
       ring = Pos_map.empty;
+      alive_count = 0;
       leaf_radius;
       next_id = 0;
       generation = 0;
@@ -323,6 +329,10 @@ let create ?rng ?(leaf_radius = 4) ~n () =
 let check_invariants t =
   let ( let* ) = Result.bind in
   let* () = if size t >= 1 then Ok () else Error "empty overlay" in
+  let* () =
+    if t.alive_count = Pos_map.cardinal t.ring then Ok ()
+    else Error "alive count does not match ring"
+  in
   let ids = node_ids t in
   List.fold_left
     (fun acc id ->

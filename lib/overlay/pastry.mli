@@ -47,6 +47,10 @@ val owner_of_key : t -> Key.t -> Node_id.t
 (** The alive node numerically closest to the key's hash (ties break
     to the lower identifier). *)
 
+val owns : t -> Node_id.t -> Key.t -> bool
+(** Whether {!next_hop} answers [Owner]: the node is alive and
+    numerically closest to the key's hash. *)
+
 val next_hop : t -> Node_id.t -> Key.t -> Route.hop
 (** [Owner] when this node is numerically closest to the key's hash;
     [Forward] per the Pastry rule (longer prefix, else numerically

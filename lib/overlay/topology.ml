@@ -1,11 +1,12 @@
-(* Neighbor bookkeeping: each node keeps its neighbors as a
-   [Node_id]-keyed map from id to the neighbor's node record.  The map
-   only ever contains alive nodes ([leave] removes the departing node
-   from every neighbor's map), so the routing hot path — [next_hop]
-   folds over the current node's neighbors once per hop — touches no
-   hashtable and performs no per-neighbor [get].  Key order of the map
-   preserves the old [Node_id.Set] iteration order, so routing
-   tie-breaks and all published neighbor lists are unchanged.
+(* Routing state is flat.  Nodes sit in one array indexed by id.  A
+   node keeps its neighbors as an [int array] of ids in increasing
+   order, and its zones' bounds as one [float array], four floats per
+   zone ([x_lo; x_hi; y_lo; y_hi]) in the order of [zones].  So
+   [next_hop] is one loop over ints and unboxed floats: it looks up no
+   table, follows no list and allocates nothing per neighbor.  The
+   arrays only ever name alive nodes ([leave] removes the departing
+   node from every neighbor's array), and their increasing order gives
+   the routing tie-break, equal distance to the lower id, for free.
 
    Point location: CAN's zone-split history is kept as a binary
    space-partition tree over the unit square, so finding the zone that
@@ -24,12 +25,13 @@ type node = {
   id : Node_id.t;
   mutable zones : Zone.t list;
   mutable leaves : int list; (* the tree cells of [zones], same order *)
-  mutable neighbors : node Node_id.Map.t;
+  mutable bounds : float array; (* [zones] flattened, four floats each *)
+  mutable neighbors : int array; (* alive neighbor ids, increasing *)
   mutable alive : bool;
 }
 
 type t = {
-  nodes : node Node_id.Table.t;
+  mutable nodes : node array; (* by id; slots from [next_id] on are [vacant] *)
   mutable alive_count : int;
   mutable next_id : int;
   mutable generation : int; (* bumped on every membership change *)
@@ -38,6 +40,7 @@ type t = {
   mutable tags : int array; (* per cell: leaf owner, or inner code *)
   mutable mids : float array; (* per inner cell: the cut coordinate *)
   mutable cells : int; (* cells in use *)
+  mutable key_points : Point.t array; (* per key: its point, or [unset] *)
 }
 
 type change = {
@@ -46,10 +49,36 @@ type change = {
   affected : Node_id.t list;
 }
 
+(* Fills the node slots no id has reached yet.  Never mutated. *)
+let vacant =
+  {
+    id = Node_id.of_int 0;
+    zones = [];
+    leaves = [];
+    bounds = [||];
+    neighbors = [||];
+    alive = false;
+  }
+
+let bounds_of zones =
+  let b = Array.make (4 * List.length zones) 0. in
+  List.iteri
+    (fun i (z : Zone.t) ->
+      b.(4 * i) <- z.x_lo;
+      b.((4 * i) + 1) <- z.x_hi;
+      b.((4 * i) + 2) <- z.y_lo;
+      b.((4 * i) + 3) <- z.y_hi)
+    zones;
+  b
+
+let set_zones node zones leaves =
+  node.zones <- zones;
+  node.leaves <- leaves;
+  node.bounds <- bounds_of zones
+
 let get t id =
-  match Node_id.Table.find_opt t.nodes id with
-  | Some node when node.alive -> node
-  | Some _ | None -> raise Not_found
+  let i = Node_id.to_int id in
+  if i < t.next_id && t.nodes.(i).alive then t.nodes.(i) else raise Not_found
 
 let size t = t.alive_count
 
@@ -61,28 +90,26 @@ let generation t = t.generation
 let node_ids t =
   if t.ids_gen = t.generation then t.ids_cache
   else begin
-    let ids =
-      Node_id.Table.fold
-        (fun id node acc -> if node.alive then id :: acc else acc)
-        t.nodes []
-      |> List.sort Node_id.compare
-    in
+    let ids = ref [] in
+    for i = t.next_id - 1 downto 0 do
+      if t.nodes.(i).alive then ids := t.nodes.(i).id :: !ids
+    done;
     t.ids_gen <- t.generation;
-    t.ids_cache <- ids;
-    ids
+    t.ids_cache <- !ids;
+    !ids
   end
 
 let is_alive t id =
-  match Node_id.Table.find_opt t.nodes id with
-  | Some node -> node.alive
-  | None -> false
+  let i = Node_id.to_int id in
+  i < t.next_id && t.nodes.(i).alive
 
 let neighbors t id =
-  List.rev
-    (Node_id.Map.fold (fun nid _ acc -> nid :: acc) (get t id).neighbors [])
+  Array.fold_right
+    (fun n acc -> Node_id.of_int n :: acc)
+    (get t id).neighbors []
 
-let neighbor_nodes node =
-  List.rev (Node_id.Map.fold (fun _ n acc -> n :: acc) node.neighbors [])
+let neighbor_nodes t node =
+  Array.fold_right (fun n acc -> t.nodes.(n) :: acc) node.neighbors []
 
 let zones_of t id = (get t id).zones
 
@@ -91,12 +118,23 @@ let nodes_adjacent a b =
     (fun za -> List.exists (fun zb -> Zone.adjacent za zb) b.zones)
     a.zones
 
-let region_distance node p =
-  List.fold_left
-    (fun acc z -> Float.min acc (Zone.distance_to_point z p))
-    Float.infinity node.zones
+(* Whether one of the zones in [b], a node's [bounds] from zone [k] on,
+   holds [p]: {!Zone.contains}. *)
+let rec bounds_contain b (p : Point.t) k =
+  k < Array.length b
+  && ((b.(k) <= p.x && p.x < b.(k + 1) && b.(k + 2) <= p.y && p.y < b.(k + 3))
+     || bounds_contain b p (k + 4))
 
-let region_contains node p = List.exists (fun z -> Zone.contains z p) node.zones
+(* {!Zone.distance_to_point}'s term for one axis, in the same float
+   operations.  [if a <= b then a else b] stands in for [Float.min]:
+   the two agree on these non-negative, non-NaN values. *)
+let[@inline] axis_gap c lo hi =
+  if lo <= c && c < hi then 0.
+  else
+    let a = Float.abs (c -. lo) and b = Float.abs (c -. hi) in
+    let a = if a <= 1. -. a then a else 1. -. a in
+    let b = if b <= 1. -. b then b else 1. -. b in
+    if a <= b then a else b
 
 (* The leaf below cell [c] whose zone holds [p]. *)
 let rec leaf_below t c (p : Point.t) =
@@ -115,53 +153,124 @@ let leaf_of_point t p =
 
 let owner_of_point t p = Node_id.of_int t.tags.(leaf_of_point t p)
 
-let owner_of_key t k = owner_of_point t (Key.to_point k)
+(* A key's point is asked for on every routing call, so keep each
+   key's [Key.to_point] in [key_points], filled on first use, for keys
+   below [max_point_key]. *)
+let max_point_key = 1 lsl 20
+let unset = { Point.x = Float.nan; y = Float.nan }
 
-let next_hop t id p =
-  match Node_id.Table.find_opt t.nodes id with
-  | None -> Route.Stuck Route.Dead_node
-  | Some node when not node.alive -> Route.Stuck Route.Dead_node
-  | Some node ->
-      if region_contains node p then Route.Owner
-      else
-        let best =
-          Node_id.Map.fold
-            (fun nid nnode acc ->
-              let d = region_distance nnode p in
-              match acc with
-              | Some (_, best_d) when best_d < d -> acc
-              | Some (best_id, best_d)
-                when best_d = d && Node_id.compare best_id nid <= 0 ->
-                  acc
-              | Some _ | None -> Some (nid, d))
-            node.neighbors None
-        in
-        (match best with
-        | Some (nid, _) -> Route.Forward nid
-        | None -> Route.Stuck Route.No_progress)
+let key_point t key =
+  let k = Key.to_int key in
+  if k >= max_point_key then Key.to_point key
+  else begin
+    let n = Array.length t.key_points in
+    if k >= n then begin
+      let grown = Array.make (Stdlib.max (k + 1) (2 * n)) unset in
+      Array.blit t.key_points 0 grown 0 n;
+      t.key_points <- grown
+    end;
+    let p = t.key_points.(k) in
+    if p != unset then p
+    else begin
+      let p = Key.to_point key in
+      t.key_points.(k) <- p;
+      p
+    end
+  end
+
+let owner_of_key t k = owner_of_point t (key_point t k)
+
+let owns t id p =
+  is_alive t id && bounds_contain t.nodes.(Node_id.to_int id).bounds p 0
+
+(* Greedy CAN step: the neighbor whose region is closest to [p].  A
+   region's distance is the least [Zone.distance_to_point] over its
+   zones; neighbors are visited in increasing id order and only a
+   strictly smaller distance displaces the best so far, so ties go to
+   the lower id. *)
+let next_hop t id (p : Point.t) =
+  if not (is_alive t id) then Route.Stuck Route.Dead_node
+  else
+    let node = t.nodes.(Node_id.to_int id) in
+    if bounds_contain node.bounds p 0 then Route.Owner
+    else
+      let ns = node.neighbors in
+      if Array.length ns = 0 then Route.Stuck Route.No_progress
+      else begin
+        let best = ref ns.(0) and best_d = ref Float.infinity in
+        for j = 0 to Array.length ns - 1 do
+          let b = t.nodes.(ns.(j)).bounds in
+          let d = ref Float.infinity and k = ref 0 in
+          while !k < Array.length b do
+            let dx = axis_gap p.x b.(!k) b.(!k + 1) in
+            let dy = axis_gap p.y b.(!k + 2) b.(!k + 3) in
+            let dz = sqrt ((dx *. dx) +. (dy *. dy)) in
+            if dz < !d then d := dz;
+            k := !k + 4
+          done;
+          if j = 0 || !d < !best_d then begin
+            best := ns.(j);
+            best_d := !d
+          end
+        done;
+        Route.Forward (Node_id.of_int !best)
+      end
 
 let route t ~from p =
   Route.walk ~limit:((4 * t.alive_count) + 64)
     ~next_hop:(fun current -> next_hop t current p)
     from
 
+(* {2 Sorted neighbor arrays}  A node has a handful of neighbors and
+   edges change only on join and leave, so membership is a scan and an
+   edit is a copy. *)
+
+let rec index_of a (n : int) i =
+  if i = Array.length a then -1
+  else if a.(i) = n then i
+  else index_of a n (i + 1)
+
+let linked a n = index_of a n 0 >= 0
+
+let with_edge a n =
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) < n do
+    incr i
+  done;
+  let b = Array.make (Array.length a + 1) n in
+  Array.blit a 0 b 0 !i;
+  Array.blit a !i b (!i + 1) (Array.length a - !i);
+  b
+
+let without_edge a n =
+  let i = index_of a n 0 in
+  if i < 0 then a
+  else begin
+    let b = Array.make (Array.length a - 1) 0 in
+    Array.blit a 0 b 0 i;
+    Array.blit a (i + 1) b i (Array.length a - 1 - i);
+    b
+  end
+
 (* Recompute the neighbor relation between [node] and every candidate,
    fixing both directions.  Returns candidates whose sets changed. *)
 let refresh_edges node candidates =
+  let n = Node_id.to_int node.id in
   List.filter
     (fun cand ->
       if not cand.alive || Node_id.equal cand.id node.id then false
       else begin
-        let linked = nodes_adjacent node cand in
-        let had = Node_id.Map.mem cand.id node.neighbors in
-        if linked && not had then begin
-          node.neighbors <- Node_id.Map.add cand.id cand node.neighbors;
-          cand.neighbors <- Node_id.Map.add node.id node cand.neighbors;
+        let c = Node_id.to_int cand.id in
+        let adjacent = nodes_adjacent node cand in
+        let had = linked node.neighbors c in
+        if adjacent && not had then begin
+          node.neighbors <- with_edge node.neighbors c;
+          cand.neighbors <- with_edge cand.neighbors n;
           true
         end
-        else if (not linked) && had then begin
-          node.neighbors <- Node_id.Map.remove cand.id node.neighbors;
-          cand.neighbors <- Node_id.Map.remove node.id cand.neighbors;
+        else if (not adjacent) && had then begin
+          node.neighbors <- without_edge node.neighbors c;
+          cand.neighbors <- without_edge cand.neighbors n;
           true
         end
         else false
@@ -170,19 +279,22 @@ let refresh_edges node candidates =
 
 (* A new node owning [zone], whose tree leaf is [leaf]. *)
 let fresh_node t zone leaf =
-  let id = Node_id.of_int t.next_id in
-  t.next_id <- t.next_id + 1;
+  let i = t.next_id in
+  if i = Array.length t.nodes then
+    t.nodes <- Array.append t.nodes (Array.make (Stdlib.max 1 i) vacant);
   let node =
     {
-      id;
+      id = Node_id.of_int i;
       zones = [ zone ];
       leaves = [ leaf ];
-      neighbors = Node_id.Map.empty;
+      bounds = bounds_of [ zone ];
+      neighbors = [||];
       alive = true;
     }
   in
-  Node_id.Table.replace t.nodes id node;
-  t.tags.(leaf) <- (id :> int);
+  t.nodes.(i) <- node;
+  t.next_id <- i + 1;
+  t.tags.(leaf) <- i;
   t.alive_count <- t.alive_count + 1;
   t.generation <- t.generation + 1;
   node
@@ -223,14 +335,14 @@ let join_at t p =
       if Zone.contains low p then (high, low_cell + 1, low, low_cell)
       else (low, low_cell, high, low_cell + 1)
     in
-    owner.zones <-
-      keep :: List.filter (fun z -> not (Zone.equal z zone)) owner.zones;
-    owner.leaves <- keep_cell :: List.filter (fun c -> c <> leaf) owner.leaves;
+    set_zones owner
+      (keep :: List.filter (fun z -> not (Zone.equal z zone)) owner.zones)
+      (keep_cell :: List.filter (fun c -> c <> leaf) owner.leaves);
     t.tags.(keep_cell) <- (owner.id :> int);
     let node = fresh_node t give give_cell in
     (* Only previous neighbors of the split node (and the split node
        itself) can gain or lose an edge. *)
-    let candidates = owner :: neighbor_nodes owner in
+    let candidates = owner :: neighbor_nodes t owner in
     let touched_new = refresh_edges node candidates in
     let touched_owner = refresh_edges owner candidates in
     let affected =
@@ -257,7 +369,7 @@ let leave t id =
     with Not_found -> invalid_arg "Topology.leave: unknown or dead node"
   in
   if t.alive_count = 1 then invalid_arg "Topology.leave: cannot remove last node";
-  let departing_neighbors = neighbor_nodes node in
+  let departing_neighbors = neighbor_nodes t node in
   (* CAN takeover rule: the neighbor with the smallest region absorbs
      the departing zones (lowest id on ties, for determinism).  A
      single fold instead of sorting the whole neighbor list. *)
@@ -280,16 +392,16 @@ let leave t id =
   node.alive <- false;
   t.alive_count <- t.alive_count - 1;
   t.generation <- t.generation + 1;
-  (* Drop the departed node from every neighbor's map. *)
+  (* Drop the departed node from every neighbor's array. *)
+  let gone = Node_id.to_int id in
   List.iter
-    (fun n -> n.neighbors <- Node_id.Map.remove id n.neighbors)
+    (fun n -> n.neighbors <- without_edge n.neighbors gone)
     departing_neighbors;
-  taker.zones <- node.zones @ taker.zones;
-  taker.leaves <- node.leaves @ taker.leaves;
+  set_zones taker (node.zones @ taker.zones) (node.leaves @ taker.leaves);
   List.iter (fun c -> t.tags.(c) <- (taker.id :> int)) node.leaves;
   let candidates =
     List.filter (fun n -> not (Node_id.equal n.id taker.id)) departing_neighbors
-    @ neighbor_nodes taker
+    @ neighbor_nodes t taker
   in
   let touched = refresh_edges taker candidates in
   let affected =
@@ -304,7 +416,7 @@ let create ?rng ~n ~placement () =
   if n < 1 then invalid_arg "Topology.create: n must be >= 1";
   let t =
     {
-      nodes = Node_id.Table.create (2 * n);
+      nodes = Array.make n vacant;
       alive_count = 0;
       next_id = 0;
       generation = 0;
@@ -313,6 +425,7 @@ let create ?rng ~n ~placement () =
       tags = Array.make (2 * n) 0;
       mids = Array.make (2 * n) 0.;
       cells = 0;
+      key_points = [||];
     }
   in
   ignore (join_at t (Point.make ~x:0.5 ~y:0.5));
@@ -339,14 +452,23 @@ let create ?rng ~n ~placement () =
 
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
+  let* () =
+    let misplaced = ref None in
+    Array.iteri
+      (fun i node ->
+        if i < t.next_id && Node_id.to_int node.id <> i then misplaced := Some i
+        else if i >= t.next_id && node != vacant then misplaced := Some i)
+      t.nodes;
+    match !misplaced with
+    | None -> Ok ()
+    | Some i -> Error (Printf.sprintf "node slot %d holds the wrong node" i)
+  in
   let all =
-    Node_id.Table.fold
-      (fun _ node acc -> if node.alive then node :: acc else acc)
-      t.nodes []
+    List.filter (fun node -> node.alive) (Array.to_list t.nodes)
   in
   let* () =
     if List.length all = t.alive_count then Ok ()
-    else Error "alive count does not match table"
+    else Error "alive count does not match the node array"
   in
   let volume =
     List.fold_left (fun acc node -> acc +. total_volume node) 0. all
@@ -368,10 +490,9 @@ let check_invariants t =
   let rec check_cell c zone count =
     let tag = t.tags.(c) in
     if tag >= 0 then
-      match Node_id.Table.find_opt t.nodes (Node_id.of_int tag) with
-      | Some owner when owner.alive && held c zone owner.leaves owner.zones ->
-          Ok (count + 1)
-      | Some _ | None ->
+      match get t (Node_id.of_int tag) with
+      | owner when held c zone owner.leaves owner.zones -> Ok (count + 1)
+      | _ | (exception Not_found) ->
           Error
             (Format.asprintf "tree leaf %d: zone %a not held by alive n%d" c
                Zone.pp zone tag)
@@ -399,36 +520,25 @@ let check_invariants t =
         (Printf.sprintf "tree has %d leaves; alive nodes hold %d zones, %d leaves"
            tree_leaves zones leaves)
   in
+  (* The flat routing state: bounds are the zones flattened, and the
+     neighbor array is exactly the geometrically adjacent alive nodes,
+     in increasing order ([all] is in id order). *)
   let check_node node =
     let geometric =
       List.filter
         (fun other ->
           (not (Node_id.equal other.id node.id)) && nodes_adjacent node other)
         all
-      |> List.map (fun n -> n.id)
-      |> Node_id.Set.of_list
+      |> List.map (fun n -> Node_id.to_int n.id)
+      |> Array.of_list
     in
-    let recorded =
-      Node_id.Map.fold
-        (fun nid _ acc -> Node_id.Set.add nid acc)
-        node.neighbors Node_id.Set.empty
-    in
-    if not (Node_id.Set.equal geometric recorded) then
+    if node.bounds <> bounds_of node.zones then
       Error
-        (Format.asprintf "node %a: neighbor set out of sync" Node_id.pp node.id)
-    else if
-      Node_id.Map.exists
-        (fun nid nnode ->
-          (not nnode.alive)
-          || (not (Node_id.Map.mem node.id nnode.neighbors))
-          ||
-          match Node_id.Table.find_opt t.nodes nid with
-          | Some other -> not (other == nnode)
-          | None -> true)
-        node.neighbors
-    then
+        (Format.asprintf "node %a: zone bounds out of sync" Node_id.pp node.id)
+    else if node.neighbors <> geometric then
       Error
-        (Format.asprintf "node %a: asymmetric or stale edge" Node_id.pp node.id)
+        (Format.asprintf "node %a: neighbor array out of sync" Node_id.pp
+           node.id)
     else Ok ()
   in
   List.fold_left

@@ -63,16 +63,28 @@ val owner_of_point : t -> Point.t -> Node_id.t
     ⌈log₂ n⌉ right after a [`Grid] build; a leave adds no depth.
     Raises [Failure] for a point outside the unit square. *)
 
+val key_point : t -> Key.t -> Point.t
+(** [Key.to_point], kept per key index after its first use (for keys
+    below 2{^20}), so routing a key does not hash it again. *)
+
 val owner_of_key : t -> Key.t -> Node_id.t
 (** [owner_of_point] of the key's hash — the key's authority node. *)
+
+val owns : t -> Node_id.t -> Point.t -> bool
+(** [owns t n p] is [true] exactly when {!next_hop}[ t n p] is [Owner]:
+    [n] is alive and its region contains [p].  It looks at [n]'s own
+    zones only, never at its neighbors. *)
 
 val next_hop : t -> Node_id.t -> Point.t -> Route.hop
 (** [next_hop t n p] is [Owner] when [n]'s region contains [p],
     otherwise [Forward] to the neighbor whose region is closest to [p]
-    (ties broken by lowest id).  [Stuck Dead_node] for a dead or
-    unknown [n]; [Stuck No_progress] when [n] has no neighbors —
-    impossible while the tiling invariant holds, but reported as data
-    rather than raised so fault injection cannot abort a run. *)
+    ({!Zone.distance_to_point}, least over the neighbor's zones; ties
+    broken by lowest id).  [Stuck Dead_node] for a dead or unknown
+    [n]; [Stuck No_progress] when [n] has no neighbors — impossible
+    while the tiling invariant holds, but reported as data rather than
+    raised so fault injection cannot abort a run.  One loop over flat
+    arrays of neighbor ids and zone bounds; it allocates only the
+    answer. *)
 
 val route : t -> from:Node_id.t -> Point.t -> Route.t
 (** [Delivered hops]: successive hops from [from] (exclusive) to the
@@ -96,5 +108,8 @@ val leave : t -> Node_id.t -> change
 val check_invariants : t -> (unit, string) result
 (** Full O(n^2) consistency check: zones tile the torus (volumes sum
     to 1), the zone-split tree's leaves are exactly the alive nodes'
-    zones and each leaf's owner holds its zone, and neighbor sets are
-    symmetric and match geometric adjacency.  For tests. *)
+    zones and each leaf's owner holds its zone, and the flat routing
+    state matches the geometry: each node's slot in the node array
+    holds it, its zone bounds are its zones', and its neighbor array
+    lists exactly the alive nodes adjacent to it, in increasing order.
+    For tests. *)

@@ -43,7 +43,15 @@ let view store node = { store; node }
 let stats t = Store.stats t.store
 
 let handle_query t ~now ~next_hop source key =
-  Store.handle_query t.store ~node:t.node ~now ~next_hop source key
+  match next_hop with
+  | None ->
+      Store.handle_query t.store ~node:t.node ~now ~owner:true
+        ~route:(fun _ _ -> Cup_overlay.Route.Owner)
+        source key
+  | Some hop ->
+      Store.handle_query t.store ~node:t.node ~now ~owner:false
+        ~route:(fun _ _ -> Cup_overlay.Route.Forward hop)
+        source key
 
 let handle_update t ~now ~from update =
   Store.handle_update t.store ~node:t.node ~now ~from update

@@ -66,7 +66,9 @@ val handle_query :
   source ->
   Cup_overlay.Key.t ->
   action list
-(** {!Node_store.handle_query}. *)
+(** {!Node_store.handle_query} with the routing decision made up
+    front: [None] when the node's zone contains the key, [Some hop]
+    for where a pushed query instance goes. *)
 
 val handle_update :
   t ->

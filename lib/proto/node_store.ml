@@ -281,60 +281,96 @@ let answer_as_authority t ls ~now key source =
       t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
       [ Send_update { to_ = from; update; answering = true } ]
 
-let handle_query t ~node ~now ~next_hop source key =
-  t.stats.queries_in <- t.stats.queries_in + 1;
+(* Where a query for a key this node does not own pushes its query
+   instance, given the key's [cached] state and its [fresh] entries:
+   [none] when the node answers it from fresh entries or coalesces it
+   into a pending instance, else [route]'s next hop, or [unroutable]
+   when [route] has none.  Decided before the query changes any state,
+   so an unroutable query leaves none behind. *)
+let unroutable = -2
+
+let push_target t ~node ~route key cached fresh =
+  let pushes =
+    Replica_id.Map.is_empty fresh
+    &&
+    match cached with
+    | Some state ->
+        not (state.pending_first && Policy.coalesces_queries t.config.policy)
+    | None -> true
+  in
+  if not pushes then none
+  else
+    match route node key with
+    | Cup_overlay.Route.Forward hop -> Node_id.to_int hop
+    | Cup_overlay.Route.Owner | Cup_overlay.Route.Stuck _ -> unroutable
+
+let handle_query t ~node ~now ~owner ~route source key =
   match find_local t node key with
   | Some ls ->
+      t.stats.queries_in <- t.stats.queries_in + 1;
       t.stats.cache_answers <- t.stats.cache_answers + 1;
       answer_as_authority t ls ~now key source
-  | None when next_hop = None ->
-      (* Routing says our zone contains the key but we have no
-         directory for it: become its (empty) authority. *)
+  | None when owner ->
+      (* Our zone contains the key but we have no directory for it:
+         become its (empty) authority. *)
+      t.stats.queries_in <- t.stats.queries_in + 1;
       answer_as_authority t (add_state t t.local node key) ~now key source
-  | None -> (
-      let state = get_state t node key in
-      (* Bookkeeping common to all three cases. *)
-      state.queries_since_update <- state.queries_since_update + 1;
-      (match source with
-      | From_neighbor from -> Interest.set state.interest from
-      | From_local _ -> ());
-      match fresh_entry_list state ~now with
-      | _ :: _ as entries -> (
-          (* Case 1: fresh entries cached — answer immediately. *)
-          t.stats.cache_answers <- t.stats.cache_answers + 1;
-          match source with
-          | From_local posted ->
-              [
-                Answer_local
-                  { key; entries; posted_at = [ posted ]; hit = true };
-              ]
-          | From_neighbor from ->
-              let update =
-                Update.first_time ~key ~entries ~level:(state.distance + 1)
-              in
-              t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-              [ Send_update { to_ = from; update; answering = true } ])
-      | [] ->
-          (* Cases 2 and 3: no usable entries.  Queue local clients;
-             push one query instance unless one is already pending. *)
-          (match source with
-          | From_local posted -> state.waiters <- posted :: state.waiters
-          | From_neighbor from ->
-              state.waiting <- Node_id.Set.add from state.waiting);
-          if state.pending_first && Policy.coalesces_queries t.config.policy
-          then begin
-            t.stats.queries_coalesced <- t.stats.queries_coalesced + 1;
-            []
-          end
-          else begin
-            state.pending_first <- true;
-            state.cut_sent <- false;
-            match next_hop with
-            | Some hop ->
-                state.queried_to <- Node_id.to_int hop;
-                [ Send_query { to_ = hop; key } ]
-            | None -> assert false (* handled above *)
-          end)
+  | None ->
+      let cached = find_cache t node key in
+      let fresh =
+        match cached with
+        | Some state -> prune_expired state.entries ~now
+        | None -> Replica_id.Map.empty
+      in
+      let target = push_target t ~node ~route key cached fresh in
+      if target = unroutable then []
+      else begin
+        t.stats.queries_in <- t.stats.queries_in + 1;
+        let state =
+          match cached with
+          | Some state -> state
+          | None -> add_state t t.cache node key
+        in
+        state.entries <- fresh;
+        (* Bookkeeping common to all three cases. *)
+        state.queries_since_update <- state.queries_since_update + 1;
+        (match source with
+        | From_neighbor from -> Interest.set state.interest from
+        | From_local _ -> ());
+        match List.map snd (Replica_id.Map.bindings fresh) with
+        | _ :: _ as entries -> (
+            (* Case 1: fresh entries cached — answer immediately. *)
+            t.stats.cache_answers <- t.stats.cache_answers + 1;
+            match source with
+            | From_local posted ->
+                [
+                  Answer_local
+                    { key; entries; posted_at = [ posted ]; hit = true };
+                ]
+            | From_neighbor from ->
+                let update =
+                  Update.first_time ~key ~entries ~level:(state.distance + 1)
+                in
+                t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+                [ Send_update { to_ = from; update; answering = true } ])
+        | [] ->
+            (* Cases 2 and 3: no usable entries.  Queue local clients;
+               push one query instance unless one is already pending. *)
+            (match source with
+            | From_local posted -> state.waiters <- posted :: state.waiters
+            | From_neighbor from ->
+                state.waiting <- Node_id.Set.add from state.waiting);
+            if target = none then begin
+              t.stats.queries_coalesced <- t.stats.queries_coalesced + 1;
+              []
+            end
+            else begin
+              state.pending_first <- true;
+              state.cut_sent <- false;
+              state.queried_to <- target;
+              [ Send_query { to_ = Node_id.of_int target; key } ]
+            end
+      end
 
 (* {2 Updates (Section 2.6)} *)
 

@@ -107,14 +107,22 @@ val handle_query :
   t ->
   node:Cup_overlay.Node_id.t ->
   now:Cup_dess.Time.t ->
-  next_hop:Cup_overlay.Node_id.t option ->
+  owner:bool ->
+  route:(Cup_overlay.Node_id.t -> Cup_overlay.Key.t -> Cup_overlay.Route.hop) ->
   source ->
   Cup_overlay.Key.t ->
   action list
-(** Section 2.5.  [next_hop] is the routing decision toward the key's
-    authority ([None] when this node's zone contains the key — then
-    the node answers as authority, with an empty entry set if it has
-    no directory entries for the key). *)
+(** Section 2.5.  [owner] says whether this node's zone contains the
+    key; then the node answers as authority, with an empty entry set
+    if it has no directory entries for the key.  Otherwise a node with
+    fresh cached entries answers from them, and a node with a query
+    instance already pending coalesces the query into it.  Only a node
+    that pushes a query instance toward the authority needs a routing
+    decision: it calls [route node key] exactly once, before the query
+    changes any state, and sends to the [Forward] hop.  Any other
+    answer makes the query unroutable: the handler returns [[]] and
+    leaves every state and {!stats} as they were, so the caller, whose
+    [route] saw the failure, can count it. *)
 
 val handle_update :
   t ->

@@ -110,6 +110,9 @@ type live = {
   cfg : Scenario.t;
   engine : Engine.t;
   net : Net.t;
+  route : Node_id.t -> Key.t -> Route.hop;
+      (* [Net.next_hop] for {!Node_store.handle_query}, counting a query
+         it cannot route as unreachable; built once, not per query *)
   store : Node_store.t; (* every node's protocol state *)
   keys : Key.t array;
   authority : Node_id.t Key.Table.t;
@@ -553,19 +556,10 @@ and deliver_query t ~ctx ?(sid = 0) ?(attempt = 0) ~from ~to_ key =
     Counters.record_delivered t.counters;
     if attempt > 0 then Counters.record_repair t.counters;
     judge_pending_updates t ~node:to_ ~key;
-    match Net.next_hop t.net to_ key with
-    | Route.Stuck _ ->
-        (* The receiver can make no routing progress toward the key's
-           authority: the query dies here, typed, instead of the old
-           [failwith] escaping the engine. *)
-        Counters.record_unreachable t.counters
-    | (Route.Owner | Route.Forward _) as hop ->
-        let next_hop =
-          match hop with Route.Forward h -> Some h | _ -> None
-        in
-        perform t ~ctx:(child_ctx ctx sid) ~from:to_
-          (Node_store.handle_query t.store ~node:to_ ~now:(now t) ~next_hop
-             (Node.From_neighbor from) key)
+    perform t ~ctx:(child_ctx ctx sid) ~from:to_
+      (Node_store.handle_query t.store ~node:to_ ~now:(now t)
+         ~owner:(Net.owns t.net to_ key) ~route:t.route
+         (Node.From_neighbor from) key)
   end
   else begin
     (* The next hop crashed with the query in flight: the sender times
@@ -1039,15 +1033,10 @@ let post_query t ~node ~key =
           ~node:(Node_id.to_int node)
           ~now:(Time.to_seconds (now t))
     | None -> ());
-    match Net.next_hop t.net node key with
-    | Route.Stuck _ -> Counters.record_unreachable t.counters
-    | (Route.Owner | Route.Forward _) as hop ->
-        let next_hop =
-          match hop with Route.Forward h -> Some h | _ -> None
-        in
-        perform t ~ctx ~from:node
-          (Node_store.handle_query t.store ~node ~now:(now t) ~next_hop
-             (Node.From_local (now t)) key)
+    perform t ~ctx ~from:node
+      (Node_store.handle_query t.store ~node ~now:(now t)
+         ~owner:(Net.owns t.net node key) ~route:t.route
+         (Node.From_local (now t)) key)
   end
 
 (* {2 Workload pumps}
@@ -1188,10 +1177,16 @@ let create_base cfg =
   | Error msg -> invalid_arg ("Runner: invalid scenario: " ^ msg));
   let root = Rng.create ~seed:cfg.Scenario.seed in
   let topo_rng = Rng.substream root "topology" in
-  let net =
-    Net.create ~rng:topo_rng ~route_cache:cfg.route_cache
-      ~churn_lookups:cfg.route_cache_churn_lookups ~kind:cfg.overlay
-      ~n:cfg.nodes ()
+  let net = Net.create ~rng:topo_rng ~kind:cfg.overlay ~n:cfg.nodes () in
+  let counters = Counters.create () in
+  (* A query its receiver cannot route toward the key's authority dies
+     there and is counted, instead of escaping the engine. *)
+  let route node key =
+    match Net.next_hop net node key with
+    | Route.Forward _ as hop -> hop
+    | (Route.Owner | Route.Stuck _) as hop ->
+        Counters.record_unreachable counters;
+        hop
   in
   let store = Node_store.create ~nodes:cfg.nodes cfg.node_config in
   let keys = Array.init (Scenario.total_keys cfg) Key.of_int in
@@ -1207,10 +1202,11 @@ let create_base cfg =
       cfg;
       engine = Engine.create ?scheduler:cfg.scheduler ();
       net;
+      route;
       store;
       keys;
       authority;
-      counters = Counters.create ();
+      counters;
       capacity = Node_id.Table.create 16;
       channels = Node_id.Table.create 16;
       topo_rng;

@@ -2,6 +2,7 @@
    See scale.mli for the synchronization and byte-identity contract. *)
 
 module Ring = Cup_overlay.Ring
+module Route = Cup_overlay.Route
 module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
 module Node = Cup_proto.Node
@@ -360,12 +361,14 @@ let run ?tracer cfg =
                  }
                ()))
   in
-  let next_hop_of node key =
+  let owns node key = Ring.owner ring (Key.to_int key) = node in
+  let route node key =
     match
-      Ring.next_hop ring ~node ~target:(Ring.owner ring (Key.to_int key))
+      Ring.next_hop ring ~node:(Node_id.to_int node)
+        ~target:(Ring.owner ring (Key.to_int key))
     with
-    | None -> None
-    | Some h -> Some (Node_id.of_int h)
+    | None -> Route.Owner
+    | Some h -> Route.Forward (Node_id.of_int h)
   in
   let traced = tracer <> None in
   (* With one shard the per-window work list is the canonical order
@@ -470,7 +473,7 @@ let run ?tracer cfg =
             | P_query key ->
                 exec m.dst
                   (Node_store.handle_query store ~node:nid ~now
-                     ~next_hop:(next_hop_of m.dst key)
+                     ~owner:(owns m.dst key) ~route
                      (Node.From_neighbor from) key)
             | P_update (u, answering) ->
                 (match at with
@@ -508,7 +511,7 @@ let run ?tracer cfg =
             let k = Key.of_int key in
             let acts =
               Node_store.handle_query store ~node:(Node_id.of_int node) ~now
-                ~next_hop:(next_hop_of node k) (Node.From_local now) k
+                ~owner:(owns node k) ~route (Node.From_local now) k
             in
             let hit =
               List.exists

@@ -37,7 +37,6 @@ type t = {
   nodes : int;
   overlay : Cup_overlay.Net.kind;
   scheduler : Cup_dess.Engine.scheduler option;
-  route_cache : bool;
   keys_per_node : float;
   total_keys_override : int option;
   replicas_per_key : int;
@@ -62,7 +61,6 @@ type t = {
   refresh_sample : float;
   piggyback_clear_bits : bool;
   flat_node_state : bool;
-  route_cache_churn_lookups : int;
 }
 
 let default =
@@ -71,7 +69,6 @@ let default =
     nodes = 256;
     overlay = Cup_overlay.Net.Can `Random;
     scheduler = None;
-    route_cache = true;
     keys_per_node = 1.;
     total_keys_override = None;
     replicas_per_key = 1;
@@ -96,7 +93,6 @@ let default =
     refresh_sample = 1.;
     piggyback_clear_bits = false;
     flat_node_state = false;
-    route_cache_churn_lookups = 64;
   }
 
 let sim_end t = t.query_start +. t.query_duration +. t.drain
@@ -152,11 +148,6 @@ let validate t =
   in
   let* () = nonneg "refresh_batch_window" t.refresh_batch_window in
   let* () = unit_interval "refresh_sample" t.refresh_sample in
-  let* () =
-    check
-      (t.route_cache_churn_lookups >= 0)
-      "route_cache_churn_lookups must be >= 0"
-  in
   let* () =
     match t.capacity_mode with
     | Bernoulli -> Ok ()

@@ -103,9 +103,6 @@ type t = {
           defers to {!Cup_dess.Engine.default_scheduler}.  Either
           choice produces byte-identical results — this knob only
           affects wall-clock speed. *)
-  route_cache : bool;
-      (** enable the overlay's per-node next-hop cache (default
-          [true]); never changes results, only speed *)
   keys_per_node : float;
   total_keys_override : int option;
       (** when set, the exact number of keys in the global index; the
@@ -168,13 +165,6 @@ type t = {
           benchmark's [proto.flat_over_map_wall] pair sets it (the
           pair now reads about 1.0); it goes once that pair is
           dropped. *)
-  route_cache_churn_lookups : int;
-      (** the overlay's next-hop cache is bypassed for a topology
-          generation when the {e previous} generation served fewer than
-          this many lookups before being invalidated — refilling a
-          cache that churns faster than it is read costs more than
-          routing uncached.  [0] never bypasses.  Speed-only knob:
-          results are byte-identical regardless. *)
 }
 
 val default : t

@@ -380,6 +380,142 @@ let test_grid_matches_largest_zone_rule () =
     ignore (T.join_at reference (Zone.center (snd (Zone.split zone))))
   done
 
+(* {1 Routing: flat next_hop vs the neighbor-map fold} *)
+
+(* Reference oracle: [Topology.next_hop] as it was before its routing
+   state went flat — a fold over a [Node_id.Map] of neighbor records in
+   increasing id order, a neighbor's distance the least
+   [Zone.distance_to_point] over its zone list, ties to the lower id.
+   The map is rebuilt from the geometry (alive nodes with an abutting
+   zone), never read from the topology, so a stale neighbor array or
+   stale zone bounds cannot fool both sides. *)
+let reference_neighbors t =
+  let ids = T.node_ids t in
+  List.map
+    (fun id ->
+      let zones = T.zones_of t id in
+      let map =
+        List.fold_left
+          (fun m other ->
+            let other_zones = T.zones_of t other in
+            if
+              (not (Node_id.equal other id))
+              && List.exists
+                   (fun a -> List.exists (Zone.adjacent a) other_zones)
+                   zones
+            then Node_id.Map.add other other_zones m
+            else m)
+          Node_id.Map.empty ids
+      in
+      (id, (zones, map)))
+    ids
+
+let reference_next_hop (zones, neighbors) p =
+  if List.exists (fun z -> Zone.contains z p) zones then Route.Owner
+  else
+    let region_distance zs =
+      List.fold_left
+        (fun acc z -> Float.min acc (Zone.distance_to_point z p))
+        Float.infinity zs
+    in
+    let best =
+      Node_id.Map.fold
+        (fun nid zs acc ->
+          let d = region_distance zs in
+          match acc with
+          | Some (_, best_d) when best_d < d -> acc
+          | Some (best_id, best_d)
+            when best_d = d && Node_id.compare best_id nid <= 0 ->
+              acc
+          | Some _ | None -> Some (nid, d))
+        neighbors None
+    in
+    match best with
+    | Some (nid, _) -> Route.Forward nid
+    | None -> Route.Stuck Route.No_progress
+
+(* Where distances tie or sit on a boundary: every zone's corners, edge
+   midpoints and center, the torus seams, and the key points. *)
+let routing_probes t =
+  let pt x y = { Point.x; y } in
+  let zone_points (z : Zone.t) =
+    let mx = (z.x_lo +. z.x_hi) /. 2. and my = (z.y_lo +. z.y_hi) /. 2. in
+    [ pt z.x_lo z.y_lo; pt z.x_hi z.y_hi; pt z.x_lo z.y_hi; pt z.x_hi z.y_lo;
+      pt mx z.y_lo; pt mx z.y_hi; pt z.x_lo my; pt z.x_hi my; pt mx my ]
+  in
+  List.concat_map (fun id -> List.concat_map zone_points (T.zones_of t id))
+    (T.node_ids t)
+  @ [ pt 0. 0.; pt 0. 0.5; pt 0.5 0.; pt 1. 1.; pt 0. 1.; pt 1. 0.25 ]
+  @ List.init 64 (fun k -> T.key_point t (Key.of_int k))
+
+let next_hop_matches_reference t =
+  let probes = routing_probes t in
+  List.for_all
+    (fun (id, reference) ->
+      List.for_all
+        (fun p -> T.next_hop t id p = reference_next_hop reference p)
+        probes)
+    (reference_neighbors t)
+
+let prop_next_hop_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"flat next_hop equals the neighbor-map fold under churn"
+    QCheck.(
+      triple small_int bool
+        (make ~print:(Print.list print_move)
+           Gen.(list_size (0 -- 25) move_gen)))
+    (fun (seed, grid, moves) ->
+      let rng = Rng.create ~seed in
+      let n = 1 + (seed mod 24) in
+      let t =
+        if grid then T.create ~n ~placement:`Grid ()
+        else T.create ~rng ~n ~placement:`Random ()
+      in
+      let pick i = List.nth (T.node_ids t) (i mod T.size t) in
+      let agrees () =
+        T.check_invariants t = Ok () && next_hop_matches_reference t
+      in
+      agrees ()
+      && List.for_all
+           (fun move ->
+             (match move with
+             | Join_random -> ignore (T.join_random t ~rng)
+             | Join_at_corner i ->
+                 let z = List.hd (T.zones_of t (pick i)) in
+                 ignore (T.join_at t { Point.x = z.Zone.x_lo; y = z.Zone.y_lo })
+             | Leave i -> if T.size t > 1 then ignore (T.leave t (pick i)));
+             T.check_invariants t = Ok ())
+           moves
+      && agrees ())
+
+(* Taker zones and grid ties, pinned: in a 4 x 4 grid, after node 5
+   leaves, its taker owns two zones and every node's next hop toward
+   every probe still matches the reference. *)
+let test_next_hop_after_takeover () =
+  let t = T.create ~n:16 ~placement:`Grid () in
+  let change = T.leave t (Node_id.of_int 5) in
+  let taker = Option.get change.T.peer in
+  Alcotest.(check int) "taker holds two zones" 2
+    (List.length (T.zones_of t taker));
+  check_invariants t "after takeover";
+  Alcotest.(check bool) "matches the reference" true
+    (next_hop_matches_reference t)
+
+(* The first call computes and stores the point, the second reads it
+   back; keys from 2^20 on are computed every time. *)
+let test_key_point_is_to_point () =
+  let t = T.create ~n:4 ~placement:`Grid () in
+  List.iter
+    (fun k ->
+      let key = Key.of_int k in
+      let first = T.key_point t key in
+      let again = T.key_point t key in
+      Alcotest.(check bool)
+        (Printf.sprintf "key %d" k)
+        true
+        (Point.equal first (Key.to_point key) && Point.equal again first))
+    [ 0; 1; 7; 1000; 5000; (1 lsl 20) - 1; 1 lsl 20; (1 lsl 24) + 3 ]
+
 (* {1 Chord} *)
 
 module Chord = Cup_overlay.Chord
@@ -668,6 +804,34 @@ let test_net_dispatch () =
         (Net.node_ids net))
     [ Net.Can `Random; Net.Chord; Net.Pastry ]
 
+(* [Net.owns] is the [Owner] answer of [Net.next_hop], for every node
+   and key, on every overlay, and it is not a routing call. *)
+let test_net_owns_is_owner_answer () =
+  let rng = Rng.create ~seed:31 in
+  List.iter
+    (fun kind ->
+      let net = Net.create ~rng ~kind ~n:24 () in
+      let victim = List.nth (Net.node_ids net) 3 in
+      ignore (Net.leave net victim);
+      let _, misses = Net.route_cache_stats net in
+      let owned = ref 0 in
+      List.iter
+        (fun id ->
+          for k = 0 to 47 do
+            let key = Key.of_int k in
+            if Net.owns net id key then incr owned;
+            Alcotest.(check bool)
+              (Format.asprintf "%a k%d" Node_id.pp id k)
+              (Net.next_hop net id key = Route.Owner)
+              (Net.owns net id key)
+          done)
+        (victim :: Net.node_ids net);
+      Alcotest.(check int) "each key has one owner" 48 !owned;
+      let _, misses' = Net.route_cache_stats net in
+      Alcotest.(check int) "only next_hop counts as a routing call"
+        (misses + (48 * 24)) misses')
+    [ Net.Can `Random; Net.Can `Grid; Net.Chord; Net.Pastry ]
+
 let test_net_inspectors () =
   let rng = Rng.create ~seed:30 in
   let can = Net.create ~rng ~kind:(Net.Can `Grid) ~n:4 () in
@@ -817,6 +981,14 @@ let () =
       ( "topology properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_churn_preserves_invariants; prop_route_terminates ] );
+      ( "routing",
+        [
+          QCheck_alcotest.to_alcotest prop_next_hop_matches_reference;
+          Alcotest.test_case "next hop after takeover" `Quick
+            test_next_hop_after_takeover;
+          Alcotest.test_case "key point is Key.to_point" `Quick
+            test_key_point_is_to_point;
+        ] );
       ( "point location",
         [
           QCheck_alcotest.to_alcotest prop_tree_matches_scan;
@@ -857,6 +1029,8 @@ let () =
         [
           Alcotest.test_case "dispatch" `Quick test_net_dispatch;
           Alcotest.test_case "inspectors" `Quick test_net_inspectors;
+          Alcotest.test_case "owns is the Owner answer" `Quick
+            test_net_owns_is_owner_answer;
         ] );
       ( "typed routing failures",
         [

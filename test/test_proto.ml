@@ -402,6 +402,96 @@ let test_query_becomes_empty_authority () =
       Alcotest.(check int) "empty answer" 0 (List.length u.Update.entries)
   | _ -> Alcotest.fail "expected an (empty) response"
 
+(* {2 Lazy routing}
+
+   The runners drive [Node_store.handle_query] directly, with a routing
+   function in place of a precomputed next hop.  These cases count its
+   calls. *)
+
+module Store = Cup_proto.Node_store
+module Route = Cup_overlay.Route
+
+let counting_route answer =
+  let calls = ref 0 in
+  ( calls,
+    fun _ _ ->
+      incr calls;
+      answer )
+
+let stats_copy store =
+  let s = Store.stats store in
+  { s with Store.queries_in = s.queries_in }
+
+let test_query_routes_only_when_pushing () =
+  let store = Store.create cup_config in
+  let me = nid 0 and up = nid 7 in
+  let calls, route = counting_route (Route.Forward up) in
+  let query ?(owner = false) ~now source k =
+    Store.handle_query store ~node:me ~now ~owner ~route source k
+  in
+  let pushed = query ~now:t0 (Node.From_local t0) (key 1) in
+  Alcotest.(check (list (pair int int))) "cold query pushes upstream"
+    [ (7, 1) ]
+    (List.map (fun (t, k) -> (Node_id.to_int t, Key.to_int k))
+       (queries_sent pushed));
+  Alcotest.(check int) "pushing routes once" 1 !calls;
+  let coalesced = query ~now:(at 0.1) (Node.From_neighbor (nid 2)) (key 1) in
+  Alcotest.(check int) "coalesced: nothing sent" 0 (List.length coalesced);
+  Alcotest.(check int) "coalesced: no routing" 1 !calls;
+  ignore
+    (Store.handle_update store ~node:me ~now:(at 0.5) ~from:up
+       (Update.first_time ~key:(key 1) ~entries:[ entry 300. ] ~level:2));
+  let hit = query ~now:(at 1.) (Node.From_local (at 1.)) (key 1) in
+  Alcotest.(check int) "cache answer" 1 (List.length (local_answers hit));
+  Alcotest.(check int) "cache answer: no routing" 1 !calls;
+  let auth =
+    query ~owner:true ~now:(at 1.) (Node.From_neighbor (nid 3)) (key 2)
+  in
+  Alcotest.(check int) "authority answer" 1 (List.length (updates_sent auth));
+  let again = query ~now:(at 2.) (Node.From_neighbor (nid 4)) (key 2) in
+  Alcotest.(check int) "directory answer" 1 (List.length (updates_sent again));
+  Alcotest.(check int) "authority answers: no routing" 1 !calls;
+  let expired = query ~now:(at 301.) (Node.From_local (at 301.)) (key 1) in
+  Alcotest.(check int) "expired entry pushes again" 1
+    (List.length (queries_sent expired));
+  Alcotest.(check int) "and routes once more" 2 !calls
+
+let test_query_unroutable_leaves_no_state () =
+  let store = Store.create cup_config in
+  let me = nid 0 in
+  let unroutable = Route.Stuck Route.No_progress in
+  let check_untouched label k source ~now =
+    let calls, route = counting_route unroutable in
+    let stats = stats_copy store and slots = Store.live_slots store in
+    let interested = Store.interested_neighbors store me k in
+    let pending = Store.pending_first store me k in
+    let actions =
+      Store.handle_query store ~node:me ~now ~owner:false ~route source k
+    in
+    Alcotest.(check int) (label ^ ": routed once") 1 !calls;
+    Alcotest.(check int) (label ^ ": no actions") 0 (List.length actions);
+    Alcotest.(check bool) (label ^ ": stats unchanged") true
+      (stats = Store.stats store);
+    Alcotest.(check int) (label ^ ": live slots unchanged") slots
+      (Store.live_slots store);
+    Alcotest.(check (list int)) (label ^ ": interest unchanged")
+      (List.map Node_id.to_int interested)
+      (List.map Node_id.to_int (Store.interested_neighbors store me k));
+    Alcotest.(check bool) (label ^ ": pending unchanged") pending
+      (Store.pending_first store me k)
+  in
+  check_untouched "cold" (key 1) (Node.From_neighbor (nid 2)) ~now:t0;
+  check_untouched "cold local" (key 1) (Node.From_local t0) ~now:t0;
+  (* A key with an expired cached entry and no pending instance. *)
+  let _, route = counting_route (Route.Forward (nid 7)) in
+  ignore
+    (Store.handle_query store ~node:me ~now:t0 ~owner:false ~route
+       (Node.From_neighbor (nid 3)) (key 2));
+  ignore
+    (Store.handle_update store ~node:me ~now:(at 0.5) ~from:(nid 7)
+       (Update.first_time ~key:(key 2) ~entries:[ entry 10. ] ~level:2));
+  check_untouched "expired" (key 2) (Node.From_neighbor (nid 4)) ~now:(at 20.)
+
 (* {2 handle_update} *)
 
 let test_update_first_time_answers_waiters_and_forwards () =
@@ -1018,6 +1108,10 @@ let () =
             test_query_authority_answers_from_directory;
           Alcotest.test_case "empty authority" `Quick
             test_query_becomes_empty_authority;
+          Alcotest.test_case "routes only when pushing" `Quick
+            test_query_routes_only_when_pushing;
+          Alcotest.test_case "unroutable leaves no state" `Quick
+            test_query_unroutable_leaves_no_state;
         ] );
       ( "node updates",
         [

@@ -141,19 +141,34 @@ let test_scheduler_equivalence () =
         [ 1; 42; 1001 ])
     equivalence_scenarios
 
-(* Same guarantee for the overlay's next-hop cache: it only memoizes a
-   pure function of the membership, so answers cannot change. *)
-let test_route_cache_equivalence () =
-  List.iter
-    (fun (name, cfg) ->
-      let cached = observation (run_traced { cfg with route_cache = true }) in
-      let cold = observation (run_traced { cfg with route_cache = false }) in
-      Alcotest.(check bool)
-        (name ^ ": cached = uncached")
-        true (cached = cold))
-    equivalence_scenarios
-
 (* {1 Conservation laws} *)
+
+(* Only a node that pushes a query instance toward the authority makes
+   a routing decision (Section 2.5): in a fault-free CAN run each
+   routing call is one query hop, and a query answered from cache,
+   coalesced or answered by the authority routes nothing.  The runner's
+   net has no route cache, so every [Net.next_hop] call is a miss. *)
+let test_routing_calls_equal_query_hops () =
+  List.iter
+    (fun (overlay, keys) ->
+      let cfg =
+        Scenario.with_policy
+          {
+            base with
+            overlay;
+            total_keys_override = Some keys;
+            query_rate = 2.;
+          }
+          Policy.second_chance
+      in
+      let c = (Runner.run cfg).counters in
+      Alcotest.(check bool) "queries were forwarded" true
+        (Counters.query_hops c > 0);
+      Alcotest.(check int) "no cache hits" 0 (Counters.route_cache_hits c);
+      Alcotest.(check int) "routing calls = query hops"
+        (Counters.query_hops c)
+        (Counters.route_cache_hits c + Counters.route_cache_misses c))
+    [ (T.Can `Random, 1); (T.Can `Random, 16); (T.Can `Grid, 4) ]
 
 let test_every_query_answered () =
   List.iter
@@ -1252,8 +1267,6 @@ let () =
             test_different_seed_differs;
           Alcotest.test_case "heap vs calendar scheduler" `Quick
             test_scheduler_equivalence;
-          Alcotest.test_case "route cache on vs off" `Quick
-            test_route_cache_equivalence;
         ] );
       ( "conservation",
         [
@@ -1263,6 +1276,8 @@ let () =
             test_forwarded_equals_delivered_plus_dropped;
           Alcotest.test_case "clear-bit stats" `Quick
             test_clear_bit_stats_match_hops;
+          Alcotest.test_case "routing calls = query hops" `Quick
+            test_routing_calls_equal_query_hops;
         ] );
       ( "baselines",
         [
