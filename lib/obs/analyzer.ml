@@ -1,29 +1,7 @@
 module Trace = Cup_sim.Trace
 module Time = Cup_dess.Time
-module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
-
-let type_name = function
-  | Trace.Query_posted _ -> "query_posted"
-  | Trace.Query_forwarded _ -> "query_forwarded"
-  | Trace.Update_delivered _ -> "update_delivered"
-  | Trace.Clear_bit_delivered _ -> "clear_bit_delivered"
-  | Trace.Local_answer _ -> "local_answer"
-  | Trace.Node_crashed _ -> "node_crashed"
-  | Trace.Node_recovered _ -> "node_recovered"
-  | Trace.Message_lost _ -> "message_lost"
-  | Trace.Repair_query _ -> "repair_query"
-
-let event_key = function
-  | Trace.Query_posted { key; _ }
-  | Trace.Query_forwarded { key; _ }
-  | Trace.Update_delivered { key; _ }
-  | Trace.Clear_bit_delivered { key; _ }
-  | Trace.Local_answer { key; _ }
-  | Trace.Message_lost { key; _ }
-  | Trace.Repair_query { key; _ } ->
-      Some (Key.to_int key)
-  | Trace.Node_crashed _ | Trace.Node_recovered _ -> None
+module Node_key = Cup_overlay.Node_key
 
 type tree = {
   trace_id : int;
@@ -33,7 +11,7 @@ type tree = {
   max_fanout : int;  (** most children under one span *)
   start_at : float;
   end_at : float;
-  critical_path : Trace.event list;
+  critical_path : Trace.event list Lazy.t;
       (** root → latest event of the trace, following parent links *)
 }
 
@@ -45,7 +23,7 @@ type key_stats = {
   mutable k_updates : int;
   mutable k_lost : int;
   mutable k_repairs : int;
-  mutable k_miss_latencies : float list;  (** seconds, unsorted *)
+  mutable k_miss_latencies : float list;  (** seconds, sorted ascending *)
 }
 
 type summary = {
@@ -76,274 +54,26 @@ let mean_of sorted =
   let n = Array.length sorted in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. sorted /. float_of_int n
 
-(* One pass over a full trace reconstructs every propagation tree from
-   the span links.  Parents are indexed across the whole trace first,
-   so an "orphan" really is a span whose parent was never emitted —
-   not merely one delivered in the same engine event. *)
-let analyze (events : Trace.event list) : summary =
-  let n_events = List.length events in
-  let by_type = Hashtbl.create 16 in
-  let count_type e =
-    let name = type_name e in
-    Hashtbl.replace by_type name
-      (1 + Option.value ~default:0 (Hashtbl.find_opt by_type name))
-  in
-  (* pass 1: index all span ids *)
-  let known_spans = Hashtbl.create 1024 in
-  List.iter
-    (fun e ->
-      match Trace.event_span e with
-      | Some (_, span_id, _) when span_id <> 0 ->
-          Hashtbl.replace known_spans span_id ()
-      | _ -> ())
-    events;
-  (* pass 2: everything else, in trace (= time) order *)
-  let membership = ref 0 and legacy = ref 0 in
-  let orphans = ref 0 and orphan_examples = ref [] in
-  let depth_of = Hashtbl.create 1024 (* span id -> depth in its trace *) in
-  let children = Hashtbl.create 1024 (* span id -> child count *) in
-  (* trace id -> (spans, max depth, max fanout, start, end, latest event,
-     kinds seen) *)
-  let traces = Hashtbl.create 256 in
-  let span_event = Hashtbl.create 1024 (* span id -> event *) in
-  let per_key = Hashtbl.create 16 in
-  let key_stats k =
-    match Hashtbl.find_opt per_key k with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            k_events = 0;
-            k_queries = 0;
-            k_hits = 0;
-            k_misses = 0;
-            k_updates = 0;
-            k_lost = 0;
-            k_repairs = 0;
-            k_miss_latencies = [];
-          }
-        in
-        Hashtbl.replace per_key k s;
-        s
-  in
-  (* FIFO matching of posted queries to local answers per (node, key):
-     a Local_answer with [waiters = w] settles the w oldest
-     outstanding posts at that node, exactly the coalescing the
-     protocol performs.  Misses yield post→answer latencies. *)
-  let outstanding = Hashtbl.create 256 in
-  let hits = ref 0 and misses = ref 0 in
-  let miss_latencies = ref [] in
-  let root_kind e =
-    match e with
-    | Trace.Query_posted _ -> "query"
-    | Trace.Repair_query _ -> "repair"
-    | _ -> "update"
-  in
-  let note_trace ~trace_id ~depth ~fanout_parent e =
-    if trace_id <> 0 then begin
-      let at = Time.to_seconds (Trace.event_time e) in
-      let entry =
-        match Hashtbl.find_opt traces trace_id with
-        | Some entry -> entry
-        | None ->
-            let entry = (ref 0, ref 0, ref 0, ref at, ref at, ref e, ref "") in
-            Hashtbl.replace traces trace_id entry;
-            entry
-      in
-      let spans, max_depth, max_fanout, start_at, end_at, latest, kind =
-        entry
-      in
-      incr spans;
-      if depth > !max_depth then max_depth := depth;
-      (match fanout_parent with
-      | Some parent ->
-          let c =
-            1 + Option.value ~default:0 (Hashtbl.find_opt children parent)
-          in
-          Hashtbl.replace children parent c;
-          if c > !max_fanout then max_fanout := c
-      | None -> ());
-      if at < !start_at then start_at := at;
-      if at >= !end_at then begin
-        end_at := at;
-        latest := e
-      end;
-      if depth = 1 then
-        kind :=
-          (match !kind with
-          | "" -> root_kind e
-          | k when k = root_kind e -> k
-          | _ -> "mixed")
-    end
-  in
-  List.iter
-    (fun e ->
-      count_type e;
-      (match event_key e with
-      | Some k -> (key_stats k).k_events <- (key_stats k).k_events + 1
-      | None -> ());
-      match Trace.event_span e with
-      | None -> incr membership
-      | Some (trace_id, span_id, parent_id) ->
-          if span_id = 0 then incr legacy
-          else begin
-            let depth =
-              if parent_id = 0 then 1
-              else
-                match Hashtbl.find_opt depth_of parent_id with
-                | Some d -> d + 1
-                | None ->
-                    if not (Hashtbl.mem known_spans parent_id) then begin
-                      (* Keep the first five examples; an int compare,
-                         not a List.length re-count per orphan. *)
-                      incr orphans;
-                      if !orphans <= 5 then
-                        orphan_examples :=
-                          (span_id, parent_id) :: !orphan_examples
-                    end;
-                    1
-            in
-            Hashtbl.replace depth_of span_id depth;
-            Hashtbl.replace span_event span_id e;
-            note_trace ~trace_id ~depth
-              ~fanout_parent:(if parent_id = 0 then None else Some parent_id)
-              e
-          end;
-          (* per-key and latency accounting, span-less legacy events
-             included *)
-          (match e with
-          | Trace.Query_posted { at; node; key; _ } ->
-              let ks = key_stats (Key.to_int key) in
-              ks.k_queries <- ks.k_queries + 1;
-              let slot = (Node_id.to_int node, Key.to_int key) in
-              let q =
-                match Hashtbl.find_opt outstanding slot with
-                | Some q -> q
-                | None ->
-                    let q = Queue.create () in
-                    Hashtbl.replace outstanding slot q;
-                    q
-              in
-              Queue.push (Time.to_seconds at) q
-          | Trace.Local_answer { at; node; key; hit; waiters; _ } ->
-              let ks = key_stats (Key.to_int key) in
-              let slot = (Node_id.to_int node, Key.to_int key) in
-              let q =
-                match Hashtbl.find_opt outstanding slot with
-                | Some q -> q
-                | None -> Queue.create ()
-              in
-              let answer_at = Time.to_seconds at in
-              for _ = 1 to waiters do
-                match Queue.take_opt q with
-                | None -> ()
-                | Some posted ->
-                    if hit then begin
-                      incr hits;
-                      ks.k_hits <- ks.k_hits + 1
-                    end
-                    else begin
-                      incr misses;
-                      ks.k_misses <- ks.k_misses + 1;
-                      let lat = answer_at -. posted in
-                      miss_latencies := lat :: !miss_latencies;
-                      ks.k_miss_latencies <- lat :: ks.k_miss_latencies
-                    end
-              done
-          | Trace.Update_delivered { key; _ } ->
-              let ks = key_stats (Key.to_int key) in
-              ks.k_updates <- ks.k_updates + 1
-          | Trace.Message_lost { key; _ } ->
-              let ks = key_stats (Key.to_int key) in
-              ks.k_lost <- ks.k_lost + 1
-          | Trace.Repair_query { key; _ } ->
-              let ks = key_stats (Key.to_int key) in
-              ks.k_repairs <- ks.k_repairs + 1
-          | _ -> ()))
-    events;
-  let unanswered =
-    Hashtbl.fold (fun _ q acc -> acc + Queue.length q) outstanding 0
-  in
-  (* critical path: from each trace's latest event, climb parent links
-     back to the root *)
-  let critical_path latest =
-    let rec climb e acc =
-      match Trace.event_span e with
-      | Some (_, _, parent_id) when parent_id <> 0 -> (
-          match Hashtbl.find_opt span_event parent_id with
-          | Some parent -> climb parent (e :: acc)
-          | None -> e :: acc)
-      | _ -> e :: acc
-    in
-    climb latest []
-  in
-  let trees =
-    Hashtbl.fold
-      (fun trace_id
-           (spans, max_depth, max_fanout, start_at, end_at, latest, kind) acc ->
-        {
-          trace_id;
-          kind = (if !kind = "" then "update" else !kind);
-          spans = !spans;
-          depth = !max_depth;
-          max_fanout = !max_fanout;
-          start_at = !start_at;
-          end_at = !end_at;
-          critical_path = critical_path !latest;
-        }
-        :: acc)
-      traces []
-  in
-  let trees = List.sort (fun a b -> Int.compare a.trace_id b.trace_id) trees in
-  let lat = Array.of_list !miss_latencies in
-  Array.sort Float.compare lat;
-  Hashtbl.iter
-    (fun _ ks ->
-      ks.k_miss_latencies <- List.sort Float.compare ks.k_miss_latencies)
-    per_key;
-  {
-    events = n_events;
-    membership = !membership;
-    legacy = !legacy;
-    by_type =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun name c acc -> (name, c) :: acc) by_type []);
-    traces = trees;
-    orphans = !orphans;
-    orphan_examples = List.rev !orphan_examples;
-    hits = !hits;
-    misses = !misses;
-    unanswered;
-    miss_latencies = lat;
-    per_key =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun k s acc -> (k, s) :: acc) per_key []);
-  }
-
 (* {2 Streaming analysis}
 
-   Single-pass, constant-per-event re-implementation of [analyze] for
-   traces too large to materialize.  The event list is never built:
+   One pass, constant work per event, and no event list:
 
-   - span state lives in an open-addressing table of parallel int
-     arrays (id, parent, depth, child count, arena offset/length) —
-     a few dozen bytes per span, no per-binding boxes to scan;
+   - span state lives in a {!Span_index}: depth, child count and arena
+     record per span id, a few dozen bytes per span;
    - each span-carrying event is kept only as its {!Binary_codec} body
-     in one append-only byte arena (critical paths decode from it at
-     [finish]);
-   - the whole-file orphan rule ("parent never appears anywhere") is
-     enforced without a first pass: a child whose parent is unseen is
-     provisionally orphaned and resolved retroactively when the parent
-     first appears;
-   - latency samples go into growable unboxed float vectors, sorted
-     once at [finish], so percentiles stay exact — same arrays, same
-     nearest-rank answers as [analyze].
+     in one append-only byte arena, and a critical path decodes from it
+     only when it is forced, so a report decodes only the trees it
+     prints;
+   - the whole-file orphan rule ("parent never appears anywhere") needs
+     no first pass: a child whose parent is unseen is recorded as a
+     forward reference, and it is an orphan if the parent is still
+     unseen at [finish];
+   - per-key, per-trace and outstanding-query state sit in int-keyed
+     tables, and latency samples in unboxed float vectors sorted once
+     at [finish], so percentiles are exact.
 
-   [finish] returns a [summary] structurally equal to what [analyze]
-   produces on the same event sequence (the test suite holds the two
-   implementations to that). *)
+   The test suite holds [finish] to a materializing reference analyzer
+   on the same event sequence. *)
 
 module Streaming = struct
   (* Growable unboxed float vector. *)
@@ -367,92 +97,25 @@ module Streaming = struct
       a
   end
 
-  (* Open-addressing span table; slot 0 of the id space is the empty
-     marker (real span ids are nonzero — id-0 events are counted as
-     legacy and never reach the table).  [depth = 0] marks a span that
-     has been referenced (as a parent) but not yet seen. *)
-  module Span_table = struct
-    type t = {
-      mutable mask : int;
-      mutable live : int;
-      mutable ids : int array;
-      mutable parent : int array;
-      mutable depth : int array;
-      mutable children : int array;
-      mutable off : int array;
-      mutable len : int array;
-    }
+  module Int_tbl = Hashtbl.Make (struct
+    type t = int
 
-    let create () =
-      let cap = 1024 in
-      {
-        mask = cap - 1;
-        live = 0;
-        ids = Array.make cap 0;
-        parent = Array.make cap 0;
-        depth = Array.make cap 0;
-        children = Array.make cap 0;
-        off = Array.make cap 0;
-        len = Array.make cap 0;
-      }
+    let equal = Int.equal
 
+    (* Node_key's multiply-and-fold, without a [caml_hash] call. *)
     let hash id =
       let h = id * 0x2545F4914F6CDD1D in
-      h lxor (h lsr 31)
+      h lxor (h lsr 29)
+  end)
 
-    (* Slot holding [id], or the free slot where it would go. *)
-    let find t id =
-      let rec go i =
-        let j = i land t.mask in
-        let k = Array.unsafe_get t.ids j in
-        if k = id || k = 0 then j else go (j + 1)
-      in
-      go (hash id)
+  (* Span_index fields.  [depth = 0] marks a span referenced as a
+     parent but not seen yet. *)
+  let f_depth = 0
+  let f_children = 1
+  let f_off = 2
+  let f_len = 3
 
-    let grow t =
-      let ids = t.ids
-      and parent = t.parent
-      and depth = t.depth
-      and children = t.children
-      and off = t.off
-      and len = t.len in
-      let cap = 2 * (t.mask + 1) in
-      t.mask <- cap - 1;
-      t.ids <- Array.make cap 0;
-      t.parent <- Array.make cap 0;
-      t.depth <- Array.make cap 0;
-      t.children <- Array.make cap 0;
-      t.off <- Array.make cap 0;
-      t.len <- Array.make cap 0;
-      Array.iteri
-        (fun i id ->
-          if id <> 0 then begin
-            let j = find t id in
-            t.ids.(j) <- id;
-            t.parent.(j) <- parent.(i);
-            t.depth.(j) <- depth.(i);
-            t.children.(j) <- children.(i);
-            t.off.(j) <- off.(i);
-            t.len.(j) <- len.(i)
-          end)
-        ids
-
-    (* Slot for [id], inserting an unseen entry if absent. *)
-    let slot t id =
-      let j = find t id in
-      if t.ids.(j) <> 0 then j
-      else begin
-        t.ids.(j) <- id;
-        t.live <- t.live + 1;
-        if 4 * t.live > 3 * (t.mask + 1) then begin
-          grow t;
-          find t id
-        end
-        else j
-      end
-  end
-
-  (* Per-trace accumulator — the incremental form of [note_trace]. *)
+  (* Per-trace accumulator. *)
   type tacc = {
     mutable a_spans : int;
     mutable a_depth : int;
@@ -475,19 +138,34 @@ module Streaming = struct
     a_lat : Fvec.t;
   }
 
+  (* [Trace.event] constructors in declaration order; [by_type] counts
+     by this index. *)
+  let type_names =
+    [|
+      "query_posted";
+      "query_forwarded";
+      "update_delivered";
+      "clear_bit_delivered";
+      "local_answer";
+      "node_crashed";
+      "node_recovered";
+      "message_lost";
+      "repair_query";
+    |]
+
   type t = {
     mutable events : int;
     mutable membership : int;
     mutable legacy : int;
-    by_type : (string, int ref) Hashtbl.t;
-    table : Span_table.t;
+    by_type : int array;
+    spans : Span_index.t;
     arena : Buffer.t;
-    (* missing parent id -> (event ordinal, child span id) list, newest
-       first; an entry is dropped the moment the parent is seen *)
-    pending : (int, (int * int) list ref) Hashtbl.t;
-    traces : (int, tacc) Hashtbl.t;
-    per_key : (int, kacc) Hashtbl.t;
-    outstanding : (int * int, float Queue.t) Hashtbl.t;
+    (* (span id, parent id) of every child seen before its parent,
+       newest first *)
+    mutable forward : (int * int) list;
+    traces : tacc Int_tbl.t;
+    per_key : kacc Int_tbl.t;
+    outstanding : float Queue.t Node_key.Table.t;
     mutable hits : int;
     mutable misses : int;
     lat : Fvec.t;
@@ -499,37 +177,44 @@ module Streaming = struct
       events = 0;
       membership = 0;
       legacy = 0;
-      by_type = Hashtbl.create 16;
-      table = Span_table.create ();
+      by_type = Array.make (Array.length type_names) 0;
+      spans = Span_index.create ~fields:4;
       arena = Buffer.create 4096;
-      pending = Hashtbl.create 64;
-      traces = Hashtbl.create 256;
-      per_key = Hashtbl.create 16;
-      outstanding = Hashtbl.create 256;
+      forward = [];
+      traces = Int_tbl.create 256;
+      per_key = Int_tbl.create 16;
+      outstanding = Node_key.Table.create 256;
       hits = 0;
       misses = 0;
       lat = Fvec.create ();
       finished = false;
     }
 
-  let key_acc t k =
-    match Hashtbl.find_opt t.per_key k with
-    | Some a -> a
-    | None ->
-        let a =
-          {
-            a_events = 0;
-            a_queries = 0;
-            a_hits = 0;
-            a_misses = 0;
-            a_updates = 0;
-            a_lost = 0;
-            a_repairs = 0;
-            a_lat = Fvec.create ();
-          }
-        in
-        Hashtbl.replace t.per_key k a;
-        a
+  (* Count a keyed event under its type index and its key. *)
+  let keyed t ty key =
+    t.by_type.(ty) <- t.by_type.(ty) + 1;
+    let k = Key.to_int key in
+    let a =
+      match Int_tbl.find t.per_key k with
+      | a -> a
+      | exception Not_found ->
+          let a =
+            {
+              a_events = 0;
+              a_queries = 0;
+              a_hits = 0;
+              a_misses = 0;
+              a_updates = 0;
+              a_lost = 0;
+              a_repairs = 0;
+              a_lat = Fvec.create ();
+            }
+          in
+          Int_tbl.add t.per_key k a;
+          a
+    in
+    a.a_events <- a.a_events + 1;
+    a
 
   let root_kind = function
     | Trace.Query_posted _ -> "query"
@@ -537,9 +222,9 @@ module Streaming = struct
     | _ -> "update"
 
   let trace_acc t trace_id =
-    match Hashtbl.find_opt t.traces trace_id with
-    | Some a -> a
-    | None ->
+    match Int_tbl.find t.traces trace_id with
+    | a -> a
+    | exception Not_found ->
         let a =
           {
             a_spans = 0;
@@ -552,163 +237,169 @@ module Streaming = struct
             a_kind = "";
           }
         in
-        Hashtbl.replace t.traces trace_id a;
+        Int_tbl.add t.traces trace_id a;
         a
+
+  (* Tree bookkeeping for one span-carrying event; id-0 (legacy) events
+     are only counted. *)
+  let span t e ~at ~trace_id ~span_id ~parent_id =
+    if span_id = 0 then t.legacy <- t.legacy + 1
+    else begin
+      let tbl = t.spans in
+      (* Depth from the table as of this event: a forward parent
+         reference gets depth 1. *)
+      let depth =
+        if parent_id = 0 then 1
+        else
+          let d = Span_index.get tbl (Span_index.add tbl parent_id) f_depth in
+          if d > 0 then d + 1
+          else begin
+            t.forward <- (span_id, parent_id) :: t.forward;
+            1
+          end
+      in
+      let off = Buffer.length t.arena in
+      Binary_codec.encode_body t.arena (Binary_codec.Event e);
+      let len = Buffer.length t.arena - off in
+      let s = Span_index.add tbl span_id in
+      Span_index.set tbl s f_depth depth;
+      Span_index.set tbl s f_off off;
+      Span_index.set tbl s f_len len;
+      if trace_id <> 0 then begin
+        let at = Time.to_seconds at in
+        let a = trace_acc t trace_id in
+        a.a_spans <- a.a_spans + 1;
+        if depth > a.a_depth then a.a_depth <- depth;
+        if parent_id <> 0 then begin
+          (* adding [span_id] may have moved the parent's slot *)
+          let p = Span_index.find tbl parent_id in
+          let c = Span_index.get tbl p f_children + 1 in
+          Span_index.set tbl p f_children c;
+          if c > a.a_fanout then a.a_fanout <- c
+        end;
+        if at < a.a_start then a.a_start <- at;
+        if at >= a.a_end then begin
+          a.a_end <- at;
+          a.a_latest_off <- off;
+          a.a_latest_len <- len
+        end;
+        if depth = 1 then
+          a.a_kind <-
+            (match a.a_kind with
+            | "" -> root_kind e
+            | k when k = root_kind e -> k
+            | _ -> "mixed")
+      end
+    end
+
+  (* FIFO matching of posted queries to local answers per (node, key):
+     a Local_answer with [waiters = w] settles the w oldest outstanding
+     posts at that node, exactly the coalescing the protocol performs.
+     Misses yield post→answer latencies. *)
+  let post t ~at ~node ~key =
+    let packed = Node_key.pack node key in
+    let q =
+      match Node_key.Table.find t.outstanding packed with
+      | q -> q
+      | exception Not_found ->
+          let q = Queue.create () in
+          Node_key.Table.add t.outstanding packed q;
+          q
+    in
+    Queue.push (Time.to_seconds at) q
+
+  let answer t ks ~at ~node ~key ~hit ~waiters =
+    match Node_key.Table.find t.outstanding (Node_key.pack node key) with
+    | exception Not_found -> ()
+    | q ->
+        let answer_at = Time.to_seconds at in
+        for _ = 1 to min waiters (Queue.length q) do
+          let posted = Queue.take q in
+          if hit then begin
+            t.hits <- t.hits + 1;
+            ks.a_hits <- ks.a_hits + 1
+          end
+          else begin
+            t.misses <- t.misses + 1;
+            ks.a_misses <- ks.a_misses + 1;
+            let lat = answer_at -. posted in
+            Fvec.push t.lat lat;
+            Fvec.push ks.a_lat lat
+          end
+        done
 
   let feed t e =
     if t.finished then invalid_arg "Analyzer.Streaming.feed: already finished";
     t.events <- t.events + 1;
-    let ordinal = t.events in
-    (let name = type_name e in
-     match Hashtbl.find_opt t.by_type name with
-     | Some r -> incr r
-     | None -> Hashtbl.replace t.by_type name (ref 1));
-    (match event_key e with
-    | Some k ->
-        let a = key_acc t k in
-        a.a_events <- a.a_events + 1
-    | None -> ());
-    match Trace.event_span e with
-    | None -> t.membership <- t.membership + 1
-    | Some (trace_id, span_id, parent_id) ->
-        if span_id = 0 then t.legacy <- t.legacy + 1
-        else begin
-          let tbl = t.table in
-          (* Depth from the table as of this event — forward parent
-             references resolve to depth 1, exactly like the legacy
-             pass-2 [depth_of] lookup. *)
-          let depth =
-            if parent_id = 0 then 1
-            else
-              let pj = Span_table.slot tbl parent_id in
-              let d = tbl.Span_table.depth.(pj) in
-              if d > 0 then d + 1
-              else begin
-                (* Parent not seen yet: provisionally an orphan,
-                   resolved retroactively if the parent ever appears. *)
-                (match Hashtbl.find_opt t.pending parent_id with
-                | Some l -> l := (ordinal, span_id) :: !l
-                | None ->
-                    Hashtbl.replace t.pending parent_id
-                      (ref [ (ordinal, span_id) ]));
-                1
-              end
-          in
-          let off = Buffer.length t.arena in
-          Binary_codec.encode_body t.arena (Binary_codec.Event e);
-          let len = Buffer.length t.arena - off in
-          let sj = Span_table.slot tbl span_id in
-          let first_seen = tbl.Span_table.depth.(sj) = 0 in
-          tbl.Span_table.parent.(sj) <- parent_id;
-          tbl.Span_table.depth.(sj) <- depth;
-          tbl.Span_table.off.(sj) <- off;
-          tbl.Span_table.len.(sj) <- len;
-          if first_seen then Hashtbl.remove t.pending span_id;
-          if trace_id <> 0 then begin
-            let at = Time.to_seconds (Trace.event_time e) in
-            let a = trace_acc t trace_id in
-            a.a_spans <- a.a_spans + 1;
-            if depth > a.a_depth then a.a_depth <- depth;
-            if parent_id <> 0 then begin
-              let pj = Span_table.slot tbl parent_id in
-              let c = tbl.Span_table.children.(pj) + 1 in
-              tbl.Span_table.children.(pj) <- c;
-              if c > a.a_fanout then a.a_fanout <- c
-            end;
-            if at < a.a_start then a.a_start <- at;
-            if at >= a.a_end then begin
-              a.a_end <- at;
-              a.a_latest_off <- off;
-              a.a_latest_len <- len
-            end;
-            if depth = 1 then
-              a.a_kind <-
-                (match a.a_kind with
-                | "" -> root_kind e
-                | k when k = root_kind e -> k
-                | _ -> "mixed")
-          end
-        end;
-        (* Per-key and latency accounting, span-less legacy events
-           included — mirrors [analyze]. *)
-        (match e with
-        | Trace.Query_posted { at; node; key; _ } ->
-            let ks = key_acc t (Key.to_int key) in
-            ks.a_queries <- ks.a_queries + 1;
-            let slot = (Node_id.to_int node, Key.to_int key) in
-            let q =
-              match Hashtbl.find_opt t.outstanding slot with
-              | Some q -> q
-              | None ->
-                  let q = Queue.create () in
-                  Hashtbl.replace t.outstanding slot q;
-                  q
-            in
-            Queue.push (Time.to_seconds at) q
-        | Trace.Local_answer { at; node; key; hit; waiters; _ } ->
-            let ks = key_acc t (Key.to_int key) in
-            let slot = (Node_id.to_int node, Key.to_int key) in
-            let q =
-              match Hashtbl.find_opt t.outstanding slot with
-              | Some q -> q
-              | None -> Queue.create ()
-            in
-            let answer_at = Time.to_seconds at in
-            for _ = 1 to waiters do
-              match Queue.take_opt q with
-              | None -> ()
-              | Some posted ->
-                  if hit then begin
-                    t.hits <- t.hits + 1;
-                    ks.a_hits <- ks.a_hits + 1
-                  end
-                  else begin
-                    t.misses <- t.misses + 1;
-                    ks.a_misses <- ks.a_misses + 1;
-                    let lat = answer_at -. posted in
-                    Fvec.push t.lat lat;
-                    Fvec.push ks.a_lat lat
-                  end
-            done
-        | Trace.Update_delivered { key; _ } ->
-            let ks = key_acc t (Key.to_int key) in
-            ks.a_updates <- ks.a_updates + 1
-        | Trace.Message_lost { key; _ } ->
-            let ks = key_acc t (Key.to_int key) in
-            ks.a_lost <- ks.a_lost + 1
-        | Trace.Repair_query { key; _ } ->
-            let ks = key_acc t (Key.to_int key) in
-            ks.a_repairs <- ks.a_repairs + 1
-        | _ -> ())
+    match e with
+    | Trace.Query_posted { at; node; key; trace_id; span_id; parent_id } ->
+        let ks = keyed t 0 key in
+        ks.a_queries <- ks.a_queries + 1;
+        span t e ~at ~trace_id ~span_id ~parent_id;
+        post t ~at ~node ~key
+    | Trace.Query_forwarded { at; key; trace_id; span_id; parent_id; _ } ->
+        ignore (keyed t 1 key);
+        span t e ~at ~trace_id ~span_id ~parent_id
+    | Trace.Update_delivered { at; key; trace_id; span_id; parent_id; _ } ->
+        let ks = keyed t 2 key in
+        ks.a_updates <- ks.a_updates + 1;
+        span t e ~at ~trace_id ~span_id ~parent_id
+    | Trace.Clear_bit_delivered { at; key; trace_id; span_id; parent_id; _ } ->
+        ignore (keyed t 3 key);
+        span t e ~at ~trace_id ~span_id ~parent_id
+    | Trace.Local_answer
+        { at; node; key; hit; waiters; trace_id; span_id; parent_id } ->
+        let ks = keyed t 4 key in
+        span t e ~at ~trace_id ~span_id ~parent_id;
+        answer t ks ~at ~node ~key ~hit ~waiters
+    | Trace.Node_crashed _ ->
+        t.by_type.(5) <- t.by_type.(5) + 1;
+        t.membership <- t.membership + 1
+    | Trace.Node_recovered _ ->
+        t.by_type.(6) <- t.by_type.(6) + 1;
+        t.membership <- t.membership + 1
+    | Trace.Message_lost { at; key; trace_id; span_id; parent_id; _ } ->
+        let ks = keyed t 7 key in
+        ks.a_lost <- ks.a_lost + 1;
+        span t e ~at ~trace_id ~span_id ~parent_id
+    | Trace.Repair_query { at; key; trace_id; span_id; parent_id; _ } ->
+        let ks = keyed t 8 key in
+        ks.a_repairs <- ks.a_repairs + 1;
+        span t e ~at ~trace_id ~span_id ~parent_id
+
+  (* Root → event at [off, len) of the arena, following parent links,
+     decoded when forced.  A path visits each span id at most once, so
+     it never needs more climbs than the table has ids; the bound only
+     cuts the cycles a corrupt trace can hold. *)
+  let critical_path tbl arena off len =
+    lazy
+      (let bytes = Lazy.force arena in
+       let rec climb off len acc budget =
+         let e =
+           match Binary_codec.decode_body bytes ~pos:off ~len with
+           | Binary_codec.Event e -> e
+           | _ -> assert false
+         in
+         match Trace.event_span e with
+         | Some (_, _, parent_id) when parent_id <> 0 && budget > 0 ->
+             let p = Span_index.find tbl parent_id in
+             if p >= 0 && Span_index.get tbl p f_len > 0 then
+               climb
+                 (Span_index.get tbl p f_off)
+                 (Span_index.get tbl p f_len)
+                 (e :: acc) (budget - 1)
+             else e :: acc
+         | _ -> e :: acc
+       in
+       climb off len [] (Span_index.length tbl))
 
   let finish t =
     if t.finished then invalid_arg "Analyzer.Streaming.finish: already finished";
     t.finished <- true;
-    let tbl = t.table in
-    let bytes = Buffer.contents t.arena in
-    let decode off len =
-      match Binary_codec.decode_body bytes ~pos:off ~len with
-      | Binary_codec.Event e -> e
-      | _ -> assert false
-    in
-    let critical_path off len =
-      let rec climb off len acc =
-        let e = decode off len in
-        match Trace.event_span e with
-        | Some (_, _, parent_id) when parent_id <> 0 ->
-            let pj = Span_table.find tbl parent_id in
-            if
-              tbl.Span_table.ids.(pj) = parent_id
-              && tbl.Span_table.len.(pj) > 0
-            then
-              climb tbl.Span_table.off.(pj) tbl.Span_table.len.(pj) (e :: acc)
-            else e :: acc
-        | _ -> e :: acc
-      in
-      climb off len []
-    in
+    let tbl = t.spans in
+    let arena = lazy (Buffer.contents t.arena) in
     let trees =
-      Hashtbl.fold
+      Int_tbl.fold
         (fun trace_id a acc ->
           {
             trace_id;
@@ -718,63 +409,55 @@ module Streaming = struct
             max_fanout = a.a_fanout;
             start_at = a.a_start;
             end_at = a.a_end;
-            critical_path = critical_path a.a_latest_off a.a_latest_len;
+            critical_path =
+              critical_path tbl arena a.a_latest_off a.a_latest_len;
           }
           :: acc)
         t.traces []
+      |> List.sort (fun a b -> Int.compare a.trace_id b.trace_id)
     in
-    let trees =
-      List.sort (fun a b -> Int.compare a.trace_id b.trace_id) trees
-    in
-    let orphan_events =
-      Hashtbl.fold
-        (fun parent l acc ->
-          List.fold_left
-            (fun acc (ordinal, span_id) -> (ordinal, span_id, parent) :: acc)
-            acc !l)
-        t.pending []
-      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-    in
-    let orphan_examples =
-      List.filteri (fun i _ -> i < 5) orphan_events
-      |> List.map (fun (_, span_id, parent) -> (span_id, parent))
+    let orphans =
+      List.filter
+        (fun (_, parent) ->
+          Span_index.get tbl (Span_index.find tbl parent) f_depth = 0)
+        (List.rev t.forward)
     in
     let unanswered =
-      Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.outstanding 0
+      Node_key.Table.fold (fun _ q acc -> acc + Queue.length q) t.outstanding 0
     in
+    let by_type = ref [] in
+    Array.iteri
+      (fun i c -> if c > 0 then by_type := (type_names.(i), c) :: !by_type)
+      t.by_type;
     {
       events = t.events;
       membership = t.membership;
       legacy = t.legacy;
-      by_type =
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.by_type []);
+      by_type = List.sort (fun (a, _) (b, _) -> String.compare a b) !by_type;
       traces = trees;
-      orphans = List.length orphan_events;
-      orphan_examples;
+      orphans = List.length orphans;
+      orphan_examples = List.filteri (fun i _ -> i < 5) orphans;
       hits = t.hits;
       misses = t.misses;
       unanswered;
       miss_latencies = Fvec.sorted t.lat;
       per_key =
-        List.sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (Hashtbl.fold
-             (fun k a acc ->
-               ( k,
-                 {
-                   k_events = a.a_events;
-                   k_queries = a.a_queries;
-                   k_hits = a.a_hits;
-                   k_misses = a.a_misses;
-                   k_updates = a.a_updates;
-                   k_lost = a.a_lost;
-                   k_repairs = a.a_repairs;
-                   k_miss_latencies = Array.to_list (Fvec.sorted a.a_lat);
-                 } )
-               :: acc)
-             t.per_key []);
+        Int_tbl.fold
+          (fun k a acc ->
+            ( k,
+              {
+                k_events = a.a_events;
+                k_queries = a.a_queries;
+                k_hits = a.a_hits;
+                k_misses = a.a_misses;
+                k_updates = a.a_updates;
+                k_lost = a.a_lost;
+                k_repairs = a.a_repairs;
+                k_miss_latencies = Array.to_list (Fvec.sorted a.a_lat);
+              } )
+            :: acc)
+          t.per_key []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
     }
 end
 
@@ -786,14 +469,12 @@ let pp_latencies fmt sorted =
     (percentile sorted 1.0) (mean_of sorted)
 
 let pp_tree fmt t =
+  let path = Lazy.force t.critical_path in
   Format.fprintf fmt
     "trace %d (%s): %d spans, depth %d, fan-out %d, %.3fs → %.3fs@."
     t.trace_id t.kind t.spans t.depth t.max_fanout t.start_at t.end_at;
-  Format.fprintf fmt "    critical path (%d hops):@."
-    (List.length t.critical_path);
-  List.iter
-    (fun e -> Format.fprintf fmt "      %a@." Trace.pp_event e)
-    t.critical_path
+  Format.fprintf fmt "    critical path (%d hops):@." (List.length path);
+  List.iter (fun e -> Format.fprintf fmt "      %a@." Trace.pp_event e) path
 
 let pp_summary ?(max_traces = 5) fmt (s : summary) =
   Format.fprintf fmt "%d events (%d membership, %d legacy without spans)@."

@@ -19,8 +19,10 @@ type tree = {
   max_fanout : int;  (** most children under one span *)
   start_at : float;  (** seconds *)
   end_at : float;
-  critical_path : Cup_sim.Trace.event list;
-      (** root → latest event of the trace, following parent links *)
+  critical_path : Cup_sim.Trace.event list Lazy.t;
+      (** root → latest event of the trace, following parent links;
+          decoded when forced, so a report pays only for the trees it
+          prints *)
 }
 
 type key_stats = {
@@ -51,20 +53,14 @@ type summary = {
   per_key : (int * key_stats) list;  (** sorted by key *)
 }
 
-val analyze : Cup_sim.Trace.event list -> summary
-(** Events must be in trace order (the order a sink recorded them).
-    Materializes per-event state; for traces too large for that, use
-    {!Streaming}. *)
-
 (** Single-pass constant-per-event analysis: feed events in trace
     order, never holding the event list.  Span state lives in a
-    compact open-addressing int-array table plus one binary-encoded
-    event arena ({!Binary_codec}), latency samples in unboxed float
-    vectors — a few dozen bytes per span instead of boxed events, and
-    no O(events) list.  [finish] returns a summary structurally equal
-    to [analyze] on the same event sequence, including orphan
-    detection with whole-file scope (forward parent references are
-    resolved retroactively) and exact percentiles. *)
+    {!Span_index} plus one binary-encoded event arena
+    ({!Binary_codec}), per-key, per-trace and outstanding-query state in
+    int-keyed tables, and latency samples in unboxed float vectors — a
+    few dozen bytes per span and no O(events) list.  Orphan detection
+    has whole-file scope (forward parent references are resolved
+    retroactively) and percentiles are exact. *)
 module Streaming : sig
   type t
 

@@ -4,7 +4,7 @@ module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
 module Counters = Cup_metrics.Counters
 module Update = Cup_proto.Update
-module Int_map = Map.Make (Int)
+module Node_key = Cup_overlay.Node_key
 
 type violation = {
   code : string;
@@ -18,6 +18,17 @@ exception Violation of violation
 let pp_violation fmt v =
   Format.fprintf fmt "[%s %s] t=%.6g: %s" v.code v.invariant v.at v.detail
 
+(* The expiry high-water of each replica delivered to one (node, key)
+   pair.  [gen] is the receiving node's crash generation when the cell
+   was written; a cell from an older generation reads as empty, which
+   is how a crash resets every key of the node at once. *)
+type cell = {
+  mutable gen : int;
+  mutable n : int;
+  mutable replica : int array;
+  mutable expiry : float array;
+}
+
 type t = {
   counters : Counters.t;
   backlog : (unit -> int) option;
@@ -25,11 +36,11 @@ type t = {
   check_every : int;
   tolerate_stale : bool;
   context : string option;
-  (* node -> key -> replica -> expiry high-water of entries already
-     delivered there, mirroring the receiving cache's overwrite
-     semantics (Delete/First_time/crash reset it) *)
-  fresh : (int, (int, float Int_map.t) Hashtbl.t) Hashtbl.t;
-  seen_spans : (int, unit) Hashtbl.t;
+  (* V2 state, mirroring the receiving cache's overwrite semantics
+     (Delete/First_time/crash reset it) *)
+  fresh : cell Node_key.Table.t;
+  mutable crashes : int array; (* node id -> crash generation *)
+  spans : Span_index.t; (* span ids seen so far *)
   mutable events_checked : int;
   mutable last_at : float;
 }
@@ -46,8 +57,9 @@ let create ?max_backlog ?backlog ?(check_every = 1024)
     check_every;
     tolerate_stale;
     context;
-    fresh = Hashtbl.create 256;
-    seen_spans = Hashtbl.create 4096;
+    fresh = Node_key.Table.create 1024;
+    crashes = [||];
+    spans = Span_index.create ~fields:0;
     events_checked = 0;
     last_at = 0.;
   }
@@ -97,80 +109,148 @@ let check_backlog t ~at =
              bound)
   | _ -> ()
 
-let check_span t ~at event =
-  match Trace.event_span event with
-  | None -> ()
-  | Some (_, span_id, parent_id) ->
-      if parent_id <> 0 && not (Hashtbl.mem t.seen_spans parent_id) then
-        fail t ~code:"V4" ~invariant:"spans" ~at
-          (Printf.sprintf "parent span %d not seen before its child %d"
-             parent_id span_id);
-      if span_id <> 0 then
-        if Hashtbl.mem t.seen_spans span_id then
-          fail t ~code:"V4" ~invariant:"spans" ~at
-            (Printf.sprintf "span id %d emitted twice" span_id)
-        else Hashtbl.replace t.seen_spans span_id ()
+let check_span t ~at ~span_id ~parent_id =
+  if parent_id <> 0 && Span_index.find t.spans parent_id < 0 then
+    fail t ~code:"V4" ~invariant:"spans" ~at
+      (Printf.sprintf "parent span %d not seen before its child %d" parent_id
+         span_id);
+  if span_id <> 0 then begin
+    let seen = Span_index.length t.spans in
+    ignore (Span_index.add t.spans span_id);
+    if Span_index.length t.spans = seen then
+      fail t ~code:"V4" ~invariant:"spans" ~at
+        (Printf.sprintf "span id %d emitted twice" span_id)
+  end
+
+let generation t node =
+  if node < Array.length t.crashes then t.crashes.(node) else 0
+
+let crash t node =
+  let n = Array.length t.crashes in
+  if node >= n then begin
+    let grown = Array.make (max (node + 1) (2 * n)) 0 in
+    Array.blit t.crashes 0 grown 0 n;
+    t.crashes <- grown
+  end;
+  t.crashes.(node) <- t.crashes.(node) + 1
+
+(* The cell of (node, key), emptied if the node crashed since it was
+   last written. *)
+let cell t node key =
+  let gen = generation t (Node_id.to_int node) in
+  let packed = Node_key.pack node key in
+  match Node_key.Table.find t.fresh packed with
+  | c ->
+      if c.gen <> gen then begin
+        c.gen <- gen;
+        c.n <- 0
+      end;
+      c
+  | exception Not_found ->
+      let c = { gen; n = 0; replica = [||]; expiry = [||] } in
+      Node_key.Table.add t.fresh packed c;
+      c
+
+(* Index of replica [r] in [c] at or after [i], or -1. *)
+let rec index c r i =
+  if i = c.n then -1 else if c.replica.(i) = r then i else index c r (i + 1)
+
+let set c r expiry =
+  match index c r 0 with
+  | -1 ->
+      if c.n = Array.length c.replica then begin
+        let cap = max 2 (2 * c.n) in
+        let replica = Array.make cap 0 and expiries = Array.make cap 0. in
+        Array.blit c.replica 0 replica 0 c.n;
+        Array.blit c.expiry 0 expiries 0 c.n;
+        c.replica <- replica;
+        c.expiry <- expiries
+      end;
+      c.replica.(c.n) <- r;
+      c.expiry.(c.n) <- expiry;
+      c.n <- c.n + 1
+  | i -> c.expiry.(i) <- expiry
+
+let remove c r =
+  match index c r 0 with
+  | -1 -> ()
+  | i ->
+      let last = c.n - 1 in
+      c.replica.(i) <- c.replica.(last);
+      c.expiry.(i) <- c.expiry.(last);
+      c.n <- last
 
 (* V2: mirror of [Node.apply_update] — [Refresh]/[Append] overwrite
    cache entries unconditionally, so an entry staler than one already
    delivered would regress the receiver's cache.  Entries expired on
-   arrival are exempt: the receiver prunes them. *)
+   arrival are exempt: the receiver prunes them.  The loops over
+   [entries] are top-level functions, so a delivery allocates
+   nothing. *)
+let rec delete c = function
+  | [] -> ()
+  | (r, _) :: rest ->
+      remove c r;
+      delete c rest
+
+let rec first_time c ~at = function
+  | [] -> ()
+  | (r, expiry) :: rest ->
+      if expiry >= at then set c r expiry;
+      first_time c ~at rest
+
+let rec refresh t c ~at ~to_ ~key = function
+  | [] -> ()
+  | (r, expiry) :: rest ->
+      (if not (expiry < at) then
+         match index c r 0 with
+         | i when i >= 0 && c.expiry.(i) >= expiry ->
+             (* Under reordering/duplication a stale arrival is a channel
+                artifact the receiver's last-writer-wins guard discards,
+                not a protocol bug; [tolerate_stale] mirrors that guard
+                (the high-water never moves down either way). *)
+             let prev = c.expiry.(i) in
+             if expiry < prev -. 1e-9 && not t.tolerate_stale then
+               fail t ~code:"V2" ~invariant:"freshness" ~at
+                 (Printf.sprintf
+                    "node %d key %d replica %d: delivered expiry %.6g \
+                     regresses the %.6g already delivered"
+                    (Node_id.to_int to_) (Key.to_int key) r expiry prev)
+         | _ -> set c r expiry);
+      refresh t c ~at ~to_ ~key rest
+
 let check_freshness t ~at ~to_ ~key ~kind entries =
-  let node = Node_id.to_int to_ and k = Key.to_int key in
-  let keys =
-    match Hashtbl.find_opt t.fresh node with
-    | Some keys -> keys
-    | None ->
-        let keys = Hashtbl.create 16 in
-        Hashtbl.replace t.fresh node keys;
-        keys
-  in
-  let seen = Option.value (Hashtbl.find_opt keys k) ~default:Int_map.empty in
-  let seen =
-    match kind with
-    | Update.Delete ->
-        List.fold_left (fun m (r, _) -> Int_map.remove r m) seen entries
-    | Update.First_time ->
-        (* the receiver replaces its entry list for the key wholesale *)
-        List.fold_left
-          (fun m (r, expiry) ->
-            if expiry >= at then Int_map.add r expiry m else m)
-          Int_map.empty entries
-    | Update.Refresh | Update.Append ->
-        List.fold_left
-          (fun m (r, expiry) ->
-            if expiry < at then m
-            else
-              match Int_map.find_opt r m with
-              | Some prev when prev >= expiry ->
-                  (* Under reordering/duplication a stale arrival is a
-                     channel artifact the receiver's last-writer-wins
-                     guard discards, not a protocol bug; [tolerate_stale]
-                     mirrors that guard (the high-water never moves down
-                     either way). *)
-                  if expiry < prev -. 1e-9 && not t.tolerate_stale then
-                    fail t ~code:"V2" ~invariant:"freshness" ~at
-                      (Printf.sprintf
-                         "node %d key %d replica %d: delivered expiry %.6g \
-                          regresses the %.6g already delivered"
-                         node k r expiry prev);
-                  m
-              | _ -> Int_map.add r expiry m)
-          seen entries
-  in
-  Hashtbl.replace keys k seen
+  let c = cell t to_ key in
+  match kind with
+  | Update.Delete -> delete c entries
+  | Update.First_time ->
+      (* the receiver replaces its entry list for the key wholesale *)
+      c.n <- 0;
+      first_time c ~at entries
+  | Update.Refresh | Update.Append -> refresh t c ~at ~to_ ~key entries
 
 let observe t event =
   t.events_checked <- t.events_checked + 1;
-  let at = Time.to_seconds (Trace.event_time event) in
-  t.last_at <- at;
-  check_span t ~at event;
   (match event with
-  | Trace.Update_delivered { to_; key; kind; entries; _ } ->
+  | Trace.Update_delivered
+      { at; to_; key; kind; entries; span_id; parent_id; _ } ->
+      let at = Time.to_seconds at in
+      t.last_at <- at;
+      check_span t ~at ~span_id ~parent_id;
       check_freshness t ~at ~to_ ~key ~kind entries
-  | Trace.Node_crashed { node; _ } ->
-      Hashtbl.remove t.fresh (Node_id.to_int node)
-  | _ -> ());
+  | Trace.Query_posted { at; span_id; parent_id; _ }
+  | Trace.Query_forwarded { at; span_id; parent_id; _ }
+  | Trace.Clear_bit_delivered { at; span_id; parent_id; _ }
+  | Trace.Local_answer { at; span_id; parent_id; _ }
+  | Trace.Message_lost { at; span_id; parent_id; _ }
+  | Trace.Repair_query { at; span_id; parent_id; _ } ->
+      let at = Time.to_seconds at in
+      t.last_at <- at;
+      check_span t ~at ~span_id ~parent_id
+  | Trace.Node_crashed { at; node } ->
+      t.last_at <- Time.to_seconds at;
+      crash t (Node_id.to_int node)
+  | Trace.Node_recovered { at; _ } -> t.last_at <- Time.to_seconds at);
+  let at = t.last_at in
   check_conservation t ~at ~final:false;
   if t.events_checked mod t.check_every = 0 then check_backlog t ~at
 

@@ -227,16 +227,16 @@ let get_byte c =
   c.pos <- c.pos + 1;
   v
 
-let get_uvarint c =
-  let rec go shift acc =
-    if shift > Sys.int_size then corrupt "varint too long"
-    else
-      let byte = get_byte c in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* Top-level loops, not closures, so decoding a field allocates
+   nothing. *)
+let rec uvarint c shift acc =
+  if shift > Sys.int_size then corrupt "varint too long"
+  else
+    let byte = get_byte c in
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then acc else uvarint c (shift + 7) acc
 
+let get_uvarint c = uvarint c 0 0
 let get_int c = unzigzag (get_uvarint c)
 
 let get_float c =
@@ -247,8 +247,27 @@ let get_float c =
 
 let get_time c = Time.of_seconds (get_float c)
 let get_bool c = get_byte c <> 0
-let get_node c = Node_id.of_int (get_int c)
-let get_key c = Key.of_int (get_int c)
+
+(* Node ids and keys share Node_key's packing limit, so every decoded
+   event can index a (node, key) table. *)
+let max_id = (1 lsl 30) - 1
+
+let get_id c what =
+  let i = get_int c in
+  if i < 0 then corrupt "negative %s %d" what i
+  else if i > max_id then corrupt "%s %d out of range" what i
+  else i
+
+let get_node c = Node_id.of_int (get_id c "node id")
+let get_key c = Key.of_int (get_id c "key")
+
+(* Every entry takes at least 9 bytes: a replica varint and an expiry. *)
+let get_count c =
+  let n = get_uvarint c in
+  if n < 0 || n > (c.limit - c.pos) / 9 then
+    corrupt "entry count %d does not fit the %d bytes left in the record" n
+      (c.limit - c.pos)
+  else n
 
 let get_span c =
   let trace_id = get_int c in
@@ -285,7 +304,7 @@ let decode_body s ~pos ~len =
       let kind = kind_of_byte (get_byte c) in
       let level = get_int c in
       let answering = get_bool c in
-      let n = get_uvarint c in
+      let n = get_count c in
       let entries =
         List.init n (fun _ ->
             let replica = get_int c in
@@ -404,24 +423,39 @@ let read_header ic =
   let v = Char.code got.[String.length magic] in
   if v <> version then corrupt "unsupported trace format version %d" v
 
+let rec length_varint ic shift acc =
+  if shift > Sys.int_size then corrupt "varint too long"
+  else
+    match input_byte ic with
+    | exception End_of_file -> corrupt "truncated record length"
+    | byte ->
+        let acc = acc lor ((byte land 0x7f) lsl shift) in
+        if byte land 0x80 = 0 then acc else length_varint ic (shift + 7) acc
+
+(* Bytes left in [ic], or the longest possible body when the channel
+   cannot tell (a pipe). *)
+let bytes_left ic =
+  match in_channel_length ic with
+  | n -> n - pos_in ic
+  | exception Sys_error _ -> Sys.max_string_length
+
 let input_record ic =
   match input_byte ic with
   | exception End_of_file -> None
   | first ->
       let len =
         if first land 0x80 = 0 then first
-        else
-          let rec go shift acc =
-            if shift > Sys.int_size then corrupt "varint too long"
-            else
-              match input_byte ic with
-              | exception End_of_file -> corrupt "truncated record length"
-              | byte ->
-                  let acc = acc lor ((byte land 0x7f) lsl shift) in
-                  if byte land 0x80 = 0 then acc else go (shift + 7) acc
-          in
-          go 7 (first land 0x7f)
+        else length_varint ic 7 (first land 0x7f)
       in
+      if len < 0 then corrupt "negative record length %d" len;
+      (* A corrupt length must not size an allocation: a long one is
+         checked against the file first (a seek, so only when long). *)
+      if len > 4096 then begin
+        let left = bytes_left ic in
+        if len > left then
+          corrupt "record length %d exceeds the %d bytes left in the file" len
+            left
+      end;
       let body = Bytes.create len in
       (try really_input ic body 0 len
        with End_of_file -> corrupt "truncated record: expected %d body bytes" len);

@@ -43,6 +43,11 @@ type record =
 exception Corrupt of string
 (** Raised by the decoding functions on malformed input. *)
 
+val max_id : int
+(** The largest node id or key either trace format accepts,
+    2{^30} − 1: the limit of {!Cup_overlay.Node_key.pack}, which the
+    analyzer keys its tables with. *)
+
 (** {1 Encoding} *)
 
 val encode_body : Buffer.t -> record -> unit
@@ -64,7 +69,8 @@ val encode_to_string : record -> string
 val decode_body : string -> pos:int -> len:int -> record
 (** Decode one record body occupying [s.[pos .. pos+len-1]] — the
     inverse of {!encode_body}.  Raises {!Corrupt} on malformed bytes,
-    including trailing garbage inside the body. *)
+    including trailing garbage inside the body, a node id or key
+    outside [0 .. max_id], and an entry count the body cannot hold. *)
 
 val read_header : in_channel -> unit
 (** Consume and validate the file header.  Raises {!Corrupt} on bad
@@ -72,4 +78,8 @@ val read_header : in_channel -> unit
 
 val input_record : in_channel -> record option
 (** Read the next framed record; [None] at a clean end-of-file.
-    Raises {!Corrupt} on a truncated or malformed record. *)
+    Raises {!Corrupt} on a truncated or malformed record.  A negative
+    record length, or one longer than the rest of the file, is
+    {!Corrupt} before the body is allocated; a channel that cannot
+    report its length (a pipe) only catches lengths beyond
+    [Sys.max_string_length] that way. *)

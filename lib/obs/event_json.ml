@@ -103,11 +103,15 @@ let of_json (j : Json.t) : (Trace.event, string) result =
   let node name =
     let* i = field name Json.to_int in
     if i < 0 then Error (Printf.sprintf "negative node id in %S" name)
+    else if i > Binary_codec.max_id then
+      Error (Printf.sprintf "node id out of range in %S" name)
     else Ok (Node_id.of_int i)
   in
   let key () =
     let* i = field "key" Json.to_int in
-    if i < 0 then Error "negative key" else Ok (Key.of_int i)
+    if i < 0 then Error "negative key"
+    else if i > Binary_codec.max_id then Error "key out of range"
+    else Ok (Key.of_int i)
   in
   (* Span ids were absent from traces written before the causal-span
      codec; default them to 0 so legacy JSONL keeps parsing. *)

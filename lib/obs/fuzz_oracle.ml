@@ -60,8 +60,9 @@ let execute (cfg : Scenario.t) : Fuzz.verdict =
                     "%d orphan spans in the trace forest (first: %s) | %s"
                     summary.Analyzer.orphans
                     (match summary.Analyzer.orphan_examples with
-                    | (trace, span) :: _ ->
-                        Printf.sprintf "trace %d span %d" trace span
+                    | (span, parent) :: _ ->
+                        Printf.sprintf "span %d references missing parent %d"
+                          span parent
                     | [] -> "none recorded")
                     repro;
               }

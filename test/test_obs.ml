@@ -375,6 +375,9 @@ let test_event_json_rejects_bad_events () =
       "{\"type\":\"warp_drive\",\"at\":1.0}";
       "{\"type\":\"query_posted\",\"at\":1.0,\"node\":1}";
       "{\"type\":\"query_posted\",\"at\":1.0,\"node\":-1,\"key\":0}";
+      (* ids past Node_key's packing limit, as the binary codec *)
+      "{\"type\":\"query_posted\",\"at\":1.0,\"node\":1073741824,\"key\":0}";
+      "{\"type\":\"query_posted\",\"at\":1.0,\"node\":1,\"key\":1073741824}";
       "{\"type\":\"update_delivered\",\"at\":1.0,\"from\":0,\"to\":1,\
        \"key\":0,\"kind\":\"sideways\",\"level\":1,\"answering\":false}";
       "not json at all";
@@ -674,10 +677,23 @@ let test_registry_deterministic_across_schedulers () =
 
 (* {1 Analyzer} *)
 
+(* Force every critical path, so that two summaries compare
+   structurally. *)
+let forced (s : Cup_obs.Analyzer.summary) =
+  List.iter
+    (fun (t : Cup_obs.Analyzer.tree) -> ignore (Lazy.force t.critical_path))
+    s.traces;
+  s
+
+let streamed events =
+  let st = Cup_obs.Analyzer.Streaming.create () in
+  List.iter (Cup_obs.Analyzer.Streaming.feed st) events;
+  Cup_obs.Analyzer.Streaming.finish st
+
 let test_analyzer_no_orphans_under_faults () =
   let bytes, r = trace_bytes faulty in
   let events = events_of_bytes bytes in
-  let s = Cup_obs.Analyzer.analyze events in
+  let s = streamed events in
   Alcotest.(check int) "saw every event" (List.length events) s.events;
   Alcotest.(check int) "zero orphan spans under crash+loss" 0 s.orphans;
   Alcotest.(check int) "no legacy events in a fresh trace" 0 s.legacy;
@@ -686,10 +702,10 @@ let test_analyzer_no_orphans_under_faults () =
     (fun (t : Cup_obs.Analyzer.tree) ->
       Alcotest.(check bool) "depth ≥ 1" true (t.depth >= 1);
       Alcotest.(check bool) "spans ≥ depth" true (t.spans >= t.depth);
-      Alcotest.(check bool) "critical path nonempty" true
-        (t.critical_path <> []);
+      let path = Lazy.force t.critical_path in
+      Alcotest.(check bool) "critical path nonempty" true (path <> []);
       Alcotest.(check bool) "critical path bounded by depth" true
-        (List.length t.critical_path <= t.depth))
+        (List.length path <= t.depth))
     s.traces;
   (* hit/miss replay matches the runner's own counters *)
   Alcotest.(check int) "hits" (Counters.hits r.counters) s.hits;
@@ -700,7 +716,7 @@ let test_analyzer_latency_matches_counters () =
   (* recovered miss latencies (seconds) = counters' latencies (hops)
      × hop_delay, so the means must agree to rounding *)
   let bytes, r = trace_bytes faulty in
-  let s = Cup_obs.Analyzer.analyze (events_of_bytes bytes) in
+  let s = streamed (events_of_bytes bytes) in
   Alcotest.(check int) "one latency sample per miss" s.misses
     (Array.length s.miss_latencies);
   if s.misses > 0 then begin
@@ -736,7 +752,7 @@ let test_analyzer_handles_legacy_and_orphans () =
         (* 66 never appears *)
       }
   in
-  let s = Cup_obs.Analyzer.analyze [ legacy; orphan ] in
+  let s = streamed [ legacy; orphan ] in
   Alcotest.(check int) "legacy counted" 1 s.legacy;
   Alcotest.(check int) "orphan detected" 1 s.orphans;
   Alcotest.(check bool) "orphan example recorded" true
@@ -911,13 +927,10 @@ let test_streaming_analyzer_matches_legacy () =
      one, structurally, on a real crash+loss trace *)
   let bytes, _ = trace_bytes faulty in
   let events = events_of_bytes bytes in
-  let legacy = Cup_obs.Analyzer.analyze events in
-  let st = Cup_obs.Analyzer.Streaming.create () in
-  List.iter (Cup_obs.Analyzer.Streaming.feed st) events;
-  let streamed = Cup_obs.Analyzer.Streaming.finish st in
+  let legacy = Analyzer_oracle.analyze events in
   Alcotest.(check bool) "trace is nonempty" true (events <> []);
   Alcotest.(check bool) "summaries structurally equal" true
-    (streamed = legacy);
+    (forced (streamed events) = legacy);
   (* and on the degenerate legacy/orphan shapes, including forward
      parent references the streaming pass resolves retroactively *)
   let at = Time.of_seconds 1.0 in
@@ -951,11 +964,421 @@ let test_streaming_analyzer_matches_legacy () =
         { at; node = n 2; key = k; trace_id = 9; span_id = 100; parent_id = 0 };
     ]
   in
-  let st = Cup_obs.Analyzer.Streaming.create () in
-  List.iter (Cup_obs.Analyzer.Streaming.feed st) degenerate;
   Alcotest.(check bool) "degenerate shapes agree" true
-    (Cup_obs.Analyzer.Streaming.finish st
-    = Cup_obs.Analyzer.analyze degenerate)
+    (forced (streamed degenerate) = Analyzer_oracle.analyze degenerate)
+
+(* Span ids 1 and 2 name each other as parents, as flipped bits in a
+   damaged trace can make them.  Every critical path must still end. *)
+let test_streaming_cyclic_parents_end () =
+  let at = Time.of_seconds 1.0 and n = Node_id.of_int 1 and k = Key.of_int 0 in
+  let forwarded span_id parent_id =
+    Trace.Query_forwarded
+      { at; from_ = n; to_ = n; key = k; trace_id = 7; span_id; parent_id }
+  in
+  let s = streamed [ forwarded 1 2; forwarded 2 1 ] in
+  List.iter
+    (fun (t : Cup_obs.Analyzer.tree) ->
+      let path = Lazy.force t.critical_path in
+      Alcotest.(check bool) "path bounded by the span count" true
+        (List.length path <= 3))
+    s.traces;
+  let report =
+    Format.asprintf "%a" (Cup_obs.Analyzer.pp_summary ?max_traces:None) s
+  in
+  Alcotest.(check bool) "report printed" true (String.length report > 0)
+
+(* {2 Streaming analyzer against the reference}
+
+   Random scripts over every event shape.  Span ids come from a pool
+   that is dense, sparse or strided by a power of two.  An event reuses
+   a pool id now and then, and some events carry id 0 (legacy).  A
+   parent always sits earlier in the pool than its child, so the parent
+   graph has no cycle, but events go out in a locally shuffled order,
+   so children can arrive before their parents.  The last pool ids are
+   never emitted: a child pointing at one is an orphan. *)
+
+(* [e] with new span fields, its nodes and keys folded onto a few
+   values so that posts and answers meet. *)
+let respan e ~trace_id ~span_id ~parent_id =
+  let node n = Node_id.of_int (Node_id.to_int n mod 2)
+  and key k = Key.of_int (Key.to_int k mod 2) in
+  match e with
+  | Trace.Query_posted r ->
+      Trace.Query_posted
+        {
+          r with
+          node = node r.node;
+          key = key r.key;
+          trace_id;
+          span_id;
+          parent_id;
+        }
+  | Trace.Query_forwarded r ->
+      Trace.Query_forwarded
+        { r with key = key r.key; trace_id; span_id; parent_id }
+  | Trace.Update_delivered r ->
+      Trace.Update_delivered
+        { r with key = key r.key; trace_id; span_id; parent_id }
+  | Trace.Clear_bit_delivered r ->
+      Trace.Clear_bit_delivered
+        { r with key = key r.key; trace_id; span_id; parent_id }
+  | Trace.Local_answer r ->
+      Trace.Local_answer
+        {
+          r with
+          node = node r.node;
+          key = key r.key;
+          waiters = r.waiters mod 4;
+          trace_id;
+          span_id;
+          parent_id;
+        }
+  | Trace.Message_lost r ->
+      Trace.Message_lost
+        { r with key = key r.key; trace_id; span_id; parent_id }
+  | Trace.Repair_query r ->
+      Trace.Repair_query
+        {
+          r with
+          node = node r.node;
+          key = key r.key;
+          trace_id;
+          span_id;
+          parent_id;
+        }
+  | (Trace.Node_crashed _ | Trace.Node_recovered _) as e -> e
+
+let analyzer_script_gen : Trace.event list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* n = int_range 0 40 in
+  let size = n + 4 in
+  let* ids =
+    oneof
+      [
+        return (Array.init size (fun i -> i + 1));
+        map
+          (fun gaps ->
+            let a = Array.of_list gaps in
+            for i = 1 to size - 1 do
+              a.(i) <- a.(i) + a.(i - 1)
+            done;
+            a)
+          (list_repeat size (int_range 1 1_000_000_000));
+        map
+          (fun shift -> Array.init size (fun i -> (i + 1) lsl shift))
+          (oneofl [ 10; 20; 32 ]);
+      ]
+  in
+  let event i =
+    let* e = event_gen in
+    let* p = frequency [ (7, return i); (2, int_range 0 (max 0 (n - 1))) ] in
+    let* span_id = frequency [ (9, return ids.(p)); (1, return 0) ] in
+    let* parent_id =
+      frequency
+        [
+          (6, return 0);
+          ( 13,
+            if p = 0 then return 0
+            else map (fun q -> ids.(q)) (int_range 0 (p - 1)) );
+          (1, map (fun q -> ids.(q)) (int_range n (size - 1)));
+        ]
+    in
+    let* trace_id = int_range 0 3 in
+    let* jitter = float_bound_exclusive 4. in
+    return (float_of_int i +. jitter, respan e ~trace_id ~span_id ~parent_id)
+  in
+  let* events = flatten_l (List.init n event) in
+  return
+    (List.map snd
+       (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) events))
+
+let arb_analyzer_script =
+  QCheck.make
+    ~print:(fun events ->
+      String.concat "\n"
+        (List.map (Format.asprintf "%a" Trace.pp_event) events))
+    analyzer_script_gen
+
+let prop_streaming_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"streaming analyzer equals the reference on random scripts"
+    arb_analyzer_script (fun events ->
+      let got = forced (streamed events) in
+      let reference = Analyzer_oracle.analyze events in
+      let text max_traces s =
+        Format.asprintf "%a" (Cup_obs.Analyzer.pp_summary ~max_traces) s
+      in
+      if got <> reference then QCheck.Test.fail_report "summaries differ";
+      List.iter
+        (fun max_traces ->
+          if text max_traces got <> text max_traces reference then
+            QCheck.Test.fail_reportf "pp_summary ~max_traces:%d differs"
+              max_traces)
+        [ 0; 5; List.length reference.traces ];
+      true)
+
+(* {1 Corrupt binary traces}
+
+   No damaged .ctrace may crash the reader: every decoded node id,
+   key, entry count and record length is range-checked, and a bad one
+   ends the stream with a [Malformed] item. *)
+
+(* [bytes] written as a .ctrace file and read back: the items, or the
+   exception that escaped [Trace_reader.iter]. *)
+let read_ctrace bytes =
+  let path = Filename.temp_file "cup_damaged" ".ctrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      let items = ref [] in
+      match
+        Trace_reader.iter path ~f:(fun _ item -> items := item :: !items)
+      with
+      | () -> Ok (List.rev !items)
+      | exception e -> Error (Printexc.to_string e))
+
+let ends_malformed name ~expect bytes =
+  match read_ctrace bytes with
+  | Error e -> Alcotest.failf "%s: %s escaped the reader" name e
+  | Ok items -> (
+      match List.rev items with
+      | Trace_reader.Malformed msg :: _ ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names the fault" name msg)
+            true
+            (String.starts_with ~prefix:expect msg)
+      | _ -> Alcotest.failf "%s: the stream did not end Malformed" name)
+
+let framed events =
+  String.concat ""
+    (List.map
+       (fun e -> Binary_codec.encode_to_string (Binary_codec.Event e))
+       events)
+
+let test_corrupt_negative_node_id () =
+  let e =
+    Trace.Query_posted
+      {
+        at = Time.of_seconds 1.5;
+        node = Node_id.of_int 5;
+        key = Key.of_int 3;
+        trace_id = 1;
+        span_id = 1;
+        parent_id = 0;
+      }
+  in
+  (* length, tag, 8 time bytes, then the node id's zigzag varint: 5 is
+     10, and 9 decodes to -5 *)
+  let record = Bytes.of_string (framed [ e ]) in
+  Alcotest.(check char) "node id byte" '\010' (Bytes.get record 10);
+  Bytes.set record 10 '\009';
+  ends_malformed "negative node id" ~expect:"negative node id -5"
+    (Binary_codec.header ^ Bytes.to_string record)
+
+let test_corrupt_negative_record_length () =
+  (* eight continuation bytes, then bit 62: the varint wraps negative *)
+  ends_malformed "negative record length" ~expect:"negative record length"
+    (Binary_codec.header ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+   ^ String.make 64 'x')
+
+let test_corrupt_huge_record_length () =
+  (* 2^45 bytes announced, 64 present *)
+  ends_malformed "huge record length" ~expect:"record length 35184372088832"
+    (Binary_codec.header ^ "\x80\x80\x80\x80\x80\x80\x08" ^ String.make 64 'x')
+
+(* The faults-audited benchmark run at seed 3 (1024-node CAN, crashes,
+   loss and duplication), written as .ctrace and hit by 20 bit flips.
+   One flip makes a node id negative; before the range checks that
+   raised [Invalid_argument] from [Node_id.of_int]. *)
+let test_corrupt_bit_flips () =
+  let cfg =
+    {
+      Scenario.default with
+      seed = 3;
+      nodes = 1024;
+      total_keys_override = Some 128;
+      key_dist = `Zipf 0.9;
+      query_rate = 50.;
+      query_duration = 100.;
+      crashes =
+        Some { Scenario.crash_rate = 0.05; recover_after = 30.; warmup = 0. };
+      loss = Some { Scenario.drop = 0.02; jitter = 0.5 };
+      duplication = Some { Scenario.d_probability = 0.01 };
+    }
+  in
+  let b = Buffer.create (1 lsl 22) and scratch = Buffer.create 128 in
+  Buffer.add_string b Binary_codec.header;
+  let live = Runner.Live.create cfg in
+  Runner.Live.set_tracer live
+    (Some (fun e -> Binary_codec.encode ~scratch b (Binary_codec.Event e)));
+  ignore (Runner.Live.finish live);
+  let bytes = Buffer.to_bytes b in
+  let rng = Random.State.make [| 15 |] in
+  for _ = 1 to 20 do
+    let i =
+      Binary_codec.header_length
+      + Random.State.int rng (Bytes.length bytes - Binary_codec.header_length)
+    in
+    let bit = 1 lsl Random.State.int rng 8 in
+    Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor bit))
+  done;
+  ends_malformed "20 bit flips" ~expect:"negative node id"
+    (Bytes.to_string bytes)
+
+(* A framed trace of [event_gen] events, then either a cut at a random
+   offset or k random byte flips. *)
+let arb_damaged_trace =
+  let open QCheck.Gen in
+  let damage =
+    oneof
+      [
+        map (fun f -> `Cut f) (float_bound_exclusive 1.);
+        map
+          (fun flips -> `Flip flips)
+          (list_size (int_range 1 8)
+             (pair (float_bound_exclusive 1.) (int_range 1 255)));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (events, damage) ->
+      Printf.sprintf "%d events, %s" (List.length events)
+        (match damage with
+        | `Cut f -> Printf.sprintf "cut at %.4f" f
+        | `Flip flips ->
+            String.concat "; "
+              (List.map
+                 (fun (p, x) -> Printf.sprintf "xor 0x%02x at %.4f" x p)
+                 flips)))
+    (pair (list_size (int_range 0 20) event_gen) damage)
+
+let prop_damaged_trace_never_raises =
+  QCheck.Test.make ~count:500
+    ~name:"cut or flipped traces never raise out of the reader"
+    arb_damaged_trace (fun (events, damage) ->
+      let records =
+        List.map
+          (fun e -> Binary_codec.encode_to_string (Binary_codec.Event e))
+          events
+      in
+      let trace = Binary_codec.header ^ String.concat "" records in
+      let len = String.length trace in
+      match damage with
+      | `Flip flips ->
+          let b = Bytes.of_string trace in
+          List.iter
+            (fun (p, x) ->
+              let i = int_of_float (p *. float_of_int len) in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+            flips;
+          (match read_ctrace (Bytes.to_string b) with
+          | Ok _ -> true
+          | Error e -> QCheck.Test.fail_reportf "%s escaped the reader" e)
+      | `Cut f -> (
+          let cut = int_of_float (f *. float_of_int (len + 1)) in
+          (* the records that end at or before the cut *)
+          let rec whole acc off = function
+            | (e, r) :: rest when off + String.length r <= cut ->
+                whole (e :: acc) (off + String.length r) rest
+            | rest -> (List.rev acc, off, rest)
+          in
+          let kept, off, _ =
+            whole [] Binary_codec.header_length (List.combine events records)
+          in
+          let on_boundary = cut = off && cut >= Binary_codec.header_length in
+          match read_ctrace (String.sub trace 0 cut) with
+          | Error e -> QCheck.Test.fail_reportf "%s escaped the reader" e
+          | Ok items ->
+              let read =
+                List.filter_map
+                  (function Trace_reader.Event e -> Some e | _ -> None)
+                  items
+              in
+              let malformed =
+                match List.rev items with
+                | Trace_reader.Malformed _ :: _ -> true
+                | _ -> false
+              in
+              if read <> kept then
+                QCheck.Test.fail_report "the records before the cut changed";
+              if malformed = on_boundary then
+                QCheck.Test.fail_reportf "cut at byte %d of %d: %s" cut len
+                  (if on_boundary then "a clean cut read as Malformed"
+                   else "a cut inside a record did not end Malformed");
+              true))
+
+(* {1 Span index} *)
+
+module Span_index = Cup_obs.Span_index
+
+let test_span_index_dense_ids () =
+  (* the runner's ids, from one counter: each sits in its home slot *)
+  let t = Span_index.create ~fields:1 in
+  for id = 1 to 100_000 do
+    Span_index.set t (Span_index.add t id) 0 (2 * id)
+  done;
+  Alcotest.(check int) "all stored" 100_000 (Span_index.length t);
+  Alcotest.(check int) "every id in its home slot" 1 (Span_index.max_probe t);
+  for id = 1 to 100_000 do
+    let s = Span_index.find t id in
+    if s < 0 || Span_index.get t s 0 <> 2 * id then
+      Alcotest.failf "id %d lost its field" id
+  done
+
+let test_span_index_strided_ids () =
+  (* 10^5 ids equal in their low bits must not share one probe chain *)
+  List.iter
+    (fun shift ->
+      let t = Span_index.create ~fields:0 in
+      for i = 1 to 100_000 do
+        ignore (Span_index.add t (i lsl shift))
+      done;
+      Alcotest.(check int) "all stored" 100_000 (Span_index.length t);
+      let worst = Span_index.max_probe t in
+      if worst > 32 then
+        Alcotest.failf "stride 2^%d: a probe chain of %d slots" shift worst;
+      for i = 1 to 100_000 do
+        if Span_index.find t (i lsl shift) < 0 then
+          Alcotest.failf "stride 2^%d: id %d lost" shift (i lsl shift)
+      done;
+      Alcotest.(check int) "absent id" (-1)
+        (Span_index.find t (100_001 lsl shift)))
+    [ 10; 20; 32; 40 ]
+
+let prop_span_index_matches_hashtbl =
+  QCheck.Test.make ~count:300
+    ~name:"span index agrees with a Hashtbl across growth"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 3000)
+        (pair
+           (make
+              Gen.(
+                oneof
+                  [
+                    int_range (-5) 4000;
+                    map (fun i -> i lsl 20) (int_range 1 4000);
+                    int;
+                  ]))
+           small_nat))
+    (fun writes ->
+      let t = Span_index.create ~fields:2 and h = Hashtbl.create 16 in
+      List.iter
+        (fun (id, v) ->
+          if id <> 0 then begin
+            let s = Span_index.add t id in
+            Span_index.set t s 1 v;
+            Hashtbl.replace h id v
+          end)
+        writes;
+      Span_index.length t = Hashtbl.length h
+      && Span_index.find t 0 = -1
+      && Hashtbl.fold
+           (fun id v ok ->
+             let s = Span_index.find t id in
+             ok && s >= 0 && Span_index.get t s 1 = v
+             && Span_index.get t s 0 = 0)
+           h true)
 
 let test_timeseries_rejects_bad_interval () =
   let live = Runner.Live.create quiet_base in
@@ -1296,6 +1719,177 @@ let test_audit_catches_backlog_breach () =
   check_violation "backlog bound" "V3" (fun () ->
       Audit.observe a (delivered ~at:5. ~span:1 ~parent:0 ~entries:[]))
 
+(* A crash empties the node's cache, so an older expiry delivered after
+   it is no regression.  A crash of another node, here the sender,
+   resets nothing. *)
+let test_audit_crash_resets_high_water () =
+  let crash node at =
+    Trace.Node_crashed { at = Time.of_seconds at; node = Node_id.of_int node }
+  in
+  let a = Audit.create ~counters:(Counters.create ()) () in
+  Audit.observe a (delivered ~at:100. ~span:1 ~parent:0 ~entries:[ (1, 500.) ]);
+  Audit.observe a (crash 4 105.);
+  Audit.observe a (delivered ~at:110. ~span:2 ~parent:0 ~entries:[ (1, 400.) ]);
+  Audit.observe a (crash 9 115.);
+  check_violation "stale refresh after the sender's crash" "V2" (fun () ->
+      Audit.observe a
+        (delivered ~at:120. ~span:3 ~parent:0 ~entries:[ (1, 300.) ]))
+
+(* A re-emitted id is caught however far apart the two emissions are:
+   the span set grows several times in between. *)
+let test_audit_span_emitted_twice () =
+  let a = Audit.create ~counters:(Counters.create ()) () in
+  for span = 1 to 5000 do
+    Audit.observe a (delivered ~at:1. ~span ~parent:(span / 2) ~entries:[])
+  done;
+  match
+    Audit.observe a (delivered ~at:2. ~span:17 ~parent:4999 ~entries:[])
+  with
+  | () -> Alcotest.fail "span id 17 passed a second time"
+  | exception Audit.Violation v ->
+      Alcotest.(check string) "code" "V4" v.Audit.code;
+      Alcotest.(check string) "detail" "span id 17 emitted twice" v.detail
+
+(* Random scripts for the auditor's V2 and V4 state: deliveries of
+   every kind to three nodes and three keys, with expiries that go
+   stale, repeat or are already expired; crashes; and now and then a
+   repeated span id or a parent that was never emitted.  Each step is
+   drawn as a function of the span ids emitted before it. *)
+let audit_script_gen =
+  let open QCheck.Gen in
+  let node = map Node_id.of_int (int_range 0 2) in
+  let pick ids f = ids.(int_of_float (f *. float_of_int (Array.length ids))) in
+  let step =
+    let* span =
+      frequency
+        [
+          (60, return `Fresh);
+          (1, map (fun f -> `Repeat f) (float_bound_exclusive 1.));
+          (1, return `Legacy);
+        ]
+    and* parent =
+      frequency
+        [
+          (50, return `Root);
+          (50, map (fun f -> `Seen f) (float_bound_exclusive 1.));
+          (1, return `Missing);
+        ]
+    and* body =
+      frequency
+        [
+          ( 6,
+            let* from_ = node and* to_ = node and* key = int_range 0 2 in
+            let* kind =
+              oneofl
+                Cup_proto.Update.
+                  [ First_time; Refresh; Refresh; Append; Delete ]
+            in
+            let* entries =
+              list_size (int_range 0 3)
+                (pair (int_range 0 2) (oneofl [ -1.; 5.; 10.; 10.; 20.; 30. ]))
+            in
+            return (fun ~at ~span_id ~parent_id ->
+                Trace.Update_delivered
+                  {
+                    at = Time.of_seconds at;
+                    from_;
+                    to_;
+                    key = Key.of_int key;
+                    kind;
+                    level = 1;
+                    answering = false;
+                    entries = List.map (fun (r, d) -> (r, at +. d)) entries;
+                    trace_id = 1;
+                    span_id;
+                    parent_id;
+                  }) );
+          ( 1,
+            map
+              (fun node ~at ~span_id:_ ~parent_id:_ ->
+                Trace.Node_crashed { at = Time.of_seconds at; node })
+              node );
+          ( 1,
+            map
+              (fun (from_, to_) ~at ~span_id ~parent_id ->
+                Trace.Query_forwarded
+                  {
+                    at = Time.of_seconds at;
+                    from_;
+                    to_;
+                    key = Key.of_int 0;
+                    trace_id = 1;
+                    span_id;
+                    parent_id;
+                  })
+              (pair node node) );
+        ]
+    in
+    return (span, parent, body)
+  in
+  let* steps = list_size (int_range 1 80) step in
+  let* tolerate_stale = bool in
+  let* context = opt (return "seed 7") in
+  let emitted = ref [||] in
+  let events =
+    List.mapi
+      (fun i (span, parent, body) ->
+        let ids = !emitted in
+        let span_id =
+          match span with
+          | `Repeat f when ids <> [||] -> pick ids f
+          | `Legacy -> 0
+          | _ -> i + 1
+        and parent_id =
+          match parent with
+          | `Seen f when ids <> [||] -> pick ids f
+          | `Missing -> 1000 + i
+          | _ -> 0
+        in
+        let e = body ~at:(float_of_int i) ~span_id ~parent_id in
+        (match Trace.event_span e with
+        | Some (_, id, _) when id <> 0 -> emitted := Array.append ids [| id |]
+        | _ -> ());
+        e)
+      steps
+  in
+  return (tolerate_stale, context, events)
+
+(* The first violation [observe] raises along [events], with its
+   index. *)
+let first_violation observe events =
+  let rec go i = function
+    | [] -> None
+    | e :: rest -> (
+        match observe e with
+        | () -> go (i + 1) rest
+        | exception Audit.Violation v -> Some (i, v))
+  in
+  go 0 events
+
+let prop_audit_matches_oracle =
+  QCheck.Test.make ~count:1000
+    ~name:"auditor reports the reference's first violation"
+    (QCheck.make
+       ~print:(fun (tolerate_stale, _, events) ->
+         Printf.sprintf "tolerate_stale=%b\n%s" tolerate_stale
+           (String.concat "\n"
+              (List.map (Format.asprintf "%a" Trace.pp_event) events)))
+       audit_script_gen)
+    (fun (tolerate_stale, context, events) ->
+      let a =
+        Audit.create ~tolerate_stale ?context ~counters:(Counters.create ()) ()
+      and reference = Audit_oracle.create ~tolerate_stale ?context () in
+      let got = first_violation (Audit.observe a) events
+      and want = first_violation (Audit_oracle.observe reference) events in
+      let show = function
+        | None -> "none"
+        | Some (i, v) -> Format.asprintf "event %d: %a" i Audit.pp_violation v
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "auditor: %s\nreference: %s" (show got)
+          (show want);
+      true)
+
 (* {1 HTTP loopback framing} *)
 
 (* The client reads exactly Content-Length bytes, so a mis-framed
@@ -1334,7 +1928,7 @@ let multikey =
 let test_analyzer_per_key_activity () =
   let bytes, _ = trace_bytes multikey in
   let events = events_of_bytes bytes in
-  let s = Cup_obs.Analyzer.analyze events in
+  let s = streamed events in
   Alcotest.(check bool) "several keys active" true (List.length s.per_key > 1);
   let keys = List.map fst s.per_key in
   Alcotest.(check bool) "sorted by key" true (List.sort compare keys = keys);
@@ -1348,13 +1942,10 @@ let test_analyzer_per_key_activity () =
   Alcotest.(check int)
     "every event is either keyed or a membership event" s.events
     (sum (fun ks -> ks.Cup_obs.Analyzer.k_events) + s.membership);
-  (* the streaming pass carries the same per-key table, and the
+  (* the reference analyzer builds the same per-key table, and the
      rendered summary prints it *)
-  let st = Cup_obs.Analyzer.Streaming.create () in
-  List.iter (Cup_obs.Analyzer.Streaming.feed st) events;
-  let streamed = Cup_obs.Analyzer.Streaming.finish st in
   Alcotest.(check bool) "streaming per-key table equal" true
-    (streamed.per_key = s.per_key);
+    ((Analyzer_oracle.analyze events).per_key = s.per_key);
   let rendered = Format.asprintf "%a" (Cup_obs.Analyzer.pp_summary ?max_traces:None) s in
   Alcotest.(check bool) "summary prints the per-key table" true
     (let needle = "per-key:" in
@@ -1586,6 +2177,9 @@ let () =
             test_analyzer_handles_legacy_and_orphans;
           Alcotest.test_case "streaming matches legacy" `Quick
             test_streaming_analyzer_matches_legacy;
+          QCheck_alcotest.to_alcotest prop_streaming_matches_oracle;
+          Alcotest.test_case "cyclic parent links end" `Quick
+            test_streaming_cyclic_parents_end;
         ] );
       ( "binary trace",
         [
@@ -1596,6 +2190,26 @@ let () =
             test_binary_writer_tiny_buffer_ordering;
           Alcotest.test_case "reader classifies both formats" `Quick
             test_trace_reader_classifies_both_formats;
+        ] );
+      ( "corrupt trace",
+        [
+          Alcotest.test_case "negative node id" `Quick
+            test_corrupt_negative_node_id;
+          Alcotest.test_case "negative record length" `Quick
+            test_corrupt_negative_record_length;
+          Alcotest.test_case "huge record length" `Quick
+            test_corrupt_huge_record_length;
+          Alcotest.test_case "20 bit flips in a fault run" `Quick
+            test_corrupt_bit_flips;
+          QCheck_alcotest.to_alcotest prop_damaged_trace_never_raises;
+        ] );
+      ( "span index",
+        [
+          Alcotest.test_case "dense ids in home slots" `Quick
+            test_span_index_dense_ids;
+          Alcotest.test_case "strided ids spread" `Quick
+            test_span_index_strided_ids;
+          QCheck_alcotest.to_alcotest prop_span_index_matches_hashtbl;
         ] );
       ( "sinks",
         [
@@ -1661,6 +2275,11 @@ let () =
             test_audit_catches_conservation_leak;
           Alcotest.test_case "catches backlog breach" `Quick
             test_audit_catches_backlog_breach;
+          Alcotest.test_case "crash resets the node's high-water" `Quick
+            test_audit_crash_resets_high_water;
+          Alcotest.test_case "span id emitted twice" `Quick
+            test_audit_span_emitted_twice;
+          QCheck_alcotest.to_alcotest prop_audit_matches_oracle;
         ] );
       ( "replicate-metrics",
         [
