@@ -1,22 +1,52 @@
-module Set = Cup_overlay.Node_id.Set
+module Node_id = Cup_overlay.Node_id
 
-type t = { mutable members : Set.t }
+type t = Node_id.t array
 
-let create () = { members = Set.empty }
-let set t id = t.members <- Set.add id t.members
-let clear t id = t.members <- Set.remove id t.members
-let is_set t id = Set.mem id t.members
-let any t = not (Set.is_empty t.members)
-let cardinal t = Set.cardinal t.members
-let interested t = Set.elements t.members
+let empty = [||]
+let is_empty t = Array.length t = 0
+let cardinal = Array.length
+let to_list = Array.to_list
+
+(* The index of the first member not below [id]. *)
+let rec lower_bound (t : t) (id : Node_id.t) i =
+  if i < Array.length t && (t.(i) :> int) < (id :> int) then
+    lower_bound t id (i + 1)
+  else i
+
+let holds (t : t) i (id : Node_id.t) =
+  i < Array.length t && (t.(i) :> int) = (id :> int)
+
+let mem t id = holds t (lower_bound t id 0) id
+
+let add t id =
+  let i = lower_bound t id 0 in
+  if holds t i id then t
+  else begin
+    let n = Array.length t in
+    let a = Array.make (n + 1) id in
+    Array.blit t 0 a 0 i;
+    Array.blit t i a (i + 1) (n - i);
+    a
+  end
+
+let remove t id =
+  let i = lower_bound t id 0 in
+  let n = Array.length t in
+  if not (holds t i id) then t
+  else if n = 1 then empty
+  else begin
+    let a = Array.make (n - 1) id in
+    Array.blit t 0 a 0 i;
+    Array.blit t (i + 1) a i (n - i - 1);
+    a
+  end
 
 let remap t ~old_id ~new_id =
-  if Set.mem old_id t.members then
-    t.members <- Set.add new_id (Set.remove old_id t.members)
+  if mem t old_id then add (remove t old_id) new_id else t
 
-let pp fmt t =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Cup_overlay.Node_id.pp)
-    (interested t)
+let filter keep t =
+  if Array.for_all keep t then t
+  else
+    match List.filter keep (Array.to_list t) with
+    | [] -> empty
+    | kept -> Array.of_list kept

@@ -1,6 +1,7 @@
 module Key = Cup_overlay.Key
 module Node_id = Cup_overlay.Node_id
 module Node_key = Cup_overlay.Node_key
+module Index = Node_key.Index
 module Time = Cup_dess.Time
 
 type config = { policy : Policy.t; replica_independent_cutoff : bool }
@@ -34,24 +35,33 @@ type stats = {
 
 (* State for one (node, key) pair.  A cached (non-local) key uses every
    field: the Section 2.3 bookkeeping.  An owned key's authority state
-   uses only [entries], as its slice of the local index directory, and
-   [interest], for the neighbors that queried it; its other fields keep
-   their initial values, which no churn patch below ever matches. *)
+   uses only the entry arrays, as its slice of the local index
+   directory, and [interest], for the neighbors that queried it; its
+   other fields keep their initial values, which no churn patch below
+   ever matches.
+
+   The entry set is two exact-size parallel arrays: replica ids in
+   increasing order and their expiries.  A refresh of a cached replica
+   writes its expiry in place, so each state owns its arrays; only the
+   shared empty pair is never written. *)
 type state = {
   key : Key.t;
-  mutable entries : Entry.t Replica_id.Map.t;
+  mutable replicas : Replica_id.t array;
+  mutable expiries : Time.t array;
   mutable pending_first : bool;
-  interest : Interest.t;
+  mutable interest : Interest.t;
   mutable queries_since_update : int;
   mutable dry_updates : int; (* consecutive trigger updates with 0 queries *)
   mutable distance : int; (* hops from the authority, from update levels *)
-  mutable trigger : Replica_id.t option; (* replica-independent cut-off *)
+  mutable trigger : int; (* replica-independent cut-off replica, or [none] *)
   mutable upstream : int; (* node we receive updates from; [none] if unknown *)
   mutable cut_sent : bool; (* clear-bit pushed and not yet re-subscribed *)
   mutable waiters : Time.t list; (* open local client connections *)
-  mutable waiting : Node_id.Set.t;
-      (* neighbors whose query we absorbed and owe a response to;
-         always a subset of the interested set *)
+  mutable waiting : Interest.t;
+      (* neighbors whose query we absorbed and owe a response to; a
+         subset of the interested set, except that the churn patches
+         below leave it alone, so it can still name a departed
+         neighbor *)
   mutable queried_to : int;
       (* where the pending query instance was pushed, or [none]; lets
          churn patching un-stick the pending flag if that hop
@@ -59,43 +69,43 @@ type state = {
   mutable next : state; (* the owning node's next state; [nil] ends it *)
 }
 
-(* Node ids are non-negative, so [none] never matches one. *)
+(* Node and replica ids are non-negative, so [none] never matches one. *)
 let none = -1
 
-(* Ends every node's chain, and holds the initial value of every field
-   a new state does not set itself.  Never mutated. *)
+(* Ends every node's chain, stands for an absent state in the indexes,
+   and holds the initial value of every field a new state does not set
+   itself.  Never mutated. *)
 let rec nil =
   {
     key = Key.of_int 0;
-    entries = Replica_id.Map.empty;
+    replicas = [||];
+    expiries = [||];
     pending_first = false;
-    interest = Interest.create ();
+    interest = Interest.empty;
     queries_since_update = 0;
     dry_updates = 0;
     distance = 1;
-    trigger = None;
+    trigger = none;
     upstream = none;
     cut_sent = false;
     waiters = [];
-    waiting = Node_id.Set.empty;
+    waiting = Interest.empty;
     queried_to = none;
     next = nil;
   }
 
-let fresh_state key = { nil with key; interest = Interest.create () }
-
-(* Every node's states live in two tables keyed by the packed
+(* Every node's states live in two indexes keyed by the packed
    (node, key) pair, and each node's states are also chained through
    [next] from [heads.(node)], so churn patching and [remove_node] walk
    one node's states without a table per node. *)
 type t = {
   config : config;
   stats : stats; (* summed over every node in the store *)
-  cache : state Node_key.Table.t; (* cached-key states *)
-  local : state Node_key.Table.t;
+  cache : state Index.t; (* cached-key states *)
+  local : state Index.t;
       (* authority states.  A node's cached state and its authority
          state for one key legally coexist across churn, so each kind
-         has its own table. *)
+         has its own index. *)
   mutable heads : state array; (* node id -> first state of its chain *)
 }
 
@@ -113,16 +123,15 @@ let create ?(nodes = 16) config =
         clear_bits_in = 0;
         expired_updates_dropped = 0;
       };
-    (* The tables start small and grow: most (node, key) pairs never
+    (* The indexes start small and grow: most (node, key) pairs never
        hold state, so sizing them by [nodes] only costs set-up time. *)
-    cache = Node_key.Table.create 1024;
-    local = Node_key.Table.create 256;
+    cache = Index.create ~absent:nil 1024;
+    local = Index.create ~absent:nil 256;
     heads = Array.make nodes nil;
   }
 
 let stats t = t.stats
-let live_slots t =
-  Node_key.Table.length t.cache + Node_key.Table.length t.local
+let live_slots t = Index.length t.cache + Index.length t.local
 
 let head t node =
   let n = Node_id.to_int node in
@@ -137,8 +146,8 @@ let iter_node t node f =
   in
   go (head t node)
 
-let add_state t table node key =
-  let state = fresh_state key in
+let add_state t index node key =
+  let state = { nil with key } in
   let n = Node_id.to_int node in
   let len = Array.length t.heads in
   if n >= len then begin
@@ -148,8 +157,7 @@ let add_state t table node key =
   end;
   state.next <- t.heads.(n);
   t.heads.(n) <- state;
-  (* Callers add only absent pairs, so skip [replace]'s bucket scan. *)
-  Node_key.Table.add table (Node_key.pack node key) state;
+  Index.replace index (Node_key.pack node key) state;
   state
 
 let unlink t node state =
@@ -163,23 +171,125 @@ let unlink t node state =
     !prev.next <- state.next
   end
 
-let find_cache t node key =
-  Node_key.Table.find_opt t.cache (Node_key.pack node key)
-
-let find_local t node key =
-  Node_key.Table.find_opt t.local (Node_key.pack node key)
+let find_cache t node key = Index.find t.cache (Node_key.pack node key)
+let find_local t node key = Index.find t.local (Node_key.pack node key)
 
 let get_state t node key =
-  match Node_key.Table.find t.cache (Node_key.pack node key) with
-  | state -> state
-  | exception Not_found -> add_state t t.cache node key
+  let state = find_cache t node key in
+  if state != nil then state else add_state t t.cache node key
 
-let prune_expired entries ~now =
-  Replica_id.Map.filter (fun _ e -> Entry.is_fresh e ~now) entries
+(* {2 Entry sets}
+
+   The loops below are top-level functions, not closures, so reading
+   an entry set allocates nothing. *)
+
+(* Where replica [r] is, or would go, among the increasing [replicas]. *)
+let rec position (replicas : Replica_id.t array) r i =
+  if i < Array.length replicas && (replicas.(i) :> int) < r then
+    position replicas r (i + 1)
+  else i
+
+let holds (replicas : Replica_id.t array) i r =
+  i < Array.length replicas && (replicas.(i) :> int) = r
+
+(* [a] with [x] inserted before its [i]th element. *)
+let inserted a i x =
+  let b = Array.make (Array.length a + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (Array.length a - i);
+  b
+
+let removed a i =
+  Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1))
+
+let insert_at state i (e : Entry.t) =
+  state.replicas <- inserted state.replicas i e.replica;
+  state.expiries <- inserted state.expiries i e.expiry
+
+(* Cache [e], replacing any entry for its replica. *)
+let set_entry state (e : Entry.t) =
+  let r = (e.replica :> int) in
+  let i = position state.replicas r 0 in
+  if holds state.replicas i r then state.expiries.(i) <- e.expiry
+  else insert_at state i e
+
+(* Last-writer-wins by expiry: an entry at or below the cached expiry is
+   no news — discarded, so a reordered or duplicated channel can never
+   regress the cache to older data.  In-order tree-shaped propagation
+   always carries strictly fresher expiries, making the guard a no-op
+   there.  Returns whether the set changed. *)
+let refresh_entry state (e : Entry.t) =
+  let r = (e.replica :> int) in
+  let i = position state.replicas r 0 in
+  if not (holds state.replicas i r) then begin
+    insert_at state i e;
+    true
+  end
+  else if state.expiries.(i) >= e.expiry then false
+  else begin
+    state.expiries.(i) <- e.expiry;
+    true
+  end
+
+let remove_entry state (r : Replica_id.t) =
+  let i = position state.replicas (r :> int) 0 in
+  holds state.replicas i (r :> int)
+  && begin
+       state.replicas <- removed state.replicas i;
+       state.expiries <- removed state.expiries i;
+       true
+     end
+
+let rec has_fresh (expiries : Time.t array) now i =
+  i < Array.length expiries
+  && (now < expiries.(i) || has_fresh expiries now (i + 1))
+
+let rec count_fresh (expiries : Time.t array) now i acc =
+  if i = Array.length expiries then acc
+  else
+    count_fresh expiries now (i + 1)
+      (if now < expiries.(i) then acc + 1 else acc)
+
+(* Drop the expired entries; allocates only when one has expired. *)
+let prune state ~now =
+  let expiries = state.expiries in
+  let n = Array.length expiries in
+  let fresh = count_fresh expiries now 0 0 in
+  if fresh = 0 then begin
+    state.replicas <- [||];
+    state.expiries <- [||]
+  end
+  else if fresh < n then begin
+    let replicas = Array.make fresh state.replicas.(0) in
+    let kept = Array.make fresh 0. in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      if now < expiries.(i) then begin
+        replicas.(!j) <- state.replicas.(i);
+        kept.(!j) <- expiries.(i);
+        incr j
+      end
+    done;
+    state.replicas <- replicas;
+    state.expiries <- kept
+  end
+
+let rec entries_from (replicas : Replica_id.t array) expiries i acc =
+  if i < 0 then acc
+  else
+    entries_from replicas expiries (i - 1)
+      ({ Entry.replica = replicas.(i); expiry = expiries.(i) } :: acc)
+
+(* The cached entries in increasing replica order, for actions and
+   introspection. *)
+let entry_list state =
+  entries_from state.replicas state.expiries
+    (Array.length state.replicas - 1)
+    []
 
 let fresh_entry_list state ~now =
-  state.entries <- prune_expired state.entries ~now;
-  List.map snd (Replica_id.Map.bindings state.entries)
+  prune state ~now;
+  entry_list state
 
 let nodes t =
   let acc = ref [] in
@@ -190,27 +300,48 @@ let nodes t =
 
 (* Every state of a departed node goes.  A node can hold a cached and
    an authority state for the same key, both on its chain, so each
-   state's pair is dropped from both tables. *)
+   state's pair is dropped from both indexes. *)
 let remove_node t node =
   iter_node t node (fun state ->
       let packed = Node_key.pack node state.key in
-      Node_key.Table.remove t.cache packed;
-      Node_key.Table.remove t.local packed);
+      Index.remove t.cache packed;
+      Index.remove t.local packed);
   let n = Node_id.to_int node in
   if n < Array.length t.heads then t.heads.(n) <- nil
+
+(* Send [update] to every id in [waiting] or [interest], in increasing
+   order, consed onto [acc]: [answering] exactly for the [waiting] ids.
+   Both arrays are walked down from [i] and [j], so the list comes out
+   in order without a reversal. *)
+let rec sends stats update (waiting : Node_id.t array) i
+    (interest : Node_id.t array) j acc =
+  if i < 0 && j < 0 then acc
+  else begin
+    stats.updates_forwarded <- stats.updates_forwarded + 1;
+    let w = if i < 0 then none else (waiting.(i) :> int) in
+    let n = if j < 0 then none else (interest.(j) :> int) in
+    if w >= n then
+      sends stats update waiting (i - 1) interest
+        (if w = n then j - 1 else j)
+        (Send_update { to_ = waiting.(i); update; answering = true } :: acc)
+    else
+      sends stats update waiting i interest (j - 1)
+        (Send_update { to_ = interest.(j); update; answering = false } :: acc)
+  end
+
+let send_all t update ~waiting ~interest acc =
+  let waiting = (waiting : Interest.t :> Node_id.t array)
+  and interest = (interest : Interest.t :> Node_id.t array) in
+  sends t.stats update waiting (Array.length waiting - 1) interest
+    (Array.length interest - 1) acc
 
 (* {2 Authority side} *)
 
 let add_local_key t node key =
-  if not (Node_key.Table.mem t.local (Node_key.pack node key)) then
-    ignore (add_state t t.local node key)
+  if find_local t node key == nil then ignore (add_state t t.local node key)
 
-let owns t node key = Node_key.Table.mem t.local (Node_key.pack node key)
-
-let local_directory t node key =
-  match find_local t node key with
-  | Some ls -> List.map snd (Replica_id.Map.bindings ls.entries)
-  | None -> []
+let owns t node key = find_local t node key != nil
+let local_directory t node key = entry_list (find_local t node key)
 
 (* Originate an update at the authority (distance 0): push to every
    interested neighbor, unless the policy bounds propagation at the
@@ -222,26 +353,20 @@ let originate t ls (update : Update.t) =
     | None -> true
   in
   if not allowed then []
-  else
-    List.map
-      (fun neighbor ->
-        t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-        Send_update { to_ = neighbor; update; answering = false })
-      (Interest.interested ls.interest)
+  else send_all t update ~waiting:Interest.empty ~interest:ls.interest []
 
 let local_exn t node key op =
-  match find_local t node key with
-  | Some ls -> ls
-  | None -> invalid_arg ("Node." ^ op ^ ": key not owned")
+  let ls = find_local t node key in
+  if ls == nil then invalid_arg ("Node." ^ op ^ ": key not owned") else ls
 
 let replica_birth t ~node ~now:_ ~key entry =
   let ls = local_exn t node key "replica_birth" in
-  ls.entries <- Replica_id.Map.add entry.Entry.replica entry ls.entries;
+  set_entry ls entry;
   originate t ls (Update.append ~key ~entry ~level:1)
 
 let replica_refresh t ~node ~now:_ ~key entry =
   let ls = local_exn t node key "replica_refresh" in
-  ls.entries <- Replica_id.Map.add entry.Entry.replica entry ls.entries;
+  set_entry ls entry;
   originate t ls (Update.refresh ~key ~entry ~level:1)
 
 let replica_refresh_batch t ~node ~now:_ ~key entries =
@@ -249,54 +374,48 @@ let replica_refresh_batch t ~node ~now:_ ~key entries =
   match entries with
   | [] -> []
   | entries ->
-      ls.entries <-
-        List.fold_left
-          (fun dir (e : Entry.t) -> Replica_id.Map.add e.replica e dir)
-          ls.entries entries;
+      List.iter (set_entry ls) entries;
       let update =
         { (Update.refresh ~key ~entry:(List.hd entries) ~level:1) with
           Update.entries }
       in
       originate t ls update
 
-let replica_death t ~node ~now:_ ~key replica =
+let replica_death t ~node ~now:_ ~key (replica : Replica_id.t) =
   let ls = local_exn t node key "replica_death" in
-  match Replica_id.Map.find_opt replica ls.entries with
-  | None -> []
-  | Some entry ->
-      ls.entries <- Replica_id.Map.remove replica ls.entries;
-      originate t ls (Update.delete ~key ~entry ~level:1)
+  let i = position ls.replicas (replica :> int) 0 in
+  if not (holds ls.replicas i (replica :> int)) then []
+  else begin
+    let entry = Entry.make ~replica ~expiry:ls.expiries.(i) in
+    ignore (remove_entry ls replica : bool);
+    originate t ls (Update.delete ~key ~entry ~level:1)
+  end
 
 (* {2 Queries (Section 2.5)} *)
 
 let answer_as_authority t ls ~now key source =
-  ls.entries <- prune_expired ls.entries ~now;
-  let entries = List.map snd (Replica_id.Map.bindings ls.entries) in
+  let entries = fresh_entry_list ls ~now in
   match source with
   | From_local posted ->
       [ Answer_local { key; entries; posted_at = [ posted ]; hit = true } ]
   | From_neighbor from ->
-      Interest.set ls.interest from;
+      ls.interest <- Interest.add ls.interest from;
       let update = Update.first_time ~key ~entries ~level:1 in
       t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
       [ Send_update { to_ = from; update; answering = true } ]
 
 (* Where a query for a key this node does not own pushes its query
-   instance, given the key's [cached] state and its [fresh] entries:
-   [none] when the node answers it from fresh entries or coalesces it
-   into a pending instance, else [route]'s next hop, or [unroutable]
-   when [route] has none.  Decided before the query changes any state,
-   so an unroutable query leaves none behind. *)
+   instance, given the key's [cached] state ([nil] if none): [none]
+   when the node answers it from fresh entries or coalesces it into a
+   pending instance, else [route]'s next hop, or [unroutable] when
+   [route] has none.  Decided before the query changes any state, so an
+   unroutable query leaves none behind. *)
 let unroutable = -2
 
-let push_target t ~node ~route key cached fresh =
+let push_target t ~node ~now ~route key cached =
   let pushes =
-    Replica_id.Map.is_empty fresh
-    &&
-    match cached with
-    | Some state ->
-        not (state.pending_first && Policy.coalesces_queries t.config.policy)
-    | None -> true
+    (not (has_fresh cached.expiries now 0))
+    && not (cached.pending_first && Policy.coalesces_queries t.config.policy)
   in
   if not pushes then none
   else
@@ -305,74 +424,110 @@ let push_target t ~node ~route key cached fresh =
     | Cup_overlay.Route.Owner | Cup_overlay.Route.Stuck _ -> unroutable
 
 let handle_query t ~node ~now ~owner ~route source key =
-  match find_local t node key with
-  | Some ls ->
+  let ls = find_local t node key in
+  if ls != nil then begin
+    t.stats.queries_in <- t.stats.queries_in + 1;
+    t.stats.cache_answers <- t.stats.cache_answers + 1;
+    answer_as_authority t ls ~now key source
+  end
+  else if owner then begin
+    (* Our zone contains the key but we have no directory for it:
+       become its (empty) authority. *)
+    t.stats.queries_in <- t.stats.queries_in + 1;
+    answer_as_authority t (add_state t t.local node key) ~now key source
+  end
+  else
+    let cached = find_cache t node key in
+    let target = push_target t ~node ~now ~route key cached in
+    if target = unroutable then []
+    else begin
       t.stats.queries_in <- t.stats.queries_in + 1;
-      t.stats.cache_answers <- t.stats.cache_answers + 1;
-      answer_as_authority t ls ~now key source
-  | None when owner ->
-      (* Our zone contains the key but we have no directory for it:
-         become its (empty) authority. *)
-      t.stats.queries_in <- t.stats.queries_in + 1;
-      answer_as_authority t (add_state t t.local node key) ~now key source
-  | None ->
-      let cached = find_cache t node key in
-      let fresh =
-        match cached with
-        | Some state -> prune_expired state.entries ~now
-        | None -> Replica_id.Map.empty
+      let state =
+        if cached != nil then cached else add_state t t.cache node key
       in
-      let target = push_target t ~node ~route key cached fresh in
-      if target = unroutable then []
-      else begin
-        t.stats.queries_in <- t.stats.queries_in + 1;
-        let state =
-          match cached with
-          | Some state -> state
-          | None -> add_state t t.cache node key
-        in
-        state.entries <- fresh;
-        (* Bookkeeping common to all three cases. *)
-        state.queries_since_update <- state.queries_since_update + 1;
-        (match source with
-        | From_neighbor from -> Interest.set state.interest from
-        | From_local _ -> ());
-        match List.map snd (Replica_id.Map.bindings fresh) with
-        | _ :: _ as entries -> (
-            (* Case 1: fresh entries cached — answer immediately. *)
-            t.stats.cache_answers <- t.stats.cache_answers + 1;
-            match source with
-            | From_local posted ->
-                [
-                  Answer_local
-                    { key; entries; posted_at = [ posted ]; hit = true };
-                ]
-            | From_neighbor from ->
-                let update =
-                  Update.first_time ~key ~entries ~level:(state.distance + 1)
-                in
-                t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-                [ Send_update { to_ = from; update; answering = true } ])
-        | [] ->
-            (* Cases 2 and 3: no usable entries.  Queue local clients;
-               push one query instance unless one is already pending. *)
-            (match source with
-            | From_local posted -> state.waiters <- posted :: state.waiters
-            | From_neighbor from ->
-                state.waiting <- Node_id.Set.add from state.waiting);
-            if target = none then begin
-              t.stats.queries_coalesced <- t.stats.queries_coalesced + 1;
-              []
-            end
-            else begin
-              state.pending_first <- true;
-              state.cut_sent <- false;
-              state.queried_to <- target;
-              [ Send_query { to_ = Node_id.of_int target; key } ]
-            end
+      prune state ~now;
+      (* Bookkeeping common to all three cases. *)
+      state.queries_since_update <- state.queries_since_update + 1;
+      (match source with
+      | From_neighbor from ->
+          state.interest <- Interest.add state.interest from
+      | From_local _ -> ());
+      if Array.length state.replicas > 0 then begin
+        (* Case 1: fresh entries cached — answer immediately. *)
+        let entries = entry_list state in
+        t.stats.cache_answers <- t.stats.cache_answers + 1;
+        match source with
+        | From_local posted ->
+            [
+              Answer_local { key; entries; posted_at = [ posted ]; hit = true };
+            ]
+        | From_neighbor from ->
+            let update =
+              Update.first_time ~key ~entries ~level:(state.distance + 1)
+            in
+            t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
+            [ Send_update { to_ = from; update; answering = true } ]
       end
+      else begin
+        (* Cases 2 and 3: no usable entries.  Queue local clients; push
+           one query instance unless one is already pending. *)
+        (match source with
+        | From_local posted -> state.waiters <- posted :: state.waiters
+        | From_neighbor from ->
+            state.waiting <- Interest.add state.waiting from);
+        if target = none then begin
+          t.stats.queries_coalesced <- t.stats.queries_coalesced + 1;
+          []
+        end
+        else begin
+          state.pending_first <- true;
+          state.cut_sent <- false;
+          state.queried_to <- target;
+          [ Send_query { to_ = Node_id.of_int target; key } ]
+        end
+      end
+    end
 
 (* {2 Updates (Section 2.6)} *)
+
+(* Whether a first-time update carrying [entries] would leave the cached
+   set as it is: the same replicas, each with the expiry of its last
+   occurrence in [entries] (the last writer wins, as when the set is
+   built).  [distinct] counts the replicas checked so far. *)
+let rec occurs (r : Replica_id.t) = function
+  | [] -> false
+  | (e : Entry.t) :: rest -> (e.replica :> int) = (r :> int) || occurs r rest
+
+let rec same_entries state entries distinct =
+  match entries with
+  | [] -> distinct = Array.length state.replicas
+  | (e : Entry.t) :: rest ->
+      let r = (e.replica :> int) in
+      let i = position state.replicas r 0 in
+      holds state.replicas i r
+      &&
+      if occurs e.replica rest then same_entries state rest distinct
+      else
+        state.expiries.(i) = e.expiry
+        && same_entries state rest (distinct + 1)
+
+let rec refresh_all state entries changed =
+  match entries with
+  | [] -> changed
+  | e :: rest -> refresh_all state rest (refresh_entry state e || changed)
+
+let rec delete_all state entries changed =
+  match entries with
+  | [] -> changed
+  | (e : Entry.t) :: rest ->
+      let present = remove_entry state e.replica in
+      (* A deleted trigger replica cannot trigger decisions any more:
+         adopt another cached replica (or none). *)
+      if state.trigger = (e.replica :> int) then
+        state.trigger <-
+          (if Array.length state.replicas > 0 then (state.replicas.(0) :> int)
+           else none);
+      delete_all state rest (changed || present)
 
 (* Apply [u] to the key's cached entry set.  Returns whether the cache
    actually changed: a no-news arrival — a duplicated delivery, or an
@@ -382,48 +537,15 @@ let handle_query t ~node ~now ~owner ~route source key =
 let apply_update state (u : Update.t) =
   match u.kind with
   | First_time ->
-      let entries =
-        List.fold_left
-          (fun m (e : Entry.t) -> Replica_id.Map.add e.replica e m)
-          Replica_id.Map.empty u.entries
-      in
-      let changed =
-        not
-          (Replica_id.Map.equal
-             (fun (a : Entry.t) (b : Entry.t) -> a.expiry = b.expiry)
-             state.entries entries)
-      in
-      state.entries <- entries;
-      changed
-  | Refresh | Append ->
-      (* Last-writer-wins by expiry: an entry at or below the cached
-         expiry is no news — discarded, so a reordered or duplicated
-         channel can never regress the cache to older data.  In-order
-         tree-shaped propagation always carries strictly fresher
-         expiries, making the guard a no-op there. *)
-      List.fold_left
-        (fun changed (e : Entry.t) ->
-          match Replica_id.Map.find_opt e.replica state.entries with
-          | Some (prev : Entry.t) when Time.(prev.expiry >= e.expiry) ->
-              changed
-          | Some _ | None ->
-              state.entries <- Replica_id.Map.add e.replica e state.entries;
-              true)
-        false u.entries
-  | Delete ->
-      List.fold_left
-        (fun changed (e : Entry.t) ->
-          let present = Replica_id.Map.mem e.replica state.entries in
-          state.entries <- Replica_id.Map.remove e.replica state.entries;
-          (* A deleted trigger replica cannot trigger decisions any
-             more: adopt another cached replica (or none). *)
-          if state.trigger = Some e.replica then
-            state.trigger <-
-              (match Replica_id.Map.min_binding_opt state.entries with
-              | Some (r, _) -> Some r
-              | None -> None);
-          changed || present)
-        false u.entries
+      if same_entries state u.entries 0 then false
+      else begin
+        state.replicas <- [||];
+        state.expiries <- [||];
+        List.iter (set_entry state) u.entries;
+        true
+      end
+  | Refresh | Append -> refresh_all state u.entries false
+  | Delete -> delete_all state u.entries false
 
 (* Forward an update to every interested neighbor, respecting a
    sender-side push-level bound.  Answers to waiting neighbors do not
@@ -436,12 +558,7 @@ let forward_update t state (u : Update.t) =
     | None -> true
   in
   if not allowed then []
-  else
-    List.map
-      (fun neighbor ->
-        t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-        Send_update { to_ = neighbor; update = next; answering = false })
-      (Interest.interested state.interest)
+  else send_all t next ~waiting:Interest.empty ~interest:state.interest []
 
 (* Whether this arrival triggers the cut-off evaluation (and the
    popularity reset).  Always in naive mode; only for the trigger
@@ -451,14 +568,15 @@ let forward_update t state (u : Update.t) =
 let is_trigger_arrival t state (u : Update.t) =
   if not t.config.replica_independent_cutoff then true
   else
-    match Update.subject u with
-    | None -> true
-    | Some replica -> (
-        match state.trigger with
-        | None ->
-            state.trigger <- Some replica;
-            true
-        | Some r -> Replica_id.equal r replica)
+    match (u.kind, u.entries) with
+    | First_time, _ | _, [] -> true
+    | (Delete | Refresh | Append), e :: _ ->
+        let r = (e.Entry.replica :> int) in
+        if state.trigger = none then begin
+          state.trigger <- r;
+          true
+        end
+        else state.trigger = r
 
 let record_trigger_arrival state =
   if state.queries_since_update = 0 then
@@ -485,12 +603,14 @@ let handle_update t ~node ~now ~from (u : Update.t) =
       let (_ : bool) = apply_update state u in
       let trigger = is_trigger_arrival t state u in
       if trigger then record_trigger_arrival state;
-      let entries = fresh_entry_list state ~now in
-      if u.kind = Update.First_time || entries <> [] then begin
+      prune state ~now;
+      if u.kind = Update.First_time || Array.length state.replicas > 0
+      then begin
         state.pending_first <- false;
         state.queried_to <- none;
+        let entries = entry_list state in
         let response =
-          Update.forwarded (Update.first_time ~key:u.key ~entries ~level:u.level)
+          Update.first_time ~key:u.key ~entries ~level:(u.level + 1)
         in
         (* Waiting neighbors always get their answer; other interested
            neighbors get it proactively only when the policy's
@@ -499,26 +619,6 @@ let handle_update t ~node ~now ~from (u : Update.t) =
           match Policy.sender_limit t.config.policy with
           | Some p -> response.Update.level <= p
           | None -> true
-        in
-        let waiting = state.waiting in
-        let targets =
-          if proactive_ok then
-            Node_id.Set.union waiting
-              (Node_id.Set.of_list (Interest.interested state.interest))
-          else waiting
-        in
-        state.waiting <- Node_id.Set.empty;
-        let forwards =
-          List.map
-            (fun neighbor ->
-              t.stats.updates_forwarded <- t.stats.updates_forwarded + 1;
-              Send_update
-                {
-                  to_ = neighbor;
-                  update = response;
-                  answering = Node_id.Set.mem neighbor waiting;
-                })
-            (Node_id.Set.elements targets)
         in
         let answers =
           match state.waiters with
@@ -530,7 +630,11 @@ let handle_update t ~node ~now ~from (u : Update.t) =
                   { key = u.key; entries; posted_at; hit = false };
               ]
         in
-        forwards @ answers
+        let waiting = state.waiting in
+        state.waiting <- Interest.empty;
+        send_all t response ~waiting
+          ~interest:(if proactive_ok then state.interest else Interest.empty)
+          answers
       end
       else
         (* e.g. a Delete arrived while pending: keep waiting for the
@@ -539,7 +643,7 @@ let handle_update t ~node ~now ~from (u : Update.t) =
     end
     else begin
       (* Case 2: pending flag clear. *)
-      let downstream_interest = Interest.any state.interest in
+      let downstream_interest = not (Interest.is_empty state.interest) in
       let trigger = is_trigger_arrival t state u in
       if downstream_interest then begin
         state.cut_sent <- false;
@@ -587,40 +691,42 @@ let handle_update t ~node ~now ~from (u : Update.t) =
 
 let handle_clear_bit t ~node ~now:_ ~from key =
   t.stats.clear_bits_in <- t.stats.clear_bits_in + 1;
-  match find_local t node key with
-  | Some ls ->
-      Interest.clear ls.interest from;
-      []
-  | None -> (
-      match find_cache t node key with
-      | None -> []
-      | Some state ->
-          Interest.clear state.interest from;
-          if
-            Policy.uses_clear_bits t.config.policy
-            && (not (Interest.any state.interest))
-            && (not state.pending_first)
-            && not state.cut_sent
-          then
-            let decision =
-              Policy.decide t.config.policy ~distance:state.distance
-                ~queries_since_update:state.queries_since_update
-                ~dry_updates:state.dry_updates
-            in
-            match (decision, state.upstream) with
-            | Policy.Cut, up when up <> none ->
-                state.cut_sent <- true;
-                t.stats.clear_bits_sent <- t.stats.clear_bits_sent + 1;
-                [ Send_clear_bit { to_ = Node_id.of_int up; key } ]
-            | Policy.Cut, _ | Policy.Keep, _ -> []
-          else [])
+  let ls = find_local t node key in
+  if ls != nil then begin
+    ls.interest <- Interest.remove ls.interest from;
+    []
+  end
+  else
+    let state = find_cache t node key in
+    if state == nil then []
+    else begin
+      state.interest <- Interest.remove state.interest from;
+      if
+        Policy.uses_clear_bits t.config.policy
+        && Interest.is_empty state.interest
+        && (not state.pending_first)
+        && not state.cut_sent
+      then
+        let decision =
+          Policy.decide t.config.policy ~distance:state.distance
+            ~queries_since_update:state.queries_since_update
+            ~dry_updates:state.dry_updates
+        in
+        match (decision, state.upstream) with
+        | Policy.Cut, up when up <> none ->
+            state.cut_sent <- true;
+            t.stats.clear_bits_sent <- t.stats.clear_bits_sent + 1;
+            [ Send_clear_bit { to_ = Node_id.of_int up; key } ]
+        | Policy.Cut, _ | Policy.Keep, _ -> []
+      else []
+    end
 
 (* {2 Churn (Section 2.9)} *)
 
 let remap_neighbor t ~node ~old_id ~new_id =
   let old_n = Node_id.to_int old_id in
   iter_node t node (fun state ->
-      Interest.remap state.interest ~old_id ~new_id;
+      state.interest <- Interest.remap state.interest ~old_id ~new_id;
       if state.upstream = old_n then state.upstream <- Node_id.to_int new_id)
 
 (* Losing the upstream while a query is pending would leave the
@@ -635,75 +741,57 @@ let lose_upstream state =
 let drop_neighbor t ~node neighbor =
   let n = Node_id.to_int neighbor in
   iter_node t node (fun state ->
-      Interest.clear state.interest neighbor;
+      state.interest <- Interest.remove state.interest neighbor;
       if state.upstream = n || state.queried_to = n then lose_upstream state)
 
 let retain_neighbors t ~node current =
   let keep = Node_id.Set.of_list current in
+  let kept member = Node_id.Set.mem member keep in
   iter_node t node (fun state ->
-      List.iter
-        (fun member ->
-          if not (Node_id.Set.mem member keep) then
-            Interest.clear state.interest member)
-        (Interest.interested state.interest);
-      if
-        state.upstream <> none
-        && not (Node_id.Set.mem (Node_id.of_int state.upstream) keep)
+      state.interest <- Interest.filter kept state.interest;
+      if state.upstream <> none && not (kept (Node_id.of_int state.upstream))
       then lose_upstream state)
 
 let handover_local t node key =
-  let packed = Node_key.pack node key in
-  match Node_key.Table.find_opt t.local packed with
-  | None -> []
-  | Some ls ->
-      Node_key.Table.remove t.local packed;
-      unlink t node ls;
-      List.map snd (Replica_id.Map.bindings ls.entries)
+  let ls = find_local t node key in
+  if ls == nil then []
+  else begin
+    Index.remove t.local (Node_key.pack node key);
+    unlink t node ls;
+    entry_list ls
+  end
 
 let receive_local t node key entries =
   add_local_key t node key;
-  let ls = Node_key.Table.find t.local (Node_key.pack node key) in
-  ls.entries <-
-    List.fold_left
-      (fun m (e : Entry.t) ->
-        match Replica_id.Map.find_opt e.replica m with
-        | Some existing when Time.(existing.Entry.expiry >= e.expiry) -> m
-        | Some _ | None -> Replica_id.Map.add e.replica e m)
-      ls.entries entries
+  let ls = find_local t node key in
+  List.iter (fun e -> ignore (refresh_entry ls e : bool)) entries
 
 (* {2 Introspection} *)
 
 let fresh_entries t ~node ~now key =
-  match find_cache t node key with
-  | None -> []
-  | Some state -> fresh_entry_list state ~now
+  let state = find_cache t node key in
+  if state == nil then [] else fresh_entry_list state ~now
 
-let pending_first t node key =
-  match find_cache t node key with
-  | None -> false
-  | Some state -> state.pending_first
+let pending_first t node key = (find_cache t node key).pending_first
 
 let interested_neighbors t node key =
-  match find_cache t node key with
-  | None -> []
-  | Some state -> Interest.interested state.interest
+  Interest.to_list (find_cache t node key).interest
 
 let distance_of t node key =
-  match find_cache t node key with
-  | None -> None
-  | Some state ->
-      if state.upstream = none && Replica_id.Map.is_empty state.entries then
-        None
-      else Some state.distance
+  let state = find_cache t node key in
+  if
+    state == nil
+    || (state.upstream = none && Array.length state.replicas = 0)
+  then None
+  else Some state.distance
 
 (* A node's chain holds both kinds of state; a state belongs to the
-   table that maps its pair to it. *)
-let keys_in table t node =
+   index that maps its pair to it. *)
+let keys_in index t node =
   let acc = ref [] in
   iter_node t node (fun state ->
-      match Node_key.Table.find_opt table (Node_key.pack node state.key) with
-      | Some s when s == state -> acc := state.key :: !acc
-      | Some _ | None -> ());
+      if Index.find index (Node_key.pack node state.key) == state then
+        acc := state.key :: !acc);
   List.sort Key.compare !acc
 
 let cached_keys t node = keys_in t.cache t node

@@ -24,10 +24,19 @@
     cut-off trigger replica (Section 3.6).
 
     Layout: one record per (node, key) state, every node's records in
-    one hash table keyed by the packed (node, key) pair (authority
-    states in a second one), and each node's records chained together
-    for the churn patches.  There is no table per node, so a
-    million-node run pays only for the pairs that hold state. *)
+    one open-addressing {!Cup_overlay.Node_key.Index} keyed by the
+    packed (node, key) pair (authority states in a second one), and
+    each node's records chained together for the churn patches.  There
+    is no table per node, so a million-node run pays only for the pairs
+    that hold state.  The record is flat: the cached entries are two
+    exact-size arrays (replica ids in increasing order, and their
+    expiries), and the interest and waiting sets are {!Interest.t}
+    arrays, so a lookup follows no pointer before it reaches the record,
+    reading a state allocates nothing, and a refresh of a cached replica
+    writes its expiry in place.  A cached state with two replicas and
+    two interested neighbors holds about 32 live words, its index slots
+    included (52 with the maps, sets and chained table this layout
+    replaced). *)
 
 type config = {
   policy : Policy.t;

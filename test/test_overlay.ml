@@ -779,6 +779,84 @@ let prop_node_key_inverts_pack =
       Node_id.to_int (Node_key.node packed) = n
       && Key.to_int (Node_key.key packed) = k)
 
+(* The index against [Hashtbl] on random scripts.  Pairs come from
+   three families that a weak mix would cluster: one key over
+   consecutive nodes, one node over consecutive keys, and node ids just
+   below 2^30.  An index created for one pair grows through six
+   doublings to hold them all; [I_cycle] removes every held pair and
+   adds it back, so re-adds land on tombstones. *)
+type index_op = I_add of int * int | I_find of int | I_remove of int | I_cycle
+
+let index_pairs =
+  let pair n k = Node_key.pack (Node_id.of_int n) (Key.of_int k) in
+  Array.concat
+    [
+      Array.init 64 (fun i -> pair (100 + i) 7);
+      Array.init 64 (fun i -> pair 3 i);
+      Array.init 64 (fun i -> pair ((1 lsl 30) - 1 - i) (i mod 5));
+    ]
+
+let prop_index_matches_hashtbl =
+  let pick = QCheck.Gen.int_bound (Array.length index_pairs - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun i v -> I_add (i, v)) pick small_nat);
+          (3, map (fun i -> I_find i) pick);
+          (3, map (fun i -> I_remove i) pick);
+          (1, return I_cycle);
+        ])
+  in
+  let print = function
+    | I_add (i, v) -> Printf.sprintf "add %d %d" i v
+    | I_find i -> Printf.sprintf "find %d" i
+    | I_remove i -> Printf.sprintf "remove %d" i
+    | I_cycle -> "cycle"
+  in
+  QCheck.Test.make ~count:200 ~name:"index matches Hashtbl"
+    (QCheck.make
+       ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 0 600) op))
+    (fun ops ->
+      let index = Node_key.Index.create ~absent:(-1) 1 in
+      let model = Hashtbl.create 16 in
+      let agrees p =
+        Node_key.Index.find index p
+        = Option.value (Hashtbl.find_opt model p) ~default:(-1)
+      in
+      let step = function
+        | I_add (i, v) ->
+            Node_key.Index.replace index index_pairs.(i) v;
+            Hashtbl.replace model index_pairs.(i) v
+        | I_find _ -> ()
+        | I_remove i ->
+            Node_key.Index.remove index index_pairs.(i);
+            Hashtbl.remove model index_pairs.(i)
+        | I_cycle ->
+            let held = List.sort compare (List.of_seq (Hashtbl.to_seq model)) in
+            List.iter (fun (p, _) -> Node_key.Index.remove index p) held;
+            Hashtbl.reset model;
+            if
+              Node_key.Index.length index <> 0
+              || not (Array.for_all agrees index_pairs)
+            then QCheck.Test.fail_report "pairs left after removing all";
+            List.iter
+              (fun (p, v) ->
+                Node_key.Index.replace index p (v + 1);
+                Hashtbl.replace model p (v + 1))
+              held
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Node_key.Index.length index = Hashtbl.length model
+          && (match op with
+             | I_add (i, _) | I_find i | I_remove i -> agrees index_pairs.(i)
+             | I_cycle -> true))
+        ops
+      && Array.for_all agrees index_pairs)
+
 (* {1 Net dispatch} *)
 
 let test_net_dispatch () =
@@ -1024,6 +1102,7 @@ let () =
         [
           Alcotest.test_case "spread" `Quick test_node_key_spread;
           QCheck_alcotest.to_alcotest prop_node_key_inverts_pack;
+          QCheck_alcotest.to_alcotest prop_index_matches_hashtbl;
         ] );
       ( "net",
         [

@@ -213,28 +213,34 @@ let prop_queue_pop_order_stable =
 
 (* {1 Interest} *)
 
+let ids i = List.map Node_id.to_int (Interest.to_list i)
+
 let test_interest_ops () =
-  let i = Interest.create () in
-  Alcotest.(check bool) "empty" false (Interest.any i);
-  Interest.set i (nid 3);
-  Interest.set i (nid 1);
-  Interest.set i (nid 3);
-  Alcotest.(check int) "set is idempotent" 2 (Interest.cardinal i);
-  Alcotest.(check (list int)) "sorted" [ 1; 3 ]
-    (List.map Node_id.to_int (Interest.interested i));
-  Interest.clear i (nid 1);
-  Alcotest.(check bool) "membership" false (Interest.is_set i (nid 1));
-  Alcotest.(check bool) "others kept" true (Interest.is_set i (nid 3))
+  Alcotest.(check bool) "empty" true (Interest.is_empty Interest.empty);
+  let i = Interest.add (Interest.add Interest.empty (nid 3)) (nid 1) in
+  Alcotest.(check bool) "add is idempotent" true (Interest.add i (nid 3) == i);
+  Alcotest.(check int) "two members" 2 (Interest.cardinal i);
+  Alcotest.(check (list int)) "sorted" [ 1; 3 ] (ids i);
+  let j = Interest.remove i (nid 1) in
+  Alcotest.(check bool) "membership" false (Interest.mem j (nid 1));
+  Alcotest.(check bool) "others kept" true (Interest.mem j (nid 3));
+  Alcotest.(check (list int)) "argument unchanged" [ 1; 3 ] (ids i);
+  Alcotest.(check bool) "removing an absent id is a no-op" true
+    (Interest.remove j (nid 7) == j);
+  Alcotest.(check bool) "last member out" true
+    (Interest.is_empty (Interest.remove j (nid 3)))
 
 let test_interest_remap () =
-  let i = Interest.create () in
-  Interest.set i (nid 5);
-  Interest.remap i ~old_id:(nid 5) ~new_id:(nid 9);
-  Alcotest.(check (list int)) "bit moved" [ 9 ]
-    (List.map Node_id.to_int (Interest.interested i));
-  Interest.remap i ~old_id:(nid 5) ~new_id:(nid 7);
-  Alcotest.(check (list int)) "remap of clear bit is no-op" [ 9 ]
-    (List.map Node_id.to_int (Interest.interested i))
+  let i = Interest.add Interest.empty (nid 5) in
+  let i = Interest.remap i ~old_id:(nid 5) ~new_id:(nid 9) in
+  Alcotest.(check (list int)) "bit moved" [ 9 ] (ids i);
+  Alcotest.(check bool) "remap of clear bit is no-op" true
+    (Interest.remap i ~old_id:(nid 5) ~new_id:(nid 7) == i);
+  Alcotest.(check (list int)) "onto a set bit" [ 4 ]
+    (ids
+       (Interest.remap
+          (Interest.add i (nid 4))
+          ~old_id:(nid 9) ~new_id:(nid 4)))
 
 (* {1 Node state machine}
 
@@ -1050,6 +1056,427 @@ let prop_node_fuzz =
         ops;
       !ok)
 
+(* {1 Differential check against the reference store}
+
+   [Node_store] and [Node_store_oracle] (the record, map and set
+   implementation it replaced) run the same random scripts over several
+   nodes and keys.  After every op the returned actions, the stats and
+   every observable of every (node, key) pair must agree. *)
+
+module Oracle = Node_store_oracle
+
+let diff_nodes = 5
+let diff_keys = 3
+
+type diff_route = Hop of int | Owner | Stuck
+
+type diff_op =
+  | D_query of int * int option * int * diff_route * bool
+      (* node, neighbor (None: local), key, route, owner *)
+  | D_update of int * int * int * Update.kind * (int * int) list * int * bool
+      (* node, from, key, kind, (replica, expiry delta), level, twice *)
+  | D_clear_bit of int * int * int (* node, from, key *)
+  | D_add_local of int * int
+  | D_birth of int * int * (int * int)
+  | D_refresh of int * int * (int * int)
+  | D_refresh_batch of int * int * (int * int) list
+  | D_death of int * int * int
+  | D_remap of int * int * int
+  | D_drop of int * int
+  | D_retain of int * int list
+  | D_handover of int * int
+  | D_receive of int * int * (int * int) list
+  | D_remove_node of int
+  | D_advance of int
+
+let show_entries es =
+  String.concat ";" (List.map (fun (r, d) -> Printf.sprintf "r%d%+d" r d) es)
+
+let show_diff_op = function
+  | D_query (n, from, k, route, owner) ->
+      Printf.sprintf "query n%d %s k%d %s%s" n
+        (match from with
+        | Some f -> Printf.sprintf "from n%d" f
+        | None -> "local")
+        k
+        (match route with
+        | Hop h -> Printf.sprintf "via n%d" h
+        | Owner -> "owner-route"
+        | Stuck -> "stuck")
+        (if owner then " owner" else "")
+  | D_update (n, f, k, kind, es, level, twice) ->
+      Printf.sprintf "%s n%d from n%d k%d [%s] level %d%s"
+        (Update.kind_to_string kind) n f k (show_entries es) level
+        (if twice then " twice" else "")
+  | D_clear_bit (n, f, k) -> Printf.sprintf "clear-bit n%d from n%d k%d" n f k
+  | D_add_local (n, k) -> Printf.sprintf "add-local n%d k%d" n k
+  | D_birth (n, k, e) ->
+      Printf.sprintf "birth n%d k%d %s" n k (show_entries [ e ])
+  | D_refresh (n, k, e) ->
+      Printf.sprintf "refresh n%d k%d %s" n k (show_entries [ e ])
+  | D_refresh_batch (n, k, es) ->
+      Printf.sprintf "refresh-batch n%d k%d [%s]" n k (show_entries es)
+  | D_death (n, k, r) -> Printf.sprintf "death n%d k%d r%d" n k r
+  | D_remap (n, o, w) -> Printf.sprintf "remap n%d n%d->n%d" n o w
+  | D_drop (n, m) -> Printf.sprintf "drop n%d n%d" n m
+  | D_retain (n, ms) ->
+      Printf.sprintf "retain n%d [%s]" n
+        (String.concat ";" (List.map string_of_int ms))
+  | D_handover (n, k) -> Printf.sprintf "handover n%d k%d" n k
+  | D_receive (n, k, es) ->
+      Printf.sprintf "receive n%d k%d [%s]" n k (show_entries es)
+  | D_remove_node n -> Printf.sprintf "remove n%d" n
+  | D_advance s -> Printf.sprintf "advance %ds" s
+
+let diff_op_gen =
+  let open QCheck.Gen in
+  let node = int_bound (diff_nodes - 1) in
+  (* one id past the store's nodes, for neighbors that hold no state *)
+  let neighbor = int_bound diff_nodes in
+  let key = int_bound (diff_keys - 1) in
+  (* Few replicas and few distinct lifetimes, so entry lists repeat
+     replicas and expiries tie; negative lifetimes arrive expired. *)
+  let entry = pair (int_bound 3) (oneofl [ -10; 0; 5; 30; 100; 300 ]) in
+  let entries lo = list_size (int_range lo 3) entry in
+  let route =
+    frequency
+      [
+        (8, map (fun h -> Hop h) neighbor); (1, return Owner); (1, return Stuck);
+      ]
+  in
+  frequency
+    [
+      ( 12,
+        map
+          (fun (n, from, k, (route, owner)) ->
+            D_query (n, from, k, route, owner))
+          (quad node
+             (frequency [ (1, return None); (3, map Option.some neighbor) ])
+             key
+             (pair route (frequency [ (9, return false); (1, return true) ])))
+      );
+      ( 12,
+        map
+          (fun ((n, f, k), (kind, es), (level, twice)) ->
+            D_update (n, f, k, kind, es, level, twice))
+          (triple (triple node neighbor key)
+             ( oneofl [ Update.First_time; Delete; Refresh; Append ]
+             >>= fun kind ->
+               map
+                 (fun es -> (kind, es))
+                 (entries (if kind = Update.First_time then 0 else 1)) )
+             (pair (int_range 1 4)
+                (frequency [ (4, return false); (1, return true) ]))) );
+      (3, map3 (fun n f k -> D_clear_bit (n, f, k)) node neighbor key);
+      (2, map2 (fun n k -> D_add_local (n, k)) node key);
+      (2, map3 (fun n k e -> D_birth (n, k, e)) node key entry);
+      (2, map3 (fun n k e -> D_refresh (n, k, e)) node key entry);
+      (1, map3 (fun n k es -> D_refresh_batch (n, k, es)) node key (entries 0));
+      (2, map3 (fun n k (r, _) -> D_death (n, k, r)) node key entry);
+      (1, map3 (fun n o w -> D_remap (n, o, w)) node neighbor neighbor);
+      (1, map2 (fun n m -> D_drop (n, m)) node neighbor);
+      ( 1,
+        map2
+          (fun n ms -> D_retain (n, ms))
+          node
+          (list_size (int_bound 3) neighbor) );
+      (1, map2 (fun n k -> D_handover (n, k)) node key);
+      (1, map3 (fun n k es -> D_receive (n, k, es)) node key (entries 0));
+      (1, map (fun n -> D_remove_node n) node);
+      (4, map (fun s -> D_advance (1 + s)) (int_bound 59));
+    ]
+
+let diff_policy_gen =
+  QCheck.Gen.oneofl
+    [
+      Policy.Standard_caching;
+      Policy.All_out;
+      Policy.Push_level 1;
+      Policy.Push_level 2;
+      Policy.Linear 0.5;
+      Policy.Logarithmic 1.;
+      Policy.second_chance;
+      Policy.Log_based 4;
+    ]
+
+(* What the tests can see of one store, compared after every op. *)
+type pair_view = {
+  distance : int option;
+  pending : bool;
+  interested : Node_id.t list;
+  directory : Entry.t list;
+  fresh : Entry.t list; (* last: reading it prunes *)
+}
+
+type view = {
+  stats : Store.stats;
+  live_slots : int;
+  nodes : Node_id.t list;
+  keys : (Key.t list * Key.t list) list; (* cached, owned; per node *)
+  pairs : pair_view list;
+}
+
+module type STORE = sig
+  type t
+
+  val stats : t -> Store.stats
+  val live_slots : t -> int
+  val nodes : t -> Node_id.t list
+  val remove_node : t -> Node_id.t -> unit
+
+  val handle_query :
+    t ->
+    node:Node_id.t ->
+    now:Time.t ->
+    owner:bool ->
+    route:(Node_id.t -> Key.t -> Route.hop) ->
+    Store.source ->
+    Key.t ->
+    Store.action list
+
+  val handle_update :
+    t -> node:Node_id.t -> now:Time.t -> from:Node_id.t -> Update.t ->
+    Store.action list
+
+  val handle_clear_bit :
+    t -> node:Node_id.t -> now:Time.t -> from:Node_id.t -> Key.t ->
+    Store.action list
+
+  val add_local_key : t -> Node_id.t -> Key.t -> unit
+  val local_directory : t -> Node_id.t -> Key.t -> Entry.t list
+
+  val replica_birth :
+    t -> node:Node_id.t -> now:Time.t -> key:Key.t -> Entry.t ->
+    Store.action list
+
+  val replica_refresh :
+    t -> node:Node_id.t -> now:Time.t -> key:Key.t -> Entry.t ->
+    Store.action list
+
+  val replica_refresh_batch :
+    t -> node:Node_id.t -> now:Time.t -> key:Key.t -> Entry.t list ->
+    Store.action list
+
+  val replica_death :
+    t -> node:Node_id.t -> now:Time.t -> key:Key.t -> Replica_id.t ->
+    Store.action list
+
+  val remap_neighbor :
+    t -> node:Node_id.t -> old_id:Node_id.t -> new_id:Node_id.t -> unit
+
+  val drop_neighbor : t -> node:Node_id.t -> Node_id.t -> unit
+  val retain_neighbors : t -> node:Node_id.t -> Node_id.t list -> unit
+  val handover_local : t -> Node_id.t -> Key.t -> Entry.t list
+  val receive_local : t -> Node_id.t -> Key.t -> Entry.t list -> unit
+  val fresh_entries :
+    t -> node:Node_id.t -> now:Time.t -> Key.t -> Entry.t list
+
+  val pending_first : t -> Node_id.t -> Key.t -> bool
+  val interested_neighbors : t -> Node_id.t -> Key.t -> Node_id.t list
+  val distance_of : t -> Node_id.t -> Key.t -> int option
+  val cached_keys : t -> Node_id.t -> Key.t list
+  val owned_keys : t -> Node_id.t -> Key.t list
+end
+
+module Drive (S : STORE) = struct
+  let entries ~clock es =
+    List.map (fun (r, d) -> entry ~replica:r (clock +. float_of_int d)) es
+
+  (* The actions an op returns, with the directory [handover_local]
+     returns, or the message of the [Invalid_argument] an authority op
+     raises for a key not owned. *)
+  let apply store ~clock op =
+    let now = at clock and entries = entries ~clock in
+    let entry e = List.hd (entries [ e ]) in
+    let handed = ref [] in
+    match
+      match op with
+      | D_query (n, from, k, route, owner) ->
+          let source =
+            match from with
+            | Some f -> Store.From_neighbor (nid f)
+            | None -> Store.From_local now
+          in
+          let route _ _ =
+            match route with
+            | Hop h -> Route.Forward (nid h)
+            | Owner -> Route.Owner
+            | Stuck -> Route.Stuck Route.No_progress
+          in
+          S.handle_query store ~node:(nid n) ~now ~owner ~route source (key k)
+      | D_update (n, f, k, kind, es, level, _) ->
+          S.handle_update store ~node:(nid n) ~now ~from:(nid f)
+            { Update.key = key k; kind; entries = entries es; level }
+      | D_clear_bit (n, f, k) ->
+          S.handle_clear_bit store ~node:(nid n) ~now ~from:(nid f) (key k)
+      | D_add_local (n, k) ->
+          S.add_local_key store (nid n) (key k);
+          []
+      | D_birth (n, k, e) ->
+          S.replica_birth store ~node:(nid n) ~now ~key:(key k) (entry e)
+      | D_refresh (n, k, e) ->
+          S.replica_refresh store ~node:(nid n) ~now ~key:(key k) (entry e)
+      | D_refresh_batch (n, k, es) ->
+          S.replica_refresh_batch store ~node:(nid n) ~now ~key:(key k)
+            (entries es)
+      | D_death (n, k, r) ->
+          S.replica_death store ~node:(nid n) ~now ~key:(key k) (rid r)
+      | D_remap (n, old_id, new_id) ->
+          S.remap_neighbor store ~node:(nid n) ~old_id:(nid old_id)
+            ~new_id:(nid new_id);
+          []
+      | D_drop (n, m) ->
+          S.drop_neighbor store ~node:(nid n) (nid m);
+          []
+      | D_retain (n, ms) ->
+          S.retain_neighbors store ~node:(nid n) (List.map nid ms);
+          []
+      | D_handover (n, k) ->
+          handed := S.handover_local store (nid n) (key k);
+          []
+      | D_receive (n, k, es) ->
+          S.receive_local store (nid n) (key k) (entries es);
+          []
+      | D_remove_node n ->
+          S.remove_node store (nid n);
+          []
+      | D_advance _ -> []
+    with
+    | actions -> Ok (actions, !handed)
+    | exception Invalid_argument msg -> Error msg
+
+  let view store ~clock =
+    let now = at clock in
+    let node_ids = List.init (diff_nodes + 1) nid in
+    let key_ids = List.init diff_keys key in
+    {
+      stats = S.stats store;
+      live_slots = S.live_slots store;
+      nodes = S.nodes store;
+      keys =
+        List.map
+          (fun n -> (S.cached_keys store n, S.owned_keys store n))
+          node_ids;
+      pairs =
+        List.concat_map
+          (fun n ->
+            List.map
+              (fun k ->
+                let distance = S.distance_of store n k in
+                let pending = S.pending_first store n k in
+                let interested = S.interested_neighbors store n k in
+                let directory = S.local_directory store n k in
+                let fresh = S.fresh_entries store ~node:n ~now k in
+                { distance; pending; interested; directory; fresh })
+              key_ids)
+          node_ids;
+    }
+end
+
+module Drive_store = Drive (Store)
+module Drive_oracle = Drive (Oracle)
+
+let prop_store_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      triple diff_policy_gen bool (list_size (int_range 1 80) diff_op_gen))
+  in
+  let print (policy, independent, ops) =
+    Printf.sprintf "%s, independent cut-off %b:\n%s" (Policy.to_string policy)
+      independent
+      (String.concat "\n" (List.map show_diff_op ops))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"store matches the reference on random scripts"
+    (QCheck.make ~print gen)
+    (fun (policy, independent, ops) ->
+      let config = { Store.policy; replica_independent_cutoff = independent } in
+      let s = Store.create ~nodes:2 config in
+      let o = Oracle.create ~nodes:2 config in
+      let clock = ref 0. in
+      List.iter
+        (fun op ->
+          let name = show_diff_op op in
+          let twice =
+            match op with D_update (_, _, _, _, _, _, t) -> t | _ -> false
+          in
+          for _ = 1 to if twice then 2 else 1 do
+            if
+              Drive_store.apply s ~clock:!clock op
+              <> Drive_oracle.apply o ~clock:!clock op
+            then QCheck.Test.fail_reportf "%s: actions differ" name
+          done;
+          (match op with
+          | D_advance secs -> clock := !clock +. float_of_int secs
+          | _ -> ());
+          let a = Drive_store.view s ~clock:!clock
+          and b = Drive_oracle.view o ~clock:!clock in
+          List.iter
+            (fun (what, same) ->
+              if not same then
+                QCheck.Test.fail_reportf "%s: %s differ" name what)
+            [
+              ("stats", a.stats = b.stats);
+              ("live_slots", a.live_slots = b.live_slots);
+              ("nodes", a.nodes = b.nodes);
+              ("cached or owned keys", a.keys = b.keys);
+              ("per-pair observables", a.pairs = b.pairs);
+            ])
+        ops;
+      true)
+
+(* {1 Memory per state}
+
+   20,000 cached states, each queried by two neighbors, answered with
+   two replicas and refreshed twice: the steady state of a popular key.
+   The record-and-map layout held about 52 live words per state; the
+   flat one holds about 32. *)
+let test_store_words_per_state () =
+  let nodes = 1000 and keys = 20 in
+  let up = nid nodes in
+  let route _ _ = Route.Forward up in
+  let at_level kind replica expiry =
+    { Update.key = key 0; kind; entries = [ entry ~replica expiry ]; level = 2 }
+  in
+  let build () =
+    let store = Store.create ~nodes Store.default_config in
+    for n = 0 to nodes - 1 do
+      let node = nid n in
+      for k = 0 to keys - 1 do
+        let k = key k and now = at 1. in
+        List.iter
+          (fun neighbor ->
+            ignore
+              (Store.handle_query store ~node ~now ~owner:false ~route
+                 (Store.From_neighbor (nid ((n + neighbor) mod nodes)))
+                 k))
+          [ 1; 2 ];
+        let update (u : Update.t) =
+          ignore
+            (Store.handle_update store ~node ~now ~from:up { u with key = k })
+        in
+        update
+          (Update.first_time ~key:k
+             ~entries:[ entry ~replica:0 100.; entry ~replica:1 100. ]
+             ~level:2);
+        update (at_level Update.Refresh 0 200.);
+        update (at_level Update.Refresh 1 200.)
+      done
+    done;
+    store
+  in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let store = build () in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  let states = Store.live_slots (Sys.opaque_identity store) in
+  Alcotest.(check int) "states" (nodes * keys) states;
+  let per_state = float_of_int (after - before) /. float_of_int states in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f live words per state <= 40" per_state)
+    true (per_state <= 40.)
+
 let () =
   Alcotest.run "cup_proto"
     [
@@ -1157,7 +1584,16 @@ let () =
           Alcotest.test_case "standard squelches" `Quick
             test_authority_standard_caching_squelches;
         ] );
-      ("fuzz", [ QCheck_alcotest.to_alcotest prop_node_fuzz ]);
+      ( "fuzz",
+        [
+          QCheck_alcotest.to_alcotest prop_node_fuzz;
+          QCheck_alcotest.to_alcotest prop_store_matches_oracle;
+        ] );
+      ( "store memory",
+        [
+          Alcotest.test_case "words per cached state" `Quick
+            test_store_words_per_state;
+        ] );
       ( "churn",
         [
           Alcotest.test_case "remap + retain" `Quick
