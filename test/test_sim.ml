@@ -45,102 +45,6 @@ let test_different_seed_differs () =
     (a.queries_posted <> b.queries_posted
     || Counters.total_cost a.counters <> Counters.total_cost b.counters)
 
-(* The heap and calendar schedulers must be observationally
-   interchangeable: same counters (down to the printed digits), same
-   result fields, same trace event stream — for every workload shape.
-   This is the contract that lets Engine pick whichever is faster. *)
-
-let run_traced cfg =
-  let live = Runner.Live.create cfg in
-  let events = ref [] in
-  Runner.Live.set_tracer live (Some (fun e -> events := e :: !events));
-  let r = Runner.Live.finish live in
-  (r, List.rev !events)
-
-let observation ((r : Runner.result), trace) =
-  ( Format.asprintf "%a" Counters.pp r.counters,
-    r.node_stats,
-    ( r.queries_posted,
-      r.replica_events,
-      r.engine_events,
-      r.tracked_updates,
-      r.justified_updates ),
-    trace )
-
-let equivalence_scenarios =
-  [
-    ("can-bernoulli", Scenario.with_policy base Policy.second_chance);
-    ( "chord-token-bucket",
-      Scenario.with_policy
-        {
-          base with
-          overlay = T.Chord;
-          capacity_mode = Scenario.Token_bucket 50.;
-          refresh_batch_window = 5.;
-          faults =
-            Some
-              (Scenario.Once_down
-                 { fraction = 0.25; reduced = 0.25; warmup = 60. });
-        }
-        (Policy.Linear 0.25) );
-    ( "pastry-zipf",
-      Scenario.with_policy
-        {
-          base with
-          overlay = T.Pastry;
-          key_dist = `Zipf 0.9;
-          total_keys_override = Some 4;
-          refresh_sample = 0.5;
-        }
-        (Policy.Logarithmic 0.5) );
-    (* Fault injection must obey the same byte-determinism contract:
-       crash victims and loss draws come from dedicated substreams
-       consumed in engine-event order. *)
-    ( "crash-only",
-      Scenario.with_policy
-        {
-          base with
-          crashes =
-            Some
-              { Scenario.crash_rate = 0.02; recover_after = 30.; warmup = 30. };
-        }
-        Policy.second_chance );
-    ( "loss-only",
-      Scenario.with_policy
-        { base with loss = Some { Scenario.drop = 0.2; jitter = 0.5 } }
-        Policy.second_chance );
-    ( "crash-and-loss",
-      Scenario.with_policy
-        {
-          base with
-          overlay = T.Chord;
-          crashes =
-            Some
-              { Scenario.crash_rate = 0.02; recover_after = 20.; warmup = 30. };
-          loss = Some { Scenario.drop = 0.15; jitter = 1.0 };
-        }
-        (Policy.Linear 0.25) );
-  ]
-
-let test_scheduler_equivalence () =
-  List.iter
-    (fun (name, cfg) ->
-      List.iter
-        (fun seed ->
-          let cfg = { cfg with Scenario.seed } in
-          let heap =
-            observation (run_traced { cfg with scheduler = Some `Heap })
-          in
-          let calendar =
-            observation (run_traced { cfg with scheduler = Some `Calendar })
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s seed %d: heap = calendar" name seed)
-            true
-            (heap = calendar))
-        [ 1; 42; 1001 ])
-    equivalence_scenarios
-
 (* {1 Conservation laws} *)
 
 (* Only a node that pushes a query instance toward the authority makes
@@ -639,12 +543,12 @@ let test_departed_nodes_hold_no_state () =
 
 (* {1 Pinned outputs}
 
-   Nine fixed scenarios whose whole observable surface is pinned by
-   digest: the printed counters, the node stats, the five scalar result
-   fields and the JSONL trace bytes.  The digests were taken when two
-   protocol-state layouts existed and agreed byte for byte on all nine
-   runs; the one store left must keep reproducing them.  Heap and
-   calendar runs of a seed share a digest. *)
+   Fixed scenarios whose whole observable surface is pinned by digest:
+   the printed counters, the node stats, the five scalar result fields
+   and the JSONL trace bytes.  The three seeds and the three named
+   scenarios below were pinned when two protocol-state layouts existed
+   and agreed byte for byte; the one store left must keep reproducing
+   them. *)
 
 let pinned_base =
   {
@@ -678,23 +582,106 @@ let surface_digest cfg =
 let check_pinned name cfg digest =
   Alcotest.(check string) name digest (surface_digest cfg)
 
-let test_pinned_seed_scheduler_matrix () =
+let test_pinned_seeds () =
   List.iter
     (fun (seed, digest) ->
-      List.iter
-        (fun (label, sched) ->
-          check_pinned
-            (Printf.sprintf "seed %d %s" seed label)
-            (Scenario.with_policy
-               { pinned_base with seed; scheduler = Some sched }
-               Policy.second_chance)
-            digest)
-        [ ("heap", `Heap); ("calendar", `Calendar) ])
+      check_pinned
+        (Printf.sprintf "seed %d" seed)
+        (Scenario.with_policy { pinned_base with seed } Policy.second_chance)
+        digest)
     [
       (1101, "06f3ab368650a0a4887107bd1fcf4052");
       (2202, "a68139a2eda0c2515c86bf5c60e58f82");
       (3303, "ddd7b700f7178df730155c19f08bc31e");
     ]
+
+(* Six workload shapes, each at seeds 1, 42 and 1001, pinned the same
+   way.  These digests were taken when a heap and a calendar queue
+   both drove the engine and agreed byte for byte on every run.  The
+   fault shapes hold the byte-determinism contract under injection:
+   crash victims and loss draws come from dedicated substreams consumed
+   in engine-event order. *)
+let pinned_shapes =
+  [
+    ( "can-bernoulli",
+      Scenario.with_policy base Policy.second_chance,
+      [ "4d59d99e796536a500d1d6ea9935ea46";
+        "86b1480551c4c6b847d3c2c19f05cf0e";
+        "c566368293bc1ce5930a61fab824d434" ] );
+    ( "chord-token-bucket",
+      Scenario.with_policy
+        {
+          base with
+          overlay = T.Chord;
+          capacity_mode = Scenario.Token_bucket 50.;
+          refresh_batch_window = 5.;
+          faults =
+            Some
+              (Scenario.Once_down
+                 { fraction = 0.25; reduced = 0.25; warmup = 60. });
+        }
+        (Policy.Linear 0.25),
+      [ "6b3e8f8f6fb9eeb50e862315cd74bfac";
+        "c2d5d42494c03e5f66d527aa0b51d274";
+        "ca49a708646bdf7026bd7ec8e30e551d" ] );
+    ( "pastry-zipf",
+      Scenario.with_policy
+        {
+          base with
+          overlay = T.Pastry;
+          key_dist = `Zipf 0.9;
+          total_keys_override = Some 4;
+          refresh_sample = 0.5;
+        }
+        (Policy.Logarithmic 0.5),
+      [ "63bc4168b1d06184f680693dc11434ec";
+        "7a32718acd8560059d0890487b99b73a";
+        "05c041dfc20d56503a16f0b027c9663c" ] );
+    ( "crash-only",
+      Scenario.with_policy
+        {
+          base with
+          crashes =
+            Some
+              { Scenario.crash_rate = 0.02; recover_after = 30.; warmup = 30. };
+        }
+        Policy.second_chance,
+      [ "c54d7c939205fa9696ca0f03bcc5508e";
+        "e689fb80ca0c604fd70faaa27847e0a7";
+        "d26906c1673f8160ce6d3b43248add84" ] );
+    ( "loss-only",
+      Scenario.with_policy
+        { base with loss = Some { Scenario.drop = 0.2; jitter = 0.5 } }
+        Policy.second_chance,
+      [ "885f8ffd3c6c1e380344447854c5e5ec";
+        "29e5c48c4995ecab9be4b489fabf75a7";
+        "92fe49c8a8eea198501ec5cd1671da9f" ] );
+    ( "crash-and-loss",
+      Scenario.with_policy
+        {
+          base with
+          overlay = T.Chord;
+          crashes =
+            Some
+              { Scenario.crash_rate = 0.02; recover_after = 20.; warmup = 30. };
+          loss = Some { Scenario.drop = 0.15; jitter = 1.0 };
+        }
+        (Policy.Linear 0.25),
+      [ "0df513f142d9450524662dfc77ca809e";
+        "75e76842252c76f4c9956610477b7844";
+        "57dcb23b370176e3b0de357be2c90754" ] );
+  ]
+
+let test_pinned_shapes () =
+  List.iter
+    (fun (name, cfg, digests) ->
+      List.iter2
+        (fun seed digest ->
+          check_pinned
+            (Printf.sprintf "%s seed %d" name seed)
+            { cfg with Scenario.seed } digest)
+        [ 1; 42; 1001 ] digests)
+    pinned_shapes
 
 (* Churn exercises remap/drop/retain/handover/receive; loss exercises
    the repair introspection; token-bucket exercises queued updates;
@@ -1265,8 +1252,8 @@ let () =
           Alcotest.test_case "same seed" `Quick test_same_seed_same_costs;
           Alcotest.test_case "different seed" `Quick
             test_different_seed_differs;
-          Alcotest.test_case "heap vs calendar scheduler" `Quick
-            test_scheduler_equivalence;
+          Alcotest.test_case "scenario shapes pinned" `Quick
+            test_pinned_shapes;
         ] );
       ( "conservation",
         [
@@ -1341,8 +1328,7 @@ let () =
         ] );
       ( "equivalence",
         [
-          Alcotest.test_case "3 seeds x heap/calendar" `Quick
-            test_pinned_seed_scheduler_matrix;
+          Alcotest.test_case "three seeds" `Quick test_pinned_seeds;
           Alcotest.test_case "crash and loss churn" `Quick
             test_pinned_crash_and_loss;
           Alcotest.test_case "token bucket + batching" `Quick
