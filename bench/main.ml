@@ -9,14 +9,12 @@
      dune exec bench/main.exe -- --csv results    # also write CSV files
      dune exec bench/main.exe -- table1 --jobs 4  # fan runs over 4 domains
      dune exec bench/main.exe -- harness          # sequential-vs-parallel timing
-     dune exec bench/main.exe -- sched            # heap vs calendar throughput
      dune exec bench/main.exe -- scale            # 10k/100k/1M-node sharded runs
      dune exec bench/main.exe -- scale-smoke      # 10k only (CI)
      dune exec bench/main.exe -- attribution      # K=100 overhead + O(K) memory
      dune exec bench/main.exe -- trace-io         # sink throughput + analyzer RSS
      dune exec bench/main.exe -- overlay-growth   # build time vs n, log-log slope
      dune exec bench/main.exe -- time-growth      # events/s, 150 vs 1200 s window
-     dune exec bench/main.exe -- --scheduler heap # force the event-queue impl
 
    The scale targets are explicit-only (never part of the default
    target set): they record events/sec and peak RSS through the
@@ -51,7 +49,6 @@ let target_timings :
     (string * float * Resource.snapshot * Resource.snapshot) list ref =
   ref []
 let harness_json : (string * Json.t) list ref = ref []
-let sched_json : (string * Json.t) list ref = ref []
 let faults_json : (string * Json.t) list ref = ref []
 let scale_json : (string * Json.t) list ref = ref []
 let attribution_json : (string * Json.t) list ref = ref []
@@ -571,279 +568,63 @@ let print_profiles scale =
       | None -> ())
     rows
 
-(* {1 Scheduler throughput: heap vs calendar} *)
+(* {1 Fault injection: repair and message accounting} *)
 
-(* The Table 1 policy grid, always jobs=1, run under both engine
-   schedulers:
-
-     sched-heap       binary heap
-     sched-calendar   calendar queue
-
-   Aggregate events/sec (summed engine events over summed wall time)
-   is the end-to-end number the perf work is judged by; the winner of
-   heap-vs-calendar should match [Engine.default_scheduler].  Per-run
-   total costs are compared across both configurations — any
-   difference means a scheduler changed simulation behaviour, which
-   the determinism contract forbids.
-
-   [Experiments.table1] does not export its policy list, so the grid
-   is restated here (keep in sync). *)
-let sched_policies =
-  let module Policy = Cup_proto.Policy in
-  [
-    Policy.Standard_caching;
-    Policy.Linear 0.25;
-    Policy.Linear 0.10;
-    Policy.Linear 0.01;
-    Policy.Linear 0.001;
-    Policy.Logarithmic 0.5;
-    Policy.Logarithmic 0.25;
-    Policy.Logarithmic 0.10;
-    Policy.Logarithmic 0.01;
-    Policy.second_chance;
-  ]
-
-let sched scale =
-  let module Scenario = Cup_sim.Scenario in
-  let base = E.base_scenario scale in
-  let grid =
-    List.concat_map
-      (fun policy -> List.map (fun rate -> (policy, rate)) (E.rates scale))
-      sched_policies
-  in
-  let run_grid ~scheduler =
-    List.fold_left
-      (fun (events, wall, costs) (policy, rate) ->
-        let cfg =
-          Scenario.with_policy
-            { base with
-              Scenario.query_rate = rate;
-              scheduler = Some scheduler }
-            policy
-        in
-        let r = Cup_sim.Runner.run cfg in
-        ( events + r.Cup_sim.Runner.engine_events,
-          wall +. r.wallclock,
-          Cup_metrics.Counters.total_cost r.counters :: costs ))
-      (0, 0., []) grid
-  in
-  let configs = [ ("sched-heap", `Heap); ("sched-calendar", `Calendar) ] in
-  let results =
-    List.map
-      (fun (name, scheduler) ->
-        let events, wall, costs = run_grid ~scheduler in
-        let eps = if wall > 0. then float_of_int events /. wall else 0. in
-        (name, events, wall, eps, costs))
-      configs
-  in
-  let baseline_eps =
-    match results with (_, _, _, eps, _) :: _ -> eps | [] -> 0.
-  in
-  let baseline_costs =
-    match results with (_, _, _, _, costs) :: _ -> costs | [] -> []
-  in
-  let identical =
-    List.for_all (fun (_, _, _, _, costs) -> costs = baseline_costs) results
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Scheduler: Table 1 grid end-to-end, jobs=1 (%d runs each)"
-           (List.length grid))
-      ~columns:
-        [ "config"; "engine events"; "wall (s)"; "events/sec"; "vs heap" ]
-  in
-  List.iter
-    (fun (name, events, wall, eps, _) ->
-      Table.add_row table
-        [
-          name;
-          Table.cell_int events;
-          Printf.sprintf "%.2f" wall;
-          Printf.sprintf "%.0f" eps;
-          Table.cell_float (if baseline_eps > 0. then eps /. baseline_eps else 1.);
-        ])
-    results;
-  Table.print table;
-  Printf.printf "per-run results identical across configs: %s\n"
-    (if identical then "yes" else "NO (determinism violated)");
-  let eps_of name =
-    match List.find_opt (fun (n, _, _, _, _) -> n = name) results with
-    | Some (_, _, _, eps, _) -> eps
-    | None -> 0.
-  in
-  let heap_eps = eps_of "sched-heap" and cal_eps = eps_of "sched-calendar" in
-  (* Heap and calendar are typically within a few percent on CUP's
-     shallow queues — under the run-to-run noise of a busy host — so
-     only call a winner outside a 5% margin. *)
-  let winner =
-    let hi = Float.max heap_eps cal_eps in
-    if hi <= 0. || Float.abs (heap_eps -. cal_eps) /. hi < 0.05 then
-      "tie (within 5%)"
-    else if cal_eps > heap_eps then "calendar"
-    else "heap"
-  in
-  let default =
-    match !Cup_dess.Engine.default_scheduler with
-    | `Heap -> "heap"
-    | `Calendar -> "calendar"
-  in
-  Printf.printf "end-to-end winner: %s (library default: %s)\n" winner default;
-  write_csv "sched"
-    ~header:[ "config"; "engine_events"; "wall_seconds"; "events_per_sec" ]
-    (List.map
-       (fun (name, events, wall, eps, _) ->
-         [
-           name; string_of_int events; Printf.sprintf "%.4f" wall;
-           Printf.sprintf "%.0f" eps;
-         ])
-       results);
-  sched_json :=
-    [
-      ("workload", Json.String "table1 policy grid, jobs=1");
-      ("runs_per_config", Json.Int (List.length grid));
-      ( "configs",
-        Json.List
-          (List.map
-             (fun (name, events, wall, eps, _) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("engine_events", Json.Int events);
-                   ("wall_seconds", Json.Float wall);
-                   ("events_per_sec", Json.Float eps);
-                 ])
-             results) );
-      ("winner", Json.String winner);
-      ("default_scheduler", Json.String default);
-      ("identical_results", Json.Bool identical);
-    ];
-  if not identical then begin
-    prerr_endline
-      "sched: per-run results differ between scheduler configurations \
-       — determinism contract broken";
-    exit 1
-  end
-
-(* {1 Fault-injection determinism and overhead} *)
-
-(* One crash+loss scenario run under both schedulers: the printed
-   counters (including the fault line) must be byte-identical, and the
-   run must complete with the repair machinery visibly firing.  This is
-   the bench-side witness of the fault-tolerance determinism
-   contract. *)
+(* One crash+loss scenario: the run must complete with the repair
+   machinery visibly firing, and its transport counters must balance.
+   This is the bench-side witness of the fault-tolerance contract. *)
 let faults scale =
   let module Scenario = Cup_sim.Scenario in
   let module Policy = Cup_proto.Policy in
+  let module C = Cup_metrics.Counters in
   let base = E.base_scenario scale in
-  let cfg =
-    Scenario.with_policy
-      {
-        base with
-        Scenario.crashes =
-          Some { Scenario.crash_rate = 0.02; recover_after = 20.; warmup = 30. };
-        loss = Some { Scenario.drop = 0.15; jitter = 0.5 };
-      }
-      Policy.second_chance
+  let r =
+    Cup_sim.Runner.run
+      (Scenario.with_policy
+         {
+           base with
+           Scenario.crashes =
+             Some
+               { Scenario.crash_rate = 0.02; recover_after = 20.; warmup = 30. };
+           loss = Some { Scenario.drop = 0.15; jitter = 0.5 };
+         }
+         Policy.second_chance)
   in
-  let configs = [ ("faults-heap", `Heap); ("faults-calendar", `Calendar) ] in
-  let results =
-    List.map
-      (fun (name, scheduler) ->
-        let r =
-          Cup_sim.Runner.run { cfg with Scenario.scheduler = Some scheduler }
-        in
-        (* Show the conservation identity in the compared bytes: the
-           transport line is deterministic, so flipping it on for every
-           config keeps the byte-identity check meaningful. *)
-        Cup_metrics.Counters.expose_transport r.Cup_sim.Runner.counters;
-        let printed =
-          Format.asprintf "%a" Cup_metrics.Counters.pp r.Cup_sim.Runner.counters
-        in
-        (name, printed, r))
-      configs
-  in
-  let baseline =
-    match results with (_, printed, _) :: _ -> printed | [] -> ""
-  in
-  let identical =
-    List.for_all (fun (_, printed, _) -> printed = baseline) results
-  in
+  let c = r.counters in
   let table =
-    Table.create
-      ~title:"Fault injection: crash+loss run under both schedulers"
-      ~columns:
-        [ "config"; "lost"; "retries"; "repairs"; "unreachable"; "events/sec" ]
+    Table.create ~title:"Fault injection: crash+loss run"
+      ~columns:[ "lost"; "retries"; "repairs"; "unreachable"; "events/sec" ]
   in
-  List.iter
-    (fun (name, _, (r : Cup_sim.Runner.result)) ->
-      let c = r.counters in
-      Table.add_row table
-        [
-          name;
-          Table.cell_int (Cup_metrics.Counters.lost_messages c);
-          Table.cell_int (Cup_metrics.Counters.retries c);
-          Table.cell_int (Cup_metrics.Counters.repairs c);
-          Table.cell_int (Cup_metrics.Counters.unreachable c);
-          Printf.sprintf "%.0f" r.events_per_sec;
-        ])
-    results;
+  Table.add_row table
+    [
+      Table.cell_int (C.lost_messages c);
+      Table.cell_int (C.retries c);
+      Table.cell_int (C.repairs c);
+      Table.cell_int (C.unreachable c);
+      Printf.sprintf "%.0f" r.events_per_sec;
+    ];
   Table.print table;
-  Printf.printf "fault counters identical across configs: %s\n"
-    (if identical then "yes" else "NO (determinism violated)");
-  let repaired =
-    List.for_all
-      (fun (_, _, (r : Cup_sim.Runner.result)) ->
-        Cup_metrics.Counters.lost_messages r.counters > 0
-        && Cup_metrics.Counters.repairs r.counters > 0)
-      results
-  in
+  let repaired = C.lost_messages c > 0 && C.repairs c > 0 in
   (* Message conservation over the transport counters: everything sent
      was delivered or lost, and nothing is still in flight once the
      engine has drained — the same V1 identity [cup run --audit]
      enforces online. *)
   let conserved =
-    List.for_all
-      (fun (_, _, (r : Cup_sim.Runner.result)) ->
-        let c = r.counters in
-        Cup_metrics.Counters.in_flight c = 0
-        && Cup_metrics.Counters.sent c
-           = Cup_metrics.Counters.delivered c
-             + Cup_metrics.Counters.transport_lost c)
-      results
+    C.in_flight c = 0 && C.sent c = C.delivered c + C.transport_lost c
   in
   Printf.printf "message conservation (sent = delivered + lost): %s\n"
     (if conserved then "yes" else "NO (accounting leak)");
   faults_json :=
     [
       ("workload", Json.String "crash 0.02/s + loss 0.15 over base scenario");
-      ("identical_results", Json.Bool identical);
       ("repair_machinery_fired", Json.Bool repaired);
       ("conservation_holds", Json.Bool conserved);
-      ( "configs",
-        Json.List
-          (List.map
-             (fun (name, _, (r : Cup_sim.Runner.result)) ->
-               let c = r.counters in
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("lost", Json.Int (Cup_metrics.Counters.lost_messages c));
-                   ("retries", Json.Int (Cup_metrics.Counters.retries c));
-                   ("repairs", Json.Int (Cup_metrics.Counters.repairs c));
-                   ( "unreachable",
-                     Json.Int (Cup_metrics.Counters.unreachable c) );
-                   ("events_per_sec", Json.Float r.events_per_sec);
-                 ])
-             results) );
+      ("lost", Json.Int (C.lost_messages c));
+      ("retries", Json.Int (C.retries c));
+      ("repairs", Json.Int (C.repairs c));
+      ("unreachable", Json.Int (C.unreachable c));
+      ("events_per_sec", Json.Float r.events_per_sec);
     ];
-  if not identical then begin
-    prerr_endline
-      "faults: counters differ between scheduler configurations under \
-       fault injection — determinism contract broken";
-    exit 1
-  end;
   if not conserved then begin
     prerr_endline
       "faults: transport counters violate sent = delivered + lost with \
@@ -909,7 +690,7 @@ let scale_runs which =
     (r, Bw.bytes_written w, Bw.stalls w)
   in
   let table =
-    Table.create ~title:"Scale runs (ring overlay, flat node state, shards=1)"
+    Table.create ~title:"Scale runs (ring overlay, shards=1)"
       ~columns:
         [ "config"; "nodes"; "events"; "wall (s)"; "events/sec";
           "peak RSS (MB)"; "live slots"; "traced wall (s)"; "trace MB";
@@ -1023,8 +804,7 @@ let scale_runs which =
   scale_json :=
     [
       ( "workload",
-        Json.String
-          "batch-synchronous sharded runs: ring overlay, flat node state" );
+        Json.String "batch-synchronous sharded runs: ring overlay" );
       ( "configs",
         Json.List
           (List.map
@@ -1691,20 +1471,6 @@ let micro () =
              ()
            done))
   in
-  let calendar_test =
-    Test.make ~name:"calendar-queue push+pop x100"
-      (Staged.stage (fun () ->
-           let q = Cup_dess.Calendar_queue.create () in
-           for i = 0 to 99 do
-             ignore
-               (Cup_dess.Calendar_queue.push q
-                  ~time:(Cup_dess.Time.of_seconds (float_of_int (i * 7 mod 101)))
-                  i)
-           done;
-           while Cup_dess.Calendar_queue.pop q <> None do
-             ()
-           done))
-  in
   let route_test =
     Test.make ~name:"CAN route (256 nodes)"
       (Staged.stage (fun () ->
@@ -1800,7 +1566,7 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"cup" ~fmt:"%s %s"
       [
-        heap_test; calendar_test; route_test; route_1024_test;
+        heap_test; route_test; route_1024_test;
         route_cold_test; route_cached_test; chord_test; pastry_test;
         queue_test;
         queue_at_depth_test ~key ~pending:10;
@@ -2059,9 +1825,6 @@ let write_harness_json ~jobs ~scale =
       @ (match !harness_json with
         | [] -> []
         | fields -> [ ("harness", Json.Obj fields) ])
-      @ (match !sched_json with
-        | [] -> []
-        | fields -> [ ("sched", Json.Obj fields) ])
       @ (match !faults_json with
         | [] -> []
         | fields -> [ ("faults", Json.Obj fields) ])
@@ -2131,17 +1894,10 @@ let () =
         | Some _ | None ->
             prerr_endline "bench: --jobs expects a non-negative integer";
             exit 2)
-    | "--scheduler" :: s :: rest -> (
-        match s with
-        | "heap" ->
-            Cup_dess.Engine.default_scheduler := `Heap;
-            strip_opts rest
-        | "calendar" ->
-            Cup_dess.Engine.default_scheduler := `Calendar;
-            strip_opts rest
-        | _ ->
-            prerr_endline "bench: --scheduler expects 'heap' or 'calendar'";
-            exit 2)
+    | "--full" :: rest -> "--full" :: strip_opts rest
+    | a :: _ when String.starts_with ~prefix:"--" a ->
+        prerr_endline ("bench: unknown option " ^ a);
+        exit 2
     | a :: rest -> a :: strip_opts rest
     | [] -> []
   in
@@ -2152,12 +1908,9 @@ let () =
   let targets = List.filter (fun a -> a <> "--full") args in
   let targets = if targets = [] then [ "all" ] else targets in
   let want name = List.mem "all" targets || List.mem name targets in
-  Printf.printf "CUP benchmark harness (%s, %d job%s, %s scheduler)\n"
+  Printf.printf "CUP benchmark harness (%s, %d job%s)\n"
     (scale_label scale) jobs
-    (if jobs = 1 then "" else "s")
-    (match !Cup_dess.Engine.default_scheduler with
-    | `Heap -> "heap"
-    | `Calendar -> "calendar");
+    (if jobs = 1 then "" else "s");
   let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
   let timed_run name f =
     let before = Resource.snapshot () in
@@ -2225,11 +1978,8 @@ let () =
   timed "justification" (fun () ->
       section "Section 3.1 justified-update accounting";
       print_justification (E.justification ?pool scale));
-  timed "sched" (fun () ->
-      section "Scheduler heap vs calendar (always jobs=1)";
-      sched scale);
   timed "faults" (fun () ->
-      section "Fault injection: determinism and repair overhead";
+      section "Fault injection: repair and message accounting";
       faults scale);
   timed "trace-io" (fun () ->
       section "Trace I/O: sink throughput and streaming-analyzer footprint";

@@ -131,30 +131,6 @@ let overlay =
           "Structured overlay to run CUP over: can, can-grid, chord, or \
            pastry.")
 
-let scheduler_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "calendar" -> Ok `Calendar
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown scheduler %S (heap, calendar)" s))
-  in
-  let print fmt = function
-    | `Heap -> Format.pp_print_string fmt "heap"
-    | `Calendar -> Format.pp_print_string fmt "calendar"
-  in
-  Arg.conv (parse, print)
-
-let scheduler =
-  Arg.(
-    value
-    & opt (some scheduler_conv) None
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Event-queue implementation: heap (binary heap, the default) \
-           or calendar (bucketed calendar queue).  Results are \
-           byte-identical either way; only wall-clock speed differs.")
-
 let runs =
   Arg.(
     value & opt int 1
@@ -488,7 +464,7 @@ let write_top_out ~path ~k a =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Topk.csv ~k a));
   (* stderr: the path is invocation-specific, and stdout must stay
-     byte-identical across schedulers / job counts / shard counts. *)
+     byte-identical across job counts and shard counts. *)
   Printf.eprintf "top: %s\n" path
 
 let write_metrics ?(extra = "") ~path registry =
@@ -509,8 +485,8 @@ let write_metrics ?(extra = "") ~path registry =
     path
 
 (* A violation report must carry everything needed to replay the run:
-   the rendered repro command pins the seed, scheduler and every fault
-   flag, so the report alone reproduces the failure. *)
+   the rendered repro command pins the seed and every fault flag, so
+   the report alone reproduces the failure. *)
 let violation_exit cfg v =
   Format.eprintf "cup run: audit failed@.  %a@.  repro: %s@."
     Cup_obs.Audit.pp_violation v
@@ -664,7 +640,7 @@ let run_observed cfg ~trace_out ~metrics_out ~sample_interval ~sample_out
 
 let run_cmd =
   let action seed nodes keys rate duration lifetime replicas policy overlay
-      scheduler runs jobs trace_out metrics_out sample_interval
+      runs jobs trace_out metrics_out sample_interval
       sample_out profile serve audit attribution crash_rate crash_recover
       loss_rate loss_jitter zipf partition_frac partition_start
       partition_duration partition_symmetric reorder_rate reorder_spread
@@ -674,7 +650,6 @@ let run_cmd =
         (scenario_of ~seed ~nodes ~keys ~rate ~duration ~lifetime ~replicas
            ~policy ~overlay)
         with
-        scheduler;
         key_dist = (if zipf = 0. then `Uniform else `Zipf zipf);
         crashes =
           (if crash_rate > 0. then
@@ -788,7 +763,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ seed $ nodes $ keys $ rate $ duration $ lifetime
-      $ replicas $ policy $ overlay $ scheduler $ runs $ jobs
+      $ replicas $ policy $ overlay $ runs $ jobs
       $ trace_out
       $ metrics_out $ sample_interval $ sample_out $ profile_flag
       $ serve_port $ audit_flag $ attribution_arg $ crash_rate
@@ -1171,9 +1146,7 @@ let scale_cmd =
    attribution attached and report the heavy hitters.  The fan-out
    exercises the sketch's exact merge the same way [Registry.merge]
    backs the experiment fan-out: per-seed sketches are folded in seed
-   order, so output is byte-identical at every --jobs count, and —
-   because the runner itself is scheduler-independent — across
-   --scheduler heap|calendar too. *)
+   order, so output is byte-identical at every --jobs count. *)
 
 let top_cmd =
   let keys =
@@ -1208,7 +1181,7 @@ let top_cmd =
              across --jobs domains and merged exactly in seed order.")
   in
   let action seed nodes keys rate duration lifetime replicas policy overlay
-      scheduler zipf seeds jobs by topk capacity top_out =
+      zipf seeds jobs by topk capacity top_out =
     if seeds < 1 then begin
       prerr_endline "cup top: --seeds must be >= 1";
       exit 1
@@ -1222,7 +1195,6 @@ let top_cmd =
         (scenario_of ~seed ~nodes ~keys ~rate ~duration ~lifetime ~replicas
            ~policy ~overlay)
         with
-        scheduler;
         key_dist = (if zipf = 0. then `Uniform else `Zipf zipf);
       }
     in
@@ -1267,7 +1239,7 @@ let top_cmd =
   let term =
     Term.(
       const action $ seed $ nodes $ keys $ rate $ duration $ lifetime
-      $ replicas $ policy $ overlay $ scheduler $ zipf $ seeds
+      $ replicas $ policy $ overlay $ zipf $ seeds
       $ jobs $ by_arg $ topk $ capacity $ top_out_arg)
   in
   Cmd.v
@@ -1276,8 +1248,8 @@ let top_cmd =
          "Run a simulation with per-key/per-node/per-level cost attribution \
           and print the heavy hitters: miss cost, update overhead, \
           justified/unjustified deliveries and per-key rates.  Output \
-          (except the wallclock line) is byte-identical across --scheduler, \
-          --jobs, and the equivalent cup scale --shards run.")
+          (except the wallclock line) is byte-identical across --jobs and \
+          the equivalent cup scale --shards run.")
     term
 
 (* {1 cup sweep} *)

@@ -8,75 +8,24 @@ type probe = {
   labels : (string, int ref * float ref) Hashtbl.t;
 }
 
-type scheduler = [ `Heap | `Calendar ]
-
-(* Process-wide default used by [create] when no [?scheduler] is
-   given: the heap.  CUP queues are not always shallow.  perfbench's
-   faults-audited workload keeps a repair watch queued per subscriber
-   and peaks at about 23,000 pending events; there traced runs time one
-   heap push+pop at 470-640 ns and the whole run at 1.33-1.49 times as
-   long under the calendar queue (seeds 3, 5 and 7, 2-core Intel Xeon,
-   OCaml 5.1.1).  The ref exists so harnesses can flip every engine in
-   the process (e.g. bench --scheduler, CI's sched-equivalence job)
-   without threading a parameter through every scenario
-   constructor. *)
-let default_scheduler : scheduler ref = ref `Heap
-
-(* Both implementations share Sched_cell, so dispatch is one match per
-   queue operation and handles need no wrapping. *)
-type 'a queue =
-  | Heap of 'a Event_heap.t
-  | Calendar of 'a Calendar_queue.t
-
 type t = {
   mutable clock : Time.t;
   mutable executed : int;
   mutable stopping : bool;
   mutable probe : probe option;
-  queue : (t -> unit) queue;
+  queue : (t -> unit) Event_heap.t;
 }
 
-type handle = Sched_cell.handle
+type handle = Event_heap.handle
 
-let q_push q ~time v =
-  match q with
-  | Heap h -> Event_heap.push h ~time v
-  | Calendar c -> Calendar_queue.push c ~time v
-
-let q_pop = function
-  | Heap h -> Event_heap.pop h
-  | Calendar c -> Calendar_queue.pop c
-
-let q_peek_time = function
-  | Heap h -> Event_heap.peek_time h
-  | Calendar c -> Calendar_queue.peek_time c
-
-let q_length = function
-  | Heap h -> Event_heap.length h
-  | Calendar c -> Calendar_queue.length c
-
-let q_cancel q handle =
-  match q with
-  | Heap h -> Event_heap.cancel h handle
-  | Calendar c -> Calendar_queue.cancel c handle
-
-let create ?scheduler () =
-  let scheduler =
-    match scheduler with Some s -> s | None -> !default_scheduler
-  in
+let create () =
   {
     clock = Time.zero;
     executed = 0;
     stopping = false;
     probe = None;
-    queue =
-      (match scheduler with
-      | `Heap -> Heap (Event_heap.create ())
-      | `Calendar -> Calendar (Calendar_queue.create ()));
+    queue = Event_heap.create ();
   }
-
-let scheduler t =
-  match t.queue with Heap _ -> `Heap | Calendar _ -> `Calendar
 
 let now t = t.clock
 
@@ -117,17 +66,19 @@ let schedule ?label t ~at f =
   match t.probe with
   | Some probe when probe.collecting ->
       let label = Option.value label ~default:default_label in
-      let handle = q_push t.queue ~time:at (instrument probe label f) in
-      let len = q_length t.queue in
+      let handle =
+        Event_heap.push t.queue ~time:at (instrument probe label f)
+      in
+      let len = Event_heap.length t.queue in
       if len > probe.high_water then probe.high_water <- len;
       handle
-  | Some _ | None -> q_push t.queue ~time:at f
+  | Some _ | None -> Event_heap.push t.queue ~time:at f
 
 let schedule_after ?label t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule_after: negative delay";
   schedule ?label t ~at:(Time.add t.clock delay) f
 
-let cancel t handle = q_cancel t.queue handle
+let cancel t handle = Event_heap.cancel t.queue handle
 
 let stop t = t.stopping <- true
 
@@ -137,12 +88,12 @@ let run ?(until = Time.infinity) ?(max_events = max_int) t =
   let rec loop () =
     if t.stopping || !budget <= 0 then ()
     else
-      match q_peek_time t.queue with
+      match Event_heap.peek_time t.queue with
       | None -> ()
       | Some time when Time.(time > until) ->
           if Time.is_finite until then t.clock <- Time.max t.clock until
       | Some _ -> (
-          match q_pop t.queue with
+          match Event_heap.pop t.queue with
           | None -> ()
           | Some (time, f) ->
               t.clock <- time;
@@ -153,7 +104,7 @@ let run ?(until = Time.infinity) ?(max_events = max_int) t =
   in
   loop ()
 
-let pending t = q_length t.queue
+let pending t = Event_heap.length t.queue
 
 let events_executed t = t.executed
 

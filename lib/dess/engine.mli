@@ -11,27 +11,14 @@
 
 type t
 
-type handle
+type handle = Event_heap.handle
 (** A pending event, usable with {!cancel}. *)
 
-type scheduler = [ `Heap | `Calendar ]
-(** The event-queue implementation behind an engine.  [`Heap] is the
-    binary {!Event_heap}; [`Calendar] is the O(1)-amortized
-    {!Calendar_queue}.  Both pop the same [(time, seq)] total order,
-    so every run is byte-identical under either scheduler — the choice
-    affects wall-clock time only. *)
-
-val default_scheduler : scheduler ref
-(** Scheduler used by {!create} when [?scheduler] is omitted.
-    Initially [`Heap] (the end-to-end benchmark winner, by a narrow
-    margin — see bench/main.ml's [sched] target); flip it to switch
-    every subsequently created engine in the process. *)
-
-val create : ?scheduler:scheduler -> unit -> t
-(** [create ()] uses [!default_scheduler]. *)
-
-val scheduler : t -> scheduler
-(** Which queue implementation this engine was created with. *)
+val create : unit -> t
+(** A fresh engine at {!Time.zero} with an empty queue.  Its queue is
+    the binary {!Event_heap}, the simulator's only scheduler: a
+    simulation scenario's [scheduler] field selects nothing and is kept
+    as a no-op. *)
 
 val now : t -> Time.t
 (** Current virtual time.  [Time.zero] before the first event. *)

@@ -1,11 +1,8 @@
-type 'a cell = 'a Sched_cell.cell = {
-  time : Time.t;
-  seq : int;
-  value : 'a;
-  mutable cancelled : bool;
-}
+(* A scheduled event.  Its ordering key lives in the heap's arrays
+   below; the cell carries what a pop returns and the tombstone. *)
+type 'a cell = { time : Time.t; value : 'a; mutable cancelled : bool }
 
-type handle = Sched_cell.handle = H : 'a cell -> handle
+type handle = H : 'a cell -> handle
 
 (* A cell stays in one slot of [cells] while it is pending.  The binary
    heap itself (position 0 is the root) is three parallel arrays of
@@ -29,7 +26,7 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let vacant_cell = { time = 0.; seq = -1; value = (); cancelled = true }
+let vacant_cell = { time = 0.; value = (); cancelled = true }
 
 (* The [value] of a vacant slot is never read, so one [unit cell]
    stands in for any ['a cell]: cells are always boxed records. *)
@@ -114,7 +111,7 @@ let rec sift_down t i time seq slot =
 
 let push t ~time value =
   let seq = t.next_seq in
-  let cell = { time; seq; value; cancelled = false } in
+  let cell = { time; value; cancelled = false } in
   t.next_seq <- seq + 1;
   if t.size = Array.length t.cells then grow t;
   let pos = t.size in

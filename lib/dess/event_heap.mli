@@ -1,23 +1,23 @@
-(** Binary min-heap of timestamped events.
+(** Binary min-heap of timestamped events: the engine's event queue.
 
-    The heap orders events by [(time, sequence)] where the sequence
-    number is assigned at insertion: two events scheduled for the same
-    instant fire in insertion order.  That tie-break is what makes the
-    whole simulator deterministic, so it is part of the contract, not an
+    The heap pops events in the [(time, seq)] total order, where [seq]
+    is assigned at insertion: earlier times first, and two events
+    scheduled for the same instant fire first in, first out.  That
+    tie-break is what makes a whole simulation run a pure function of
+    its inputs and seed, so it is part of the contract, not an
     implementation detail.
 
     Cancellation is O(1) by tombstoning: a cancelled event stays in the
-    array and is discarded lazily when it reaches the top.
+    array and is discarded lazily when it reaches the top.  A fired or
+    discarded event is not kept reachable.
 
-    {!Calendar_queue} implements the same signature (and shares the
-    same {!Sched_cell.handle} type), so the engine can swap scheduler
-    implementations without changing pop order. *)
+    This is the simulator's only event queue: the [scheduler] field of
+    a simulation scenario selects nothing and is kept as a no-op. *)
 
 type 'a t
 
-type handle = Sched_cell.handle
-(** Identifies a scheduled event for cancellation.  Shared with every
-    other scheduler implementation. *)
+type handle
+(** Identifies a scheduled event for cancellation. *)
 
 val create : unit -> 'a t
 
@@ -34,7 +34,8 @@ val cancel : 'a t -> handle -> bool
     fired or was already cancelled. *)
 
 val pop : 'a t -> (Time.t * 'a) option
-(** [pop t] removes and returns the earliest live event. *)
+(** [pop t] removes and returns the earliest live event in
+    [(time, seq)] order. *)
 
 val peek_time : 'a t -> Time.t option
 (** Timestamp of the earliest live event, without removing it. *)

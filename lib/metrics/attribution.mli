@@ -16,8 +16,7 @@
        by the byte-identity CI checks); at capacity it evicts the
        entry that reached the minimum weight earliest (the stream-
        summary FIFO rule), a deterministic function of the operation
-       stream, so output is byte-identical across schedulers and job
-       counts.  {!Sketch.merge} is an {e exact} union-sum that
+       stream, so output is byte-identical across job counts.  {!Sketch.merge} is an {e exact} union-sum that
        never compacts — the merged table may exceed capacity (bounded
        by [shards × capacity], still independent of catalog size) —
        which makes it genuinely associative and commutative, the same

@@ -91,8 +91,7 @@ val record_transport_lost : t -> unit
 val expose_transport : t -> unit
 (** Make {!pp} print the transport line.  Off by default so existing
     output shapes (and their byte-compare suites) are unchanged;
-    turned on when a conservation check is live ([cup run --audit],
-    [bench faults]). *)
+    turned on when a conservation check is live ([cup run --audit]). *)
 
 val set_route_cache_stats : t -> hits:int -> misses:int -> unit
 (** Copy the overlay's next-hop cache tally

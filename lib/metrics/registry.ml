@@ -4,8 +4,8 @@
    Prometheus text, CSV rows, pp — walks series in that sorted order,
    so two registries holding equal values print byte-identical text no
    matter the order metrics were registered or updated in.  That is
-   what lets CI byte-compare [--metrics-out] dumps across schedulers
-   and job counts. *)
+   what lets CI byte-compare [--metrics-out] dumps across job counts
+   and against pinned digests. *)
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }

@@ -12,8 +12,7 @@
     equal values serialize to byte-identical text.  Combined with
     {!merge} being exact on counters and histogram bin counts, this
     lets {!Cup_parallel} fan-outs fold per-seed registries in seed
-    order and byte-compare the result across schedulers and job
-    counts. *)
+    order and byte-compare the result across job counts. *)
 
 type t
 

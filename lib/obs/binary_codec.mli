@@ -23,8 +23,8 @@
     ({!Cup_sim.Scale.trace_event}: message / refresh / post).
 
     Encoding is a pure function of the record — byte-deterministic —
-    so the cross-scheduler, cross-shard, cross-job-count byte-identity
-    contracts of the JSONL traces carry over unchanged. *)
+    so the cross-shard and cross-job-count byte-identity contracts of
+    the JSONL traces carry over unchanged. *)
 
 val magic : string
 val version : int

@@ -4,7 +4,7 @@
     depends on the host — allocator behaviour, GC scheduling, kernel
     page accounting — so it lives in its own registry namespace,
     [cup_process_*], and must never be mixed into the deterministic
-    metric families that the scheduler/jobs byte-identity suites
+    metric families that the byte-identity suites and golden digests
     compare.  ({!Serve} appends the [cup_process_*] exposition after
     the deterministic families for exactly this reason, and the CI
     scrape diff strips them back out.)

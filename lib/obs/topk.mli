@@ -6,7 +6,7 @@
     {!Cup_metrics.Attribution.top} (sorted by weight desc, id asc),
     remainders are integer subtractions from the exact totals, and
     rate figures are folded from integer window counts — so output is
-    byte-identical across schedulers, job counts and shard counts
+    byte-identical across job counts and shard counts
     whenever the underlying attribution state is. *)
 
 val default_k : int

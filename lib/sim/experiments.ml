@@ -580,7 +580,7 @@ let replicate_metrics ?pool cfg ~runs =
   let stats = replicated_of_results ~runs (List.map fst observed) in
   (* Merge in seed order: [Registry.merge] is exact (counters sum, bin
      counts add), so the merged exposition is byte-identical across
-     job counts and schedulers. *)
+     job counts. *)
   let merged =
     List.fold_left
       (fun acc (_, registry) -> Cup_metrics.Registry.merge acc registry)

@@ -220,7 +220,7 @@ val replicate_metrics :
     registry ({!Runner.Live.set_metrics}); the per-run registries are
     merged in seed order with the exact deterministic
     {!Cup_metrics.Registry.merge}, so the combined exposition is
-    byte-identical across schedulers and job counts.  Behind
+    byte-identical across job counts.  Behind
     [--metrics-out] with [--runs > 1]. *)
 
 (** {1 Model versus simulation (Section 3.1)} *)

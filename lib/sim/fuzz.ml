@@ -78,12 +78,11 @@ let scenario_of_seed seed =
     if flash || Rng.float g < 0.3 then `Zipf (Rng.float_range g 0.6 1.2)
     else `Uniform
   in
-  let scheduler =
-    Rng.choice g [| None; Some `Heap; Some `Calendar |]
-  in
-  (* A retired coin: it once chose the protocol-state layout.  Drawing
-     and discarding it keeps every later draw, and so every pinned
-     seed's scenario, where it was. *)
+  (* Two retired coins: the first once chose the event queue (the
+     default, the heap or the calendar queue), the second the
+     protocol-state layout.  Drawing and discarding them keeps every
+     later draw, and so every pinned seed's scenario, where it was. *)
+  let (_ : int) = Rng.choice g [| 0; 1; 2 |] in
   let (_ : float) = Rng.float g in
   let crashes =
     if Rng.float g < 0.5 then
@@ -135,7 +134,6 @@ let scenario_of_seed seed =
       seed;
       nodes;
       overlay;
-      scheduler;
       total_keys_override = Some keys;
       replicas_per_key = replicas;
       replica_lifetime = lifetime;
@@ -182,10 +180,6 @@ let repro_command (cfg : Scenario.t) =
   addf " --policy %s --overlay %s"
     (policy_flag cfg.node_config.policy)
     (overlay_flag cfg.overlay);
-  (match cfg.scheduler with
-  | None -> ()
-  | Some `Heap -> addf " --scheduler heap"
-  | Some `Calendar -> addf " --scheduler calendar");
   (match cfg.key_dist with
   | `Uniform -> ()
   | `Zipf a -> addf " --zipf %g" a);
@@ -248,8 +242,6 @@ let shrink_candidates (cfg : Scenario.t) =
         (fun c -> { c with Scenario.key_dist = `Uniform });
       cand (cfg.query_rate > 2.) (fun c ->
           { c with Scenario.query_rate = c.query_rate /. 2. });
-      cand (cfg.scheduler <> None) (fun c ->
-          { c with Scenario.scheduler = None });
     ]
 
 let shrink ~exec (cfg : Scenario.t) =

@@ -77,8 +77,8 @@ let max_repair_attempts = 5
    a repair attempt — opens a trace, and the context below rides along
    the delivery path so each emitted event records which span caused
    it.  Ids come from [next_span], bumped in engine event order: the
-   engine executes an identical total order across schedulers and job
-   counts, so span ids are byte-deterministic too.
+   engine executes the same total order at every job count, so span
+   ids are byte-deterministic too.
 
    When nothing is observing, every path threads the one shared
    [no_ctx] value and ids stay 0: no allocation, no counter bumps, so
@@ -219,9 +219,9 @@ let channel_of t id =
    sender, receiver): asking for it never consumes randomness, so the
    rate of one channel cannot depend on traffic elsewhere.  Whether a
    given message is lost is then one Bernoulli draw from the dedicated
-   "loss" substream; the engine executes events in an identical total
-   order across schedulers and job counts, so the draw sequence — and
-   therefore every loss — is byte-deterministic. *)
+   "loss" substream; the engine executes events in the same total
+   order at every job count, so the draw sequence — and therefore
+   every loss — is byte-deterministic. *)
 
 let channel_drop t ~from ~to_ =
   match t.cfg.loss with
@@ -1200,7 +1200,7 @@ let create_base cfg =
   let t =
     {
       cfg;
-      engine = Engine.create ?scheduler:cfg.scheduler ();
+      engine = Engine.create ();
       net;
       route;
       store;
@@ -1444,7 +1444,7 @@ let node_leave ?(graceful = true) t id =
    queued outgoing updates and capacity state; a recovery is a fresh
    replacement join.  The victim is drawn from the dedicated "crashes"
    substream in event order, so the crash schedule is byte-identical
-   across schedulers, job counts and cache settings. *)
+   across job counts and cache settings. *)
 
 let crash_random_node t =
   match Net.node_ids t.net with

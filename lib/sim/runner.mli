@@ -28,8 +28,8 @@
     non-convergence is typed ({!Cup_overlay.Route.t}) and counted
     ([unreachable] in {!Cup_metrics.Counters}) instead of raising.
     All fault draws happen in engine-event order, so a run is
-    byte-identical across schedulers and job counts for the same seed
-    and fault spec.
+    byte-identical across job counts for the same seed and fault
+    spec.
 
     A node routes a query only when it pushes a query instance toward
     the key's authority (see {!Cup_proto.Node_store.handle_query}), so

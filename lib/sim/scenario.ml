@@ -36,7 +36,7 @@ type t = {
   seed : int;
   nodes : int;
   overlay : Cup_overlay.Net.kind;
-  scheduler : Cup_dess.Engine.scheduler option;
+  scheduler : [ `Heap | `Calendar ] option;
   keys_per_node : float;
   total_keys_override : int option;
   replicas_per_key : int;

@@ -19,8 +19,7 @@
       or [0] when the event is itself a root of its trace.
 
     Ids are drawn from a per-run counter in deterministic engine
-    order, so they are byte-identical across schedulers and job
-    counts.  A run with no tracer (and no metrics registry) attached
+    order, so they are byte-identical across job counts.  A run with no tracer (and no metrics registry) attached
     does not allocate ids at all; such ids print as [0], which is also
     what the JSONL codec substitutes when parsing legacy id-less
     traces.

@@ -1,30 +1,8 @@
-(* Tests for Cup_dess: the event queues (binary heap and calendar
-   queue, exercised through one shared suite) and the simulation
-   engine. *)
+(* Tests for Cup_dess: the event heap and the simulation engine. *)
 
 module Heap = Cup_dess.Event_heap
 module Engine = Cup_dess.Engine
 module Time = Cup_dess.Time
-
-(* Both queue implementations promise the same contract; every queue
-   test below runs against each through this signature. *)
-module type SCHED = sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> time:Time.t -> 'a -> Cup_dess.Sched_cell.handle
-  val cancel : 'a t -> Cup_dess.Sched_cell.handle -> bool
-  val pop : 'a t -> (Time.t * 'a) option
-  val peek_time : 'a t -> Time.t option
-end
-
-let sched_impls : (string * (module SCHED)) list =
-  [
-    ("heap", (module Cup_dess.Event_heap));
-    ("calendar", (module Cup_dess.Calendar_queue));
-  ]
 
 (* {1 Time} *)
 
@@ -36,286 +14,289 @@ let test_time_arithmetic () =
   Alcotest.(check bool) "infinity not finite" false
     (Time.is_finite Time.infinity)
 
-(* {1 Event queues (heap and calendar, same contract)} *)
+(* {1 Event heap} *)
 
-module Queue_suite (S : SCHED) = struct
-  let drain q =
-    let rec go acc =
-      match S.pop q with
-      | None -> List.rev acc
-      | Some (t, v) -> go ((t, v) :: acc)
-    in
-    go []
+let drain q =
+  let rec go acc =
+    match Heap.pop q with
+    | None -> List.rev acc
+    | Some (t, v) -> go ((t, v) :: acc)
+  in
+  go []
 
-  let test_orders_by_time () =
-    let h = S.create () in
-    List.iter
-      (fun (t, v) -> ignore (S.push h ~time:(Time.of_seconds t) v))
-      [ (5., "e"); (1., "a"); (3., "c"); (2., "b"); (4., "d") ];
-    Alcotest.(check (list string))
-      "sorted pop order"
-      [ "a"; "b"; "c"; "d"; "e" ]
-      (List.map snd (drain h))
+let test_orders_by_time () =
+  let h = Heap.create () in
+  List.iter
+    (fun (t, v) -> ignore (Heap.push h ~time:(Time.of_seconds t) v))
+    [ (5., "e"); (1., "a"); (3., "c"); (2., "b"); (4., "d") ];
+  Alcotest.(check (list string))
+    "sorted pop order"
+    [ "a"; "b"; "c"; "d"; "e" ]
+    (List.map snd (drain h))
 
-  let test_fifo_on_ties () =
-    let h = S.create () in
-    let t = Time.of_seconds 1. in
-    List.iter (fun v -> ignore (S.push h ~time:t v)) [ 1; 2; 3; 4; 5 ];
-    Alcotest.(check (list int))
-      "equal timestamps pop in insertion order" [ 1; 2; 3; 4; 5 ]
-      (List.map snd (drain h))
+let test_fifo_on_ties () =
+  let h = Heap.create () in
+  let t = Time.of_seconds 1. in
+  List.iter (fun v -> ignore (Heap.push h ~time:t v)) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list int))
+    "equal timestamps pop in insertion order" [ 1; 2; 3; 4; 5 ]
+    (List.map snd (drain h))
 
-  let test_cancel () =
-    let h = S.create () in
-    let _a = S.push h ~time:(Time.of_seconds 1.) "a" in
-    let b = S.push h ~time:(Time.of_seconds 2.) "b" in
-    let _c = S.push h ~time:(Time.of_seconds 3.) "c" in
-    Alcotest.(check bool) "cancel succeeds" true (S.cancel h b);
-    Alcotest.(check bool) "second cancel fails" false (S.cancel h b);
-    Alcotest.(check int) "live count" 2 (S.length h);
-    Alcotest.(check (list string)) "b skipped" [ "a"; "c" ]
-      (List.map snd (drain h))
+let test_cancel () =
+  let h = Heap.create () in
+  let _a = Heap.push h ~time:(Time.of_seconds 1.) "a" in
+  let b = Heap.push h ~time:(Time.of_seconds 2.) "b" in
+  let _c = Heap.push h ~time:(Time.of_seconds 3.) "c" in
+  Alcotest.(check bool) "cancel succeeds" true (Heap.cancel h b);
+  Alcotest.(check bool) "second cancel fails" false (Heap.cancel h b);
+  Alcotest.(check int) "live count" 2 (Heap.length h);
+  Alcotest.(check (list string)) "b skipped" [ "a"; "c" ]
+    (List.map snd (drain h))
 
-  let test_cancel_root () =
-    let h = S.create () in
-    let a = S.push h ~time:(Time.of_seconds 1.) "a" in
-    ignore (S.push h ~time:(Time.of_seconds 2.) "b");
-    ignore (S.cancel h a);
-    Alcotest.(check (option (float 1e-9))) "peek skips cancelled root"
-      (Some 2.) (S.peek_time h);
-    (* peeking discarded the tombstone; cancelling it again still
-       reports failure rather than double-counting *)
-    Alcotest.(check bool) "cancel after peek discarded it" false
-      (S.cancel h a);
-    Alcotest.(check int) "one live event left" 1 (S.length h)
+let test_cancel_root () =
+  let h = Heap.create () in
+  let a = Heap.push h ~time:(Time.of_seconds 1.) "a" in
+  ignore (Heap.push h ~time:(Time.of_seconds 2.) "b");
+  ignore (Heap.cancel h a);
+  Alcotest.(check (option (float 1e-9))) "peek skips cancelled root"
+    (Some 2.) (Heap.peek_time h);
+  (* peeking discarded the tombstone; cancelling it again still
+     reports failure rather than double-counting *)
+  Alcotest.(check bool) "cancel after peek discarded it" false
+    (Heap.cancel h a);
+  Alcotest.(check int) "one live event left" 1 (Heap.length h)
 
-  let test_empty () =
-    let h : int S.t = S.create () in
-    Alcotest.(check bool) "is_empty" true (S.is_empty h);
-    Alcotest.(check (option (pair (float 1e-9) int))) "pop empty" None
-      (S.pop h);
-    Alcotest.(check (option (float 1e-9))) "peek empty" None (S.peek_time h)
+let test_empty () =
+  let h : int Heap.t = Heap.create () in
+  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
+  Alcotest.(check (option (pair (float 1e-9) int))) "pop empty" None
+    (Heap.pop h);
+  Alcotest.(check (option (float 1e-9))) "peek empty" None (Heap.peek_time h)
 
-  let test_interleaved_push_pop () =
-    let h = S.create () in
-    ignore (S.push h ~time:(Time.of_seconds 10.) 10);
-    ignore (S.push h ~time:(Time.of_seconds 5.) 5);
-    (match S.pop h with
-    | Some (_, 5) -> ()
-    | _ -> Alcotest.fail "expected 5 first");
-    ignore (S.push h ~time:(Time.of_seconds 1.) 1);
-    (match S.pop h with
-    | Some (_, 1) -> ()
-    | _ -> Alcotest.fail "expected 1 next");
-    match S.pop h with
-    | Some (_, 10) -> ()
-    | _ -> Alcotest.fail "expected 10 last"
+let test_interleaved_push_pop () =
+  let h = Heap.create () in
+  ignore (Heap.push h ~time:(Time.of_seconds 10.) 10);
+  ignore (Heap.push h ~time:(Time.of_seconds 5.) 5);
+  (match Heap.pop h with
+  | Some (_, 5) -> ()
+  | _ -> Alcotest.fail "expected 5 first");
+  ignore (Heap.push h ~time:(Time.of_seconds 1.) 1);
+  (match Heap.pop h with
+  | Some (_, 1) -> ()
+  | _ -> Alcotest.fail "expected 1 next");
+  match Heap.pop h with
+  | Some (_, 10) -> ()
+  | _ -> Alcotest.fail "expected 10 last"
 
-  let test_length_interleaved_cancel_pop () =
-    let h = S.create () in
-    let handles =
-      List.map
-        (fun i -> S.push h ~time:(Time.of_seconds (float_of_int i)) i)
-        [ 1; 2; 3; 4; 5 ]
-    in
-    Alcotest.(check int) "all live" 5 (S.length h);
-    ignore (S.cancel h (List.nth handles 1));
-    Alcotest.(check int) "one cancelled" 4 (S.length h);
-    (match S.pop h with
-    | Some (_, 1) -> ()
-    | _ -> Alcotest.fail "expected 1 first");
-    Alcotest.(check int) "after pop" 3 (S.length h);
-    ignore (S.cancel h (List.nth handles 2));
-    Alcotest.(check int) "second cancel" 2 (S.length h);
-    (* cancelling the already-popped head fails and leaves the count *)
-    Alcotest.(check bool) "cancel popped event fails" false
-      (S.cancel h (List.nth handles 0));
-    Alcotest.(check int) "count unchanged" 2 (S.length h);
-    Alcotest.(check (list int)) "survivors pop in order" [ 4; 5 ]
-      (List.map snd (drain h));
-    Alcotest.(check int) "drained" 0 (S.length h)
+let test_length_interleaved_cancel_pop () =
+  let h = Heap.create () in
+  let handles =
+    List.map
+      (fun i -> Heap.push h ~time:(Time.of_seconds (float_of_int i)) i)
+      [ 1; 2; 3; 4; 5 ]
+  in
+  Alcotest.(check int) "all live" 5 (Heap.length h);
+  ignore (Heap.cancel h (List.nth handles 1));
+  Alcotest.(check int) "one cancelled" 4 (Heap.length h);
+  (match Heap.pop h with
+  | Some (_, 1) -> ()
+  | _ -> Alcotest.fail "expected 1 first");
+  Alcotest.(check int) "after pop" 3 (Heap.length h);
+  ignore (Heap.cancel h (List.nth handles 2));
+  Alcotest.(check int) "second cancel" 2 (Heap.length h);
+  (* cancelling the already-popped head fails and leaves the count *)
+  Alcotest.(check bool) "cancel popped event fails" false
+    (Heap.cancel h (List.nth handles 0));
+  Alcotest.(check int) "count unchanged" 2 (Heap.length h);
+  Alcotest.(check (list int)) "survivors pop in order" [ 4; 5 ]
+    (List.map snd (drain h));
+  Alcotest.(check int) "drained" 0 (Heap.length h)
 
-  let test_all_cancelled_reports_empty () =
-    let h = S.create () in
-    let handles =
-      List.map
-        (fun i -> S.push h ~time:(Time.of_seconds (float_of_int i)) i)
-        [ 3; 1; 2 ]
-    in
-    List.iter (fun handle -> ignore (S.cancel h handle)) handles;
-    Alcotest.(check int) "length 0" 0 (S.length h);
-    Alcotest.(check bool) "is_empty" true (S.is_empty h);
-    Alcotest.(check (option (float 1e-9))) "peek none" None (S.peek_time h);
-    Alcotest.(check (option (pair (float 1e-9) int))) "pop none" None
-      (S.pop h)
+let test_all_cancelled_reports_empty () =
+  let h = Heap.create () in
+  let handles =
+    List.map
+      (fun i -> Heap.push h ~time:(Time.of_seconds (float_of_int i)) i)
+      [ 3; 1; 2 ]
+  in
+  List.iter (fun handle -> ignore (Heap.cancel h handle)) handles;
+  Alcotest.(check int) "length 0" 0 (Heap.length h);
+  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
+  Alcotest.(check (option (float 1e-9))) "peek none" None (Heap.peek_time h);
+  Alcotest.(check (option (pair (float 1e-9) int))) "pop none" None
+    (Heap.pop h)
 
-  (* The seventeenth push makes the calendar queue re-tune its bucket
-     width to [82.5 /. 7.].  Then [82.5 /. width] falls just below 7,
-     placing the first 82.5 event in bucket 6, while [7. *. width]
-     rounds to exactly 82.5: bucket 6's window test must agree with
-     that placement, or the event pops after 95 and 97.5. *)
-  let test_bucket_boundary () =
-    let h = S.create () in
-    let times =
-      [ 97.5; 0.; 0.; 97.5; 0.; 82.5; 72.5; 0.; 0.; 70.; 0.; 0.; 95.; 82.5;
-        0.; 0.; 0. ]
-    in
-    List.iteri (fun i t -> ignore (S.push h ~time:(Time.of_seconds t) i)) times;
-    let expected =
-      List.stable_sort
-        (fun (a, _) (b, _) -> Float.compare a b)
-        (List.mapi (fun i t -> (t, i)) times)
-    in
-    Alcotest.(check (list (pair (float 0.) int)))
-      "(time, insertion) order" expected (drain h)
+(* Seventeen pushes, ten of them tied at 0 and two pairs tied later,
+   must pop in (time, insertion) order.  [82.5 /. 7.] is a bucket width
+   at which [82.5 /. width] falls just below 7 while [7. *. width]
+   rounds to exactly 82.5; this script once caught a bucketed queue
+   placing an event on that boundary in the wrong window. *)
+let test_bucket_boundary () =
+  let h = Heap.create () in
+  let times =
+    [ 97.5; 0.; 0.; 97.5; 0.; 82.5; 72.5; 0.; 0.; 70.; 0.; 0.; 95.; 82.5;
+      0.; 0.; 0. ]
+  in
+  List.iteri (fun i t -> ignore (Heap.push h ~time:(Time.of_seconds t) i)) times;
+  let expected =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Float.compare a b)
+      (List.mapi (fun i t -> (t, i)) times)
+  in
+  Alcotest.(check (list (pair (float 0.) int)))
+    "(time, insertion) order" expected (drain h)
 
-  (* Pushes [n] events whose values each hold a 100 kB buffer, cancels
-     every fifth, drains the queue and returns weak pointers to the
-     buffers.  Kept out of line so that no stack slot of the caller
-     still points at a buffer when it collects. *)
-  let[@inline never] fill_and_drain h n =
-    let weak = Weak.create n in
-    let handles =
-      List.init n (fun i ->
-          let buf = Bytes.make 100_000 'x' in
-          Weak.set weak i (Some buf);
-          S.push h
-            ~time:(Time.of_seconds (float_of_int (i * 37 mod n)))
-            (fun () -> Bytes.length buf))
-    in
-    List.iteri (fun i handle -> if i mod 5 = 0 then ignore (S.cancel h handle))
-      handles;
-    ignore (Sys.opaque_identity (drain h));
-    weak
+(* Pushes [n] events whose values each hold a 100 kB buffer, cancels
+   every fifth, drains the queue and returns weak pointers to the
+   buffers.  Kept out of line so that no stack slot of the caller
+   still points at a buffer when it collects. *)
+let[@inline never] fill_and_drain h n =
+  let weak = Weak.create n in
+  let handles =
+    List.init n (fun i ->
+        let buf = Bytes.make 100_000 'x' in
+        Weak.set weak i (Some buf);
+        Heap.push h
+          ~time:(Time.of_seconds (float_of_int (i * 37 mod n)))
+          (fun () -> Bytes.length buf))
+  in
+  List.iteri (fun i handle -> if i mod 5 = 0 then ignore (Heap.cancel h handle))
+    handles;
+  ignore (Sys.opaque_identity (drain h));
+  weak
 
-  (* A fired or discarded event must not stay reachable from the queue:
-     its closure may capture arbitrarily large state. *)
-  let test_no_retention_after_drain () =
-    let h = S.create () in
-    let weak = fill_and_drain h 100 in
-    Gc.full_major ();
-    Gc.full_major ();
-    let alive = ref 0 in
-    for i = 0 to Weak.length weak - 1 do
-      if Weak.check weak i then incr alive
-    done;
-    Alcotest.(check int) "buffers still reachable" 0 !alive;
-    (* [h] stays live through both collections *)
-    Alcotest.(check bool) "drained" true (S.is_empty h)
+(* A fired or discarded event must not stay reachable from the queue:
+   its closure may capture arbitrarily large state. *)
+let test_no_retention_after_drain () =
+  let h = Heap.create () in
+  let weak = fill_and_drain h 100 in
+  Gc.full_major ();
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then incr alive
+  done;
+  Alcotest.(check int) "buffers still reachable" 0 !alive;
+  (* [h] stays live through both collections *)
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
-  let cases =
-    [
-      Alcotest.test_case "orders by time" `Quick test_orders_by_time;
-      Alcotest.test_case "fifo ties" `Quick test_fifo_on_ties;
-      Alcotest.test_case "cancel" `Quick test_cancel;
-      Alcotest.test_case "cancel root" `Quick test_cancel_root;
-      Alcotest.test_case "empty" `Quick test_empty;
-      Alcotest.test_case "interleaved" `Quick test_interleaved_push_pop;
-      Alcotest.test_case "length under cancel/pop" `Quick
-        test_length_interleaved_cancel_pop;
-      Alcotest.test_case "all cancelled is empty" `Quick
-        test_all_cancelled_reports_empty;
-      Alcotest.test_case "drained events unreachable" `Quick
-        test_no_retention_after_drain;
-      Alcotest.test_case "event on a bucket boundary" `Quick
-        test_bucket_boundary;
-    ]
+let heap_cases =
+  [
+    Alcotest.test_case "orders by time" `Quick test_orders_by_time;
+    Alcotest.test_case "fifo ties" `Quick test_fifo_on_ties;
+    Alcotest.test_case "cancel" `Quick test_cancel;
+    Alcotest.test_case "cancel root" `Quick test_cancel_root;
+    Alcotest.test_case "empty" `Quick test_empty;
+    Alcotest.test_case "interleaved" `Quick test_interleaved_push_pop;
+    Alcotest.test_case "length under cancel/pop" `Quick
+      test_length_interleaved_cancel_pop;
+    Alcotest.test_case "all cancelled is empty" `Quick
+      test_all_cancelled_reports_empty;
+    Alcotest.test_case "drained events unreachable" `Quick
+      test_no_retention_after_drain;
+    Alcotest.test_case "event on a bucket boundary" `Quick
+      test_bucket_boundary;
+  ]
 
-  let prop_sorts name =
-    QCheck.Test.make ~count:300
-      ~name:(name ^ " pops nondecreasing times")
-      QCheck.(list (float_range 0. 1000.))
-      (fun times ->
-        let h = S.create () in
-        List.iter
-          (fun t -> ignore (S.push h ~time:(Time.of_seconds t) t))
-          times;
-        let popped = List.map fst (drain h) in
-        List.length popped = List.length times
-        && popped = List.sort Float.compare popped)
+let prop_sorts =
+  QCheck.Test.make ~count:300 ~name:"heap pops nondecreasing times"
+    QCheck.(list (float_range 0. 1000.))
+    (fun times ->
+      let h = Heap.create () in
+      List.iter
+        (fun t -> ignore (Heap.push h ~time:(Time.of_seconds t) t))
+        times;
+      let popped = List.map fst (drain h) in
+      List.length popped = List.length times
+      && popped = List.sort Float.compare popped)
 
-  let prop_cancel_half name =
-    QCheck.Test.make ~count:200
-      ~name:("cancelled events never pop (" ^ name ^ ")")
-      QCheck.(list (float_range 0. 100.))
-      (fun times ->
-        let h = S.create () in
-        let handles =
-          List.mapi
-            (fun i t -> (i, S.push h ~time:(Time.of_seconds t) i))
-            times
-        in
-        let cancelled =
-          List.filter_map
-            (fun (i, handle) ->
-              if i mod 2 = 0 then begin
-                ignore (S.cancel h handle);
-                Some i
-              end
-              else None)
-            handles
-        in
-        let popped = List.map snd (drain h) in
-        List.for_all (fun i -> not (List.mem i popped)) cancelled
-        && List.length popped = List.length times - List.length cancelled)
-end
+let prop_cancel_half =
+  QCheck.Test.make ~count:200 ~name:"cancelled events never pop (heap)"
+    QCheck.(list (float_range 0. 100.))
+    (fun times ->
+      let h = Heap.create () in
+      let handles =
+        List.mapi
+          (fun i t -> (i, Heap.push h ~time:(Time.of_seconds t) i))
+          times
+      in
+      let cancelled =
+        List.filter_map
+          (fun (i, handle) ->
+            if i mod 2 = 0 then begin
+              ignore (Heap.cancel h handle);
+              Some i
+            end
+            else None)
+          handles
+      in
+      let popped = List.map snd (drain h) in
+      List.for_all (fun i -> not (List.mem i popped)) cancelled
+      && List.length popped = List.length times - List.length cancelled)
 
-let queue_suite name (module S : SCHED) =
-  let module T = Queue_suite (S) in
-  (name, T.cases)
-
-let queue_props =
-  List.concat_map
-    (fun (name, (module S : SCHED)) ->
-      let module T = Queue_suite (S) in
-      [ T.prop_sorts name; T.prop_cancel_half name ])
-    sched_impls
-
-(* The determinism contract behind Engine's ?scheduler knob: an
-   arbitrary interleaving of pushes, pops and cancels observes the
-   identical stream of (time, value) from both implementations.  Times
-   come from 40 instants, so most events share their time with others
-   and pop order among them rests on the insertion-order tie-break;
-   scripts of up to 5,000 steps (about 3,000 pushes) sift deep heaps and
-   grow the queues' arrays several times over. *)
-let prop_heap_calendar_equivalent =
-  QCheck.Test.make ~count:100 ~name:"heap and calendar pop identical streams"
+(* The heap against a list-based reference: an arbitrary interleaving
+   of pushes, peeks, pops and cancels must pop exactly the earliest live
+   [(time, insertion seq)] at every step.  Times come from 40 instants,
+   so most events share their time with others and the pop order among
+   them rests on the first-in-first-out tie-break; scripts of up to
+   5,000 steps (about 3,000 pushes) sift deep heaps and grow the arrays
+   several times over. *)
+let prop_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"heap matches the list reference"
     QCheck.(list_of_size Gen.(0 -- 5000) (pair (int_bound 39) (int_range 0 9)))
     (fun script ->
-      let module C = Cup_dess.Calendar_queue in
-      let h = Heap.create () and c = C.create () in
-      let handles = ref [] (* (heap handle, calendar handle), stack *) in
+      let h = Heap.create () in
+      (* The reference: the live events as (time, seq) pairs, in no
+         order.  Each event's value is its seq. *)
+      let live = ref [] in
+      let earliest () =
+        List.fold_left
+          (fun best e ->
+            match best with Some b when b <= e -> best | _ -> Some e)
+          None !live
+      in
+      let remove seq = live := List.filter (fun (_, s) -> s <> seq) !live in
+      let handles = ref [] (* (handle, seq), newest first *) in
       let pushed = ref 0 in
       let ok = ref true in
       let observe b = if not b then ok := false in
+      (* Pop both; [false] once the heap is empty. *)
+      let pop_both () =
+        let expected = earliest () in
+        Option.iter (fun (_, seq) -> remove seq) expected;
+        let got = Heap.pop h in
+        observe (got = expected);
+        got <> None
+      in
       List.iter
         (fun (instant, action) ->
           if action <= 5 then begin
-            let v = !pushed in
-            incr pushed;
+            let seq = !pushed in
             let time = Time.of_seconds (2.5 *. float_of_int instant) in
-            handles := (Heap.push h ~time v, C.push c ~time v) :: !handles
+            incr pushed;
+            handles := (Heap.push h ~time seq, seq) :: !handles;
+            live := (time, seq) :: !live
           end
           else if action <= 7 then begin
-            observe (Heap.peek_time h = C.peek_time c);
-            observe (Heap.pop h = C.pop c)
+            observe (Heap.peek_time h = Option.map fst (earliest ()));
+            ignore (pop_both ())
           end
           else begin
             match !handles with
             | [] -> ()
             | all ->
-                let idx = action * 31 mod List.length all in
-                let hh, ch = List.nth all idx in
-                observe (Heap.cancel h hh = C.cancel c ch)
+                let handle, seq =
+                  List.nth all (action * 31 mod List.length all)
+                in
+                let was_live = List.exists (fun (_, s) -> s = seq) !live in
+                remove seq;
+                observe (Heap.cancel h handle = was_live)
           end;
-          observe (Heap.length h = C.length c))
+          observe (Heap.length h = List.length !live))
         script;
-      let rec drain_both () =
-        let ph = Heap.pop h and pc = C.pop c in
-        observe (ph = pc);
-        if ph <> None then drain_both ()
-      in
-      drain_both ();
+      while pop_both () do
+        ()
+      done;
       !ok)
 
 (* {1 Engine} *)
@@ -516,13 +497,11 @@ let () =
     ([
        ("time", [ Alcotest.test_case "arithmetic" `Quick test_time_arithmetic ]);
      ]
-    @ List.map
-        (fun (name, impl) -> queue_suite ("queue:" ^ name) impl)
-        sched_impls
     @ [
+      ("queue:heap", heap_cases);
       ( "queue properties",
         List.map QCheck_alcotest.to_alcotest
-          (queue_props @ [ prop_heap_calendar_equivalent ]) );
+          [ prop_sorts; prop_cancel_half; prop_matches_reference ] );
       ( "engine",
         [
           Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;

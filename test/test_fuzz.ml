@@ -99,7 +99,7 @@ let pinned_repros =
     ( 58,
       "cup run --seed 58 --nodes 49 --keys 1 --rate 3.98542 --duration 120\
       \ --lifetime 300 --replicas 3 --policy push-level:2 --overlay can\
-      \ --scheduler calendar --zipf 1.15376 --crash-rate 0.0709281\
+      \ --zipf 1.15376 --crash-rate 0.0709281\
       \ --crash-recover 27.0131 --loss-rate 0.283615 --loss-jitter 0.457528\
       \ --partition 0.190088 --partition-start 25.5542\
       \ --partition-duration 30.5353 --reorder-rate 0.38035\
@@ -114,14 +114,14 @@ let pinned_repros =
     ( 2,
       "cup run --seed 2 --nodes 13 --keys 4 --rate 53.1823 --duration 120\
       \ --lifetime 60 --replicas 2 --policy linear:1 --overlay chord\
-      \ --scheduler heap --zipf 0.733483 --partition 0.283957\
+      \ --zipf 0.733483 --partition 0.283957\
       \ --partition-start 38.5313 --partition-duration 40.3088\
       \ --partition-symmetric --reorder-rate 0.478653 --reorder-spread 1.4092\
       \ --audit" );
     ( 13,
       "cup run --seed 13 --nodes 70 --keys 3 --rate 3.20331 --duration 120\
       \ --lifetime 60 --replicas 3 --policy all-out --overlay pastry\
-      \ --scheduler calendar --zipf 0.968731 --crash-rate 0.0101396\
+      \ --zipf 0.968731 --crash-rate 0.0101396\
       \ --crash-recover 31.3657 --partition 0.12572 --partition-start 27.0241\
       \ --partition-duration 33.7839 --partition-symmetric\
       \ --reorder-rate 0.129715 --reorder-spread 2.99052\
@@ -137,12 +137,12 @@ let pinned_repros =
     ( 101,
       "cup run --seed 101 --nodes 4 --keys 4 --rate 1.59095 --duration 240\
       \ --lifetime 120 --replicas 2 --policy log:2 --overlay can\
-      \ --scheduler heap --zipf 1.12615 --crash-rate 0.188559\
+      \ --zipf 1.12615 --crash-rate 0.188559\
       \ --crash-recover 7.93344 --duplicate-rate 0.0686776 --audit" );
     ( 33,
       "cup run --seed 33 --nodes 30 --keys 1 --rate 1.04335 --duration 240\
       \ --lifetime 300 --replicas 1 --policy all-out --overlay can-grid\
-      \ --scheduler heap --crash-rate 0.101703 --crash-recover 50.5248\
+      \ --crash-rate 0.101703 --crash-recover 50.5248\
       \ --loss-rate 0.104165 --loss-jitter 0.527501 --reorder-rate 0.523872\
       \ --reorder-spread 3.92996 --duplicate-rate 0.210055 --audit" );
     ( 36,
@@ -166,7 +166,7 @@ let pinned_repros =
     ( 1827,
       "cup run --seed 1827 --nodes 38 --keys 2 --rate 3.8865 --duration 480\
       \ --lifetime 300 --replicas 2 --policy linear:1 --overlay can\
-      \ --scheduler heap --zipf 0.950784 --crash-rate 0.191741\
+      \ --zipf 0.950784 --crash-rate 0.191741\
       \ --crash-recover 56.199 --loss-rate 0.0607742 --loss-jitter 0.326073\
       \ --duplicate-rate 0.204677 --audit" );
   ]

@@ -596,11 +596,11 @@ let test_pinned_seeds () =
     ]
 
 (* Six workload shapes, each at seeds 1, 42 and 1001, pinned the same
-   way.  These digests were taken when a heap and a calendar queue
-   both drove the engine and agreed byte for byte on every run.  The
-   fault shapes hold the byte-determinism contract under injection:
-   crash victims and loss draws come from dedicated substreams consumed
-   in engine-event order. *)
+   way.  These digests were taken when two event queues both drove
+   the engine and agreed byte for byte on every run.  The fault shapes
+   hold the byte-determinism contract under injection: crash victims
+   and loss draws come from dedicated substreams consumed in
+   engine-event order. *)
 let pinned_shapes =
   [
     ( "can-bernoulli",
