@@ -700,6 +700,10 @@ let run_cmd =
       || profile || serve <> None || audit || attribution > 0
     in
     let observed = observed_single || metrics_out <> None in
+    if runs < 1 then begin
+      prerr_endline "cup run: --runs must be >= 1";
+      exit 1
+    end;
     (match sample_interval with
     | Some i when i <= 0. ->
         prerr_endline "cup run: --sample-interval must be > 0";

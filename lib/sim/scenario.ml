@@ -154,6 +154,14 @@ let validate t =
     | Token_bucket rate -> positive "token bucket rate" rate
   in
   let* () =
+    match t.node_config.policy with
+    | Standard_caching | All_out -> Ok ()
+    | Linear alpha -> nonneg "linear alpha" alpha
+    | Logarithmic alpha -> nonneg "logarithmic alpha" alpha
+    | Push_level p -> check (p >= 0) "push level must be >= 0"
+    | Log_based n -> check (n >= 1) "log-based window must be >= 1"
+  in
+  let* () =
     match t.faults with
     | None -> Ok ()
     | Some (Up_and_down { fraction; reduced; warmup; down; gap }) ->

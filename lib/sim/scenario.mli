@@ -191,3 +191,8 @@ val fault_injection : t -> bool
     before the fault subsystem existed. *)
 
 val validate : t -> (unit, string) result
+(** [Error msg] names the first field out of range: a count below its
+    minimum, a float that is not finite where one is required, a
+    probability outside [\[0, 1\]], or a cut-off policy parameter that
+    is not a finite alpha [>= 0], a push level [>= 0] or a log-based
+    window [>= 1].  {!Runner} and the CLI refuse such a scenario. *)

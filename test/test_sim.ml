@@ -1226,6 +1226,31 @@ let non_finite_scale_cases =
             non_finite))
     fields
 
+(* A NaN or infinite alpha never compares true against a query count,
+   so it once ran silently as if alpha were huge. *)
+let test_invalid_policies_rejected () =
+  List.iter
+    (fun (name, policy, valid) ->
+      Alcotest.(check bool) name valid
+        (Scenario.validate (Scenario.with_policy base policy) = Ok ()))
+    [
+      ("linear 0", Policy.Linear 0., true);
+      ("linear nan", Policy.Linear Float.nan, false);
+      ("linear -0.5", Policy.Linear (-0.5), false);
+      ("log 0.5", Policy.Logarithmic 0.5, true);
+      ("log inf", Policy.Logarithmic Float.infinity, false);
+      ("log -inf", Policy.Logarithmic Float.neg_infinity, false);
+      ("push level 0", Policy.Push_level 0, true);
+      ("push level -1", Policy.Push_level (-1), false);
+      ("log-based 1", Policy.Log_based 1, true);
+      ("log-based 0", Policy.Log_based 0, false);
+    ];
+  Alcotest.check_raises "runner validates the policy"
+    (Invalid_argument
+       "Runner: invalid scenario: linear alpha must be finite and >= 0")
+    (fun () ->
+      ignore (Runner.run (Scenario.with_policy base (Policy.Linear Float.nan))))
+
 let test_runner_rejects_invalid () =
   Alcotest.check_raises "runner validates"
     (Invalid_argument "Runner: invalid scenario: nodes must be >= 1")
@@ -1363,6 +1388,8 @@ let () =
         [
           Alcotest.test_case "scenarios" `Quick test_invalid_scenarios_rejected;
           Alcotest.test_case "runner" `Quick test_runner_rejects_invalid;
+          Alcotest.test_case "cut-off policies" `Quick
+            test_invalid_policies_rejected;
         ]
         @ non_finite_scenario_cases @ non_finite_scale_cases );
       ( "experiments",
