@@ -570,9 +570,10 @@ let print_profiles scale =
 
 (* {1 Fault injection: repair and message accounting} *)
 
-(* One crash+loss scenario: the run must complete with the repair
-   machinery visibly firing, and its transport counters must balance.
-   This is the bench-side witness of the fault-tolerance contract. *)
+(* One crash+loss scenario: the run must complete with its transport
+   counters balanced, and it records whether the repair machinery
+   fired.  This is the bench-side witness of the fault-tolerance
+   contract. *)
 let faults scale =
   let module Scenario = Cup_sim.Scenario in
   let module Policy = Cup_proto.Policy in

@@ -5,16 +5,16 @@
 #   sh test/golden.sh [GROUP...]
 #
 # GROUP is one of table1, fault, top, fuzz, run256 and obs (default:
-# all six).  Run it from the repository root.  The outputs land in
-# $GOLDEN_OUT (default golden-out/); the host-dependent lines (banner,
-# output paths, wallclock) are filtered out before hashing.  CUP and
-# BENCH name the CLI and the bench harness; by default both run through
-# dune.  Exits non-zero if any pinned output differs.
+# all six).  Run it from the root of a checkout; it runs that
+# checkout's CLI and bench harness through dune.  The outputs land in
+# golden-out/; the host-dependent lines (banner, output paths,
+# wallclock) are filtered out before hashing.  Exits non-zero if any
+# pinned output differs.
 set -eu
 
-CUP=${CUP:-dune exec bin/cup_cli.exe --}
-BENCH=${BENCH:-dune exec bench/main.exe --}
-OUT=${GOLDEN_OUT:-golden-out}
+CUP="dune exec bin/cup_cli.exe --"
+BENCH="dune exec bench/main.exe --"
+OUT=golden-out
 SUMS=$(cd "$(dirname "$0")" && pwd)/golden.sha256
 mkdir -p "$OUT"
 
