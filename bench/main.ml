@@ -16,6 +16,9 @@
      dune exec bench/main.exe -- overlay-growth   # build time vs n, log-log slope
      dune exec bench/main.exe -- time-growth      # events/s, 150 vs 1200 s window
 
+   An unknown target or option exits 2; an unknown target's message
+   lists the targets.
+
    The scale targets are explicit-only (never part of the default
    target set): they record events/sec and peak RSS through the
    ring-overlay scale runner and cross-check that sharded runs are
@@ -571,9 +574,9 @@ let print_profiles scale =
 (* {1 Fault injection: repair and message accounting} *)
 
 (* One crash+loss scenario: the run must complete with its transport
-   counters balanced, and it records whether the repair machinery
-   fired.  This is the bench-side witness of the fault-tolerance
-   contract. *)
+   counters balanced, and the repair machinery must fire (a message is
+   lost and a subscription repaired); either failure exits 1.  This is
+   the bench-side witness of the fault-tolerance contract. *)
 let faults scale =
   let module Scenario = Cup_sim.Scenario in
   let module Policy = Cup_proto.Policy in
@@ -626,12 +629,15 @@ let faults scale =
       ("unreachable", Json.Int (C.unreachable c));
       ("events_per_sec", Json.Float r.events_per_sec);
     ];
-  if not conserved then begin
+  if not conserved then
     prerr_endline
       "faults: transport counters violate sent = delivered + lost with \
        in_flight = 0 — message accounting leaks";
-    exit 1
-  end
+  if not repaired then
+    prerr_endline
+      "faults: the repair machinery never fired (no message lost, or no \
+       subscription repaired)";
+  if not (conserved && repaired) then exit 1
 
 (* {1 Scale: batch-synchronous sharded runs up to a million nodes} *)
 
@@ -1908,25 +1914,14 @@ let () =
   let jobs = if !jobs = 0 then Pool.default_jobs () else !jobs in
   let targets = List.filter (fun a -> a <> "--full") args in
   let targets = if targets = [] then [ "all" ] else targets in
-  let want name = List.mem "all" targets || List.mem name targets in
-  Printf.printf "CUP benchmark harness (%s, %d job%s)\n"
-    (scale_label scale) jobs
-    (if jobs = 1 then "" else "s");
-  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  let timed_run name f =
-    let before = Resource.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let seconds = Unix.gettimeofday () -. t0 in
-    target_timings :=
-      (name, seconds, before, Resource.snapshot ()) :: !target_timings
-  in
-  let timed name f = if want name then timed_run name f in
-  (* Explicit-only: the scale targets never ride along with [all] —
-     the 1M run is too big to spring on a routine bench invocation. *)
-  let timed_explicit name f = if List.mem name targets then timed_run name f in
+  (* Every target, in run order, with its body over the domain pool.
+     [~named:true] marks the explicit-only ones, which never ride along
+     with [all]: the 1M scale run is too big to spring on a routine
+     bench invocation. *)
+  let table = ref [] in
+  let target ?(named = false) name f = table := (name, named, f) :: !table in
   let fig3_sweeps = ref [] and fig4_sweeps = ref [] in
-  timed "fig3" (fun () ->
+  target "fig3" (fun pool ->
       section "Figure 3: total and miss cost vs push level (low query rates)";
       let sweeps = run_push_sweeps ?pool scale `Fig3 in
       fig3_sweeps := sweeps;
@@ -1935,87 +1930,117 @@ let () =
            (String.concat " and "
               (List.map (Printf.sprintf "%g") (fig_rates scale `Fig3))))
         sweeps);
-  timed "fig4" (fun () ->
+  target "fig4" (fun pool ->
       section "Figure 4: total and miss cost vs push level (high query rates)";
       let sweeps = run_push_sweeps ?pool scale `Fig4 in
       fig4_sweeps := sweeps;
       print_push_sweeps ~log_y:true
         "Figure 4: cost vs push level (high rates, log y)" sweeps);
-  timed "table1" (fun () ->
+  target "table1" (fun pool ->
       section "Table 1: total cost for varying cut-off policies";
       let optimal =
         match !fig3_sweeps @ !fig4_sweeps with [] -> None | s -> Some s
       in
       print_table1 scale (E.table1 ?pool ?optimal scale));
-  timed "table2" (fun () ->
+  target "table2" (fun pool ->
       section "Table 2: CUP vs standard caching, varying network size";
       print_table2 (E.table2 ?pool scale));
-  timed "table3" (fun () ->
+  target "table3" (fun pool ->
       section "Table 3: naive vs replica-independent cut-off";
       print_table3 (E.table3 ?pool scale));
-  timed "fig5" (fun () ->
+  target "fig5" (fun pool ->
       section "Figure 5: total cost vs reduced capacity (low rate)";
       let rate = List.nth (E.rates scale) 1 in
       print_capacity ~log_y:false "Figure 5: total cost vs capacity"
         (E.capacity_sweep ?pool scale ~rate));
-  timed "fig6" (fun () ->
+  target "fig6" (fun pool ->
       section "Figure 6: total cost vs reduced capacity (high rate, log y)";
       let rate = List.nth (E.rates scale) (List.length (E.rates scale) - 1) in
       print_capacity ~log_y:true "Figure 6: total cost vs capacity"
         (E.capacity_sweep ?pool scale ~rate));
-  timed "ablations" (fun () ->
+  target "ablations" (fun pool ->
       section "Ablations";
       print_ablation_ordering (E.ablation_queue_ordering ?pool scale);
       print_ablation_window (E.ablation_log_based_window ?pool scale));
-  timed "overlays" (fun () ->
+  target "overlays" (fun pool ->
       section "Overlay generality: CUP over CAN, Chord and Pastry";
       print_overlays (E.overlay_comparison ?pool scale));
-  timed "techniques" (fun () ->
+  target "techniques" (fun pool ->
       section "Section 3.6 propagation-overhead techniques";
       print_techniques (E.propagation_techniques ?pool scale));
-  timed "model" (fun () ->
+  target "model" (fun pool ->
       section "Section 3.1 model vs simulation";
       print_model (E.model_check ?pool scale));
-  timed "justification" (fun () ->
+  target "justification" (fun pool ->
       section "Section 3.1 justified-update accounting";
       print_justification (E.justification ?pool scale));
-  timed "faults" (fun () ->
+  target "faults" (fun _ ->
       section "Fault injection: repair and message accounting";
       faults scale);
-  timed "trace-io" (fun () ->
+  target "trace-io" (fun _ ->
       section "Trace I/O: sink throughput and streaming-analyzer footprint";
       trace_io scale);
-  timed "fuzz" (fun () ->
+  target "fuzz" (fun pool ->
       section "Fuzz sweep: seeds/sec and jobs-determinism";
       fuzz_sweep ?pool scale);
-  timed_explicit "scale" (fun () ->
+  target ~named:true "scale" (fun _ ->
       section "Scale: 10k / 100k / 1M-node batch-synchronous runs";
       scale_runs `Full);
-  timed_explicit "scale-smoke" (fun () ->
+  target ~named:true "scale-smoke" (fun _ ->
       section "Scale smoke: 10k-node run, shards=1 vs shards=4";
       scale_runs `Smoke);
-  timed "overlay-growth" (fun () ->
+  target "overlay-growth" (fun _ ->
       section "Overlay build growth: CAN random, CAN grid and Chord, n = 2^10..2^15";
       overlay_growth ~big:(List.mem "overlay-growth" targets));
-  timed_explicit "time-growth" (fun () ->
+  target ~named:true "time-growth" (fun _ ->
       section
         "Per-event cost vs simulated time: 150 s and 1200 s query windows";
       time_growth ());
-  timed_explicit "attribution" (fun () ->
+  target ~named:true "attribution" (fun _ ->
       section "Attribution: K=100 overhead on the 100k scale run, O(K) memory";
       attribution_bench ());
-  timed "profile" (fun () ->
+  target "profile" (fun _ ->
       section "Engine throughput and profiling probes";
       print_profiles scale);
-  timed "harness" (fun () ->
+  target "harness" (fun pool ->
       section "Parallel harness: sequential vs pooled wall time";
       harness ?pool scale);
-  timed "micro" (fun () ->
+  target "micro" (fun _ ->
       section "Micro-benchmarks";
       micro ());
-  timed "metrics" (fun () ->
+  target "metrics" (fun _ ->
       section "Metrics-layer micro-benchmarks";
       metrics_bench ());
+  let table = List.rev !table in
+  (match
+     List.filter
+       (fun name ->
+         name <> "all" && not (List.exists (fun (n, _, _) -> n = name) table))
+       targets
+   with
+  | [] -> ()
+  | unknown ->
+      prerr_endline
+        ("bench: unknown target " ^ String.concat ", " unknown
+       ^ "; targets: all "
+        ^ String.concat " " (List.map (fun (n, _, _) -> n) table));
+      exit 2);
+  Printf.printf "CUP benchmark harness (%s, %d job%s)\n"
+    (scale_label scale) jobs
+    (if jobs = 1 then "" else "s");
+  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
+  List.iter
+    (fun (name, named, run) ->
+      if List.mem name targets || ((not named) && List.mem "all" targets)
+      then begin
+        let before = Resource.snapshot () in
+        let t0 = Unix.gettimeofday () in
+        run pool;
+        let seconds = Unix.gettimeofday () -. t0 in
+        target_timings :=
+          (name, seconds, before, Resource.snapshot ()) :: !target_timings
+      end)
+    table;
   Option.iter Pool.shutdown pool;
   write_harness_json ~jobs ~scale;
   Printf.printf "\ndone.\n"

@@ -82,27 +82,29 @@ let cancel t handle = Event_heap.cancel t.queue handle
 
 let stop t = t.stopping <- true
 
+(* Allocation-free per event: the root's time is the boxed float its
+   cell already holds, and the callback comes without an option or a
+   pair around it. *)
 let run ?(until = Time.infinity) ?(max_events = max_int) t =
   t.stopping <- false;
-  let budget = ref max_events in
-  let rec loop () =
-    if t.stopping || !budget <= 0 then ()
-    else
-      match Event_heap.peek_time t.queue with
-      | None -> ()
-      | Some time when Time.(time > until) ->
-          if Time.is_finite until then t.clock <- Time.max t.clock until
-      | Some _ -> (
-          match Event_heap.pop t.queue with
-          | None -> ()
-          | Some (time, f) ->
-              t.clock <- time;
-              t.executed <- t.executed + 1;
-              decr budget;
-              f t;
-              loop ())
+  let queue = t.queue in
+  let rec loop budget =
+    if t.stopping || budget <= 0 || Event_heap.is_empty queue then ()
+    else begin
+      let time = Event_heap.top_time queue in
+      if Time.(time > until) then begin
+        if Time.is_finite until then t.clock <- Time.max t.clock until
+      end
+      else begin
+        let f = Event_heap.take_top queue in
+        t.clock <- time;
+        t.executed <- t.executed + 1;
+        f t;
+        loop (budget - 1)
+      end
+    end
   in
-  loop ()
+  loop max_events
 
 let pending t = Event_heap.length t.queue
 

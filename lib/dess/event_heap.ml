@@ -2,7 +2,9 @@
    below; the cell carries what a pop returns and the tombstone. *)
 type 'a cell = { time : Time.t; value : 'a; mutable cancelled : bool }
 
-type handle = H : 'a cell -> handle
+(* Unboxed, so a handle is the cell itself and [push] allocates only
+   the cell. *)
+type handle = H : 'a cell -> handle [@@unboxed]
 
 (* A cell stays in one slot of [cells] while it is pending.  The binary
    heap itself (position 0 is the root) is three parallel arrays of
@@ -154,18 +156,34 @@ let rec drain_cancelled t =
     drain_cancelled t
   end
 
+(* The root once cancelled cells above it are gone: the earliest live
+   event. *)
+let top_cell t =
+  drain_cancelled t;
+  if t.size = 0 then invalid_arg "Event_heap: no pending event";
+  t.cells.(t.slots.(0))
+
+(* The cell's [time] is the float [push] stored, already boxed, so
+   returning it allocates nothing. *)
+let top_time t = (top_cell t).time
+
+let take_top t =
+  ignore (top_cell t);
+  let cell = remove_root t in
+  t.live <- t.live - 1;
+  (* Mark the fired cell so a late [cancel] on its handle reports
+     failure instead of double-decrementing the live count. *)
+  cell.cancelled <- true;
+  cell.value
+
 let pop t =
   drain_cancelled t;
   if t.size = 0 then None
   else begin
-    let cell = remove_root t in
-    t.live <- t.live - 1;
-    (* Mark the fired cell so a late [cancel] on its handle reports
-       failure instead of double-decrementing the live count. *)
-    cell.cancelled <- true;
-    Some (cell.time, cell.value)
+    let time = top_time t in
+    Some (time, take_top t)
   end
 
 let peek_time t =
   drain_cancelled t;
-  if t.size = 0 then None else Some t.cells.(t.slots.(0)).time
+  if t.size = 0 then None else Some (top_time t)

@@ -17,7 +17,9 @@
 type 'a t
 
 type handle
-(** Identifies a scheduled event for cancellation. *)
+(** Identifies a scheduled event for cancellation.  A handle is the
+    event's cell itself, with no box around it, so {!push} allocates
+    only the cell. *)
 
 val create : unit -> 'a t
 
@@ -32,6 +34,17 @@ val push : 'a t -> time:Time.t -> 'a -> handle
 val cancel : 'a t -> handle -> bool
 (** [cancel t h] tombstones the event; returns [false] if it already
     fired or was already cancelled. *)
+
+val top_time : 'a t -> Time.t
+(** Timestamp of the earliest live event, which stays queued.  It is
+    the float {!push} stored, so reading it allocates nothing.  Raises
+    [Invalid_argument] if the heap {!is_empty}. *)
+
+val take_top : 'a t -> 'a
+(** Remove the earliest live event in [(time, seq)] order and return
+    its value, without the option and pair {!pop} allocates.  Raises
+    [Invalid_argument] if the heap {!is_empty}.  The engine's loop
+    runs on {!top_time} and [take_top]. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** [pop t] removes and returns the earliest live event in

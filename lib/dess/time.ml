@@ -1,16 +1,16 @@
 type t = float
 
 let zero = 0.
-let of_seconds s = s
-let to_seconds t = t
-let add t s = t +. s
-let diff later earlier = later -. earlier
-let ( <= ) = Stdlib.( <= )
-let ( < ) = Stdlib.( < )
-let ( >= ) = Stdlib.( >= )
-let ( > ) = Stdlib.( > )
-let min = Stdlib.min
-let max = Stdlib.max
+external of_seconds : float -> t = "%identity"
+external to_seconds : t -> float = "%identity"
+external add : t -> float -> t = "%addfloat"
+external diff : t -> t -> float = "%subfloat"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+let min (a : t) b = if a <= b then a else b
+let max (a : t) b = if a >= b then a else b
 let compare = Float.compare
 let is_finite = Float.is_finite
 let infinity = Float.infinity

@@ -153,6 +153,9 @@ module Streaming = struct
       "repair_query";
     |]
 
+  (* Stands for an absent queue in [outstanding]; never pushed to. *)
+  let no_posts : float Queue.t = Queue.create ()
+
   type t = {
     mutable events : int;
     mutable membership : int;
@@ -165,7 +168,7 @@ module Streaming = struct
     mutable forward : (int * int) list;
     traces : tacc Int_tbl.t;
     per_key : kacc Int_tbl.t;
-    outstanding : float Queue.t Node_key.Table.t;
+    outstanding : float Queue.t Node_key.Index.t;
     mutable hits : int;
     mutable misses : int;
     lat : Fvec.t;
@@ -183,7 +186,7 @@ module Streaming = struct
       forward = [];
       traces = Int_tbl.create 256;
       per_key = Int_tbl.create 16;
-      outstanding = Node_key.Table.create 256;
+      outstanding = Node_key.Index.create ~absent:no_posts 256;
       hits = 0;
       misses = 0;
       lat = Fvec.create ();
@@ -298,35 +301,35 @@ module Streaming = struct
      Misses yield post→answer latencies. *)
   let post t ~at ~node ~key =
     let packed = Node_key.pack node key in
+    let q = Node_key.Index.find t.outstanding packed in
     let q =
-      match Node_key.Table.find t.outstanding packed with
-      | q -> q
-      | exception Not_found ->
-          let q = Queue.create () in
-          Node_key.Table.add t.outstanding packed q;
-          q
+      if q == no_posts then begin
+        let q = Queue.create () in
+        Node_key.Index.replace t.outstanding packed q;
+        q
+      end
+      else q
     in
     Queue.push (Time.to_seconds at) q
 
+  (* [no_posts] is empty, so a pair with no posts settles nothing. *)
   let answer t ks ~at ~node ~key ~hit ~waiters =
-    match Node_key.Table.find t.outstanding (Node_key.pack node key) with
-    | exception Not_found -> ()
-    | q ->
-        let answer_at = Time.to_seconds at in
-        for _ = 1 to min waiters (Queue.length q) do
-          let posted = Queue.take q in
-          if hit then begin
-            t.hits <- t.hits + 1;
-            ks.a_hits <- ks.a_hits + 1
-          end
-          else begin
-            t.misses <- t.misses + 1;
-            ks.a_misses <- ks.a_misses + 1;
-            let lat = answer_at -. posted in
-            Fvec.push t.lat lat;
-            Fvec.push ks.a_lat lat
-          end
-        done
+    let q = Node_key.Index.find t.outstanding (Node_key.pack node key) in
+    let answer_at = Time.to_seconds at in
+    for _ = 1 to min waiters (Queue.length q) do
+      let posted = Queue.take q in
+      if hit then begin
+        t.hits <- t.hits + 1;
+        ks.a_hits <- ks.a_hits + 1
+      end
+      else begin
+        t.misses <- t.misses + 1;
+        ks.a_misses <- ks.a_misses + 1;
+        let lat = answer_at -. posted in
+        Fvec.push t.lat lat;
+        Fvec.push ks.a_lat lat
+      end
+    done
 
   let feed t e =
     if t.finished then invalid_arg "Analyzer.Streaming.feed: already finished";
@@ -423,7 +426,7 @@ module Streaming = struct
         (List.rev t.forward)
     in
     let unanswered =
-      Node_key.Table.fold (fun _ q acc -> acc + Queue.length q) t.outstanding 0
+      Node_key.Index.fold (fun _ q acc -> acc + Queue.length q) t.outstanding 0
     in
     let by_type = ref [] in
     Array.iteri

@@ -29,6 +29,9 @@ type cell = {
   mutable expiry : float array;
 }
 
+(* Stands for an absent cell in [fresh]; never written. *)
+let no_cell = { gen = -1; n = 0; replica = [||]; expiry = [||] }
+
 type t = {
   counters : Counters.t;
   backlog : (unit -> int) option;
@@ -38,7 +41,7 @@ type t = {
   context : string option;
   (* V2 state, mirroring the receiving cache's overwrite semantics
      (Delete/First_time/crash reset it) *)
-  fresh : cell Node_key.Table.t;
+  fresh : cell Node_key.Index.t;
   mutable crashes : int array; (* node id -> crash generation *)
   spans : Span_index.t; (* span ids seen so far *)
   mutable events_checked : int;
@@ -57,7 +60,7 @@ let create ?max_backlog ?backlog ?(check_every = 1024)
     check_every;
     tolerate_stale;
     context;
-    fresh = Node_key.Table.create 1024;
+    fresh = Node_key.Index.create ~absent:no_cell 1024;
     crashes = [||];
     spans = Span_index.create ~fields:0;
     events_checked = 0;
@@ -139,17 +142,19 @@ let crash t node =
 let cell t node key =
   let gen = generation t (Node_id.to_int node) in
   let packed = Node_key.pack node key in
-  match Node_key.Table.find t.fresh packed with
-  | c ->
-      if c.gen <> gen then begin
-        c.gen <- gen;
-        c.n <- 0
-      end;
-      c
-  | exception Not_found ->
-      let c = { gen; n = 0; replica = [||]; expiry = [||] } in
-      Node_key.Table.add t.fresh packed c;
-      c
+  let c = Node_key.Index.find t.fresh packed in
+  if c == no_cell then begin
+    let c = { gen; n = 0; replica = [||]; expiry = [||] } in
+    Node_key.Index.replace t.fresh packed c;
+    c
+  end
+  else begin
+    if c.gen <> gen then begin
+      c.gen <- gen;
+      c.n <- 0
+    end;
+    c
+  end
 
 (* Index of replica [r] in [c] at or after [i], or -1. *)
 let rec index c r i =

@@ -13,7 +13,7 @@ type impl =
 type t = {
   impl : impl;
   cache_enabled : bool;
-  hop_cache : Route.hop Node_key.Table.t;
+  hop_cache : Route.hop option Node_key.Index.t;
   mutable hop_gen : int; (* generation [hop_cache] entries belong to *)
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -35,7 +35,8 @@ let create ?rng ?(route_cache = false) ~kind ~n () =
   {
     impl;
     cache_enabled = route_cache;
-    hop_cache = Node_key.Table.create (if route_cache then 4096 else 1);
+    hop_cache =
+      Node_key.Index.create ~absent:None (if route_cache then 4096 else 1);
     hop_gen = -1;
     cache_hits = 0;
     cache_misses = 0;
@@ -97,19 +98,19 @@ let next_hop net id key =
   else begin
     let gen = generation net in
     if gen <> net.hop_gen then begin
-      if Node_key.Table.length net.hop_cache > 0 then
-        Node_key.Table.reset net.hop_cache;
+      if Node_key.Index.length net.hop_cache > 0 then
+        Node_key.Index.clear net.hop_cache;
       net.hop_gen <- gen
     end;
     let packed = Node_key.pack id key in
-    match Node_key.Table.find_opt net.hop_cache packed with
+    match Node_key.Index.find net.hop_cache packed with
     | Some hop ->
         net.cache_hits <- net.cache_hits + 1;
         hop
     | None ->
         net.cache_misses <- net.cache_misses + 1;
         let hop = next_hop_uncached net.impl id key in
-        Node_key.Table.add net.hop_cache packed hop;
+        Node_key.Index.replace net.hop_cache packed (Some hop);
         hop
   end
 

@@ -8,17 +8,13 @@ let key t = Key.of_int (t land 0x7FFF_FFFF)
 
 (* Multiply by an odd 62-bit constant, then fold the high product bits
    down: a table indexes by the low bits, and the multiply alone leaves
-   those depending on the key only. *)
+   bits 0-30 depending on the key only.  Folding from bit 32 mixes node
+   bits into every low bit; a fold from bit 29 left bits 0 and 1 a
+   function of the key, so one key's pairs filled a quarter of the
+   slots. *)
 let hash t =
   let h = t * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 29)
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = Int.equal
-  let hash = hash
-end)
+  h lxor (h lsr 32)
 
 module Index = struct
   (* Packed pairs are non-negative, so two negative keys mark the slots
@@ -128,4 +124,30 @@ module Index = struct
       t.values.(i) <- t.absent;
       t.live <- t.live - 1
     end
+
+  let fold f t init =
+    let keys = t.keys and values = t.values in
+    let acc = ref init in
+    for i = 0 to Array.length keys - 1 do
+      let k = keys.(i) in
+      if k >= 0 then acc := f k values.(i) !acc
+    done;
+    !acc
+
+  let filter_inplace f t =
+    let keys = t.keys and values = t.values in
+    for i = 0 to Array.length keys - 1 do
+      let k = keys.(i) in
+      if k >= 0 && not (f k values.(i)) then begin
+        keys.(i) <- tomb;
+        values.(i) <- t.absent;
+        t.live <- t.live - 1
+      end
+    done
+
+  let clear t =
+    Array.fill t.keys 0 (Array.length t.keys) empty;
+    Array.fill t.values 0 (Array.length t.values) t.absent;
+    t.live <- 0;
+    t.used <- 0
 end

@@ -1,16 +1,17 @@
-(** A (node, key) pair packed into one int, and two tables keyed by it.
+(** A (node, key) pair packed into one int, and the one map keyed by
+    it.
 
-    CUP keeps its bookkeeping per (node, key) pair — interest bits, the
-    pending-first flag, justification deadlines — and the overlay
-    memoizes [next_hop] per pair.  Every such table keys on this
-    packing, so only this module knows its layout.
+    CUP keeps its bookkeeping per (node, key) pair — protocol state,
+    justification deadlines, repair deadlines, the auditor's freshness
+    cells — and the overlay can memoize [next_hop] per pair.  Every
+    such map is an {!Index} over this packing, so only this module
+    knows its layout.
 
-    The table hashes with its own multiplicative mix.  The polymorphic
+    The index hashes with its own multiplicative mix.  The polymorphic
     [Hashtbl.hash] folds an int's high 32 bits onto its low 32, which
     maps a packed pair to about [key lxor (node lsr 1)]: a 1024-node by
-    1024-key grid of pairs would share 2,048 hashes, and chains would
-    grow with the run.  {!Index}, the protocol state's table, indexes
-    by the same mix. *)
+    1024-key grid of pairs would share 2,048 hashes.  {!hash} is
+    exposed for tests that build their own tables over it. *)
 
 type t = private int
 
@@ -23,7 +24,10 @@ val node : t -> Node_id.t
 val key : t -> Key.t
 (** [key (pack n k) = k]. *)
 
-module Table : Hashtbl.S with type key = t
+val hash : t -> int
+(** The mix {!Index} probes from.  Every bit of its low half depends on
+    both the node and the key, so the pairs of one key, or of one
+    node, spread over a table's slots. *)
 
 (** An open-addressing map from packed pairs, for the protocol state's
     hot lookups: packed pairs in an [int array] and values in a parallel
@@ -52,4 +56,18 @@ module Index : sig
 
   val remove : 'a t -> pair -> unit
   (** Unbind the pair; no-op if it is not held. *)
+
+  (** The iterations visit pairs in slot order, which depends on the
+      hash and on the index's history.  Use them only for results that
+      no order can change, such as sums and filters, so slot order
+      never reaches an output.  [f] must not modify the index. *)
+
+  val fold : (pair -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+  (** Fold over every held pair and its value. *)
+
+  val filter_inplace : (pair -> 'a -> bool) -> 'a t -> unit
+  (** Unbind every pair for which [f] returns [false]. *)
+
+  val clear : 'a t -> unit
+  (** Unbind every pair, keeping the capacity. *)
 end

@@ -67,6 +67,17 @@ type repair_state = {
          (absolute seconds); meaningful while [r_attempts > 0] *)
 }
 
+(* Stands for an absent state in [repair]; never written. *)
+let no_repair =
+  {
+    r_node = Node_id.of_int 0;
+    r_key = Key.of_int 0;
+    r_deadline = 0.;
+    r_attempts = 0;
+    r_scheduled = false;
+    r_started = 0.;
+  }
+
 let max_transport_retries = 4
 let max_repair_attempts = 5
 
@@ -129,15 +140,15 @@ type live = {
   dup_rng : Rng.t; (* per-delivery duplication draws, in event order *)
   partition_salt : int64; (* per-run salt for island membership *)
   fault_mode : bool; (* any Scenario fault axis present *)
-  repair : repair_state Node_key.Table.t;
+  repair : repair_state Node_key.Index.t;
   repair_timeout : float; (* seconds a subscriber waits for an answer *)
   repair_slack : float; (* grace past an entry expiry before repairing *)
   batches : Entry.t list ref Key.Table.t; (* authority-side refresh batching *)
-  justif : float list ref Node_key.Table.t;
+  justif : float list Node_key.Index.t;
       (* (node, key) -> justification deadlines of updates applied
-         there and not yet judged (Section 3.1).  Judged entries are
-         emptied in place, not removed, so the ref cell is reused by
-         the next update at the same (node, key). *)
+         there and not yet judged (Section 3.1), [[]] when none.
+         Judged pairs are emptied in place, not removed, so the slot is
+         reused by the next update at the same (node, key). *)
   mutable justif_backlog : int; (* deadlines held in [justif] *)
   inv_hop_delay : float; (* 1 / hop_delay, or 0 under zero delay *)
   mutable tracked_updates : int;
@@ -341,25 +352,29 @@ let register_update_for_justification t ~node (update : Update.t) =
   | None -> ());
   let k = Node_key.pack node update.key in
   t.justif_backlog <- t.justif_backlog + 1;
-  match Node_key.Table.find_opt t.justif k with
-  | Some deadlines ->
-      (* Sweep entries whose critical window already closed: they can
-         never count as justified, and without the sweep a (node, key)
-         that receives updates but no queries grows its deadline list
-         without bound for the whole run. *)
-      let tnow = Time.to_seconds (Engine.now t.engine) in
-      let pending = List.filter (fun d -> d >= tnow) !deadlines in
-      t.justif_backlog <-
-        t.justif_backlog - List.length !deadlines + List.length pending;
-      deadlines := deadline :: pending
-  | None -> Node_key.Table.replace t.justif k (ref [ deadline ])
+  let pending =
+    match Node_key.Index.find t.justif k with
+    | [] -> []
+    | deadlines ->
+        (* Sweep entries whose critical window already closed: they can
+           never count as justified, and without the sweep a (node, key)
+           that receives updates but no queries grows its deadline list
+           without bound for the whole run. *)
+        let tnow = Time.to_seconds (Engine.now t.engine) in
+        let pending = List.filter (fun d -> d >= tnow) deadlines in
+        t.justif_backlog <-
+          t.justif_backlog - List.length deadlines + List.length pending;
+        pending
+  in
+  Node_key.Index.replace t.justif k (deadline :: pending)
 
 let judge_pending_updates t ~node ~key =
-  match Node_key.Table.find_opt t.justif (Node_key.pack node key) with
-  | None | Some { contents = [] } -> ()
-  | Some deadlines ->
+  let k = Node_key.pack node key in
+  match Node_key.Index.find t.justif k with
+  | [] -> ()
+  | deadlines ->
       let now = Time.to_seconds (Engine.now t.engine) in
-      t.justif_backlog <- t.justif_backlog - List.length !deadlines;
+      t.justif_backlog <- t.justif_backlog - List.length deadlines;
       List.iter
         (fun deadline ->
           if deadline >= now then begin
@@ -370,10 +385,10 @@ let judge_pending_updates t ~node ~key =
                   ~node:(Node_id.to_int node)
             | None -> ()
           end)
-        !deadlines;
-      (* Empty in place: the table slot and ref cell live on for the
-         next update registered at this (node, key). *)
-      deadlines := []
+        deadlines;
+      (* Empty in place: the slot lives on for the next update
+         registered at this (node, key). *)
+      Node_key.Index.replace t.justif k []
 
 (* {2 Message transport}
 
@@ -399,7 +414,7 @@ and perform_one t ~ctx ~from = function
       (* The sender is cutting itself out of the key's tree: it no
          longer expects updates, so stop watching its deadline. *)
       if t.fault_mode then
-        Node_key.Table.remove t.repair (Node_key.pack from key);
+        Node_key.Index.remove t.repair (Node_key.pack from key);
       Counters.record_sent t.counters;
       let sid = new_span t in
       if dropped_in_transit t ~from ~to_ then begin
@@ -806,23 +821,25 @@ and deliver_update t ~ctx ?(sid = 0) ~from ~to_ ~answering (update : Update.t)
 
 and arm_repair t ~node ~key ~deadline =
   let packed = Node_key.pack node key in
-  match Node_key.Table.find_opt t.repair packed with
-  | Some st ->
-      if deadline > st.r_deadline then st.r_deadline <- deadline;
-      schedule_repair_check t st
-  | None ->
-      let st =
-        {
-          r_node = node;
-          r_key = key;
-          r_deadline = deadline;
-          r_attempts = 0;
-          r_scheduled = false;
-          r_started = 0.;
-        }
-      in
-      Node_key.Table.replace t.repair packed st;
-      schedule_repair_check t st
+  let st = Node_key.Index.find t.repair packed in
+  if st == no_repair then begin
+    let st =
+      {
+        r_node = node;
+        r_key = key;
+        r_deadline = deadline;
+        r_attempts = 0;
+        r_scheduled = false;
+        r_started = 0.;
+      }
+    in
+    Node_key.Index.replace t.repair packed st;
+    schedule_repair_check t st
+  end
+  else begin
+    if deadline > st.r_deadline then st.r_deadline <- deadline;
+    schedule_repair_check t st
+  end
 
 (* An update arrived: the subscription works.  Reset the attempt
    counter (counting a completed repair if we had been retrying) and
@@ -837,25 +854,25 @@ and note_update_for_repair t ~node (update : Update.t) =
   let deadline =
     Float.max (expiry +. t.repair_slack) (tnow +. t.repair_timeout)
   in
-  let packed = Node_key.pack node update.key in
-  match Node_key.Table.find_opt t.repair packed with
-  | Some st ->
-      if st.r_attempts > 0 then begin
-        st.r_attempts <- 0;
-        Counters.record_repair t.counters;
-        (* Update flow restored: the outage ran from the first
-           re-issued interest to this delivery. *)
-        match t.metrics with
-        | Some ms -> Histogram.add ms.repair_latency (tnow -. st.r_started)
-        | None -> ()
-      end;
-      if deadline > st.r_deadline then st.r_deadline <- deadline;
-      schedule_repair_check t st
-  | None ->
-      (* Updates can start flowing to a node that never queried in
-         fault mode (e.g. interest remapped to it by churn); watch
-         those subscriptions too. *)
-      arm_repair t ~node ~key:update.key ~deadline
+  let st = Node_key.Index.find t.repair (Node_key.pack node update.key) in
+  if st == no_repair then
+    (* Updates can start flowing to a node that never queried in fault
+       mode (e.g. interest remapped to it by churn); watch those
+       subscriptions too. *)
+    arm_repair t ~node ~key:update.key ~deadline
+  else begin
+    if st.r_attempts > 0 then begin
+      st.r_attempts <- 0;
+      Counters.record_repair t.counters;
+      (* Update flow restored: the outage ran from the first re-issued
+         interest to this delivery. *)
+      match t.metrics with
+      | Some ms -> Histogram.add ms.repair_latency (tnow -. st.r_started)
+      | None -> ()
+    end;
+    if deadline > st.r_deadline then st.r_deadline <- deadline;
+    schedule_repair_check t st
+  end
 
 and schedule_repair_check t st =
   if not st.r_scheduled then begin
@@ -873,7 +890,7 @@ and repair_check t st =
     schedule_repair_check t st
   else begin
     let packed = Node_key.pack st.r_node st.r_key in
-    let drop () = Node_key.Table.remove t.repair packed in
+    let drop () = Node_key.Index.remove t.repair packed in
     if not (Net.is_alive t.net st.r_node) then drop ()
     else begin
       let needs =
@@ -1221,13 +1238,13 @@ let create_base cfg =
          membership are uncorrelated hashes of the same seed. *)
       partition_salt = Splitmix.mix (Int64.lognot (Int64.of_int cfg.seed));
       fault_mode = Scenario.fault_injection cfg;
-      repair = Node_key.Table.create 256;
+      repair = Node_key.Index.create ~absent:no_repair 256;
       repair_timeout =
         Float.max 1.0 (64. *. cfg.hop_delay) +. cfg.refresh_batch_window;
       repair_slack =
         Float.max 1.0 (64. *. cfg.hop_delay) +. cfg.refresh_batch_window;
       batches = Key.Table.create 16;
-      justif = Node_key.Table.create 1024;
+      justif = Node_key.Index.create ~absent:[] 1024;
       justif_backlog = 0;
       inv_hop_delay =
         (if cfg.hop_delay > 0. then 1. /. cfg.hop_delay else 0.);
@@ -1410,13 +1427,13 @@ let node_leave ?(graceful = true) t id =
      there again — and nothing else sweeps them: left in place they
      would sit in the table (and the V3 backlog probe) for the rest of
      the run. *)
-  Node_key.Table.filter_map_inplace
+  Node_key.Index.filter_inplace
     (fun packed deadlines ->
       if Node_id.equal (Node_key.node packed) id then begin
-        t.justif_backlog <- t.justif_backlog - List.length !deadlines;
-        None
+        t.justif_backlog <- t.justif_backlog - List.length deadlines;
+        false
       end
-      else Some deadlines)
+      else true)
     t.justif;
   (* Graceful departure hands directories over; a crash loses them and
      the replicas' keep-alives rebuild the index at the new owner. *)
@@ -1594,15 +1611,23 @@ module Live = struct
   let justification_backlog t = t.justif_backlog
 
   let check_invariants t =
-    let counted =
-      Node_key.Table.fold
-        (fun _ deadlines acc -> acc + List.length !deadlines)
-        t.justif 0
+    let counted, departed =
+      Node_key.Index.fold
+        (fun packed deadlines (counted, departed) ->
+          ( counted + List.length deadlines,
+            if Net.is_alive t.net (Node_key.node packed) then departed
+            else departed + 1 ))
+        t.justif (0, 0)
     in
     if counted <> t.justif_backlog then
       Error
         (Printf.sprintf "justification backlog %d, but the table holds %d"
            t.justif_backlog counted)
+    else if departed > 0 then
+      Error
+        (Printf.sprintf "%d departed (node, key) pairs still hold a \
+                         justification entry"
+           departed)
     else
       match
         List.find_opt

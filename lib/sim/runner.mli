@@ -178,6 +178,6 @@ module Live : sig
   val check_invariants : t -> (unit, string) Stdlib.result
   (** Recounts what the runner keeps incrementally: the running
       {!justification_backlog} must equal a fold over the deadline
-      table, and no departed node may hold protocol state.  O(table
-      size); for tests. *)
+      table, and no departed node may hold protocol state or a
+      deadline-table entry.  O(table size); for tests. *)
 end

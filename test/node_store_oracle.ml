@@ -1,6 +1,6 @@
 (* Reference protocol state machine for the tests: [Node_store] as it
    was before its state went flat.  One record per (node, key) state in
-   two chained [Node_key.Table]s, cached entries in a [Replica_id.Map]
+   two chained [Pair_table]s, cached entries in a [Replica_id.Map]
    and interest and waiting sets as [Node_id.Set]s, so it is slower but
    plain.  [test_proto] drives it and [Node_store] with the same random
    scripts and compares every action list and observable. *)
@@ -14,6 +14,15 @@ module Policy = Cup_proto.Policy
 module Replica_id = Cup_proto.Replica_id
 module Update = Cup_proto.Update
 module Store = Cup_proto.Node_store
+
+(* The chained table the store kept its states in, over the packed
+   pair's own mix. *)
+module Pair_table = Hashtbl.Make (struct
+  type t = Node_key.t
+
+  let equal (a : t) (b : t) = Int.equal (a :> int) (b :> int)
+  let hash = Node_key.hash
+end)
 
 type config = Store.config = {
   policy : Policy.t;
@@ -120,8 +129,8 @@ let fresh_state key = { nil with key; interest = Interest.create () }
 type t = {
   config : config;
   stats : stats; (* summed over every node in the store *)
-  cache : state Node_key.Table.t; (* cached-key states *)
-  local : state Node_key.Table.t;
+  cache : state Pair_table.t; (* cached-key states *)
+  local : state Pair_table.t;
       (* authority states.  A node's cached state and its authority
          state for one key legally coexist across churn, so each kind
          has its own table. *)
@@ -144,14 +153,14 @@ let create ?(nodes = 16) config =
       };
     (* The tables start small and grow: most (node, key) pairs never
        hold state, so sizing them by [nodes] only costs set-up time. *)
-    cache = Node_key.Table.create 1024;
-    local = Node_key.Table.create 256;
+    cache = Pair_table.create 1024;
+    local = Pair_table.create 256;
     heads = Array.make nodes nil;
   }
 
 let stats t = t.stats
 let live_slots t =
-  Node_key.Table.length t.cache + Node_key.Table.length t.local
+  Pair_table.length t.cache + Pair_table.length t.local
 
 let head t node =
   let n = Node_id.to_int node in
@@ -178,7 +187,7 @@ let add_state t table node key =
   state.next <- t.heads.(n);
   t.heads.(n) <- state;
   (* Callers add only absent pairs, so skip [replace]'s bucket scan. *)
-  Node_key.Table.add table (Node_key.pack node key) state;
+  Pair_table.add table (Node_key.pack node key) state;
   state
 
 let unlink t node state =
@@ -193,13 +202,13 @@ let unlink t node state =
   end
 
 let find_cache t node key =
-  Node_key.Table.find_opt t.cache (Node_key.pack node key)
+  Pair_table.find_opt t.cache (Node_key.pack node key)
 
 let find_local t node key =
-  Node_key.Table.find_opt t.local (Node_key.pack node key)
+  Pair_table.find_opt t.local (Node_key.pack node key)
 
 let get_state t node key =
-  match Node_key.Table.find t.cache (Node_key.pack node key) with
+  match Pair_table.find t.cache (Node_key.pack node key) with
   | state -> state
   | exception Not_found -> add_state t t.cache node key
 
@@ -223,18 +232,18 @@ let nodes t =
 let remove_node t node =
   iter_node t node (fun state ->
       let packed = Node_key.pack node state.key in
-      Node_key.Table.remove t.cache packed;
-      Node_key.Table.remove t.local packed);
+      Pair_table.remove t.cache packed;
+      Pair_table.remove t.local packed);
   let n = Node_id.to_int node in
   if n < Array.length t.heads then t.heads.(n) <- nil
 
 (* {2 Authority side} *)
 
 let add_local_key t node key =
-  if not (Node_key.Table.mem t.local (Node_key.pack node key)) then
+  if not (Pair_table.mem t.local (Node_key.pack node key)) then
     ignore (add_state t t.local node key)
 
-let owns t node key = Node_key.Table.mem t.local (Node_key.pack node key)
+let owns t node key = Pair_table.mem t.local (Node_key.pack node key)
 
 let local_directory t node key =
   match find_local t node key with
@@ -682,16 +691,16 @@ let retain_neighbors t ~node current =
 
 let handover_local t node key =
   let packed = Node_key.pack node key in
-  match Node_key.Table.find_opt t.local packed with
+  match Pair_table.find_opt t.local packed with
   | None -> []
   | Some ls ->
-      Node_key.Table.remove t.local packed;
+      Pair_table.remove t.local packed;
       unlink t node ls;
       List.map snd (Replica_id.Map.bindings ls.entries)
 
 let receive_local t node key entries =
   add_local_key t node key;
-  let ls = Node_key.Table.find t.local (Node_key.pack node key) in
+  let ls = Pair_table.find t.local (Node_key.pack node key) in
   ls.entries <-
     List.fold_left
       (fun m (e : Entry.t) ->
@@ -730,7 +739,7 @@ let distance_of t node key =
 let keys_in table t node =
   let acc = ref [] in
   iter_node t node (fun state ->
-      match Node_key.Table.find_opt table (Node_key.pack node state.key) with
+      match Pair_table.find_opt table (Node_key.pack node state.key) with
       | Some s when s == state -> acc := state.key :: !acc
       | Some _ | None -> ());
   List.sort Key.compare !acc

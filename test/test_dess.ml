@@ -14,6 +14,54 @@ let test_time_arithmetic () =
   Alcotest.(check bool) "infinity not finite" false
     (Time.is_finite Time.infinity)
 
+(* Stdlib's comparisons and [min]/[max] bound at a type variable, so
+   they stay the generic [compare]-based versions that [Time] replaced. *)
+let poly_lt : 'a -> 'a -> bool = Stdlib.( < )
+let poly_le : 'a -> 'a -> bool = Stdlib.( <= )
+let poly_gt : 'a -> 'a -> bool = Stdlib.( > )
+let poly_ge : 'a -> 'a -> bool = Stdlib.( >= )
+let poly_min : 'a -> 'a -> 'a = Stdlib.min
+let poly_max : 'a -> 'a -> 'a = Stdlib.max
+
+(* The float primitives agree with the polymorphic operators on every
+   pair, NaNs, infinities and signed zeros included; [min] and [max]
+   return the same bits, so ties and NaNs pick the same argument. *)
+let test_time_matches_stdlib () =
+  let values =
+    [
+      Float.nan;
+      -.Float.nan;
+      Float.infinity;
+      Float.neg_infinity;
+      0.;
+      -0.;
+      1.;
+      -1.;
+      2.5;
+      Float.min_float;
+      Float.max_float;
+      Float.epsilon;
+    ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let case op = Printf.sprintf "%h %s %h" a op b in
+          Alcotest.(check bool) (case "<") (poly_lt a b) Time.(a < b);
+          Alcotest.(check bool) (case "<=") (poly_le a b) Time.(a <= b);
+          Alcotest.(check bool) (case ">") (poly_gt a b) Time.(a > b);
+          Alcotest.(check bool) (case ">=") (poly_ge a b) Time.(a >= b);
+          Alcotest.(check int64) (case "min")
+            (bits (poly_min a b))
+            (bits (Time.min a b));
+          Alcotest.(check int64) (case "max")
+            (bits (poly_max a b))
+            (bits (Time.max a b)))
+        values)
+    values
+
 (* {1 Event heap} *)
 
 let drain q =
@@ -71,7 +119,13 @@ let test_empty () =
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
   Alcotest.(check (option (pair (float 1e-9) int))) "pop empty" None
     (Heap.pop h);
-  Alcotest.(check (option (float 1e-9))) "peek empty" None (Heap.peek_time h)
+  Alcotest.(check (option (float 1e-9))) "peek empty" None (Heap.peek_time h);
+  Alcotest.check_raises "top_time empty"
+    (Invalid_argument "Event_heap: no pending event") (fun () ->
+      ignore (Heap.top_time h));
+  Alcotest.check_raises "take_top empty"
+    (Invalid_argument "Event_heap: no pending event") (fun () ->
+      ignore (Heap.take_top h))
 
 let test_interleaved_push_pop () =
   let h = Heap.create () in
@@ -236,7 +290,9 @@ let prop_cancel_half =
 
 (* The heap against a list-based reference: an arbitrary interleaving
    of pushes, peeks, pops and cancels must pop exactly the earliest live
-   [(time, insertion seq)] at every step.  Times come from 40 instants,
+   [(time, insertion seq)] at every step.  Peeks and pops go through
+   both {!Heap.peek_time}/{!Heap.pop} and the engine's allocation-free
+   {!Heap.top_time}/{!Heap.take_top}.  Times come from 40 instants,
    so most events share their time with others and the pop order among
    them rests on the first-in-first-out tie-break; scripts of up to
    5,000 steps (about 3,000 pushes) sift deep heaps and grow the arrays
@@ -260,11 +316,22 @@ let prop_matches_reference =
       let pushed = ref 0 in
       let ok = ref true in
       let observe b = if not b then ok := false in
+      (* The engine's peek and pop. *)
+      let top_time () =
+        if Heap.is_empty h then None else Some (Heap.top_time h)
+      in
+      let take_top () =
+        if Heap.is_empty h then None
+        else begin
+          let time = Heap.top_time h in
+          Some (time, Heap.take_top h)
+        end
+      in
       (* Pop both; [false] once the heap is empty. *)
-      let pop_both () =
+      let pop_both ~engine =
         let expected = earliest () in
         Option.iter (fun (_, seq) -> remove seq) expected;
-        let got = Heap.pop h in
+        let got = if engine then take_top () else Heap.pop h in
         observe (got = expected);
         got <> None
       in
@@ -278,8 +345,11 @@ let prop_matches_reference =
             live := (time, seq) :: !live
           end
           else if action <= 7 then begin
-            observe (Heap.peek_time h = Option.map fst (earliest ()));
-            ignore (pop_both ())
+            let engine = action = 7 in
+            let expected = Option.map fst (earliest ()) in
+            observe
+              ((if engine then top_time () else Heap.peek_time h) = expected);
+            ignore (pop_both ~engine)
           end
           else begin
             match !handles with
@@ -294,7 +364,7 @@ let prop_matches_reference =
           end;
           observe (Heap.length h = List.length !live))
         script;
-      while pop_both () do
+      while pop_both ~engine:(!pushed land 1 = 0) do
         ()
       done;
       !ok)
@@ -379,6 +449,29 @@ let test_engine_cancel_pending () =
   Alcotest.(check bool) "cancel" true (Engine.cancel e h);
   Engine.run e;
   Alcotest.(check bool) "did not fire" false !fired
+
+(* A handle is the event's cell with no box around it.  Cancelling
+   through it a second time, or after the event fired, reports failure
+   and leaves the pending count alone. *)
+let test_engine_cancel_twice_and_after_firing () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let at s tag =
+    Engine.schedule e ~at:(Time.of_seconds s) (fun _ -> fired := tag :: !fired)
+  in
+  let a = at 1. "a" in
+  let b = at 2. "b" in
+  ignore (at 3. "c");
+  Alcotest.(check bool) "cancel pending" true (Engine.cancel e b);
+  Alcotest.(check bool) "cancel twice" false (Engine.cancel e b);
+  Alcotest.(check int) "two pending" 2 (Engine.pending e);
+  Engine.run ~until:(Time.of_seconds 1.5) e;
+  Alcotest.(check (list string)) "a fired" [ "a" ] !fired;
+  Alcotest.(check bool) "cancel after firing" false (Engine.cancel e a);
+  Alcotest.(check int) "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "b never fires" [ "c"; "a" ] !fired;
+  Alcotest.(check int) "none pending" 0 (Engine.pending e)
 
 let test_engine_schedule_now_from_callback () =
   let e = Engine.create () in
@@ -495,7 +588,12 @@ let test_profile_does_not_change_execution () =
 let () =
   Alcotest.run "cup_dess"
     ([
-       ("time", [ Alcotest.test_case "arithmetic" `Quick test_time_arithmetic ]);
+       ( "time",
+         [
+           Alcotest.test_case "arithmetic" `Quick test_time_arithmetic;
+           Alcotest.test_case "primitives match Stdlib" `Quick
+             test_time_matches_stdlib;
+         ] );
      ]
     @ [
       ("queue:heap", heap_cases);
@@ -512,6 +610,8 @@ let () =
           Alcotest.test_case "stop/resume" `Quick test_engine_stop;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "cancel" `Quick test_engine_cancel_pending;
+          Alcotest.test_case "cancel twice and after firing" `Quick
+            test_engine_cancel_twice_and_after_firing;
           Alcotest.test_case "same-time from callback" `Quick
             test_engine_schedule_now_from_callback;
           Alcotest.test_case "executed count" `Quick

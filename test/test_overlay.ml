@@ -746,29 +746,49 @@ let prop_pastry_churn_invariants =
 
 module Node_key = Cup_overlay.Node_key
 
-(* Every pair of an n x n grid in one table.  [Hashtbl.hash] folds the
-   node bits onto the key bits, so these grids would chain 1,024 and
-   256 deep; the mixing hash keeps the longest chain short. *)
+(* A chained table over the pair's mix, as a caller outside the index
+   would build one. *)
+module Pair_table = Hashtbl.Make (struct
+  type t = Node_key.t
+
+  let equal (a : t) (b : t) = Int.equal (a :> int) (b :> int)
+  let hash = Node_key.hash
+end)
+
+(* Every pair of an n x n grid, or of one key over n nodes, in one
+   table.  [Hashtbl.hash] folds the node bits onto the key bits, so
+   the grids would chain 1,024 and 256 deep; a mix whose low bits
+   depend on the key alone puts one key's pairs in a quarter of the
+   buckets, leaving 75% empty.  The table holds two pairs per bucket,
+   where a uniform hash leaves e^-2 (13.5%) of the buckets empty. *)
 let test_node_key_spread () =
   List.iter
-    (fun n ->
-      let tbl = Node_key.Table.create 16 in
-      for node = 0 to n - 1 do
-        for key = 0 to n - 1 do
-          Node_key.Table.replace tbl
+    (fun (nodes, keys) ->
+      let tbl = Pair_table.create 16 in
+      for node = 0 to nodes - 1 do
+        for key = 0 to keys - 1 do
+          Pair_table.replace tbl
             (Node_key.pack (Node_id.of_int node) (Key.of_int key))
             ()
         done
       done;
-      let stats = Node_key.Table.stats tbl in
+      let stats = Pair_table.stats tbl in
       Alcotest.(check int)
-        "every pair stored" (n * n) stats.Hashtbl.num_bindings;
+        "every pair stored" (nodes * keys) stats.Hashtbl.num_bindings;
       Alcotest.(check bool)
-        (Printf.sprintf "%d x %d grid: longest chain %d <= 32" n n
-           stats.Hashtbl.max_bucket_length)
+        (Printf.sprintf "%d nodes x %d keys: longest chain %d <= 32" nodes
+           keys stats.Hashtbl.max_bucket_length)
         true
-        (stats.Hashtbl.max_bucket_length <= 32))
-    [ 1024; 256 ]
+        (stats.Hashtbl.max_bucket_length <= 32);
+      let empty =
+        float_of_int stats.Hashtbl.bucket_histogram.(0)
+        /. float_of_int stats.Hashtbl.num_buckets
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d nodes x %d keys: %.1f%% of buckets empty <= 20%%"
+           nodes keys (100. *. empty))
+        true (empty <= 0.2))
+    [ (1024, 1024); (256, 256); (4096, 1) ]
 
 let prop_node_key_inverts_pack =
   let below_2_30 = QCheck.int_bound ((1 lsl 30) - 1) in
@@ -784,8 +804,17 @@ let prop_node_key_inverts_pack =
    consecutive nodes, one node over consecutive keys, and node ids just
    below 2^30.  An index created for one pair grows through six
    doublings to hold them all; [I_cycle] removes every held pair and
-   adds it back, so re-adds land on tombstones. *)
-type index_op = I_add of int * int | I_find of int | I_remove of int | I_cycle
+   adds it back, so re-adds land on tombstones.  [I_fold] compares the
+   held bindings as a set, [I_filter r] drops the values congruent to
+   [r] mod 3, and [I_clear] empties both. *)
+type index_op =
+  | I_add of int * int
+  | I_find of int
+  | I_remove of int
+  | I_cycle
+  | I_fold
+  | I_filter of int
+  | I_clear
 
 let index_pairs =
   let pair n k = Node_key.pack (Node_id.of_int n) (Key.of_int k) in
@@ -806,6 +835,9 @@ let prop_index_matches_hashtbl =
           (3, map (fun i -> I_find i) pick);
           (3, map (fun i -> I_remove i) pick);
           (1, return I_cycle);
+          (1, return I_fold);
+          (1, map (fun r -> I_filter r) (int_bound 2));
+          (1, return I_clear);
         ])
   in
   let print = function
@@ -813,6 +845,9 @@ let prop_index_matches_hashtbl =
     | I_find i -> Printf.sprintf "find %d" i
     | I_remove i -> Printf.sprintf "remove %d" i
     | I_cycle -> "cycle"
+    | I_fold -> "fold"
+    | I_filter r -> Printf.sprintf "filter %d" r
+    | I_clear -> "clear"
   in
   QCheck.Test.make ~count:200 ~name:"index matches Hashtbl"
     (QCheck.make
@@ -825,6 +860,7 @@ let prop_index_matches_hashtbl =
         Node_key.Index.find index p
         = Option.value (Hashtbl.find_opt model p) ~default:(-1)
       in
+      let held () = List.sort compare (List.of_seq (Hashtbl.to_seq model)) in
       let step = function
         | I_add (i, v) ->
             Node_key.Index.replace index index_pairs.(i) v;
@@ -834,7 +870,7 @@ let prop_index_matches_hashtbl =
             Node_key.Index.remove index index_pairs.(i);
             Hashtbl.remove model index_pairs.(i)
         | I_cycle ->
-            let held = List.sort compare (List.of_seq (Hashtbl.to_seq model)) in
+            let held = held () in
             List.iter (fun (p, _) -> Node_key.Index.remove index p) held;
             Hashtbl.reset model;
             if
@@ -846,14 +882,30 @@ let prop_index_matches_hashtbl =
                 Node_key.Index.replace index p (v + 1);
                 Hashtbl.replace model p (v + 1))
               held
+        | I_fold ->
+            let folded =
+              Node_key.Index.fold (fun p v acc -> (p, v) :: acc) index []
+            in
+            if List.sort compare folded <> held () then
+              QCheck.Test.fail_report "fold differs from the held pairs"
+        | I_filter r ->
+            Node_key.Index.filter_inplace (fun _ v -> v mod 3 <> r) index;
+            Hashtbl.filter_map_inplace
+              (fun _ v -> if v mod 3 <> r then Some v else None)
+              model
+        | I_clear ->
+            Node_key.Index.clear index;
+            Hashtbl.reset model
       in
       List.for_all
         (fun op ->
           step op;
           Node_key.Index.length index = Hashtbl.length model
-          && (match op with
-             | I_add (i, _) | I_find i | I_remove i -> agrees index_pairs.(i)
-             | I_cycle -> true))
+          &&
+          match op with
+          | I_add (i, _) | I_find i | I_remove i -> agrees index_pairs.(i)
+          | I_filter _ | I_clear -> Array.for_all agrees index_pairs
+          | I_cycle | I_fold -> true)
         ops
       && Array.for_all agrees index_pairs)
 
