@@ -1474,8 +1474,8 @@ let micro () =
                   ~time:(Cup_dess.Time.of_seconds (float_of_int (i * 7 mod 101)))
                   i)
            done;
-           while Cup_dess.Event_heap.pop h <> None do
-             ()
+           while not (Cup_dess.Event_heap.is_empty h) do
+             ignore (Cup_dess.Event_heap.take_top h)
            done))
   in
   let route_test =

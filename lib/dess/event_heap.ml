@@ -1,5 +1,6 @@
 (* A scheduled event.  Its ordering key lives in the heap's arrays
-   below; the cell carries what a pop returns and the tombstone. *)
+   below; the cell carries what [top_time] and [take_top] return, and
+   the tombstone. *)
 type 'a cell = { time : Time.t; value : 'a; mutable cancelled : bool }
 
 (* Unboxed, so a handle is the cell itself and [push] allocates only
@@ -175,15 +176,3 @@ let take_top t =
      failure instead of double-decrementing the live count. *)
   cell.cancelled <- true;
   cell.value
-
-let pop t =
-  drain_cancelled t;
-  if t.size = 0 then None
-  else begin
-    let time = top_time t in
-    Some (time, take_top t)
-  end
-
-let peek_time t =
-  drain_cancelled t;
-  if t.size = 0 then None else Some (top_time t)

@@ -42,13 +42,6 @@ val top_time : 'a t -> Time.t
 
 val take_top : 'a t -> 'a
 (** Remove the earliest live event in [(time, seq)] order and return
-    its value, without the option and pair {!pop} allocates.  Raises
-    [Invalid_argument] if the heap {!is_empty}.  The engine's loop
-    runs on {!top_time} and [take_top]. *)
-
-val pop : 'a t -> (Time.t * 'a) option
-(** [pop t] removes and returns the earliest live event in
-    [(time, seq)] order. *)
-
-val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest live event, without removing it. *)
+    its value; read its time first with {!top_time}.  Neither call
+    allocates an option or a pair.  Raises [Invalid_argument] if the
+    heap {!is_empty}. *)

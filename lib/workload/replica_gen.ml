@@ -64,26 +64,28 @@ let create ~rng ~keys ~replicas_per_key ~lifetime ~stop ?(death_prob = 0.) () =
   t
 
 let next t =
-  match Heap.pop t.heap with
-  | None -> None
-  | Some (at, p) ->
-      let emit kind =
-        { at; kind; key_index = p.p_key; replica = p.p_replica;
-          lifetime = t.lifetime }
-      in
-      (match p.p_kind with
-      | Birth | Refresh ->
-          (* The entry expires one lifetime from now; the replica then
-             refreshes or (with death_prob) dies and is replaced. *)
-          let next_at = Time.add at t.lifetime in
-          if Dist.bernoulli t.rng ~p:t.death_prob then begin
-            schedule t ~at:next_at Death p.p_key p.p_replica;
-            let replacement = fresh_replica t in
-            schedule t ~at:next_at Birth p.p_key replacement
-          end
-          else schedule t ~at:next_at Refresh p.p_key p.p_replica
-      | Death -> ());
-      Some (emit p.p_kind)
+  if Heap.is_empty t.heap then None
+  else begin
+    let at = Heap.top_time t.heap in
+    let p = Heap.take_top t.heap in
+    let emit kind =
+      { at; kind; key_index = p.p_key; replica = p.p_replica;
+        lifetime = t.lifetime }
+    in
+    (match p.p_kind with
+    | Birth | Refresh ->
+        (* The entry expires one lifetime from now; the replica then
+           refreshes or (with death_prob) dies and is replaced. *)
+        let next_at = Time.add at t.lifetime in
+        if Dist.bernoulli t.rng ~p:t.death_prob then begin
+          schedule t ~at:next_at Death p.p_key p.p_replica;
+          let replacement = fresh_replica t in
+          schedule t ~at:next_at Birth p.p_key replacement
+        end
+        else schedule t ~at:next_at Refresh p.p_key p.p_replica
+    | Death -> ());
+    Some (emit p.p_kind)
+  end
 
 let fold t ~init ~f =
   let rec loop acc = match next t with None -> acc | Some e -> loop (f acc e) in

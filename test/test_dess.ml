@@ -64,9 +64,18 @@ let test_time_matches_stdlib () =
 
 (* {1 Event heap} *)
 
+(* The earliest live event and its time, read the way the engine
+   reads it. *)
+let pop q =
+  if Heap.is_empty q then None
+  else begin
+    let time = Heap.top_time q in
+    Some (time, Heap.take_top q)
+  end
+
 let drain q =
   let rec go acc =
-    match Heap.pop q with
+    match pop q with
     | None -> List.rev acc
     | Some (t, v) -> go ((t, v) :: acc)
   in
@@ -106,20 +115,17 @@ let test_cancel_root () =
   let a = Heap.push h ~time:(Time.of_seconds 1.) "a" in
   ignore (Heap.push h ~time:(Time.of_seconds 2.) "b");
   ignore (Heap.cancel h a);
-  Alcotest.(check (option (float 1e-9))) "peek skips cancelled root"
-    (Some 2.) (Heap.peek_time h);
-  (* peeking discarded the tombstone; cancelling it again still
-     reports failure rather than double-counting *)
-  Alcotest.(check bool) "cancel after peek discarded it" false
+  Alcotest.(check (float 1e-9)) "top skips cancelled root" 2.
+    (Time.to_seconds (Heap.top_time h));
+  (* reading the top discarded the tombstone; cancelling it again
+     still reports failure rather than double-counting *)
+  Alcotest.(check bool) "cancel after top discarded it" false
     (Heap.cancel h a);
   Alcotest.(check int) "one live event left" 1 (Heap.length h)
 
 let test_empty () =
   let h : int Heap.t = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option (pair (float 1e-9) int))) "pop empty" None
-    (Heap.pop h);
-  Alcotest.(check (option (float 1e-9))) "peek empty" None (Heap.peek_time h);
   Alcotest.check_raises "top_time empty"
     (Invalid_argument "Event_heap: no pending event") (fun () ->
       ignore (Heap.top_time h));
@@ -131,14 +137,14 @@ let test_interleaved_push_pop () =
   let h = Heap.create () in
   ignore (Heap.push h ~time:(Time.of_seconds 10.) 10);
   ignore (Heap.push h ~time:(Time.of_seconds 5.) 5);
-  (match Heap.pop h with
+  (match pop h with
   | Some (_, 5) -> ()
   | _ -> Alcotest.fail "expected 5 first");
   ignore (Heap.push h ~time:(Time.of_seconds 1.) 1);
-  (match Heap.pop h with
+  (match pop h with
   | Some (_, 1) -> ()
   | _ -> Alcotest.fail "expected 1 next");
-  match Heap.pop h with
+  match pop h with
   | Some (_, 10) -> ()
   | _ -> Alcotest.fail "expected 10 last"
 
@@ -152,7 +158,7 @@ let test_length_interleaved_cancel_pop () =
   Alcotest.(check int) "all live" 5 (Heap.length h);
   ignore (Heap.cancel h (List.nth handles 1));
   Alcotest.(check int) "one cancelled" 4 (Heap.length h);
-  (match Heap.pop h with
+  (match pop h with
   | Some (_, 1) -> ()
   | _ -> Alcotest.fail "expected 1 first");
   Alcotest.(check int) "after pop" 3 (Heap.length h);
@@ -176,9 +182,9 @@ let test_all_cancelled_reports_empty () =
   List.iter (fun handle -> ignore (Heap.cancel h handle)) handles;
   Alcotest.(check int) "length 0" 0 (Heap.length h);
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option (float 1e-9))) "peek none" None (Heap.peek_time h);
-  Alcotest.(check (option (pair (float 1e-9) int))) "pop none" None
-    (Heap.pop h)
+  Alcotest.check_raises "no top left"
+    (Invalid_argument "Event_heap: no pending event") (fun () ->
+      ignore (Heap.top_time h))
 
 (* Seventeen pushes, ten of them tied at 0 and two pairs tied later,
    must pop in (time, insertion) order.  [82.5 /. 7.] is a bucket width
@@ -290,13 +296,12 @@ let prop_cancel_half =
 
 (* The heap against a list-based reference: an arbitrary interleaving
    of pushes, peeks, pops and cancels must pop exactly the earliest live
-   [(time, insertion seq)] at every step.  Peeks and pops go through
-   both {!Heap.peek_time}/{!Heap.pop} and the engine's allocation-free
-   {!Heap.top_time}/{!Heap.take_top}.  Times come from 40 instants,
-   so most events share their time with others and the pop order among
-   them rests on the first-in-first-out tie-break; scripts of up to
-   5,000 steps (about 3,000 pushes) sift deep heaps and grow the arrays
-   several times over. *)
+   [(time, insertion seq)] at every step, read through
+   {!Heap.top_time} and {!Heap.take_top} as the engine reads it.  Times
+   come from 40 instants, so most events share their time with others
+   and the pop order among them rests on the first-in-first-out
+   tie-break; scripts of up to 5,000 steps (about 3,000 pushes) sift
+   deep heaps and grow the arrays several times over. *)
 let prop_matches_reference =
   QCheck.Test.make ~count:100 ~name:"heap matches the list reference"
     QCheck.(list_of_size Gen.(0 -- 5000) (pair (int_bound 39) (int_range 0 9)))
@@ -316,22 +321,14 @@ let prop_matches_reference =
       let pushed = ref 0 in
       let ok = ref true in
       let observe b = if not b then ok := false in
-      (* The engine's peek and pop. *)
-      let top_time () =
+      let peek () =
         if Heap.is_empty h then None else Some (Heap.top_time h)
       in
-      let take_top () =
-        if Heap.is_empty h then None
-        else begin
-          let time = Heap.top_time h in
-          Some (time, Heap.take_top h)
-        end
-      in
       (* Pop both; [false] once the heap is empty. *)
-      let pop_both ~engine =
+      let pop_both () =
         let expected = earliest () in
         Option.iter (fun (_, seq) -> remove seq) expected;
-        let got = if engine then take_top () else Heap.pop h in
+        let got = pop h in
         observe (got = expected);
         got <> None
       in
@@ -345,11 +342,8 @@ let prop_matches_reference =
             live := (time, seq) :: !live
           end
           else if action <= 7 then begin
-            let engine = action = 7 in
-            let expected = Option.map fst (earliest ()) in
-            observe
-              ((if engine then top_time () else Heap.peek_time h) = expected);
-            ignore (pop_both ~engine)
+            observe (peek () = Option.map fst (earliest ()));
+            ignore (pop_both ())
           end
           else begin
             match !handles with
@@ -364,7 +358,7 @@ let prop_matches_reference =
           end;
           observe (Heap.length h = List.length !live))
         script;
-      while pop_both ~engine:(!pushed land 1 = 0) do
+      while pop_both () do
         ()
       done;
       !ok)

