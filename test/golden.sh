@@ -4,8 +4,8 @@
 #
 #   sh test/golden.sh [GROUP...]
 #
-# GROUP is one of table1, fault, top, fuzz, run256 and obs (default:
-# all six).  Run it from the root of a checkout; it runs that
+# GROUP is one of table1, paper, fault, top, fuzz, run256 and obs
+# (default: all seven).  Run it from the root of a checkout; it runs that
 # checkout's CLI and bench harness through dune.  The outputs land in
 # golden-out/; the host-dependent lines (banner, output paths,
 # wallclock) are filtered out before hashing.  Exits non-zero if any
@@ -23,6 +23,18 @@ table1() {
   $BENCH table1 --jobs 1 --csv "$OUT/csv" \
     | grep -v -e '^CUP benchmark harness' -e '^(wrote ' > "$OUT/table1.txt"
   cp "$OUT/csv/table1.csv" "$OUT/table1.csv"
+}
+
+# The other eleven paper experiments at one job: their printed text
+# and the eight CSVs they write.
+paper() {
+  rm -rf "$OUT/paper-csv"
+  $BENCH fig3 fig4 table2 table3 fig5 fig6 ablations overlays techniques \
+    model justification --jobs 1 --csv "$OUT/paper-csv" \
+    | grep -v -e '^CUP benchmark harness' -e '^(wrote ' > "$OUT/paper.txt"
+  for f in "$OUT"/paper-csv/*.csv; do
+    cp "$f" "$OUT/paper-$(basename "$f")"
+  done
 }
 
 # A crash+loss run traced in both formats, and its summary.
@@ -59,10 +71,10 @@ obs() {
     --metrics-out "$OUT/obs-metrics.prom" > /dev/null
 }
 
-[ $# -gt 0 ] || set -- table1 fault top fuzz run256 obs
+[ $# -gt 0 ] || set -- table1 paper fault top fuzz run256 obs
 for group in "$@"; do
   case $group in
-    table1 | fault | top | fuzz | run256 | obs) "$group" ;;
+    table1 | paper | fault | top | fuzz | run256 | obs) "$group" ;;
     *) echo "golden.sh: unknown group $group" >&2; exit 2 ;;
   esac
   grep -E "  $group[.-]" "$SUMS" | (cd "$OUT" && sha256sum -c -)
