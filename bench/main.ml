@@ -1,13 +1,14 @@
-(* Benchmark harness: regenerates every table and figure of the CUP
-   paper's evaluation (Section 3), plus ablations and micro-benchmarks
-   of the hot data structures.
+(* Benchmark harness: engine throughput, fault repair, scale,
+   overlay-build and per-event-time growth, attribution overhead,
+   trace I/O, the parallel harness, micro-benchmarks of the hot data
+   structures and the fuzz sweep.  The paper's tables and figures are
+   printed by `cup exp` (Cup_sim.Experiments.print).
 
    Usage:
-     dune exec bench/main.exe                     # everything, scaled
-     dune exec bench/main.exe -- table1 fig5      # selected targets
+     dune exec bench/main.exe                     # every default target, scaled
+     dune exec bench/main.exe -- profile faults   # selected targets
      dune exec bench/main.exe -- --full           # paper-scale runs
-     dune exec bench/main.exe -- --csv results    # also write CSV files
-     dune exec bench/main.exe -- table1 --jobs 4  # fan runs over 4 domains
+     dune exec bench/main.exe -- fuzz --jobs 4    # fan runs over 4 domains
      dune exec bench/main.exe -- harness          # sequential-vs-parallel timing
      dune exec bench/main.exe -- scale            # 10k/100k/1M-node sharded runs
      dune exec bench/main.exe -- scale-smoke      # 10k only (CI)
@@ -19,12 +20,12 @@
    An unknown target or option exits 2; an unknown target's message
    lists the targets.
 
-   The scale targets are explicit-only (never part of the default
-   target set): they record events/sec and peak RSS through the
-   ring-overlay scale runner and cross-check that sharded runs are
-   byte-identical to shards=1.  [overlay-growth] runs with the default
-   set at n <= 2^15 and adds its 2^20 builds only when named.
-   [time-growth] is explicit-only too.
+   [scale], [scale-smoke], [time-growth] and [attribution] are
+   explicit-only (never part of the default target set).  The scale
+   targets record events/sec and peak RSS through the ring-overlay
+   scale runner and cross-check that sharded runs are byte-identical
+   to shards=1.  [overlay-growth] runs with the default set at
+   n <= 2^15 and adds its 2^20 builds only when named.
 
    Independent simulator runs fan out across a Cup_parallel domain
    pool ([--jobs N]; default: one job per core, [--jobs 1] is fully
@@ -36,12 +37,9 @@
 
 module E = Cup_sim.Experiments
 module Table = Cup_report.Table
-module Plot = Cup_report.Plot
 module Pool = Cup_parallel.Pool
 module Json = Cup_obs.Json
 module Resource = Cup_obs.Resource
-
-let csv_dir : string option ref = ref None
 
 (* Accumulated for BENCH_harness.json, in execution order: name, wall
    seconds, and the process-resource snapshots bracketing the target
@@ -62,422 +60,9 @@ let fuzz_json : (string * Json.t) list ref = ref []
 let overlay_growth_json : (string * Json.t) list ref = ref []
 let time_growth_json : (string * Json.t) list ref = ref []
 
-let write_csv name ~header rows =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir (name ^ ".csv") in
-      Cup_report.Csv.write ~path ~header rows;
-      Printf.printf "(wrote %s)\n" path
-
-let section title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n\n"
+let section = E.section
 
 let scale_label = function E.Scaled -> "scaled" | E.Full -> "full (paper-scale)"
-
-(* {1 Figures 3 and 4: cost vs push level} *)
-
-(* Figure 3 uses the two low rates, Figure 4 the high ones. *)
-let fig_rates scale which =
-  let rs = E.rates scale in
-  match which with
-  | `Fig3 -> List.filteri (fun i _ -> i < 2) rs
-  | `Fig4 -> List.filteri (fun i _ -> i >= 2) rs
-
-let run_push_sweeps ?pool scale which =
-  List.map
-    (fun rate -> E.push_level_sweep ?pool scale ~rate)
-    (fig_rates scale which)
-
-let print_push_sweeps ~log_y title sweeps =
-  let table =
-    Table.create ~title
-      ~columns:
-        ("push level"
-        :: List.concat_map
-             (fun (s : E.push_level_series) ->
-               [
-                 Printf.sprintf "total (%g q/s)" s.rate;
-                 Printf.sprintf "miss (%g q/s)" s.rate;
-               ])
-             sweeps)
-  in
-  (match sweeps with
-  | [] -> ()
-  | first :: _ ->
-      List.iter
-        (fun (p : E.push_level_point) ->
-          let row =
-            Table.cell_int p.level
-            :: List.concat_map
-                 (fun (s : E.push_level_series) ->
-                   match
-                     List.find_opt
-                       (fun (q : E.push_level_point) -> q.level = p.level)
-                       s.points
-                   with
-                   | Some q ->
-                       [ Table.cell_int q.total_cost; Table.cell_int q.miss_cost ]
-                   | None -> [ "-"; "-" ])
-                 sweeps
-          in
-          Table.add_row table row)
-        first.points);
-  Table.print table;
-  List.iter
-    (fun (s : E.push_level_series) ->
-      write_csv
-        (Printf.sprintf "push_level_%g_qps" s.rate)
-        ~header:[ "level"; "total_cost"; "miss_cost" ]
-        (List.map
-           (fun (p : E.push_level_point) ->
-             [
-               string_of_int p.level;
-               string_of_int p.total_cost;
-               string_of_int p.miss_cost;
-             ])
-           s.points);
-      Printf.printf "optimal push level for %g q/s: %d (total cost %d)\n"
-        s.rate s.optimal_level s.optimal_total)
-    sweeps;
-  print_newline ();
-  Plot.print ~log_y ~title ~x_label:"push level" ~y_label:"cost (hops)"
-    (List.concat_map
-       (fun (s : E.push_level_series) ->
-         [
-           {
-             Plot.label = Printf.sprintf "total, %g q/s" s.rate;
-             points =
-               List.map
-                 (fun (p : E.push_level_point) ->
-                   (float_of_int p.level, float_of_int p.total_cost))
-                 s.points;
-           };
-           {
-             Plot.label = Printf.sprintf "miss, %g q/s" s.rate;
-             points =
-               List.map
-                 (fun (p : E.push_level_point) ->
-                   (float_of_int p.level, float_of_int p.miss_cost))
-                 s.points;
-           };
-         ])
-       sweeps)
-
-(* {1 Table 1: cut-off policies} *)
-
-let print_table1 scale rows =
-  let rates = E.rates scale in
-  let table =
-    Table.create
-      ~title:"Table 1: total cost for varying cut-off policies"
-      ~columns:
-        ("policy"
-        :: List.map (fun r -> Printf.sprintf "%g q/s total" r) rates)
-  in
-  List.iter
-    (fun (row : E.policy_row) ->
-      Table.add_row table
-        (row.policy_label
-        :: List.map
-             (fun rate ->
-               match List.assoc_opt rate row.cells with
-               | Some cell ->
-                   Printf.sprintf "%d %s" cell.E.total
-                     (Table.cell_ratio cell.E.normalized)
-               | None -> "-")
-             rates))
-    rows;
-  Table.print table;
-  write_csv "table1"
-    ~header:("policy" :: List.map (Printf.sprintf "%g_qps") rates)
-    (List.map
-       (fun (row : E.policy_row) ->
-         row.policy_label
-         :: List.map
-              (fun rate ->
-                match List.assoc_opt rate row.cells with
-                | Some cell -> string_of_int cell.E.total
-                | None -> "")
-              rates)
-       rows)
-
-(* {1 Table 2: varying the network size} *)
-
-let print_table2 rows =
-  let table =
-    Table.create
-      ~title:"Table 2: CUP vs standard caching for varying network size"
-      ~columns:
-        [
-          "metric \\ nodes";
-        ]
-  in
-  ignore table;
-  (* Transposed layout like the paper: one column per network size. *)
-  let columns =
-    "metric"
-    :: List.map (fun (r : E.size_row) -> string_of_int r.nodes) rows
-  in
-  let table =
-    Table.create
-      ~title:"Table 2: CUP vs standard caching for varying network size"
-      ~columns
-  in
-  Table.add_row table
-    ("CUP / STD miss cost"
-    :: List.map (fun (r : E.size_row) -> Table.cell_float r.miss_cost_ratio) rows);
-  Table.add_row table
-    ("CUP miss latency (one-way hops)"
-    :: List.map (fun (r : E.size_row) -> Table.cell_float ~decimals:1 r.cup_miss_latency) rows);
-  Table.add_row table
-    ("STD miss latency (one-way hops)"
-    :: List.map (fun (r : E.size_row) -> Table.cell_float ~decimals:1 r.std_miss_latency) rows);
-  Table.add_row table
-    ("saved miss hops per overhead hop"
-    :: List.map (fun (r : E.size_row) -> Table.cell_float r.saved_per_overhead) rows);
-  Table.print table;
-  write_csv "table2"
-    ~header:
-      [ "nodes"; "miss_cost_ratio"; "cup_latency"; "std_latency";
-        "saved_per_overhead" ]
-    (List.map
-       (fun (r : E.size_row) ->
-         [
-           string_of_int r.nodes;
-           Printf.sprintf "%.4f" r.miss_cost_ratio;
-           Printf.sprintf "%.2f" r.cup_miss_latency;
-           Printf.sprintf "%.2f" r.std_miss_latency;
-           Printf.sprintf "%.4f" r.saved_per_overhead;
-         ])
-       rows)
-
-(* {1 Table 3: multiple replicas per key} *)
-
-let print_table3 rows =
-  let table =
-    Table.create
-      ~title:
-        "Table 3: miss cost, misses, total cost for varying replica counts"
-      ~columns:
-        [
-          "replicas";
-          "naive miss cost (misses)";
-          "indep miss cost (misses)";
-          "indep total cost";
-        ]
-  in
-  List.iter
-    (fun (r : E.replica_row) ->
-      Table.add_row table
-        [
-          Table.cell_int r.replicas;
-          Printf.sprintf "%d (%d)" r.naive_miss_cost r.naive_misses;
-          Printf.sprintf "%d (%d)" r.indep_miss_cost r.indep_misses;
-          Table.cell_int r.indep_total_cost;
-        ])
-    rows;
-  Table.print table;
-  write_csv "table3"
-    ~header:
-      [ "replicas"; "naive_miss_cost"; "naive_misses"; "indep_miss_cost";
-        "indep_misses"; "indep_total" ]
-    (List.map
-       (fun (r : E.replica_row) ->
-         [
-           string_of_int r.replicas;
-           string_of_int r.naive_miss_cost;
-           string_of_int r.naive_misses;
-           string_of_int r.indep_miss_cost;
-           string_of_int r.indep_misses;
-           string_of_int r.indep_total_cost;
-         ])
-       rows)
-
-(* {1 Figures 5 and 6: reduced capacity} *)
-
-let print_capacity ~log_y title (s : E.capacity_series) =
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "%s (lambda = %g q/s)" title s.cap_rate)
-      ~columns:
-        [ "capacity"; "Up-And-Down total"; "Once-Down-Always-Down total" ]
-  in
-  List.iter
-    (fun (p : E.capacity_point) ->
-      Table.add_row table
-        [
-          Table.cell_float p.capacity;
-          Table.cell_int p.up_and_down_total;
-          Table.cell_int p.once_down_total;
-        ])
-    s.cap_points;
-  Table.add_separator table;
-  Table.add_row table
-    [ "std caching"; Table.cell_int s.std_total; Table.cell_int s.std_total ];
-  Table.print table;
-  write_csv
-    (Printf.sprintf "capacity_%g_qps" s.cap_rate)
-    ~header:[ "capacity"; "up_and_down_total"; "once_down_total"; "std_total" ]
-    (List.map
-       (fun (p : E.capacity_point) ->
-         [
-           Printf.sprintf "%.2f" p.capacity;
-           string_of_int p.up_and_down_total;
-           string_of_int p.once_down_total;
-           string_of_int s.std_total;
-         ])
-       s.cap_points);
-  Plot.print ~log_y ~title ~x_label:"capacity" ~y_label:"total cost (hops)"
-    [
-      {
-        Plot.label = "Up-And-Down";
-        points =
-          List.map
-            (fun (p : E.capacity_point) ->
-              (p.capacity, float_of_int p.up_and_down_total))
-            s.cap_points;
-      };
-      {
-        Plot.label = "Once-Down-Always-Down";
-        points =
-          List.map
-            (fun (p : E.capacity_point) ->
-              (p.capacity, float_of_int p.once_down_total))
-            s.cap_points;
-      };
-      {
-        Plot.label = "standard caching";
-        points =
-          List.map
-            (fun (p : E.capacity_point) ->
-              (p.capacity, float_of_int s.std_total))
-            s.cap_points;
-      };
-    ]
-
-(* {1 Ablations} *)
-
-let print_ablation_ordering rows =
-  let table =
-    Table.create
-      ~title:
-        "Ablation: update-queue ordering under token-bucket starvation"
-      ~columns:[ "ordering"; "total cost"; "miss cost"; "misses" ]
-  in
-  List.iter
-    (fun (r : E.ordering_row) ->
-      Table.add_row table
-        [
-          r.ordering_label;
-          Table.cell_int r.ord_total;
-          Table.cell_int r.ord_miss;
-          Table.cell_int r.ord_misses;
-        ])
-    rows;
-  Table.print table
-
-let print_ablation_window rows =
-  let table =
-    Table.create
-      ~title:"Ablation: log-based cut-off window (second-chance = 2)"
-      ~columns:[ "dry-update window"; "total cost"; "miss cost" ]
-  in
-  List.iter
-    (fun (r : E.dry_row) ->
-      Table.add_row table
-        [
-          Table.cell_int r.dry_window;
-          Table.cell_int r.dry_total;
-          Table.cell_int r.dry_miss;
-        ])
-    rows;
-  Table.print table
-
-let print_techniques rows =
-  let table =
-    Table.create
-      ~title:
-        "Section 3.6 techniques: reducing propagation overhead (10 replicas)"
-      ~columns:
-        [ "technique"; "total"; "overhead"; "miss cost"; "misses"; "justified %" ]
-  in
-  List.iter
-    (fun (r : E.technique_row) ->
-      Table.add_row table
-        [
-          r.technique_label;
-          Table.cell_int r.tech_total;
-          Table.cell_int r.tech_overhead;
-          Table.cell_int r.tech_miss;
-          Table.cell_int r.tech_misses;
-          Table.cell_float ~decimals:1 r.tech_justified_pct;
-        ])
-    rows;
-  Table.print table
-
-let print_justification rows =
-  let table =
-    Table.create
-      ~title:
-        "Section 3.1 check: justified updates vs realized saved/overhead"
-      ~columns:[ "policy"; "rate (q/s)"; "justified %"; "tracked"; "saved/overhead" ]
-  in
-  List.iter
-    (fun (r : E.justification_row) ->
-      Table.add_row table
-        [
-          r.j_policy;
-          Printf.sprintf "%g" r.j_rate;
-          Table.cell_float ~decimals:1 r.j_justified_pct;
-          Table.cell_int r.j_tracked;
-          Table.cell_float r.j_saved_per_overhead;
-        ])
-    rows;
-  Table.print table
-
-let print_overlays rows =
-  let table =
-    Table.create
-      ~title:"CUP over different structured overlays (Section 2.2)"
-      ~columns:
-        [ "overlay"; "policy"; "total"; "miss cost"; "misses"; "miss latency" ]
-  in
-  List.iter
-    (fun (r : E.overlay_row) ->
-      Table.add_row table
-        [
-          r.overlay_label;
-          r.o_policy;
-          Table.cell_int r.o_total;
-          Table.cell_int r.o_miss;
-          Table.cell_int r.o_misses;
-          Table.cell_float ~decimals:1 r.o_latency;
-        ])
-    rows;
-  Table.print table
-
-let print_model rows =
-  let table =
-    Table.create
-      ~title:
-        "Model vs simulation: justified-update probability at level 1"
-      ~columns:[ "rate (q/s)"; "authority fanout"; "measured %"; "model %" ]
-  in
-  List.iter
-    (fun (r : E.model_row) ->
-      Table.add_row table
-        [
-          Printf.sprintf "%g" r.m_rate;
-          Table.cell_int r.m_fanout;
-          Table.cell_float ~decimals:1 r.measured_justified_pct;
-          Table.cell_float ~decimals:1 r.predicted_justified_pct;
-        ])
-    rows;
-  Table.print table
 
 (* {1 Engine throughput and profiling probes} *)
 
@@ -546,22 +131,6 @@ let print_profiles scale =
       (profile_targets scale)
   in
   Table.print table;
-  write_csv "engine_profile"
-    ~header:[ "scenario"; "engine_events"; "wallclock"; "events_per_sec";
-              "heap_high_water" ]
-    (List.map
-       (fun (name, (r : Cup_sim.Runner.result)) ->
-         [
-           name;
-           string_of_int r.engine_events;
-           Printf.sprintf "%.4f" r.wallclock;
-           Printf.sprintf "%.0f" r.events_per_sec;
-           string_of_int
-             (match r.profile with
-             | Some p -> p.Cup_dess.Engine.heap_high_water
-             | None -> 0);
-         ])
-       rows);
   List.iter
     (fun (name, (r : Cup_sim.Runner.result)) ->
       match r.profile with
@@ -785,29 +354,6 @@ let scale_runs which =
             ok)
       rows
   in
-  write_csv "scale"
-    ~header:
-      [ "config"; "nodes"; "keys"; "events"; "wall_seconds"; "events_per_sec";
-        "peak_rss_bytes"; "live_slots"; "traced_wall_seconds"; "trace_bytes";
-        "writer_stalls"; "traced_overhead" ]
-    (List.map
-       (fun (name, (cfg : Scale.config), (r : Scale.result), rss, _,
-                 (_, traced_wall, trace_bytes, stalls, overhead)) ->
-         [
-           name;
-           string_of_int cfg.Scale.nodes;
-           string_of_int cfg.Scale.keys;
-           string_of_int r.Scale.events;
-           Printf.sprintf "%.4f" r.Scale.wallclock;
-           Printf.sprintf "%.0f" r.Scale.events_per_sec;
-           string_of_int rss;
-           string_of_int r.Scale.live_slots;
-           Printf.sprintf "%.4f" traced_wall;
-           string_of_int trace_bytes;
-           string_of_int stalls;
-           Printf.sprintf "%.4f" overhead;
-         ])
-       rows);
   scale_json :=
     [
       ( "workload",
@@ -1129,16 +675,6 @@ let attribution_bench () =
     k w_small w_large
     (if w_small = w_large then "O(K), catalog-independent"
      else "DEPENDS ON CATALOG (bound violated)");
-  write_csv "attribution"
-    ~header:
-      [ "arm"; "events"; "wall_seconds"; "events_per_sec"; "overhead_pct" ]
-    [
-      [ "detached"; string_of_int events.(0);
-        Printf.sprintf "%.4f" best.(0); Printf.sprintf "%.0f" eps.(0); "" ];
-      [ Printf.sprintf "k%d" k; string_of_int events.(1);
-        Printf.sprintf "%.4f" best.(1); Printf.sprintf "%.0f" eps.(1);
-        Printf.sprintf "%.2f" overhead_pct ];
-    ];
   attribution_json :=
     [
       ( "workload",
@@ -1709,9 +1245,9 @@ let metrics_bench () =
    Runs the swarm-testing fuzzer over a block of seeds twice —
    sequentially and fanned over the domain pool — and demands
    byte-identical summaries apart from host timings (same verdicts,
-   same per-seed event counts, same failure list) plus a clean sweep.  A mismatch or a
-   failing seed is a regression, so this target exits non-zero rather
-   than just reporting. *)
+   same per-seed event counts, same failure list) plus a clean sweep.
+   A mismatch or a failing seed is a regression, so this target exits
+   non-zero rather than just reporting. *)
 
 let fuzz_sweep ?pool scale =
   let seeds = match scale with E.Scaled -> 60 | E.Full -> 400 in
@@ -1893,9 +1429,6 @@ let () =
   let scale = if List.mem "--full" args then E.Full else E.Scaled in
   let jobs = ref 0 in
   let rec strip_opts = function
-    | "--csv" :: dir :: rest ->
-        csv_dir := Some dir;
-        strip_opts rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 0 ->
@@ -1923,60 +1456,6 @@ let () =
      bench invocation. *)
   let table = ref [] in
   let target ?(named = false) name f = table := (name, named, f) :: !table in
-  let fig3_sweeps = ref [] and fig4_sweeps = ref [] in
-  target "fig3" (fun pool ->
-      section "Figure 3: total and miss cost vs push level (low query rates)";
-      let sweeps = run_push_sweeps ?pool scale `Fig3 in
-      fig3_sweeps := sweeps;
-      print_push_sweeps ~log_y:false
-        (Printf.sprintf "Figure 3: cost vs push level (%s q/s)"
-           (String.concat " and "
-              (List.map (Printf.sprintf "%g") (fig_rates scale `Fig3))))
-        sweeps);
-  target "fig4" (fun pool ->
-      section "Figure 4: total and miss cost vs push level (high query rates)";
-      let sweeps = run_push_sweeps ?pool scale `Fig4 in
-      fig4_sweeps := sweeps;
-      print_push_sweeps ~log_y:true
-        "Figure 4: cost vs push level (high rates, log y)" sweeps);
-  target "table1" (fun pool ->
-      section "Table 1: total cost for varying cut-off policies";
-      let optimal =
-        match !fig3_sweeps @ !fig4_sweeps with [] -> None | s -> Some s
-      in
-      print_table1 scale (E.table1 ?pool ?optimal scale));
-  target "table2" (fun pool ->
-      section "Table 2: CUP vs standard caching, varying network size";
-      print_table2 (E.table2 ?pool scale));
-  target "table3" (fun pool ->
-      section "Table 3: naive vs replica-independent cut-off";
-      print_table3 (E.table3 ?pool scale));
-  target "fig5" (fun pool ->
-      section "Figure 5: total cost vs reduced capacity (low rate)";
-      let rate = List.nth (E.rates scale) 1 in
-      print_capacity ~log_y:false "Figure 5: total cost vs capacity"
-        (E.capacity_sweep ?pool scale ~rate));
-  target "fig6" (fun pool ->
-      section "Figure 6: total cost vs reduced capacity (high rate, log y)";
-      let rate = List.nth (E.rates scale) (List.length (E.rates scale) - 1) in
-      print_capacity ~log_y:true "Figure 6: total cost vs capacity"
-        (E.capacity_sweep ?pool scale ~rate));
-  target "ablations" (fun pool ->
-      section "Ablations";
-      print_ablation_ordering (E.ablation_queue_ordering ?pool scale);
-      print_ablation_window (E.ablation_log_based_window ?pool scale));
-  target "overlays" (fun pool ->
-      section "Overlay generality: CUP over CAN, Chord and Pastry";
-      print_overlays (E.overlay_comparison ?pool scale));
-  target "techniques" (fun pool ->
-      section "Section 3.6 propagation-overhead techniques";
-      print_techniques (E.propagation_techniques ?pool scale));
-  target "model" (fun pool ->
-      section "Section 3.1 model vs simulation";
-      print_model (E.model_check ?pool scale));
-  target "justification" (fun pool ->
-      section "Section 3.1 justified-update accounting";
-      print_justification (E.justification ?pool scale));
   target "faults" (fun _ ->
       section "Fault injection: repair and message accounting";
       faults scale);

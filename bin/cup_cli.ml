@@ -5,7 +5,8 @@
      cup scale  — run a batch-synchronous sharded run (millions of nodes)
      cup top    — per-key/per-node/per-level cost attribution tables
      cup sweep  — sweep the push level for one query rate
-     cup exp    — run a named paper experiment (fig3 fig4 table1 ...)
+     cup exp    — print the paper's experiments: all twelve, or those
+                  named (fig3 fig4 table1 ...)
      cup trace  — analyze a protocol trace (JSONL or binary .ctrace):
                   propagation trees, latency percentiles, per-key summary
      cup trace convert — convert a trace between JSONL and .ctrace
@@ -1264,23 +1265,9 @@ let sweep_cmd =
     let s =
       with_jobs jobs (fun pool -> E.push_level_sweep ?pool scale ~rate)
     in
-    let table =
-      Cup_report.Table.create
-        ~title:(Printf.sprintf "push-level sweep, %g q/s" rate)
-        ~columns:[ "level"; "total cost"; "miss cost" ]
-    in
-    List.iter
-      (fun (p : E.push_level_point) ->
-        Cup_report.Table.add_row table
-          [
-            string_of_int p.level;
-            string_of_int p.total_cost;
-            string_of_int p.miss_cost;
-          ])
-      s.points;
-    Cup_report.Table.print table;
-    Printf.printf "optimal level: %d (total %d)\n" s.optimal_level
-      s.optimal_total
+    E.print_push_level ~log_y:false
+      ~title:(Printf.sprintf "push-level sweep, %g q/s" rate)
+      [ s ]
   in
   let term = Term.(const action $ full $ rate $ jobs) in
   Cmd.v
@@ -1291,137 +1278,43 @@ let sweep_cmd =
 (* {1 cup exp} *)
 
 let exp_cmd =
-  let target =
+  let names =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT"
+      value & pos_all string []
+      & info [] ~docv:"NAME"
           ~doc:
-            "One of: fig3, fig4, table1, table2, table3, fig5, fig6, \
-             ablations, techniques, justification, overlays, model.")
+            ("Experiments to run, always in this order (default: all): "
+            ^ String.concat ", " E.names ^ "."))
   in
-  let action full jobs name =
+  let csv_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:"Also write the experiments' CSV files into $(docv).")
+  in
+  let action full jobs csv_dir names =
+    let names = if names = [] then E.names else names in
+    (match List.filter (fun n -> not (List.mem n E.names)) names with
+    | [] -> ()
+    | unknown ->
+        Printf.eprintf "cup exp: unknown experiment %s; known: %s\n"
+          (String.concat ", " unknown)
+          (String.concat " " E.names);
+        exit 2);
     let scale = if full then E.Full else E.Scaled in
-    let known =
-      [ "fig3"; "fig4"; "table1"; "table2"; "table3"; "fig5"; "fig6";
-        "ablations"; "techniques"; "justification"; "overlays"; "model" ]
-    in
-    if not (List.mem name known) then begin
-      Printf.eprintf "unknown experiment %S; known: %s\n" name
-        (String.concat ", " known);
-      exit 2
-    end;
-    (* Reuse the benchmark harness driver by exec-ing its logic is not
-       possible from here; run the experiment directly. *)
-    with_jobs jobs @@ fun pool ->
-    match name with
-    | "table2" ->
-        List.iter
-          (fun (r : E.size_row) ->
-            Printf.printf
-              "n=%4d  miss-ratio=%.2f  cup-lat=%.1f  std-lat=%.1f  \
-               saved/overhead=%.2f\n"
-              r.nodes r.miss_cost_ratio r.cup_miss_latency r.std_miss_latency
-              r.saved_per_overhead)
-          (E.table2 ?pool scale)
-    | "table3" ->
-        List.iter
-          (fun (r : E.replica_row) ->
-            Printf.printf
-              "replicas=%3d  naive=%d (%d misses)  indep=%d (%d misses)  \
-               indep-total=%d\n"
-              r.replicas r.naive_miss_cost r.naive_misses r.indep_miss_cost
-              r.indep_misses r.indep_total_cost)
-          (E.table3 ?pool scale)
-    | "table1" ->
-        List.iter
-          (fun (row : E.policy_row) ->
-            Printf.printf "%-20s" row.policy_label;
-            List.iter
-              (fun (rate, (cell : E.policy_cell)) ->
-                Printf.printf "  %g q/s: %d (%.2f)" rate cell.total
-                  cell.normalized)
-              row.cells;
-            print_newline ())
-          (E.table1 ?pool scale)
-    | "fig3" | "fig4" ->
-        let rates =
-          let rs = E.rates scale in
-          if name = "fig3" then List.filteri (fun i _ -> i < 2) rs
-          else List.filteri (fun i _ -> i >= 2) rs
-        in
-        List.iter
-          (fun rate ->
-            let s = E.push_level_sweep ?pool scale ~rate in
-            Printf.printf "rate %g q/s: optimal level %d (total %d)\n" rate
-              s.optimal_level s.optimal_total;
-            List.iter
-              (fun (p : E.push_level_point) ->
-                Printf.printf "  level %2d: total %d, miss %d\n" p.level
-                  p.total_cost p.miss_cost)
-              s.points)
-          rates
-    | "fig5" | "fig6" ->
-        let rates = E.rates scale in
-        let rate =
-          if name = "fig5" then List.hd rates
-          else List.nth rates (List.length rates - 1)
-        in
-        let s = E.capacity_sweep ?pool scale ~rate in
-        Printf.printf "rate %g q/s, standard caching total %d\n" s.cap_rate
-          s.std_total;
-        List.iter
-          (fun (p : E.capacity_point) ->
-            Printf.printf "  capacity %.2f: up-and-down %d, once-down %d\n"
-              p.capacity p.up_and_down_total p.once_down_total)
-          s.cap_points
-    | "model" ->
-        List.iter
-          (fun (r : E.model_row) ->
-            Printf.printf
-              "rate=%g fanout=%d measured=%.1f%% model=%.1f%%\n" r.m_rate
-              r.m_fanout r.measured_justified_pct r.predicted_justified_pct)
-          (E.model_check ?pool scale)
-    | "overlays" ->
-        List.iter
-          (fun (r : E.overlay_row) ->
-            Printf.printf
-              "%-20s %-16s total=%d miss=%d misses=%d latency=%.1f\n"
-              r.overlay_label r.o_policy r.o_total r.o_miss r.o_misses
-              r.o_latency)
-          (E.overlay_comparison ?pool scale)
-    | "techniques" ->
-        List.iter
-          (fun (r : E.technique_row) ->
-            Printf.printf
-              "%-42s total=%d overhead=%d miss=%d misses=%d justified=%.1f%%\n"
-              r.technique_label r.tech_total r.tech_overhead r.tech_miss
-              r.tech_misses r.tech_justified_pct)
-          (E.propagation_techniques ?pool scale)
-    | "justification" ->
-        List.iter
-          (fun (r : E.justification_row) ->
-            Printf.printf
-              "%-16s rate=%g justified=%.1f%% tracked=%d saved/overhead=%.2f\n"
-              r.j_policy r.j_rate r.j_justified_pct r.j_tracked
-              r.j_saved_per_overhead)
-          (E.justification ?pool scale)
-    | "ablations" ->
-        List.iter
-          (fun (r : E.ordering_row) ->
-            Printf.printf "ordering %-14s total=%d miss=%d misses=%d\n"
-              r.ordering_label r.ord_total r.ord_miss r.ord_misses)
-          (E.ablation_queue_ordering ?pool scale);
-        List.iter
-          (fun (r : E.dry_row) ->
-            Printf.printf "log-based window %d: total=%d miss=%d\n"
-              r.dry_window r.dry_total r.dry_miss)
-          (E.ablation_log_based_window ?pool scale)
-    | _ -> assert false
+    match with_jobs jobs (fun pool -> E.print ?pool ?csv_dir scale names) with
+    | () -> print_string "\ndone.\n"
+    | exception Sys_error msg ->
+        Printf.eprintf "cup exp: %s\n" msg;
+        exit 1
   in
-  let term = Term.(const action $ full $ jobs $ target) in
+  let term = Term.(const action $ full $ jobs $ csv_dir $ names) in
   Cmd.v
-    (Cmd.info "exp" ~doc:"Run one of the paper's experiments by name.")
+    (Cmd.info "exp"
+       ~doc:
+         "Run the paper's experiments by name and print their tables and \
+          figures.")
     term
 
 (* {1 cup fuzz}

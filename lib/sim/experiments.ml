@@ -633,3 +633,443 @@ let model_check ?pool scale =
     (* rates spanning the regime where P(justified) actually varies:
        subtree_rate * lifetime from ~0.4 to ~75 *)
     [ 0.005; 0.01; 0.02; 0.05; 0.1; 0.25; 1. ]
+
+(* {1 The twelve experiments, printed}
+
+   One renderer per experiment, shared by [cup exp] and [cup sweep]:
+   a section banner, paper-style tables, ASCII plots and, given a
+   directory, CSV files. *)
+
+module Table = Cup_report.Table
+module Plot = Cup_report.Plot
+
+let section title =
+  Printf.printf "\n================================================================\n";
+  Printf.printf "%s\n" title;
+  Printf.printf "================================================================\n\n"
+
+let ensure_dir dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": Not a directory"))
+
+let write_csv csv_dir name ~header rows =
+  match csv_dir with
+  | None -> ()
+  | Some dir ->
+      ensure_dir dir;
+      let path = Filename.concat dir (name ^ ".csv") in
+      Cup_report.Csv.write ~path ~header rows;
+      Printf.printf "(wrote %s)\n" path
+
+(* A titled table with one row of cells per result row. *)
+let print_rows ~title ~columns cells rows =
+  let table = Table.create ~title ~columns in
+  List.iter (fun r -> Table.add_row table (cells r)) rows;
+  Table.print table
+
+let print_push_level ?csv_dir ~log_y ~title sweeps =
+  let costs level s =
+    match List.find_opt (fun q -> q.level = level) s.points with
+    | Some q -> [ Table.cell_int q.total_cost; Table.cell_int q.miss_cost ]
+    | None -> [ "-"; "-" ]
+  in
+  print_rows ~title
+    ~columns:
+      ("push level"
+      :: List.concat_map
+           (fun s ->
+             [
+               Printf.sprintf "total (%g q/s)" s.rate;
+               Printf.sprintf "miss (%g q/s)" s.rate;
+             ])
+           sweeps)
+    (fun p -> Table.cell_int p.level :: List.concat_map (costs p.level) sweeps)
+    (match sweeps with [] -> [] | first :: _ -> first.points);
+  List.iter
+    (fun s ->
+      write_csv csv_dir
+        (Printf.sprintf "push_level_%g_qps" s.rate)
+        ~header:[ "level"; "total_cost"; "miss_cost" ]
+        (List.map
+           (fun p ->
+             [
+               string_of_int p.level;
+               string_of_int p.total_cost;
+               string_of_int p.miss_cost;
+             ])
+           s.points);
+      Printf.printf "optimal push level for %g q/s: %d (total cost %d)\n"
+        s.rate s.optimal_level s.optimal_total)
+    sweeps;
+  print_newline ();
+  let curve label cost s =
+    {
+      Plot.label = Printf.sprintf "%s, %g q/s" label s.rate;
+      points =
+        List.map
+          (fun p -> (float_of_int p.level, float_of_int (cost p)))
+          s.points;
+    }
+  in
+  Plot.print ~log_y ~title ~x_label:"push level" ~y_label:"cost (hops)"
+    (List.concat_map
+       (fun s ->
+         [
+           curve "total" (fun p -> p.total_cost) s;
+           curve "miss" (fun p -> p.miss_cost) s;
+         ])
+       sweeps)
+
+let print_table1 ?csv_dir scale rows =
+  let rates = rates scale in
+  print_rows ~title:"Table 1: total cost for varying cut-off policies"
+    ~columns:("policy" :: List.map (Printf.sprintf "%g q/s total") rates)
+    (fun row ->
+      row.policy_label
+      :: List.map
+           (fun rate ->
+             match List.assoc_opt rate row.cells with
+             | Some cell ->
+                 Printf.sprintf "%d %s" cell.total
+                   (Table.cell_ratio cell.normalized)
+             | None -> "-")
+           rates)
+    rows;
+  write_csv csv_dir "table1"
+    ~header:("policy" :: List.map (Printf.sprintf "%g_qps") rates)
+    (List.map
+       (fun row ->
+         row.policy_label
+         :: List.map
+              (fun rate ->
+                match List.assoc_opt rate row.cells with
+                | Some cell -> string_of_int cell.total
+                | None -> "")
+              rates)
+       rows)
+
+let print_table2 ?csv_dir rows =
+  (* Transposed like the paper: one column per network size. *)
+  let table =
+    Table.create
+      ~title:"Table 2: CUP vs standard caching for varying network size"
+      ~columns:("metric" :: List.map (fun r -> string_of_int r.nodes) rows)
+  in
+  let add label cell = Table.add_row table (label :: List.map cell rows) in
+  add "CUP / STD miss cost" (fun r -> Table.cell_float r.miss_cost_ratio);
+  add "CUP miss latency (one-way hops)" (fun r ->
+      Table.cell_float ~decimals:1 r.cup_miss_latency);
+  add "STD miss latency (one-way hops)" (fun r ->
+      Table.cell_float ~decimals:1 r.std_miss_latency);
+  add "saved miss hops per overhead hop" (fun r ->
+      Table.cell_float r.saved_per_overhead);
+  Table.print table;
+  write_csv csv_dir "table2"
+    ~header:
+      [ "nodes"; "miss_cost_ratio"; "cup_latency"; "std_latency";
+        "saved_per_overhead" ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.nodes;
+           Printf.sprintf "%.4f" r.miss_cost_ratio;
+           Printf.sprintf "%.2f" r.cup_miss_latency;
+           Printf.sprintf "%.2f" r.std_miss_latency;
+           Printf.sprintf "%.4f" r.saved_per_overhead;
+         ])
+       rows)
+
+let print_table3 ?csv_dir rows =
+  print_rows
+    ~title:"Table 3: miss cost, misses, total cost for varying replica counts"
+    ~columns:
+      [
+        "replicas";
+        "naive miss cost (misses)";
+        "indep miss cost (misses)";
+        "indep total cost";
+      ]
+    (fun r ->
+      [
+        Table.cell_int r.replicas;
+        Printf.sprintf "%d (%d)" r.naive_miss_cost r.naive_misses;
+        Printf.sprintf "%d (%d)" r.indep_miss_cost r.indep_misses;
+        Table.cell_int r.indep_total_cost;
+      ])
+    rows;
+  write_csv csv_dir "table3"
+    ~header:
+      [ "replicas"; "naive_miss_cost"; "naive_misses"; "indep_miss_cost";
+        "indep_misses"; "indep_total" ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.replicas;
+           string_of_int r.naive_miss_cost;
+           string_of_int r.naive_misses;
+           string_of_int r.indep_miss_cost;
+           string_of_int r.indep_misses;
+           string_of_int r.indep_total_cost;
+         ])
+       rows)
+
+let print_capacity ?csv_dir ~log_y title s =
+  let table =
+    Table.create
+      ~title:(Printf.sprintf "%s (lambda = %g q/s)" title s.cap_rate)
+      ~columns:
+        [ "capacity"; "Up-And-Down total"; "Once-Down-Always-Down total" ]
+  in
+  List.iter
+    (fun p ->
+      Table.add_row table
+        [
+          Table.cell_float p.capacity;
+          Table.cell_int p.up_and_down_total;
+          Table.cell_int p.once_down_total;
+        ])
+    s.cap_points;
+  Table.add_separator table;
+  Table.add_row table
+    [ "std caching"; Table.cell_int s.std_total; Table.cell_int s.std_total ];
+  Table.print table;
+  write_csv csv_dir
+    (Printf.sprintf "capacity_%g_qps" s.cap_rate)
+    ~header:[ "capacity"; "up_and_down_total"; "once_down_total"; "std_total" ]
+    (List.map
+       (fun p ->
+         [
+           Printf.sprintf "%.2f" p.capacity;
+           string_of_int p.up_and_down_total;
+           string_of_int p.once_down_total;
+           string_of_int s.std_total;
+         ])
+       s.cap_points);
+  let curve label total =
+    {
+      Plot.label;
+      points =
+        List.map (fun p -> (p.capacity, float_of_int (total p))) s.cap_points;
+    }
+  in
+  Plot.print ~log_y ~title ~x_label:"capacity" ~y_label:"total cost (hops)"
+    [
+      curve "Up-And-Down" (fun p -> p.up_and_down_total);
+      curve "Once-Down-Always-Down" (fun p -> p.once_down_total);
+      curve "standard caching" (fun _ -> s.std_total);
+    ]
+
+let print_ordering =
+  print_rows
+    ~title:"Ablation: update-queue ordering under token-bucket starvation"
+    ~columns:[ "ordering"; "total cost"; "miss cost"; "misses" ]
+    (fun r ->
+      [
+        r.ordering_label;
+        Table.cell_int r.ord_total;
+        Table.cell_int r.ord_miss;
+        Table.cell_int r.ord_misses;
+      ])
+
+let print_window =
+  print_rows ~title:"Ablation: log-based cut-off window (second-chance = 2)"
+    ~columns:[ "dry-update window"; "total cost"; "miss cost" ]
+    (fun r ->
+      [
+        Table.cell_int r.dry_window;
+        Table.cell_int r.dry_total;
+        Table.cell_int r.dry_miss;
+      ])
+
+let print_overlays =
+  print_rows ~title:"CUP over different structured overlays (Section 2.2)"
+    ~columns:
+      [ "overlay"; "policy"; "total"; "miss cost"; "misses"; "miss latency" ]
+    (fun r ->
+      [
+        r.overlay_label;
+        r.o_policy;
+        Table.cell_int r.o_total;
+        Table.cell_int r.o_miss;
+        Table.cell_int r.o_misses;
+        Table.cell_float ~decimals:1 r.o_latency;
+      ])
+
+let print_techniques =
+  print_rows
+    ~title:"Section 3.6 techniques: reducing propagation overhead (10 replicas)"
+    ~columns:
+      [ "technique"; "total"; "overhead"; "miss cost"; "misses"; "justified %" ]
+    (fun r ->
+      [
+        r.technique_label;
+        Table.cell_int r.tech_total;
+        Table.cell_int r.tech_overhead;
+        Table.cell_int r.tech_miss;
+        Table.cell_int r.tech_misses;
+        Table.cell_float ~decimals:1 r.tech_justified_pct;
+      ])
+
+let print_model =
+  print_rows
+    ~title:"Model vs simulation: justified-update probability at level 1"
+    ~columns:[ "rate (q/s)"; "authority fanout"; "measured %"; "model %" ]
+    (fun r ->
+      [
+        Printf.sprintf "%g" r.m_rate;
+        Table.cell_int r.m_fanout;
+        Table.cell_float ~decimals:1 r.measured_justified_pct;
+        Table.cell_float ~decimals:1 r.predicted_justified_pct;
+      ])
+
+let print_justification =
+  print_rows
+    ~title:"Section 3.1 check: justified updates vs realized saved/overhead"
+    ~columns:
+      [ "policy"; "rate (q/s)"; "justified %"; "tracked"; "saved/overhead" ]
+    (fun r ->
+      [
+        r.j_policy;
+        Printf.sprintf "%g" r.j_rate;
+        Table.cell_float ~decimals:1 r.j_justified_pct;
+        Table.cell_int r.j_tracked;
+        Table.cell_float r.j_saved_per_overhead;
+      ])
+
+(* What one [print] call shares across its experiments. *)
+type env = {
+  scale : scale;
+  pool : Pool.t option;
+  csv_dir : string option;
+  mutable sweeps : push_level_series list;
+      (* fig3's and fig4's, for table1's optimal row *)
+}
+
+type experiment = { name : string; title : string; run : env -> unit }
+
+(* Figure 3 sweeps the two low rates, Figure 4 the two high ones. *)
+let push_figure env ~low ~log_y title =
+  let rates = List.filteri (fun i _ -> (i < 2) = low) (rates env.scale) in
+  let sweeps =
+    List.map (fun rate -> push_level_sweep ?pool:env.pool env.scale ~rate) rates
+  in
+  env.sweeps <- env.sweeps @ sweeps;
+  print_push_level ?csv_dir:env.csv_dir ~log_y ~title:(title rates) sweeps
+
+let capacity_figure env ~log_y ~rate title =
+  let rate = rate (rates env.scale) in
+  print_capacity ?csv_dir:env.csv_dir ~log_y title
+    (capacity_sweep ?pool:env.pool env.scale ~rate)
+
+let experiments =
+  [
+    {
+      name = "fig3";
+      title = "Figure 3: total and miss cost vs push level (low query rates)";
+      run =
+        (fun env ->
+          push_figure env ~low:true ~log_y:false (fun rates ->
+              Printf.sprintf "Figure 3: cost vs push level (%s q/s)"
+                (String.concat " and " (List.map (Printf.sprintf "%g") rates))));
+    };
+    {
+      name = "fig4";
+      title = "Figure 4: total and miss cost vs push level (high query rates)";
+      run =
+        (fun env ->
+          push_figure env ~low:false ~log_y:true (fun _ ->
+              "Figure 4: cost vs push level (high rates, log y)"));
+    };
+    {
+      name = "table1";
+      title = "Table 1: total cost for varying cut-off policies";
+      run =
+        (fun env ->
+          let optimal = match env.sweeps with [] -> None | s -> Some s in
+          print_table1 ?csv_dir:env.csv_dir env.scale
+            (table1 ?pool:env.pool ?optimal env.scale));
+    };
+    {
+      name = "table2";
+      title = "Table 2: CUP vs standard caching, varying network size";
+      run =
+        (fun env ->
+          print_table2 ?csv_dir:env.csv_dir (table2 ?pool:env.pool env.scale));
+    };
+    {
+      name = "table3";
+      title = "Table 3: naive vs replica-independent cut-off";
+      run =
+        (fun env ->
+          print_table3 ?csv_dir:env.csv_dir (table3 ?pool:env.pool env.scale));
+    };
+    {
+      name = "fig5";
+      title = "Figure 5: total cost vs reduced capacity (low rate)";
+      run =
+        (fun env ->
+          capacity_figure env ~log_y:false
+            ~rate:(fun rates -> List.nth rates 1)
+            "Figure 5: total cost vs capacity");
+    };
+    {
+      name = "fig6";
+      title = "Figure 6: total cost vs reduced capacity (high rate, log y)";
+      run =
+        (fun env ->
+          capacity_figure env ~log_y:true
+            ~rate:(fun rates -> List.nth rates (List.length rates - 1))
+            "Figure 6: total cost vs capacity");
+    };
+    {
+      name = "ablations";
+      title = "Ablations";
+      run =
+        (fun env ->
+          print_ordering (ablation_queue_ordering ?pool:env.pool env.scale);
+          print_window (ablation_log_based_window ?pool:env.pool env.scale));
+    };
+    {
+      name = "overlays";
+      title = "Overlay generality: CUP over CAN, Chord and Pastry";
+      run = (fun env -> print_overlays (overlay_comparison ?pool:env.pool env.scale));
+    };
+    {
+      name = "techniques";
+      title = "Section 3.6 propagation-overhead techniques";
+      run =
+        (fun env ->
+          print_techniques (propagation_techniques ?pool:env.pool env.scale));
+    };
+    {
+      name = "model";
+      title = "Section 3.1 model vs simulation";
+      run = (fun env -> print_model (model_check ?pool:env.pool env.scale));
+    };
+    {
+      name = "justification";
+      title = "Section 3.1 justified-update accounting";
+      run =
+        (fun env -> print_justification (justification ?pool:env.pool env.scale));
+    };
+  ]
+
+let names = List.map (fun e -> e.name) experiments
+
+let print ?pool ?csv_dir scale selected =
+  (match List.filter (fun n -> not (List.mem n names)) selected with
+  | [] -> ()
+  | unknown ->
+      invalid_arg
+        ("Experiments.print: unknown experiment " ^ String.concat ", " unknown));
+  (* Fail on a bad directory before the first simulation, not after. *)
+  Option.iter ensure_dir csv_dir;
+  let env = { scale; pool; csv_dir; sweeps = [] } in
+  List.iter
+    (fun e ->
+      if List.mem e.name selected then begin
+        section e.title;
+        e.run env
+      end)
+    experiments

@@ -1,8 +1,10 @@
 (** The paper's evaluation, experiment by experiment (Section 3).
 
     Each function runs the simulations for one table or figure and
-    returns structured results; rendering lives in [Cup_report] and
-    the benchmark harness.  [Scaled] keeps every run laptop-sized:
+    returns structured results.  {!print} runs the twelve experiments
+    by name and renders them with [Cup_report] (tables, ASCII plots,
+    CSV files); it is the one printer behind [cup exp].  [Scaled]
+    keeps every run laptop-sized:
     256 nodes with query rates scaled by 256/1024 so per-node query
     densities match the paper's 1024-node runs.  [Full] uses the
     paper's scale (1024–4096 nodes, rates up to 1000 q/s).
@@ -28,7 +30,8 @@ val base_scenario : scale -> Scenario.t
     querying, second-chance default policy, one key. *)
 
 val rates : scale -> float list
-(** Query rates λ: [\[1; 10; 100\]] scaled, [\[1; 10; 100; 1000\]] full. *)
+(** Query rates λ: [\[0.25; 2.5; 25; 250\]] scaled,
+    [\[1; 10; 100; 1000\]] full. *)
 
 (** {1 Figures 3 and 4: cost versus push level} *)
 
@@ -241,3 +244,38 @@ val model_check : ?pool:Cup_parallel.Pool.t -> scale -> model_row list
     counts queries that reach the neighbor, a slight undercount of the
     model's "any query in the subtree" at high rates (fresh caches
     below absorb some queries). *)
+
+(** {1 The twelve experiments, printed} *)
+
+val names : string list
+(** The paper experiments in run order: [fig3 fig4 table1 table2
+    table3 fig5 fig6 ablations overlays techniques model
+    justification]. *)
+
+val print :
+  ?pool:Cup_parallel.Pool.t ->
+  ?csv_dir:string ->
+  scale ->
+  string list ->
+  unit
+(** [print scale selected] runs the experiments named in [selected]
+    in {!names} order, each once, and prints to stdout each one's
+    section banner, tables and (for the figures) ASCII plots.  Figure
+    3 sweeps the two lowest rates, Figure 4 the two highest, Figure 5
+    runs at the second rate and Figure 6 at the highest.  When fig3 or
+    fig4 runs before table1, table1's optimal row reuses their sweeps.
+    With [csv_dir] (created if missing), fig3-fig6 and table1-table3
+    also write their CSV files there, each followed by a
+    ["(wrote PATH)"] line.  Raises [Invalid_argument] if [selected]
+    names an experiment outside {!names}, and [Sys_error] if
+    [csv_dir] cannot be created (before anything runs) or written. *)
+
+val print_push_level :
+  ?csv_dir:string -> log_y:bool -> title:string -> push_level_series list -> unit
+(** The Figure 3/4 renderer: a table of total and miss cost per push
+    level, one column pair per series, each series' optimal level, and
+    an ASCII plot.  With [csv_dir], each series is also written to
+    [push_level_RATE_qps.csv]. *)
+
+val section : string -> unit
+(** Print a section banner, as {!print} does before each experiment. *)

@@ -6,22 +6,20 @@
 #
 # GROUP is one of table1, paper, fault, top, fuzz, run256 and obs
 # (default: all seven).  Run it from the root of a checkout; it runs that
-# checkout's CLI and bench harness through dune.  The outputs land in
-# golden-out/; the host-dependent lines (banner, output paths,
-# wallclock) are filtered out before hashing.  Exits non-zero if any
-# pinned output differs.
+# checkout's CLI through dune.  The outputs land in golden-out/; the
+# host-dependent lines (output paths, wallclock) are filtered out before
+# hashing.  Exits non-zero if any pinned output differs.
 set -eu
 
 CUP="dune exec bin/cup_cli.exe --"
-BENCH="dune exec bench/main.exe --"
 OUT=golden-out
 SUMS=$(cd "$(dirname "$0")" && pwd)/golden.sha256
 mkdir -p "$OUT"
 
 # The table1 experiment at one job: its CSV and its printed tables.
 table1() {
-  $BENCH table1 --jobs 1 --csv "$OUT/csv" \
-    | grep -v -e '^CUP benchmark harness' -e '^(wrote ' > "$OUT/table1.txt"
+  $CUP exp table1 --jobs 1 --csv "$OUT/csv" \
+    | grep -v '^(wrote ' > "$OUT/table1.txt"
   cp "$OUT/csv/table1.csv" "$OUT/table1.csv"
 }
 
@@ -29,9 +27,9 @@ table1() {
 # and the eight CSVs they write.
 paper() {
   rm -rf "$OUT/paper-csv"
-  $BENCH fig3 fig4 table2 table3 fig5 fig6 ablations overlays techniques \
+  $CUP exp fig3 fig4 table2 table3 fig5 fig6 ablations overlays techniques \
     model justification --jobs 1 --csv "$OUT/paper-csv" \
-    | grep -v -e '^CUP benchmark harness' -e '^(wrote ' > "$OUT/paper.txt"
+    | grep -v '^(wrote ' > "$OUT/paper.txt"
   for f in "$OUT"/paper-csv/*.csv; do
     cp "$f" "$OUT/paper-$(basename "$f")"
   done

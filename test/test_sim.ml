@@ -1269,6 +1269,12 @@ let test_push_level_sweep_structure () =
   Alcotest.(check bool) "miss cost decreases with push level" true
     (at 8 <= at 2 && at 2 <= at 0)
 
+(* A misspelt name must fail before any named experiment runs. *)
+let test_print_rejects_unknown () =
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Experiments.print: unknown experiment tabel1")
+    (fun () -> E.print E.Scaled [ "table1"; "tabel1" ])
+
 let () =
   Alcotest.run "cup_sim"
     [
@@ -1396,5 +1402,7 @@ let () =
         [
           Alcotest.test_case "push level sweep" `Slow
             test_push_level_sweep_structure;
+          Alcotest.test_case "print rejects unknown names" `Quick
+            test_print_rejects_unknown;
         ] );
     ]
