@@ -263,12 +263,13 @@ val print :
     section banner, tables and (for the figures) ASCII plots.  Figure
     3 sweeps the two lowest rates, Figure 4 the two highest, Figure 5
     runs at the second rate and Figure 6 at the highest.  When fig3 or
-    fig4 runs before table1, table1's optimal row reuses their sweeps.
-    With [csv_dir] (created if missing), fig3-fig6 and table1-table3
-    also write their CSV files there, each followed by a
-    ["(wrote PATH)"] line.  Raises [Invalid_argument] if [selected]
-    names an experiment outside {!names}, and [Sys_error] if
-    [csv_dir] cannot be created (before anything runs) or written. *)
+    fig4 is named too, table1's optimal row reuses their sweeps and
+    covers only their rates.  With [csv_dir] (created if missing),
+    fig3-fig6 and table1-table3 also write their CSV files there, each
+    announced by a ["(wrote PATH)"] line.  Raises [Invalid_argument]
+    if [selected] names an experiment outside {!names}, and
+    [Sys_error] if [csv_dir] cannot be created (before anything runs)
+    or written. *)
 
 val print_push_level :
   ?csv_dir:string -> log_y:bool -> title:string -> push_level_series list -> unit
