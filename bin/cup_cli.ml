@@ -653,7 +653,7 @@ let run_cmd =
         with
         key_dist = (if zipf = 0. then `Uniform else `Zipf zipf);
         crashes =
-          (if crash_rate > 0. then
+          (if crash_rate <> 0. then
              Some
                {
                  Scenario.crash_rate;
@@ -662,23 +662,23 @@ let run_cmd =
                }
            else None);
         loss =
-          (if loss_rate > 0. then
+          (if loss_rate <> 0. then
              Some { Scenario.drop = loss_rate; jitter = loss_jitter }
            else None);
         partition =
-          (if partition_frac > 0. then
+          (if partition_frac <> 0. then
              Some
                {
                  Scenario.fraction = partition_frac;
                  p_start = partition_start;
                  p_duration =
-                   (if partition_duration > 0. then partition_duration
-                    else duration);
+                   (if partition_duration = 0. then duration
+                    else partition_duration);
                  symmetric = partition_symmetric;
                }
            else None);
         reorder =
-          (if reorder_rate > 0. then
+          (if reorder_rate <> 0. then
              Some
                {
                  Scenario.r_probability = reorder_rate;
@@ -686,7 +686,7 @@ let run_cmd =
                }
            else None);
         duplication =
-          (if duplicate_rate > 0. then
+          (if duplicate_rate <> 0. then
              Some { Scenario.d_probability = duplicate_rate }
            else None);
       }
@@ -706,23 +706,15 @@ let run_cmd =
       exit 1
     end;
     (match sample_interval with
-    | Some i when i <= 0. ->
-        prerr_endline "cup run: --sample-interval must be > 0";
+    | Some i when not (Float.is_finite i && i > 0.) ->
+        prerr_endline "cup run: --sample-interval must be finite and > 0";
         exit 1
     | _ -> ());
-    if crash_rate < 0. then begin
-      prerr_endline "cup run: --crash-rate must be >= 0";
-      exit 1
-    end;
     if crash_rate > 0. && crash_recover <= 0. then begin
       prerr_endline "cup run: --crash-recover must be > 0";
       exit 1
     end;
-    if loss_rate < 0. || loss_rate > 1. then begin
-      prerr_endline "cup run: --loss-rate must be in [0, 1]";
-      exit 1
-    end;
-    if loss_jitter < 0. || loss_jitter > 1. then begin
+    if not (loss_jitter >= 0. && loss_jitter <= 1.) then begin
       prerr_endline "cup run: --loss-jitter must be in [0, 1]";
       exit 1
     end;
@@ -1261,6 +1253,10 @@ let top_cmd =
 
 let sweep_cmd =
   let action full rate jobs =
+    if not (Float.is_finite rate && rate > 0.) then begin
+      prerr_endline "cup sweep: --rate must be finite and > 0";
+      exit 1
+    end;
     let scale = if full then E.Full else E.Scaled in
     let s =
       with_jobs jobs (fun pool -> E.push_level_sweep ?pool scale ~rate)

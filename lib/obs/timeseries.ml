@@ -70,7 +70,8 @@ let take t at =
   c.c_dropped <- dropped
 
 let attach ?(interval = 10.) live =
-  if interval <= 0. then invalid_arg "Timeseries.attach: interval must be > 0";
+  if not (Float.is_finite interval && interval > 0.) then
+    invalid_arg "Timeseries.attach: interval must be finite and > 0";
   let t =
     {
       live;

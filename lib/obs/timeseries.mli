@@ -33,7 +33,8 @@ val attach : ?interval:float -> Cup_sim.Runner.Live.t -> t
 (** Schedule sampling every [interval] virtual seconds (default 10.),
     from the next multiple of [interval] after the current virtual
     time through {!Cup_sim.Scenario.sim_end}.  Attach before running.
-    Raises [Invalid_argument] if [interval <= 0.]. *)
+    Raises [Invalid_argument] unless [interval] is finite and
+    [> 0.]. *)
 
 val interval : t -> float
 

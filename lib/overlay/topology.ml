@@ -1,12 +1,15 @@
 (* Routing state is flat.  Nodes sit in one array indexed by id.  A
    node keeps its neighbors as an [int array] of ids in increasing
-   order, and its zones' bounds as one [float array], four floats per
-   zone ([x_lo; x_hi; y_lo; y_hi]) in the order of [zones].  So
-   [next_hop] is one loop over ints and unboxed floats: it looks up no
-   table, follows no list and allocates nothing per neighbor.  The
-   arrays only ever name alive nodes ([leave] removes the departing
-   node from every neighbor's array), and their increasing order gives
-   the routing tie-break, equal distance to the lower id, for free.
+   order.  Beside the node array, also by id, sit a liveness map (one
+   byte per id) and each node's zone bounds as one [float array], four
+   floats per zone ([x_lo; x_hi; y_lo; y_hi]) in the order of [zones].
+   So [is_alive] and [owns] load no node record, and [next_hop] is one
+   loop over ints and unboxed floats: it looks up no table, follows no
+   list, loads no neighbor's record and allocates nothing per neighbor.
+   The neighbor arrays only ever name alive nodes ([leave] removes the
+   departing node from every neighbor's array), and their increasing
+   order gives the routing tie-break, equal distance to the lower id,
+   for free.
 
    Point location: CAN's zone-split history is kept as a binary
    space-partition tree over the unit square, so finding the zone that
@@ -25,13 +28,15 @@ type node = {
   id : Node_id.t;
   mutable zones : Zone.t list;
   mutable leaves : int list; (* the tree cells of [zones], same order *)
-  mutable bounds : float array; (* [zones] flattened, four floats each *)
   mutable neighbors : int array; (* alive neighbor ids, increasing *)
-  mutable alive : bool;
 }
 
 type t = {
   mutable nodes : node array; (* by id; slots from [next_id] on are [vacant] *)
+  mutable alive : Bytes.t; (* by id: '\001' while the node is alive *)
+  mutable bounds : float array array;
+      (* by id: an alive node's [zones] flattened, four floats each;
+         [[||]] for every other id *)
   mutable alive_count : int;
   mutable next_id : int;
   mutable generation : int; (* bumped on every membership change *)
@@ -50,15 +55,7 @@ type change = {
 }
 
 (* Fills the node slots no id has reached yet.  Never mutated. *)
-let vacant =
-  {
-    id = Node_id.of_int 0;
-    zones = [];
-    leaves = [];
-    bounds = [||];
-    neighbors = [||];
-    alive = false;
-  }
+let vacant = { id = Node_id.of_int 0; zones = []; leaves = []; neighbors = [||] }
 
 let bounds_of zones =
   let b = Array.make (4 * List.length zones) 0. in
@@ -71,14 +68,19 @@ let bounds_of zones =
     zones;
   b
 
-let set_zones node zones leaves =
+let set_zones t node zones leaves =
   node.zones <- zones;
   node.leaves <- leaves;
-  node.bounds <- bounds_of zones
+  t.bounds.(Node_id.to_int node.id) <- bounds_of zones
+
+let[@inline] alive_at t i = Bytes.get t.alive i <> '\000'
+
+let is_alive t id =
+  let i = Node_id.to_int id in
+  i < t.next_id && alive_at t i
 
 let get t id =
-  let i = Node_id.to_int id in
-  if i < t.next_id && t.nodes.(i).alive then t.nodes.(i) else raise Not_found
+  if is_alive t id then t.nodes.(Node_id.to_int id) else raise Not_found
 
 let size t = t.alive_count
 
@@ -92,16 +94,12 @@ let node_ids t =
   else begin
     let ids = ref [] in
     for i = t.next_id - 1 downto 0 do
-      if t.nodes.(i).alive then ids := t.nodes.(i).id :: !ids
+      if alive_at t i then ids := t.nodes.(i).id :: !ids
     done;
     t.ids_gen <- t.generation;
     t.ids_cache <- !ids;
     !ids
   end
-
-let is_alive t id =
-  let i = Node_id.to_int id in
-  i < t.next_id && t.nodes.(i).alive
 
 let neighbors t id =
   Array.fold_right
@@ -118,7 +116,7 @@ let nodes_adjacent a b =
     (fun za -> List.exists (fun zb -> Zone.adjacent za zb) b.zones)
     a.zones
 
-(* Whether one of the zones in [b], a node's [bounds] from zone [k] on,
+(* Whether one of the zones in [b], a node's bounds from zone [k] on,
    holds [p]: {!Zone.contains}. *)
 let rec bounds_contain b (p : Point.t) k =
   k < Array.length b
@@ -180,8 +178,7 @@ let key_point t key =
 
 let owner_of_key t k = owner_of_point t (key_point t k)
 
-let owns t id p =
-  is_alive t id && bounds_contain t.nodes.(Node_id.to_int id).bounds p 0
+let owns t id p = is_alive t id && bounds_contain t.bounds.(Node_id.to_int id) p 0
 
 (* Greedy CAN step: the neighbor whose region is closest to [p].  A
    region's distance is the least [Zone.distance_to_point] over its
@@ -191,15 +188,15 @@ let owns t id p =
 let next_hop t id (p : Point.t) =
   if not (is_alive t id) then Route.Stuck Route.Dead_node
   else
-    let node = t.nodes.(Node_id.to_int id) in
-    if bounds_contain node.bounds p 0 then Route.Owner
+    let i = Node_id.to_int id in
+    if bounds_contain t.bounds.(i) p 0 then Route.Owner
     else
-      let ns = node.neighbors in
+      let ns = t.nodes.(i).neighbors in
       if Array.length ns = 0 then Route.Stuck Route.No_progress
       else begin
         let best = ref ns.(0) and best_d = ref Float.infinity in
         for j = 0 to Array.length ns - 1 do
-          let b = t.nodes.(ns.(j)).bounds in
+          let b = t.bounds.(ns.(j)) in
           let d = ref Float.infinity and k = ref 0 in
           while !k < Array.length b do
             let dx = axis_gap p.x b.(!k) b.(!k + 1) in
@@ -254,11 +251,11 @@ let without_edge a n =
 
 (* Recompute the neighbor relation between [node] and every candidate,
    fixing both directions.  Returns candidates whose sets changed. *)
-let refresh_edges node candidates =
+let refresh_edges t node candidates =
   let n = Node_id.to_int node.id in
   List.filter
     (fun cand ->
-      if not cand.alive || Node_id.equal cand.id node.id then false
+      if (not (is_alive t cand.id)) || Node_id.equal cand.id node.id then false
       else begin
         let c = Node_id.to_int cand.id in
         let adjacent = nodes_adjacent node cand in
@@ -280,19 +277,18 @@ let refresh_edges node candidates =
 (* A new node owning [zone], whose tree leaf is [leaf]. *)
 let fresh_node t zone leaf =
   let i = t.next_id in
-  if i = Array.length t.nodes then
-    t.nodes <- Array.append t.nodes (Array.make (Stdlib.max 1 i) vacant);
+  if i = Array.length t.nodes then begin
+    let more = Stdlib.max 1 i in
+    t.nodes <- Array.append t.nodes (Array.make more vacant);
+    t.alive <- Bytes.cat t.alive (Bytes.make more '\000');
+    t.bounds <- Array.append t.bounds (Array.make more [||])
+  end;
   let node =
-    {
-      id = Node_id.of_int i;
-      zones = [ zone ];
-      leaves = [ leaf ];
-      bounds = bounds_of [ zone ];
-      neighbors = [||];
-      alive = true;
-    }
+    { id = Node_id.of_int i; zones = [ zone ]; leaves = [ leaf ]; neighbors = [||] }
   in
   t.nodes.(i) <- node;
+  Bytes.set t.alive i '\001';
+  t.bounds.(i) <- bounds_of [ zone ];
   t.next_id <- i + 1;
   t.tags.(leaf) <- i;
   t.alive_count <- t.alive_count + 1;
@@ -335,7 +331,7 @@ let join_at t p =
       if Zone.contains low p then (high, low_cell + 1, low, low_cell)
       else (low, low_cell, high, low_cell + 1)
     in
-    set_zones owner
+    set_zones t owner
       (keep :: List.filter (fun z -> not (Zone.equal z zone)) owner.zones)
       (keep_cell :: List.filter (fun c -> c <> leaf) owner.leaves);
     t.tags.(keep_cell) <- (owner.id :> int);
@@ -343,8 +339,8 @@ let join_at t p =
     (* Only previous neighbors of the split node (and the split node
        itself) can gain or lose an edge. *)
     let candidates = owner :: neighbor_nodes t owner in
-    let touched_new = refresh_edges node candidates in
-    let touched_owner = refresh_edges owner candidates in
+    let touched_new = refresh_edges t node candidates in
+    let touched_owner = refresh_edges t owner candidates in
     let affected =
       List.sort_uniq Node_id.compare
         (owner.id
@@ -389,21 +385,22 @@ let leave t id =
     | None -> assert false (* alive > 1 implies at least one neighbor *)
     | Some (taker, _) -> taker
   in
-  node.alive <- false;
+  let gone = Node_id.to_int id in
+  Bytes.set t.alive gone '\000';
+  t.bounds.(gone) <- [||];
   t.alive_count <- t.alive_count - 1;
   t.generation <- t.generation + 1;
   (* Drop the departed node from every neighbor's array. *)
-  let gone = Node_id.to_int id in
   List.iter
     (fun n -> n.neighbors <- without_edge n.neighbors gone)
     departing_neighbors;
-  set_zones taker (node.zones @ taker.zones) (node.leaves @ taker.leaves);
+  set_zones t taker (node.zones @ taker.zones) (node.leaves @ taker.leaves);
   List.iter (fun c -> t.tags.(c) <- (taker.id :> int)) node.leaves;
   let candidates =
     List.filter (fun n -> not (Node_id.equal n.id taker.id)) departing_neighbors
     @ neighbor_nodes t taker
   in
-  let touched = refresh_edges taker candidates in
+  let touched = refresh_edges t taker candidates in
   let affected =
     List.sort_uniq Node_id.compare
       (taker.id
@@ -417,6 +414,8 @@ let create ?rng ~n ~placement () =
   let t =
     {
       nodes = Array.make n vacant;
+      alive = Bytes.make n '\000';
+      bounds = Array.make n [||];
       alive_count = 0;
       next_id = 0;
       generation = 0;
@@ -453,18 +452,34 @@ let create ?rng ~n ~placement () =
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let* () =
+    let slots = Array.length t.nodes in
+    if Bytes.length t.alive <> slots || Array.length t.bounds <> slots then
+      Error "liveness map or bounds array not sized to the node array"
+    else Ok ()
+  in
+  (* Every slot: the node array holds the id's node, the liveness map
+     holds a flag that is set only below [next_id], and a slot that is
+     not alive has no bounds. *)
+  let* () =
     let misplaced = ref None in
     Array.iteri
       (fun i node ->
-        if i < t.next_id && Node_id.to_int node.id <> i then misplaced := Some i
-        else if i >= t.next_id && node != vacant then misplaced := Some i)
+        let flag = Bytes.get t.alive i in
+        if
+          (i < t.next_id && Node_id.to_int node.id <> i)
+          || (i >= t.next_id && node != vacant)
+        then misplaced := Some (i, "holds the wrong node")
+        else if flag <> '\000' && (flag <> '\001' || i >= t.next_id) then
+          misplaced := Some (i, "has a bad liveness flag")
+        else if flag = '\000' && t.bounds.(i) <> [||] then
+          misplaced := Some (i, "is not alive but has zone bounds"))
       t.nodes;
     match !misplaced with
     | None -> Ok ()
-    | Some i -> Error (Printf.sprintf "node slot %d holds the wrong node" i)
+    | Some (i, what) -> Error (Printf.sprintf "node slot %d %s" i what)
   in
   let all =
-    List.filter (fun node -> node.alive) (Array.to_list t.nodes)
+    List.filteri (fun i _ -> i < t.next_id && alive_at t i) (Array.to_list t.nodes)
   in
   let* () =
     if List.length all = t.alive_count then Ok ()
@@ -520,9 +535,9 @@ let check_invariants t =
         (Printf.sprintf "tree has %d leaves; alive nodes hold %d zones, %d leaves"
            tree_leaves zones leaves)
   in
-  (* The flat routing state: bounds are the zones flattened, and the
-     neighbor array is exactly the geometrically adjacent alive nodes,
-     in increasing order ([all] is in id order). *)
+  (* The flat routing state: an alive node's bounds are its zones
+     flattened, and its neighbor array is exactly the geometrically
+     adjacent alive nodes, in increasing order ([all] is in id order). *)
   let check_node node =
     let geometric =
       List.filter
@@ -532,7 +547,7 @@ let check_invariants t =
       |> List.map (fun n -> Node_id.to_int n.id)
       |> Array.of_list
     in
-    if node.bounds <> bounds_of node.zones then
+    if t.bounds.(Node_id.to_int node.id) <> bounds_of node.zones then
       Error
         (Format.asprintf "node %a: zone bounds out of sync" Node_id.pp node.id)
     else if node.neighbors <> geometric then

@@ -49,6 +49,7 @@ val node_ids : t -> Node_id.t list
 (** Alive node ids in increasing order.  Memoized per {!generation}. *)
 
 val is_alive : t -> Node_id.t -> bool
+(** One load from a per-id liveness map; no node record is read. *)
 
 val neighbors : t -> Node_id.t -> Node_id.t list
 (** Neighbor ids in increasing order.  Raises [Not_found] if the node
@@ -83,8 +84,8 @@ val next_hop : t -> Node_id.t -> Point.t -> Route.hop
     [n]; [Stuck No_progress] when [n] has no neighbors — impossible
     while the tiling invariant holds, but reported as data rather than
     raised so fault injection cannot abort a run.  One loop over flat
-    arrays of neighbor ids and zone bounds; it allocates only the
-    answer. *)
+    arrays of neighbor ids and zone bounds; it loads no neighbor's node
+    record and allocates only the answer. *)
 
 val route : t -> from:Node_id.t -> Point.t -> Route.t
 (** [Delivered hops]: successive hops from [from] (exclusive) to the
@@ -110,6 +111,7 @@ val check_invariants : t -> (unit, string) result
     to 1), the zone-split tree's leaves are exactly the alive nodes'
     zones and each leaf's owner holds its zone, and the flat routing
     state matches the geometry: each node's slot in the node array
-    holds it, its zone bounds are its zones', and its neighbor array
-    lists exactly the alive nodes adjacent to it, in increasing order.
-    For tests. *)
+    holds it, the liveness map flags exactly the alive nodes, the
+    bounds array holds each alive node's zones and nothing for any
+    other id, and each neighbor array lists exactly the alive nodes
+    adjacent to its node, in increasing order.  For tests. *)

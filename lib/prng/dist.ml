@@ -1,22 +1,22 @@
-let exponential rng ~rate =
+(* Loops, not local recursive functions: a closure would be allocated
+   per call and a float returned from one is boxed. *)
+let[@inline] exponential rng ~rate =
   if not (rate > 0.) then invalid_arg "Dist.exponential: rate must be > 0";
   (* Inversion: -ln(U)/rate.  [Rng.float] is in [0,1), so guard the
      u = 0 endpoint which would yield infinity. *)
-  let rec positive_uniform () =
-    let u = Rng.float rng in
-    if u > 0. then u else positive_uniform ()
-  in
-  -.log (positive_uniform ()) /. rate
+  let u = ref (Rng.float rng) in
+  while not (!u > 0.) do
+    u := Rng.float rng
+  done;
+  -.log !u /. rate
 
 let normal rng ~mu ~sigma =
-  let rec draw () =
-    let u1 = Rng.float rng in
-    if u1 <= 0. then draw ()
-    else
-      let u2 = Rng.float rng in
-      mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-  in
-  draw ()
+  let u1 = ref (Rng.float rng) in
+  while !u1 <= 0. do
+    u1 := Rng.float rng
+  done;
+  let u2 = Rng.float rng in
+  mu +. (sigma *. sqrt (-2. *. log !u1) *. cos (2. *. Float.pi *. u2))
 
 let poisson rng ~mean =
   if mean < 0. then invalid_arg "Dist.poisson: mean must be >= 0";

@@ -1,4 +1,4 @@
-type t = { gen : Splitmix.t }
+type t = { gen : Splitmix.t } [@@unboxed]
 
 let create ~seed = { gen = Splitmix.create (Int64.of_int seed) }
 
@@ -20,7 +20,7 @@ let substream t name =
 
 let split t = { gen = Splitmix.split t.gen }
 
-let float t = Splitmix.next_float t.gen
+let[@inline] float t = Splitmix.next_float t.gen
 
 let float_range t lo hi =
   if not (lo < hi) then invalid_arg "Rng.float_range: lo must be < hi";

@@ -9,7 +9,11 @@
     platforms — a requirement for reproducible simulation runs. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit word, held unboxed, so a step
+    allocates nothing.  {!mix}, {!next_int64} and {!next_float} are
+    inlined across modules in the release build, where a float draw
+    stays unboxed into its caller; {!next_int} is a loop that
+    allocates nothing. *)
 
 val create : int64 -> t
 (** [create seed] makes a fresh generator from a 64-bit seed. *)

@@ -144,19 +144,16 @@ let table1 ?pool ?optimal scale =
         })
       table1_policies
   in
-  let optimal_series =
-    match optimal with
-    | Some series -> series
-    | None -> List.map (fun rate -> push_level_sweep ?pool scale ~rate) rs
-  in
+  let given = Option.value optimal ~default:[] in
   let optimal_cells =
-    List.filter_map
+    List.map
       (fun rate ->
-        match
-          List.find_opt (fun s -> s.rate = rate) optimal_series
-        with
-        | Some s -> Some (rate, normalize rate s.optimal_total)
-        | None -> None)
+        let s =
+          match List.find_opt (fun s -> s.rate = rate) given with
+          | Some s -> s
+          | None -> push_level_sweep ?pool scale ~rate
+        in
+        (rate, normalize rate s.optimal_total))
       rs
   in
   rows @ [ { policy_label = "optimal push level"; cells = optimal_cells } ]

@@ -66,9 +66,10 @@ val table1 :
   scale ->
   policy_row list
 (** Rows: standard caching, linear and logarithmic policies across the
-    paper's α values, second-chance, and the optimal push level (taken
-    from [optimal] when provided — e.g. the Figure 3/4 sweeps — or
-    from a fresh sweep otherwise). *)
+    paper's α values, second-chance, and the optimal push level at
+    every rate: taken from the [optimal] series at that rate when one
+    is given (e.g. the Figure 3/4 sweeps), from a fresh sweep
+    otherwise. *)
 
 (** {1 Table 2: varying the network size} *)
 
@@ -264,7 +265,7 @@ val print :
     3 sweeps the two lowest rates, Figure 4 the two highest, Figure 5
     runs at the second rate and Figure 6 at the highest.  When fig3 or
     fig4 is named too, table1's optimal row reuses their sweeps and
-    covers only their rates.  With [csv_dir] (created if missing),
+    sweeps the other rates itself.  With [csv_dir] (created if missing),
     fig3-fig6 and table1-table3 also write their CSV files there, each
     announced by a ["(wrote PATH)"] line.  Raises [Invalid_argument]
     if [selected] names an experiment outside {!names}, and

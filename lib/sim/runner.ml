@@ -396,8 +396,11 @@ let judge_pending_updates t ~node ~key =
    later.  Hops are recorded at delivery so that first-time-update
    hops can be classified by the receiver's pending flag. *)
 
-let rec perform t ~ctx ~from actions =
-  List.iter (fun a -> perform_one t ~ctx ~from a) actions
+let rec perform t ~ctx ~from = function
+  | [] -> ()
+  | a :: rest ->
+      perform_one t ~ctx ~from a;
+      perform t ~ctx ~from rest
 
 and perform_one t ~ctx ~from = function
   | Node.Send_query { to_; key } -> send_query t ~ctx ~from ~to_ ~attempt:0 key
@@ -470,7 +473,9 @@ and perform_one t ~ctx ~from = function
                parent_id = ctx.sc_parent;
              });
       if hit then begin
-        List.iter (fun _ -> Counters.record_hit t.counters) posted_at;
+        for _ = 1 to List.length posted_at do
+          Counters.record_hit t.counters
+        done;
         match t.attribution with
         | Some a ->
             let key = Key.to_int key and node = Node_id.to_int from in
@@ -1062,18 +1067,19 @@ let post_query t ~node ~key =
    event schedules the next, keeping the event heap small. *)
 
 let pump_queries t gen =
-  let rec next () =
-    match Cup_workload.Query_gen.next gen with
-    | None -> ()
-    | Some e ->
-        ignore
-          (Engine.schedule ~label:"pump.query" t.engine ~at:e.at (fun _ ->
-               let node = Node_id.of_int e.node_index in
-               let key = t.keys.(e.key_index) in
-               post_query t ~node ~key;
-               next ()))
+  let module Q = Cup_workload.Query_gen in
+  (* One callback per generator: it posts the arrival the cursor is on,
+     then schedules itself at the next one. *)
+  let rec arrive _ =
+    post_query t
+      ~node:(Node_id.of_int (Q.node_index gen))
+      ~key:t.keys.(Q.key_index gen);
+    schedule ()
+  and schedule () =
+    if Q.next gen then
+      ignore (Engine.schedule ~label:"pump.query" t.engine ~at:(Q.at gen) arrive)
   in
-  next ()
+  schedule ()
 
 (* An origin-server replica event roots a new trace.  No event is
    emitted for the root itself, so its children carry [parent_id = 0]:

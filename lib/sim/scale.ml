@@ -323,11 +323,12 @@ let run ?tracer cfg =
         (if cfg.zipf > 0. then Query_gen.Zipf (cfg.keys, cfg.zipf)
          else Query_gen.Uniform cfg.keys)
   in
-  Query_gen.fold gen ~init:() ~f:(fun () (ev : Query_gen.event) ->
+  Query_gen.fold gen ~init:() ~f:(fun () gen ->
+      let node = Query_gen.node_index gen in
       push_local
-        (window_of (Time.to_seconds ev.at))
-        (shard_of ev.node_index)
-        (L_post { node = ev.node_index; key = ev.key_index; idx = !idx });
+        (window_of (Time.to_seconds (Query_gen.at gen)))
+        (shard_of node)
+        (L_post { node; key = Query_gen.key_index gen; idx = !idx });
       incr idx);
   (* {2 Shard state} *)
   let node_cfg = Node.default_config in

@@ -4,17 +4,19 @@ module Dist = Cup_prng.Dist
 
 type key_dist = Uniform of int | Zipf of int * float | Fixed of int
 
-type event = { at : Time.t; key_index : int; node_index : int }
-
 type sampler = Uniform_s of int | Zipf_s of Dist.zipf | Fixed_s of int
+
+(* Only floats, so OCaml stores the record flat and moving the cursor
+   allocates no boxed time. *)
+type times = { rate : float; stop : Time.t; mutable clock : Time.t }
 
 type t = {
   rng : Rng.t;
-  rate : float;
-  stop : Time.t;
   nodes : int;
   sampler : sampler;
-  mutable clock : Time.t;
+  times : times;
+  mutable key_index : int;
+  mutable node_index : int;
 }
 
 let create ~rng ~rate ~start ~stop ~nodes ~key_dist =
@@ -31,7 +33,14 @@ let create ~rng ~rate ~start ~stop ~nodes ~key_dist =
         if i < 0 then invalid_arg "Query_gen.create: negative key index";
         Fixed_s i
   in
-  { rng; rate; stop; nodes; sampler; clock = start }
+  {
+    rng;
+    nodes;
+    sampler;
+    times = { rate; stop; clock = start };
+    key_index = 0;
+    node_index = 0;
+  }
 
 let sample_key t =
   match t.sampler with
@@ -39,18 +48,26 @@ let sample_key t =
   | Zipf_s z -> Dist.zipf_sample z t.rng
   | Fixed_s i -> i
 
+(* Each arrival draws its gap, then its node, then its key: the order
+   every pinned run was recorded with. *)
 let next t =
-  let gap = Dist.exponential t.rng ~rate:t.rate in
-  let at = Time.add t.clock gap in
-  if Time.(at > t.stop) then begin
-    t.clock <- t.stop;
-    None
+  let times = t.times in
+  let at = Time.add times.clock (Dist.exponential t.rng ~rate:times.rate) in
+  if Time.(at > times.stop) then begin
+    times.clock <- times.stop;
+    false
   end
   else begin
-    t.clock <- at;
-    Some { at; key_index = sample_key t; node_index = Rng.int t.rng t.nodes }
+    times.clock <- at;
+    t.node_index <- Rng.int t.rng t.nodes;
+    t.key_index <- sample_key t;
+    true
   end
 
+let at t = t.times.clock
+let key_index t = t.key_index
+let node_index t = t.node_index
+
 let fold t ~init ~f =
-  let rec loop acc = match next t with None -> acc | Some e -> loop (f acc e) in
+  let rec loop acc = if next t then loop (f acc t) else acc in
   loop init

@@ -6,15 +6,16 @@
     posting node uniformly from [0, nodes) — "nodes were randomly
     selected to post the queries".
 
-    The generator is a pull stream so the simulator can schedule one
-    arrival at a time instead of materializing millions of events. *)
+    The generator is a cursor over the arrivals, so the simulator can
+    schedule one arrival at a time instead of materializing millions
+    of events.  {!next} moves it to the next arrival, which {!at},
+    {!key_index} and {!node_index} then read; a step allocates
+    nothing. *)
 
 type key_dist =
   | Uniform of int  (** uniform over [n] keys *)
   | Zipf of int * float  (** [n] keys with Zipf exponent [s] *)
   | Fixed of int  (** every query targets key index [i] (flash crowd) *)
-
-type event = { at : Cup_dess.Time.t; key_index : int; node_index : int }
 
 type t
 
@@ -28,9 +29,22 @@ val create :
   t
 (** Requires [rate > 0.], [nodes > 0], [start <= stop]. *)
 
-val next : t -> event option
-(** The next arrival, or [None] once past [stop].  Arrival times are
-    strictly increasing. *)
+val next : t -> bool
+(** Advance to the next arrival: [true] when there is one, [false]
+    once past [stop].  Arrival times are strictly increasing.  An
+    arrival draws its inter-arrival gap, then its node, then its key,
+    from the generator's stream. *)
 
-val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
-(** Drain the stream (for tests and non-interactive analyses). *)
+val at : t -> Cup_dess.Time.t
+(** The current arrival's time ([stop] once {!next} has returned
+    [false]). *)
+
+val key_index : t -> int
+(** The current arrival's key index. *)
+
+val node_index : t -> int
+(** The current arrival's posting node index. *)
+
+val fold : t -> init:'a -> f:('a -> t -> 'a) -> 'a
+(** Drain the stream, calling [f] at each arrival with the generator
+    positioned on it (for tests and non-interactive analyses). *)

@@ -1383,9 +1383,13 @@ let prop_span_index_matches_hashtbl =
 
 let test_timeseries_rejects_bad_interval () =
   let live = Runner.Live.create quiet_base in
-  Alcotest.check_raises "zero interval"
-    (Invalid_argument "Timeseries.attach: interval must be > 0") (fun () ->
-      ignore (Timeseries.attach ~interval:0. live));
+  List.iter
+    (fun (name, interval) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Timeseries.attach: interval must be finite and > 0")
+        (fun () -> ignore (Timeseries.attach ~interval live)))
+    [ ("zero interval", 0.); ("NaN interval", Float.nan);
+      ("infinite interval", Float.infinity) ];
   ignore (Runner.Live.finish live)
 
 (* {1 HTTP server} *)

@@ -61,6 +61,96 @@ let test_mix_is_stateless_hash () =
   Alcotest.(check bool) "mix spreads" true
     (Splitmix.mix 1L <> Splitmix.mix 2L)
 
+(* Vigna's splitmix64.c from state 0. *)
+let test_splitmix_known_answers () =
+  let g = Splitmix.create 0L in
+  List.iter
+    (fun want -> Alcotest.(check int64) "splitmix64.c" want (Splitmix.next_int64 g))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
+(* The generator and samplers as they were written with a boxed
+   [int64] state and local closures.  Every stream must match this
+   copy draw for draw, or every pinned run would change. *)
+module Reference = struct
+  type gen = { mutable state : int64 }
+
+  let mix z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let next_int64 g =
+    g.state <- Int64.add g.state 0x9E3779B97F4A7C15L;
+    mix g.state
+
+  let next_float g =
+    Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) *. 0x1p-53
+
+  let next_int g bound =
+    let bound64 = Int64.of_int bound in
+    let rec draw () =
+      let bits = Int64.shift_right_logical (next_int64 g) 1 in
+      let value = Int64.rem bits bound64 in
+      if Int64.(sub (add bits (sub bound64 1L)) value) < 0L then draw ()
+      else Int64.to_int value
+    in
+    draw ()
+
+  let split g =
+    let seed = next_int64 g in
+    { state = mix (Int64.logxor seed 0x5851F42D4C957F2DL) }
+
+  let substream g name =
+    let h = ref 0xCBF29CE484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.logxor !h (Int64.of_int (Char.code c));
+        h := Int64.mul !h 0x100000001B3L)
+      name;
+    let base = next_int64 { state = g.state } in
+    { state = mix (Int64.logxor base !h) }
+
+  let exponential g ~rate =
+    let rec positive_uniform () =
+      let u = next_float g in
+      if u > 0. then u else positive_uniform ()
+    in
+    -.log (positive_uniform ()) /. rate
+
+  let normal g ~mu ~sigma =
+    let rec draw () =
+      let u1 = next_float g in
+      if u1 <= 0. then draw ()
+      else
+        let u2 = next_float g in
+        mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
+    in
+    draw ()
+
+  let zipf_cdf ~n ~s =
+    let pmf = Array.init n (fun k -> 1. /. Float.pow (float_of_int (k + 1)) s) in
+    let total = Array.fold_left ( +. ) 0. pmf in
+    let acc = ref 0. in
+    let cdf =
+      Array.map
+        (fun w ->
+          acc := !acc +. (w /. total);
+          !acc)
+        pmf
+    in
+    cdf.(n - 1) <- 1.;
+    cdf
+
+  let zipf_sample cdf g =
+    let u = next_float g in
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    !lo
+end
+
 (* {1 Rng} *)
 
 let test_rng_substream_deterministic () =
@@ -257,11 +347,50 @@ let prop_zipf_sample_in_range =
       let k = Dist.zipf_sample z rng in
       0 <= k && k < n)
 
+let prop_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"draws match the boxed reference"
+    QCheck.(
+      quad int
+        (oneof [ int_range 1 1000; int_range 1 max_int ])
+        (float_range 0.001 1000.)
+        (pair (int_range 1 200) (float_range 0. 3.)))
+    (fun (seed, bound, rate, (n, s)) ->
+      let same = ref true in
+      let agree b = if not b then same := false in
+      let agree_float x y = agree (Int64.bits_of_float x = Int64.bits_of_float y) in
+      let g = Splitmix.create (Int64.of_int seed)
+      and rg = { Reference.state = Int64.of_int seed } in
+      let rng = Rng.create ~seed and r = { Reference.state = Int64.of_int seed } in
+      let z = Dist.zipf ~n ~s and cdf = Reference.zipf_cdf ~n ~s in
+      for _ = 1 to 20 do
+        agree (Splitmix.next_int64 g = Reference.next_int64 rg);
+        agree (Splitmix.next_int g bound = Reference.next_int rg bound);
+        agree_float (Splitmix.next_float g) (Reference.next_float rg);
+        agree (Rng.int rng bound = Reference.next_int r bound);
+        agree_float (Rng.float rng) (Reference.next_float r);
+        agree_float (Dist.exponential rng ~rate) (Reference.exponential r ~rate);
+        agree_float
+          (Dist.normal rng ~mu:1. ~sigma:rate)
+          (Reference.normal r ~mu:1. ~sigma:rate);
+        agree (Dist.zipf_sample z rng = Reference.zipf_sample cdf r)
+      done;
+      let sub = Rng.substream rng "queries"
+      and rsub = Reference.substream r "queries" in
+      agree (Rng.int64 sub = Reference.next_int64 rsub);
+      let child = Rng.split rng and rchild = Reference.split r in
+      agree (Rng.int64 child = Reference.next_int64 rchild);
+      agree (Rng.int64 rng = Reference.next_int64 r);
+      let gchild = Splitmix.split g and rgchild = Reference.split rg in
+      agree (Splitmix.next_int64 gchild = Reference.next_int64 rgchild);
+      agree (Splitmix.next_int64 (Splitmix.copy g) = Reference.next_int64 rg);
+      !same)
+
 let () =
   Alcotest.run "cup_prng"
     [
       ( "splitmix",
         [
+          Alcotest.test_case "known answers" `Quick test_splitmix_known_answers;
           Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick
             test_splitmix_seed_sensitivity;
@@ -307,5 +436,6 @@ let () =
             prop_next_int_in_bounds;
             prop_shuffle_is_permutation;
             prop_zipf_sample_in_range;
+            prop_matches_reference;
           ] );
     ]

@@ -1269,6 +1269,23 @@ let test_push_level_sweep_structure () =
   Alcotest.(check bool) "miss cost decreases with push level" true
     (at 8 <= at 2 && at 2 <= at 0)
 
+(* Given a sweep at one rate only, table1 sweeps the other rates
+   itself: the optimal row has a cell at every rate, and the given
+   rate's cell comes from the given (deliberately coarse) sweep. *)
+let test_table1_optimal_every_rate () =
+  let given = E.push_level_sweep ~levels:[ 0; 2 ] E.Scaled ~rate:0.25 in
+  let rows = E.table1 ~optimal:[ given ] E.Scaled in
+  let row label =
+    List.find (fun (r : E.policy_row) -> r.policy_label = label) rows
+  in
+  let optimal = row "optimal push level" in
+  Alcotest.(check (list (float 0.)))
+    "a cell at every rate"
+    (List.map fst (row "standard-caching").cells)
+    (List.map fst optimal.cells);
+  Alcotest.(check int) "the given sweep's total" given.optimal_total
+    (List.assoc 0.25 optimal.cells).total
+
 (* A misspelt name must fail before any named experiment runs. *)
 let test_print_rejects_unknown () =
   Alcotest.check_raises "unknown name"
@@ -1402,6 +1419,8 @@ let () =
         [
           Alcotest.test_case "push level sweep" `Slow
             test_push_level_sweep_structure;
+          Alcotest.test_case "table1 optimal row at every rate" `Slow
+            test_table1_optimal_every_rate;
           Alcotest.test_case "print rejects unknown names" `Quick
             test_print_rejects_unknown;
         ] );

@@ -12,7 +12,17 @@ let rng () = Rng.create ~seed:1234
 
 (* {1 Query generator} *)
 
-let drain_queries g = Query_gen.fold g ~init:[] ~f:(fun acc e -> e :: acc) |> List.rev
+type arrival = { at : Time.t; key_index : int; node_index : int }
+
+let drain_queries g =
+  Query_gen.fold g ~init:[] ~f:(fun acc g ->
+      {
+        at = Query_gen.at g;
+        key_index = Query_gen.key_index g;
+        node_index = Query_gen.node_index g;
+      }
+      :: acc)
+  |> List.rev
 
 let test_queries_within_window_and_increasing () =
   let g =
@@ -23,7 +33,7 @@ let test_queries_within_window_and_increasing () =
   Alcotest.(check bool) "nonempty" true (events <> []);
   let last = ref (Time.of_seconds 100.) in
   List.iter
-    (fun (e : Query_gen.event) ->
+    (fun (e : arrival) ->
       if Time.(e.at <= !last) then Alcotest.fail "times must increase";
       if Time.(e.at > Time.of_seconds 200.) then
         Alcotest.fail "event past stop";
@@ -50,7 +60,7 @@ let test_queries_fixed_key () =
       ~stop:(Time.of_seconds 100.) ~nodes:4 ~key_dist:(Query_gen.Fixed 3)
   in
   List.iter
-    (fun (e : Query_gen.event) ->
+    (fun (e : arrival) ->
       Alcotest.(check int) "fixed key" 3 e.key_index)
     (drain_queries g)
 
@@ -62,11 +72,37 @@ let test_queries_zipf_skew () =
   in
   let counts = Array.make 100 0 in
   List.iter
-    (fun (e : Query_gen.event) ->
+    (fun (e : arrival) ->
       counts.(e.key_index) <- counts.(e.key_index) + 1)
     (drain_queries g);
   Alcotest.(check bool) "rank 0 dominates rank 50" true
     (counts.(0) > 5 * Stdlib.max 1 counts.(50))
+
+(* The first 1,000 arrivals of two generators, each as time (hex
+   float), node and key.  The digests were taken from the generator
+   before it became a cursor: an arrival draws its gap, then its node,
+   then its key, and every pinned run depends on that order. *)
+let arrivals_digest g =
+  let b = Buffer.create 32_000 in
+  for _ = 1 to 1000 do
+    if Query_gen.next g then
+      Printf.bprintf b "%h %d %d\n" (Query_gen.at g) (Query_gen.node_index g)
+        (Query_gen.key_index g)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_queries_pinned () =
+  let gen ~seed ~rate ~nodes key_dist =
+    Query_gen.create ~rng:(Rng.create ~seed) ~rate ~start:Time.zero
+      ~stop:(Time.of_seconds 1e9) ~nodes ~key_dist
+  in
+  Alcotest.(check string)
+    "uniform" "32b843dd7f8ee5e23233bf69d3146774"
+    (arrivals_digest (gen ~seed:2024 ~rate:5. ~nodes:4096 (Query_gen.Uniform 64)));
+  Alcotest.(check string)
+    "zipf" "cecd799f83515b602033517905a40ddc"
+    (arrivals_digest
+       (gen ~seed:2025 ~rate:20. ~nodes:1024 (Query_gen.Zipf (1024, 1.0))))
 
 let test_queries_validation () =
   Alcotest.check_raises "bad rate"
@@ -281,6 +317,7 @@ let () =
           Alcotest.test_case "rate" `Quick test_queries_rate_approximates;
           Alcotest.test_case "fixed key" `Quick test_queries_fixed_key;
           Alcotest.test_case "zipf skew" `Quick test_queries_zipf_skew;
+          Alcotest.test_case "first arrivals pinned" `Quick test_queries_pinned;
           Alcotest.test_case "validation" `Quick test_queries_validation;
         ] );
       ( "replica_gen",
