@@ -9,8 +9,8 @@
     The generator is a cursor over the arrivals, so the simulator can
     schedule one arrival at a time instead of materializing millions
     of events.  {!next} moves it to the next arrival, which {!at},
-    {!key_index} and {!node_index} then read; a step allocates
-    nothing. *)
+    {!key_index} and {!node_index} then read.  In the release build,
+    where the float draws inline, a step allocates nothing. *)
 
 type key_dist =
   | Uniform of int  (** uniform over [n] keys *)
