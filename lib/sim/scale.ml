@@ -114,48 +114,28 @@ type result = {
   attribution : Attribution.t option;
 }
 
-(* {1 Events}
+(* {1 Messages}
 
-   Messages carry the emitting node and its per-source emission
-   sequence number: (src, seq) is globally unique, making the in-window
-   sort key a total order.  Workload events carry their pre-generation
-   index, which is globally unique and increasing by construction. *)
+   A message crosses the window barrier through {!Window_sync} keyed by
+   (destination, class, source), with an int argument — the key of a
+   query or clear-bit, or an update's answering bit — and the update
+   itself, or [no_update].  The canonical in-window order of
+   deliveries is (dst, cls, src, per-source emission sequence): the
+   exchange's stable sort gives it without comparing the sequence,
+   which is counted only for trace records. *)
 
-type payload =
-  | P_query of Key.t
-  | P_update of Update.t * bool (* answering *)
-  | P_clear of Key.t
+let cls_query = 0
+let cls_update = 1
+let cls_clear = 2
 
-type msg = { dst : int; cls : int; src : int; seq : int; payload : payload }
-
+(* Workload events carry their pre-generation index, which is globally
+   unique and increasing by construction.  A window's workload events
+   follow its deliveries (they were in flight when the window opened),
+   in index order — which puts every authority refresh before every
+   query post, since all refreshes are generated first. *)
 type local_ev =
   | L_refresh of { key : int; idx : int }
   | L_post of { node : int; key : int; idx : int }
-
-type work = W_msg of msg | W_local of local_ev
-
-(* Canonical in-window order of deliveries: destination, message class
-   (query, update, clear-bit), source, then the source's emission
-   sequence.  (src, seq) is globally unique, so no two messages tie. *)
-let compare_msg (a : msg) (b : msg) =
-  if a.dst <> b.dst then Int.compare a.dst b.dst
-  else if a.cls <> b.cls then Int.compare a.cls b.cls
-  else if a.src <> b.src then Int.compare a.src b.src
-  else Int.compare a.seq b.seq
-
-let local_idx = function L_refresh { idx; _ } | L_post { idx; _ } -> idx
-
-(* Canonical in-window processing order: deliveries first (they were
-   in flight when the window opened), then the window's workload
-   events by pre-generation index — which puts every authority refresh
-   before every query post, since all refreshes are generated first.
-   Every tie-break is an id independent of the shard layout. *)
-let compare_work a b =
-  match (a, b) with
-  | W_msg a, W_msg b -> compare_msg a b
-  | W_msg _, W_local _ -> -1
-  | W_local _, W_msg _ -> 1
-  | W_local a, W_local b -> Int.compare (local_idx a) (local_idx b)
 
 (* Each float check is written so that NaN and infinity fail it. *)
 let validate cfg =
@@ -168,8 +148,15 @@ let validate cfg =
     if not (Float.is_finite x && x >= 0.) then
       fail (name ^ " must be finite and >= 0")
   in
-  if cfg.nodes < 1 then fail "nodes must be >= 1";
-  if cfg.keys < 1 then fail "keys must be >= 1";
+  (* Node ids must fit the exchange's packed message key; key ids are
+     held to the same bound, which the [.ctrace] codec shares. *)
+  let ids name n =
+    if n < 1 then fail (name ^ " must be >= 1");
+    if n > Window_sync.id_limit then
+      fail (Printf.sprintf "%s must be <= %d" name Window_sync.id_limit)
+  in
+  ids "nodes" cfg.nodes;
+  ids "keys" cfg.keys;
   if cfg.replicas < 1 then fail "replicas must be >= 1";
   positive "rate" cfg.rate;
   if cfg.shards < 1 then fail "shards must be >= 1";
@@ -232,42 +219,39 @@ let trace_line = function
         "{\"w\":%d,\"type\":\"post\",\"node\":%d,\"key\":%d,\"idx\":%d,\"out\":%d}"
         w node key idx out
 
-let trace_event_of w work out =
-  match work with
-  | W_msg { dst; src; seq; payload; _ } ->
-      let body =
-        match payload with
-        | P_query key -> B_query (Key.to_int key)
-        | P_update (u, answering) ->
-            B_update
-              {
-                key = Key.to_int u.Update.key;
-                kind = u.Update.kind;
-                level = u.Update.level;
-                answering;
-              }
-        | P_clear key -> B_clear (Key.to_int key)
-      in
-      T_msg { w; dst; src; seq; body; out }
-  | W_local (L_refresh { key; idx }) -> T_refresh { w; key; idx; out }
-  | W_local (L_post { node; key; idx }) -> T_post { w; node; key; idx; out }
-
-(* Each shard's trace segment is already in canonical order — works
-   are processed in that order — so the global canonical order is a
-   k-way merge of the per-shard segments, not a re-sort.  No two works
-   tie (see {!compare_work}). *)
-let merge_segments segments =
-  let merge2 a b =
-    let rec go acc a b =
-      match (a, b) with
-      | [], rest | rest, [] -> List.rev_append acc rest
-      | ((wa, _) as xa) :: ta, ((wb, _) as xb) :: tb ->
-          if compare_work wa wb <= 0 then go (xa :: acc) ta b
-          else go (xb :: acc) a tb
-    in
-    go [] a b
+let trace_msg ~w ~key ~arg ~seq (u : Update.t) out =
+  let cls = Window_sync.cls_of key in
+  let body =
+    if cls = cls_query then B_query arg
+    else if cls = cls_update then
+      B_update
+        {
+          key = Key.to_int u.key;
+          kind = u.kind;
+          level = u.level;
+          answering = arg = 1;
+        }
+    else B_clear arg
   in
-  List.fold_left merge2 [] segments
+  T_msg
+    {
+      w;
+      dst = Window_sync.dst_of key;
+      src = Window_sync.src_of key;
+      seq;
+      body;
+      out;
+    }
+
+(* Each shard's trace segment holds its deliveries in packed-key order,
+   then its workload events in index order — the order it processed
+   them — each record paired with that key or index.  Deliveries on
+   different shards differ in [dst], and indices are unique, so the
+   canonical order of a window is a merge of the segments' deliveries
+   followed by a merge of their workload events. *)
+let merge_segments segments =
+  let by_key (a, _) (b, _) = Int.compare a b in
+  List.fold_left (List.merge by_key) [] segments
 
 let run ?tracer cfg =
   validate cfg;
@@ -340,11 +324,14 @@ let run ?tracer cfg =
     Node_store.add_local_key stores.(shard_of auth) (Node_id.of_int auth)
       (Key.of_int k)
   done;
-  (* Per-source emission counters: shared array, but each index is
-     written only by the shard that owns the node, so parallel windows
-     never race. *)
-  let emit_seq = Array.make cfg.nodes 0 in
-  let sync : msg Window_sync.t = Window_sync.create ~shards ~windows in
+  let traced = tracer <> None in
+  (* Per-source emission counters, for the [seq] of trace records only:
+     shared array, but each index is written only by the shard that
+     owns the node, so parallel windows never race. *)
+  let emit_seq = if traced then Array.make cfg.nodes 0 else [||] in
+  (* The update slot of queries and clear-bits. *)
+  let no_update = Update.first_time ~key:(Key.of_int 0) ~entries:[] ~level:0 in
+  let sync = Window_sync.create ~shards ~windows in
   let tot = Array.init shards (fun _ -> zero_totals ()) in
   (* One attribution layer per shard (each touched only by its own
      domain inside a window), merged exactly in shard order at run
@@ -371,13 +358,10 @@ let run ?tracer cfg =
     | None -> Route.Owner
     | Some h -> Route.Forward (Node_id.of_int h)
   in
-  let traced = tracer <> None in
-  (* With one shard the per-window work list is the canonical order
-     already — processing order equals the merged order — so the
-     tracer can be fed directly from the work loop, skipping the
-     per-event (work, event) accumulation, reversal and merge.
-     Multi-shard runs must keep the segment machinery for the k-way
-     merge below; its output is byte-identical to this fast path. *)
+  (* With one shard, processing order is the canonical order, so the
+     tracer is fed directly as events are processed.  Multi-shard runs
+     collect per-shard segments for the merge below; its output is
+     byte-identical to this fast path. *)
   let direct_tracer =
     match tracer with Some f when shards = 1 -> Some f | _ -> None
   in
@@ -388,41 +372,46 @@ let run ?tracer cfg =
     let store = stores.(s) in
     let t = tot.(s) in
     let at = attrs.(s) in
-    (* Only the deliveries need sorting.  [push_local] prepended the
-       window's workload events in ascending pre-generation index — all
-       refreshes, then all posts — so reversing the bin gives their
-       canonical order, and they follow the sorted deliveries. *)
-    let works =
-      List.rev_append
-        (List.rev_map
-           (fun m -> W_msg m)
-           (List.sort compare_msg (Window_sync.drain sync ~shard:s ~window:w)))
-        (List.rev_map (fun l -> W_local l) locals.(w).(s))
+    let msg_seg = ref [] and local_seg = ref [] in
+    let record seg k ev =
+      match direct_tracer with Some f -> f ev | None -> seg := (k, ev) :: !seg
     in
-    locals.(w).(s) <- [];
-    let out = ref [] in
-    let lines = ref [] in
     let emitted = ref 0 in
-    let emit src cls payload to_ =
+    let emit src cls arg u to_ =
       let dst = Node_id.to_int to_ in
-      let seq = emit_seq.(src) in
-      emit_seq.(src) <- seq + 1;
+      let seq =
+        if traced then begin
+          let q = emit_seq.(src) in
+          emit_seq.(src) <- q + 1;
+          q
+        end
+        else 0
+      in
       incr emitted;
-      out := { dst; cls; src; seq; payload } :: !out
+      Window_sync.send sync ~shard:s ~to_shard:(shard_of dst) ~dst ~cls ~src
+        ~arg ~seq u
     in
-    let exec node acts =
-      List.iter
-        (fun (act : Node.action) ->
-          match act with
-          | Node.Send_query { to_; key } ->
+    let rec add_latency = function
+      | [] -> ()
+      | p :: rest ->
+          t.latency_hops <-
+            t.latency_hops
+            + int_of_float
+                (Float.round ((now_s -. Time.to_seconds p) /. width));
+          add_latency rest
+    in
+    let rec exec node = function
+      | [] -> ()
+      | act :: rest ->
+          (match (act : Node.action) with
+          | Send_query { to_; key } ->
               t.query_hops <- t.query_hops + 1;
               (match at with
               | Some a ->
-                  Attribution.record_query_hop a ~key:(Key.to_int key)
-                    ~node
+                  Attribution.record_query_hop a ~key:(Key.to_int key) ~node
               | None -> ());
-              emit node 0 (P_query key) to_
-          | Node.Send_update { to_; update; answering } ->
+              emit node cls_query (Key.to_int key) no_update to_
+          | Send_update { to_; update; answering } ->
               (match update.Update.kind with
               | Update.First_time ->
                   if answering then t.ft_answer_hops <- t.ft_answer_hops + 1
@@ -430,16 +419,16 @@ let run ?tracer cfg =
               | Update.Refresh -> t.refresh_hops <- t.refresh_hops + 1
               | Update.Delete -> t.delete_hops <- t.delete_hops + 1
               | Update.Append -> t.append_hops <- t.append_hops + 1);
-              emit node 1 (P_update (update, answering)) to_
-          | Node.Send_clear_bit { to_; key } ->
+              emit node cls_update (Bool.to_int answering) update to_
+          | Send_clear_bit { to_; key } ->
               t.clear_hops <- t.clear_hops + 1;
               (match at with
               | Some a ->
                   Attribution.record_clear_bit_hop a ~key:(Key.to_int key)
                     ~node ~now:now_s
               | None -> ());
-              emit node 2 (P_clear key) to_
-          | Node.Answer_local { posted_at; hit; key; _ } ->
+              emit node cls_clear (Key.to_int key) no_update to_
+          | Answer_local { posted_at; hit; key; _ } ->
               if hit then begin
                 t.hits <- t.hits + List.length posted_at;
                 match at with
@@ -452,51 +441,61 @@ let run ?tracer cfg =
               end
               else begin
                 t.answered <- t.answered + List.length posted_at;
-                List.iter
-                  (fun p ->
-                    t.latency_hops <-
-                      t.latency_hops
-                      + int_of_float
-                          (Float.round ((now_s -. Time.to_seconds p) /. width)))
-                  posted_at
-              end)
-        acts
+                add_latency posted_at
+              end);
+          exec node rest
     in
+    (* Deliveries first, in packed-key order. *)
+    for i = 0 to Window_sync.sort_inbox sync ~shard:s - 1 do
+      let key = Window_sync.key sync ~shard:s i in
+      let arg = Window_sync.arg sync ~shard:s i in
+      let dst = Window_sync.dst_of key and cls = Window_sync.cls_of key in
+      let emitted0 = !emitted in
+      t.deliveries <- t.deliveries + 1;
+      let nid = Node_id.of_int dst in
+      let from = Node_id.of_int (Window_sync.src_of key) in
+      let u = Window_sync.obj sync ~shard:s i in
+      if cls = cls_query then begin
+        let k = Key.of_int arg in
+        exec dst
+          (Node_store.handle_query store ~node:nid ~now ~owner:(owns dst k)
+             ~route (Node.From_neighbor from) k)
+      end
+      else if cls = cls_update then begin
+        (match at with
+        | Some a ->
+            let answering = arg = 1 in
+            let key = Key.to_int u.Update.key in
+            let overhead =
+              match u.Update.kind with
+              | Update.First_time -> not answering
+              | Update.Refresh | Update.Delete | Update.Append -> true
+            in
+            if answering then
+              Attribution.record_update_hop a ~key ~node:dst
+                ~level:u.Update.level ~overhead ~now:now_s
+            else
+              Attribution.record_update_delivered a ~key ~node:dst
+                ~level:u.Update.level ~overhead ~now:now_s
+        | None -> ());
+        exec dst (Node_store.handle_update store ~node:nid ~now ~from u)
+      end
+      else
+        exec dst
+          (Node_store.handle_clear_bit store ~node:nid ~now ~from
+             (Key.of_int arg));
+      if traced then
+        record msg_seg key
+          (trace_msg ~w ~key ~arg ~seq:(Window_sync.seq sync ~shard:s i) u
+             (!emitted - emitted0))
+    done;
+    (* Then the window's workload events.  [push_local] prepended them
+       in ascending pre-generation index, so the bin is reversed. *)
     List.iter
-      (fun work ->
+      (fun ev ->
         let emitted0 = !emitted in
-        (match work with
-        | W_msg m -> (
-            t.deliveries <- t.deliveries + 1;
-            let nid = Node_id.of_int m.dst in
-            let from = Node_id.of_int m.src in
-            match m.payload with
-            | P_query key ->
-                exec m.dst
-                  (Node_store.handle_query store ~node:nid ~now
-                     ~owner:(owns m.dst key) ~route
-                     (Node.From_neighbor from) key)
-            | P_update (u, answering) ->
-                (match at with
-                | Some a ->
-                    let key = Key.to_int u.Update.key in
-                    let overhead =
-                      match u.Update.kind with
-                      | Update.First_time -> not answering
-                      | Update.Refresh | Update.Delete | Update.Append -> true
-                    in
-                    if answering then
-                      Attribution.record_update_hop a ~key ~node:m.dst
-                        ~level:u.Update.level ~overhead ~now:now_s
-                    else
-                      Attribution.record_update_delivered a ~key ~node:m.dst
-                        ~level:u.Update.level ~overhead ~now:now_s
-                | None -> ());
-                exec m.dst (Node_store.handle_update store ~node:nid ~now ~from u)
-            | P_clear key ->
-                exec m.dst
-                  (Node_store.handle_clear_bit store ~node:nid ~now ~from key))
-        | W_local (L_refresh { key; _ }) ->
+        (match ev with
+        | L_refresh { key; _ } ->
             t.refreshes <- t.refreshes + 1;
             let auth = Ring.owner ring key in
             let expiry = Time.of_seconds (now_s +. cfg.lifetime) in
@@ -507,7 +506,7 @@ let run ?tracer cfg =
             exec auth
               (Node_store.replica_refresh_batch store
                  ~node:(Node_id.of_int auth) ~now ~key:(Key.of_int key) entries)
-        | W_local (L_post { node; key; _ }) ->
+        | L_post { node; key; _ } ->
             t.posts <- t.posts + 1;
             let k = Key.of_int key in
             let acts =
@@ -527,14 +526,17 @@ let run ?tracer cfg =
                 else Attribution.record_query_miss a ~key ~node ~now:now_s
             | None -> ());
             exec node acts);
-        if traced then
-          match direct_tracer with
-          | Some f -> f (trace_event_of w work (!emitted - emitted0))
-          | None ->
-              lines :=
-                (work, trace_event_of w work (!emitted - emitted0)) :: !lines)
-      works;
-    (List.rev !out, List.rev !lines)
+        if traced then begin
+          let out = !emitted - emitted0 in
+          match ev with
+          | L_refresh { key; idx } ->
+              record local_seg idx (T_refresh { w; key; idx; out })
+          | L_post { node; key; idx } ->
+              record local_seg idx (T_post { w; node; key; idx; out })
+        end)
+      (List.rev locals.(w).(s));
+    locals.(w).(s) <- [];
+    (List.rev !msg_seg, List.rev !local_seg)
   in
   (* {2 The window barrier loop} *)
   let pool = if shards > 1 then Some (Pool.create ~jobs:shards) else None in
@@ -543,26 +545,20 @@ let run ?tracer cfg =
     ~finally:(fun () -> Option.iter Pool.shutdown pool)
     (fun () ->
       for w = 0 to windows - 1 do
-        let results =
+        let segments =
           match pool with
-          | Some p -> Pool.map p (fun s -> process_shard w s) shard_ids
-          | None -> List.map (fun s -> process_shard w s) shard_ids
+          | Some p -> Pool.map p (process_shard w) shard_ids
+          | None -> List.map (process_shard w) shard_ids
         in
-        (* Route every shard's outbox, in shard order then emission
-           order, into the next window's bins. *)
-        List.iter
-          (fun (outs, _) ->
-            List.iter
-              (fun (m : msg) ->
-                Window_sync.post sync ~shard:(shard_of m.dst) ~window:(w + 1) m)
-              outs)
-          results;
+        (* Every shard's outbox goes, in shard order then emission
+           order, into the next window's inboxes. *)
+        Window_sync.exchange sync ~window:w;
         match tracer with
-        | None -> ()
-        | Some _ when direct_tracer <> None -> ()
-        | Some emit ->
-            merge_segments (List.map snd results)
-            |> List.iter (fun (_, ev) -> emit ev)
+        | Some emit when direct_tracer = None ->
+            let emit_all l = List.iter (fun (_, ev) -> emit ev) l in
+            emit_all (merge_segments (List.map fst segments));
+            emit_all (merge_segments (List.map snd segments))
+        | _ -> ()
       done);
   let totals = zero_totals () in
   Array.iter (fun t -> add_totals totals t) tot;

@@ -25,6 +25,12 @@
     {e sum}), so no floating-point accumulation order can leak the
     shard layout.
 
+    The message order comes from {!Cup_dess.Window_sync}'s stable sort
+    on (destination, class, source): a source's messages reach each
+    inbox in emission order, so the emission sequence never needs
+    comparing.  It is counted, per source, only when a tracer is
+    attached, for the [seq] field of trace records.
+
     The protocol logic itself is the real CUP state machine: queries
     route hop-by-hop toward the key's authority, interest bits are set
     from forwarded queries, answers return as first-time updates down
@@ -34,8 +40,8 @@
 
 type config = {
   seed : int;
-  nodes : int;
-  keys : int;
+  nodes : int;  (** at most [2^30], the exchange's id limit *)
+  keys : int;  (** at most [2^30] *)
   replicas : int;  (** directory entries per key *)
   rate : float;  (** network-wide Poisson query rate, queries/second *)
   shards : int;  (** domains to partition the run across; 1 = sequential *)
@@ -94,7 +100,8 @@ type result = {
 
 (** One processed event, as handed to the tracer.  [w] is the window,
     [out] the number of messages the event emitted; message records
-    carry destination, source and the per-source emission sequence. *)
+    carry destination, source and the per-source emission sequence,
+    counted from 0 for each source in emission order. *)
 type trace_body =
   | B_query of int  (** key *)
   | B_update of {

@@ -3,6 +3,7 @@
 module Heap = Cup_dess.Event_heap
 module Engine = Cup_dess.Engine
 module Time = Cup_dess.Time
+module Window_sync = Cup_dess.Window_sync
 
 (* {1 Time} *)
 
@@ -579,6 +580,131 @@ let test_profile_does_not_change_execution () =
   in
   Alcotest.(check bool) "identical trajectory" true (trace false = trace true)
 
+(* {1 Window exchange}
+
+   Random windows of messages, sent the way the sharded runner sends
+   them: each shard's batch in emission order, the per-source sequence
+   counted in shard order then emission order, and one exchange per
+   window.  A source may send from several shards here, which the
+   runner never does, so the order in which the exchange visits the
+   shards shows in the tie order.  Ids come from a small set that
+   includes 0 and the largest id, so (dst, cls, src) triples repeat
+   and every field of the packed key is filled to its top bit. *)
+
+let max_id = Window_sync.id_limit - 1
+
+let exchange_case =
+  let open QCheck.Gen in
+  let id = oneofl [ 0; 1; 2; 5; max_id - 1; max_id ] in
+  let msg = quad id (int_bound 3) id (int_bound 1000) in
+  let case =
+    int_range 1 4 >>= fun shards ->
+    list_size (int_range 1 4) (list_repeat shards (list_size (0 -- 100) msg))
+    >|= fun windows -> (shards, windows)
+  in
+  QCheck.make case
+    ~print:(fun (shards, windows) ->
+      Printf.sprintf "shards %d, window sizes [%s]" shards
+        (String.concat "; "
+           (List.map
+              (fun batches ->
+                String.concat ","
+                  (List.map (fun b -> string_of_int (List.length b)) batches))
+              windows)))
+
+let prop_exchange_order =
+  QCheck.Test.make ~count:300
+    ~name:"exchange drains in (dst, cls, src, seq) order" exchange_case
+    (fun (shards, windows) ->
+      let n_windows = List.length windows in
+      let ws = Window_sync.create ~shards ~windows:n_windows in
+      let seqs = Hashtbl.create 16 in
+      let next_seq src =
+        let q = Option.value ~default:0 (Hashtbl.find_opt seqs src) in
+        Hashtbl.replace seqs src (q + 1);
+        q
+      in
+      (* Due in the current window, per destination shard, as
+         (dst, cls, src, seq, arg, obj); [obj] names the message. *)
+      let due = Array.make shards [] in
+      let by_dcss (d, c, s, q, _, _) (d', c', s', q', _, _) =
+        compare (d, c, s, q) (d', c', s', q')
+      in
+      let drained_in_order () =
+        List.for_all
+          (fun shard ->
+            let n = Window_sync.sort_inbox ws ~shard in
+            let got =
+              List.init n (fun i ->
+                  let k = Window_sync.key ws ~shard i in
+                  ( Window_sync.dst_of k,
+                    Window_sync.cls_of k,
+                    Window_sync.src_of k,
+                    Window_sync.seq ws ~shard i,
+                    Window_sync.arg ws ~shard i,
+                    Window_sync.obj ws ~shard i ))
+            in
+            got = List.sort by_dcss due.(shard))
+          (List.init shards Fun.id)
+      in
+      let sent = ref 0 and last = ref 0 in
+      let ok =
+        List.for_all Fun.id
+          (List.mapi
+             (fun w batches ->
+               let ordered = drained_in_order () in
+               Array.fill due 0 shards [];
+               last := 0;
+               List.iteri
+                 (fun shard batch ->
+                   List.iter
+                     (fun (dst, cls, src, arg) ->
+                       let seq = next_seq src and obj = !sent in
+                       incr sent;
+                       incr last;
+                       let d = dst mod shards in
+                       Window_sync.send ws ~shard ~to_shard:d ~dst ~cls ~src ~arg
+                         ~seq obj;
+                       due.(d) <- (dst, cls, src, seq, arg, obj) :: due.(d))
+                     batch)
+                 batches;
+               Window_sync.exchange ws ~window:w;
+               ordered)
+             windows)
+      in
+      (* The last window's messages were past the horizon: dropped, and
+         no inbox holds them. *)
+      ok
+      && Window_sync.dropped ws = !last
+      && List.for_all
+           (fun shard -> Window_sync.sort_inbox ws ~shard = 0)
+           (List.init shards Fun.id))
+
+let test_exchange_rejects_bad_ids () =
+  let ws = Window_sync.create ~shards:2 ~windows:2 in
+  let send ~dst ~cls ~src () =
+    Window_sync.send ws ~shard:0 ~to_shard:(dst land 1) ~dst ~cls ~src ~arg:0
+      ~seq:0 ()
+  in
+  List.iter
+    (fun (what, dst, cls, src) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Window_sync.send: id or class out of range")
+        (send ~dst ~cls ~src))
+    [
+      ("dst at the limit", Window_sync.id_limit, 0, 0);
+      ("src at the limit", 0, 0, Window_sync.id_limit);
+      ("negative dst", -1, 0, 0);
+      ("negative src", 0, 0, -1);
+      ("class 4", 0, 4, 0);
+      ("negative class", 0, -1, 0);
+    ];
+  send ~dst:max_id ~cls:3 ~src:max_id ();
+  Window_sync.exchange ws ~window:0;
+  Alcotest.(check int)
+    "largest ids accepted" 1
+    (Window_sync.sort_inbox ws ~shard:(max_id mod 2))
+
 let () =
   Alcotest.run "cup_dess"
     ([
@@ -594,6 +720,12 @@ let () =
       ( "queue properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sorts; prop_cancel_half; prop_matches_reference ] );
+      ( "window exchange",
+        [
+          QCheck_alcotest.to_alcotest prop_exchange_order;
+          Alcotest.test_case "rejects ids out of range" `Quick
+            test_exchange_rejects_bad_ids;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;

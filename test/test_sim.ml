@@ -734,9 +734,10 @@ let test_pinned_zipf_multikey () =
 
 (* [Scale.run] on a 4096-node ring: the summary block and every trace
    record, rendered through [Scale.trace_line], digested together.  One
-   shard feeds the tracer straight from its work loop; two shards go
-   through the per-shard trace segments and their merge.  Both must
-   print the pinned bytes. *)
+   shard feeds the tracer straight from its event loop; more shards go
+   through the per-shard trace segments and their merge, and at three
+   [node mod 3] gives shards of unequal size.  Every count must print
+   the pinned bytes. *)
 
 module Scale = Cup_sim.Scale
 
@@ -766,13 +767,13 @@ let scale_digest shards =
   Buffer.add_string buf (Scale.summary r);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let test_pinned_scale () =
+let test_pinned_scale counts () =
   List.iter
     (fun shards ->
       Alcotest.(check string)
         (Printf.sprintf "scale, %d shards" shards)
         "80df4e502f99b28b06d643725494a318" (scale_digest shards))
-    [ 1; 2 ]
+    counts
 
 (* {1 Replication} *)
 
@@ -1226,6 +1227,26 @@ let non_finite_scale_cases =
             non_finite))
     fields
 
+(* Node and key ids fill 30-bit fields of the exchange's packed
+   message key, so a count past 2^30 is refused before the run
+   allocates arrays that long. *)
+let oversized_scale_cases =
+  let d = Scale.default in
+  List.map
+    (fun (name, cfg) ->
+      Alcotest.test_case ("oversized scale " ^ name) `Quick (fun () ->
+          match Scale.run cfg with
+          | _ -> Alcotest.failf "Scale.run accepted %s > 2^30" name
+          | exception Invalid_argument msg ->
+              Alcotest.(check string)
+                name
+                (Printf.sprintf "Scale.run: %s must be <= 1073741824" name)
+                msg))
+    [
+      ("nodes", { d with nodes = (1 lsl 30) + 1 });
+      ("keys", { d with keys = (1 lsl 30) + 1 });
+    ]
+
 (* A NaN or infinite alpha never compares true against a query count,
    so it once ran silently as if alpha were huge. *)
 let test_invalid_policies_rejected () =
@@ -1382,7 +1403,10 @@ let () =
           Alcotest.test_case "token bucket + batching" `Quick
             test_pinned_token_bucket_batching;
           Alcotest.test_case "zipf multi-key" `Quick test_pinned_zipf_multikey;
-          Alcotest.test_case "scale, shards 1 and 2" `Quick test_pinned_scale;
+          Alcotest.test_case "scale, shards 1 and 2" `Quick
+            (test_pinned_scale [ 1; 2 ]);
+          Alcotest.test_case "scale, shards 3 and 4" `Quick
+            (test_pinned_scale [ 3; 4 ]);
         ] );
       ( "replication",
         [ Alcotest.test_case "statistics" `Quick test_replicate_statistics ] );
@@ -1414,7 +1438,8 @@ let () =
           Alcotest.test_case "cut-off policies" `Quick
             test_invalid_policies_rejected;
         ]
-        @ non_finite_scenario_cases @ non_finite_scale_cases );
+        @ non_finite_scenario_cases @ non_finite_scale_cases
+        @ oversized_scale_cases );
       ( "experiments",
         [
           Alcotest.test_case "push level sweep" `Slow
