@@ -4,8 +4,8 @@
 #
 #   sh test/golden.sh [GROUP...]
 #
-# GROUP is one of table1, paper, fault, top, fuzz, run256 and obs
-# (default: all seven).  Run it from the root of a checkout; it runs that
+# GROUP is one of table1, paper, grid, fault, top, fuzz, run256 and obs
+# (default: all eight).  Run it from the root of a checkout; it runs that
 # checkout's CLI through dune.  The outputs land in golden-out/; the
 # host-dependent lines (output paths, wallclock) are filtered out before
 # hashing.  Exits non-zero if any pinned output differs.
@@ -33,6 +33,21 @@ paper() {
   for f in "$OUT"/paper-csv/*.csv; do
     cp "$f" "$OUT/paper-$(basename "$f")"
   done
+}
+
+# What the paper groups leave out: all twelve experiments at paper
+# scale over two jobs (text and nine CSVs), `cup sweep` at both scales
+# and `cup run --runs`.
+grid() {
+  rm -rf "$OUT/grid-csv"
+  $CUP exp --full --jobs 2 --csv "$OUT/grid-csv" \
+    | grep -v '^(wrote ' > "$OUT/grid-full.txt"
+  for f in "$OUT"/grid-csv/*.csv; do
+    cp "$f" "$OUT/grid-full-$(basename "$f")"
+  done
+  $CUP sweep --rate 2.5 > "$OUT/grid-sweep.txt"
+  $CUP sweep --full --rate 10 > "$OUT/grid-sweep-full.txt"
+  $CUP run --nodes 256 --runs 4 > "$OUT/grid-runs.txt"
 }
 
 # A crash+loss run traced in both formats, and its summary.
@@ -69,10 +84,10 @@ obs() {
     --metrics-out "$OUT/obs-metrics.prom" > /dev/null
 }
 
-[ $# -gt 0 ] || set -- table1 paper fault top fuzz run256 obs
+[ $# -gt 0 ] || set -- table1 paper grid fault top fuzz run256 obs
 for group in "$@"; do
   case $group in
-    table1 | paper | fault | top | fuzz | run256 | obs) "$group" ;;
+    table1 | paper | grid | fault | top | fuzz | run256 | obs) "$group" ;;
     *) echo "golden.sh: unknown group $group" >&2; exit 2 ;;
   esac
   grep -E "  $group[.-]" "$SUMS" | (cd "$OUT" && sha256sum -c -)
