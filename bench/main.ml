@@ -902,13 +902,18 @@ let trace_io scale =
 
 (* {1 Parallel-harness speedup measurement} *)
 
-(* Time one representative fan-out workload sequentially and across
-   the pool; the same-bytes check and the measured speedup go to
-   BENCH_harness.json.  This is the perf-trajectory anchor: re-run
-   [harness] before and after a perf change. *)
+(* Time one grid fan-out sequentially and across the pool: Table 1's
+   40 policy x rate cells, long enough (about a second sequential) that
+   the speedup is not pool start-up and noise.  The same-results check
+   and the measured speedup go to BENCH_harness.json.  This is the
+   perf-trajectory anchor: re-run [harness] before and after a perf
+   change. *)
 let harness ?pool scale =
-  let rate = List.nth (E.rates scale) 1 in
-  let workload pool = E.push_level_sweep ?pool scale ~rate in
+  let grid = List.assoc "table1" (E.table1.grids scale) in
+  let cells =
+    List.fold_left (fun n (_, points) -> n * List.length points) 1 grid.E.axes
+  in
+  let workload pool = E.run_grid ?pool grid in
   let time f =
     let t0 = Unix.gettimeofday () in
     let v = f () in
@@ -922,8 +927,8 @@ let harness ?pool scale =
   let table =
     Table.create
       ~title:
-        (Printf.sprintf "Harness: push-level sweep at %g q/s, 1 vs %d job(s)"
-           rate jobs)
+        (Printf.sprintf "Harness: Table 1 grid (%d cells), 1 vs %d job(s)"
+           cells jobs)
       ~columns:[ "jobs"; "wall (s)"; "speedup"; "same results" ]
   in
   Table.add_row table
@@ -942,7 +947,7 @@ let harness ?pool scale =
   let degraded = jobs > 1 && par_s > seq_s in
   harness_json :=
     [
-      ("workload", Json.String (Printf.sprintf "push-level sweep @ %g q/s" rate));
+      ("workload", Json.String (Printf.sprintf "table1 grid, %d cells" cells));
       ("sequential_seconds", Json.Float seq_s);
       ("parallel_seconds", Json.Float par_s);
       ("jobs", Json.Int jobs);
@@ -957,7 +962,7 @@ let harness ?pool scale =
       par_s jobs seq_s;
   if not deterministic then begin
     prerr_endline
-      "harness: parallel sweep diverged from sequential sweep — \
+      "harness: parallel grid diverged from sequential grid — \
        determinism contract broken";
     exit 1
   end

@@ -722,40 +722,44 @@ let run_cmd =
       prerr_endline
         "cup run: note: --trace-out/--sample-*/--profile/--serve/--audit/\
          --attribution apply only to single runs; ignored with --runs > 1";
-    if runs <= 1 && observed then
-      try
-        run_observed cfg ~trace_out ~metrics_out ~sample_interval ~sample_out
-          ~profile ~serve ~audit ~attribution
-      with Sys_error msg ->
-        prerr_endline ("cup run: " ^ msg);
-        exit 1
-    else if runs <= 1 then print_result (Runner.run cfg)
-    else begin
-      let r, merged =
-        with_jobs jobs (fun pool ->
-            match metrics_out with
-            | None -> (E.replicate ?pool cfg ~runs, None)
-            | Some _ ->
-                let r, registry = E.replicate_metrics ?pool cfg ~runs in
-                (r, Some registry))
-      in
-      Printf.printf "over %d seeds (mean +/- stddev):\n" r.runs;
-      Printf.printf "  total cost:   %.1f +/- %.1f hops\n" r.total_mean
-        r.total_stddev;
-      Printf.printf "  miss cost:    %.1f +/- %.1f hops\n" r.miss_mean
-        r.miss_stddev;
-      Printf.printf "  misses:       %.1f +/- %.1f\n" r.misses_mean
-        r.misses_stddev;
-      Printf.printf "  miss latency: %.2f +/- %.2f hops\n" r.latency_mean
-        r.latency_stddev;
-      match (metrics_out, merged) with
-      | Some path, Some registry -> (
-          try write_metrics ~path registry
-          with Sys_error msg ->
-            prerr_endline ("cup run: " ^ msg);
-            exit 1)
-      | _ -> ()
-    end
+    try
+      if runs <= 1 && observed then
+        try
+          run_observed cfg ~trace_out ~metrics_out ~sample_interval ~sample_out
+            ~profile ~serve ~audit ~attribution
+        with Sys_error msg ->
+          prerr_endline ("cup run: " ^ msg);
+          exit 1
+      else if runs <= 1 then print_result (Runner.run cfg)
+      else begin
+        let r, merged =
+          with_jobs jobs (fun pool ->
+              match metrics_out with
+              | None -> (E.replicate ?pool cfg ~runs, None)
+              | Some _ ->
+                  let r, registry = E.replicate_metrics ?pool cfg ~runs in
+                  (r, Some registry))
+        in
+        Printf.printf "over %d seeds (mean +/- stddev):\n" r.runs;
+        Printf.printf "  total cost:   %.1f +/- %.1f hops\n" r.total_mean
+          r.total_stddev;
+        Printf.printf "  miss cost:    %.1f +/- %.1f hops\n" r.miss_mean
+          r.miss_stddev;
+        Printf.printf "  misses:       %.1f +/- %.1f\n" r.misses_mean
+          r.misses_stddev;
+        Printf.printf "  miss latency: %.2f +/- %.2f hops\n" r.latency_mean
+          r.latency_stddev;
+        match (metrics_out, merged) with
+        | Some path, Some registry -> (
+            try write_metrics ~path registry
+            with Sys_error msg ->
+              prerr_endline ("cup run: " ^ msg);
+              exit 1)
+        | _ -> ()
+      end
+    with Out_of_memory ->
+      prerr_endline "cup run: out of memory";
+      exit 1
   in
   let term =
     Term.(
@@ -1094,10 +1098,13 @@ let scale_cmd =
         trace_out
     in
     let result =
-      try Scale.run ?tracer:(Option.map (fun (_, emit, _) -> emit) out) cfg
-      with Invalid_argument msg ->
-        prerr_endline ("cup scale: " ^ msg);
-        exit 1
+      try Scale.run ?tracer:(Option.map (fun (_, emit, _) -> emit) out) cfg with
+      | Invalid_argument msg ->
+          prerr_endline ("cup scale: " ^ msg);
+          exit 1
+      | Out_of_memory ->
+          prerr_endline "cup scale: out of memory";
+          exit 1
     in
     print_string (Scale.summary result);
     (match result.Scale.attribution with
@@ -1257,13 +1264,11 @@ let sweep_cmd =
       prerr_endline "cup sweep: --rate must be finite and > 0";
       exit 1
     end;
-    let scale = if full then E.Full else E.Scaled in
-    let s =
-      with_jobs jobs (fun pool -> E.push_level_sweep ?pool scale ~rate)
-    in
+    let _, grid = E.push_levels (if full then E.Full else E.Scaled) ~rate in
+    let cells = with_jobs jobs (fun pool -> E.run_grid ?pool grid) in
     E.print_push_level ~log_y:false
       ~title:(Printf.sprintf "push-level sweep, %g q/s" rate)
-      [ s ]
+      [ (rate, cells) ]
   in
   let term = Term.(const action $ full $ rate $ jobs) in
   Cmd.v

@@ -1,27 +1,21 @@
-(** The paper's evaluation, experiment by experiment (Section 3).
+(** The paper's evaluation (Section 3) as data over one grid runner.
 
-    Each function runs the simulations for one table or figure and
-    returns structured results.  {!print} runs the twelve experiments
-    by name and renders them with [Cup_report] (tables, ASCII plots,
-    CSV files); it is the one printer behind [cup exp].  [Scaled]
-    keeps every run laptop-sized:
-    256 nodes with query rates scaled by 256/1024 so per-node query
-    densities match the paper's 1024-node runs.  [Full] uses the
-    paper's scale (1024–4096 nodes, rates up to 1000 q/s).
+    Every experiment is one single-key scenario swept over a few axes:
+    a {!grid} is a base scenario, named axes of labelled scenario
+    overrides and named metrics.  An {!experiment} is a name, a section
+    title, its named grids and a renderer over their cells (tables,
+    ASCII plots and CSV files through [Cup_report]).  {!print} runs the
+    twelve by name; it is the one printer behind [cup exp].  [Scaled]
+    keeps every run laptop-sized: 256 nodes with query rates scaled by
+    256/1024 so per-node query densities match the paper's 1024-node
+    runs.  [Full] uses the paper's scale (1024–4096 nodes, rates up to
+    1000 q/s).
 
     All experiments exercise a single key's CUP tree — reverse-
     engineering the paper's reported magnitudes (overhead ~6.7 k hops,
     push levels spanning 0–30 ≈ the 2^10 CAN diameter, hit counts at
     λ = 1) shows its workloads are per-key-tree workloads; see
-    EXPERIMENTS.md.
-
-    Every experiment takes an optional [?pool]
-    ({!Cup_parallel.Pool.t}): its independent simulator runs then fan
-    out across the pool's domains.  Each run owns its engine, topology
-    and RNG, and {!Cup_parallel.Pool.map} merges results in input
-    order, so results are byte-identical whatever the pool size —
-    [?pool] changes wall-clock time and nothing else.  Omitting it (or
-    passing a 1-job pool) runs sequentially as before. *)
+    EXPERIMENTS.md. *)
 
 type scale = Scaled | Full
 
@@ -33,166 +27,160 @@ val rates : scale -> float list
 (** Query rates λ: [\[0.25; 2.5; 25; 250\]] scaled,
     [\[1; 10; 100; 1000\]] full. *)
 
-(** {1 Figures 3 and 4: cost versus push level} *)
+(** {1 Grids} *)
 
-type push_level_point = { level : int; total_cost : int; miss_cost : int }
+type axis = string * (string * (Scenario.t -> Scenario.t)) list
+(** A named axis: its points as labelled overrides of the scenario. *)
 
-type push_level_series = {
-  rate : float;
-  points : push_level_point list;
-  optimal_level : int;  (** argmin of total cost *)
-  optimal_total : int;
+type metric = string * (Runner.Live.t -> Runner.result -> float)
+(** A named reading of a finished run. *)
+
+type grid = { base : Scenario.t; axes : axis list; metrics : metric list }
+
+type cell = { labels : string list; values : (string * float) list }
+(** One run: its label on each axis, in axis order, and each metric's
+    value, in metric order. *)
+
+val axis :
+  string ->
+  ('a -> string) ->
+  (Scenario.t -> 'a -> Scenario.t) ->
+  'a list ->
+  axis
+(** [axis name label set xs]: one point per [x], labelled [label x],
+    that overrides the scenario with [set cfg x]. *)
+
+val run_grid : ?pool:Cup_parallel.Pool.t -> grid -> cell list
+(** One run per point of the axes' cross product, first axis
+    outermost; a point applies its overrides to [base] in axis order.
+    Each run is {!Runner.Live.create} then {!Runner.Live.finish}, as
+    {!Runner.run}, and its metrics are read from both.  With [pool]
+    the runs fan out across the pool's domains; each owns its engine,
+    topology and RNG, and {!Cup_parallel.Pool.map} merges in input
+    order, so the cells are byte-identical whatever the pool size. *)
+
+val value : string -> cell -> float
+(** The named metric's value. *)
+
+(** {1 The twelve experiments} *)
+
+type experiment = {
+  name : string;
+  title : string;  (** the section banner *)
+  grids : scale -> (string * grid) list;
+      (** A name stands for one grid: within a {!print} call each runs
+          once, so table1 reads fig3's and fig4's push-level grids. *)
+  render : scale -> csv_dir:string option -> (string -> cell list) -> unit;
+      (** Tables and plots from the named grids' cells, and CSV files
+          in [csv_dir] announced by ["(wrote PATH)"] lines. *)
 }
 
-val push_level_sweep :
-  ?pool:Cup_parallel.Pool.t ->
-  ?levels:int list ->
-  scale ->
-  rate:float ->
-  push_level_series
+val fig3 : experiment
+(** Total and miss cost per push level at the two lowest rates. *)
 
-(** {1 Table 1: cut-off policies} *)
+val fig4 : experiment
+(** The same at the two highest rates, on a log y axis. *)
 
-type policy_cell = { total : int; normalized : float }
+val table1 : experiment
+(** Total cost per cut-off policy and rate, normalized by standard
+    caching at that rate.  Rows: standard caching, linear and
+    logarithmic policies across the paper's α values, second-chance,
+    and the optimal push level at every rate. *)
 
-type policy_row = {
-  policy_label : string;
-  cells : (float * policy_cell) list;  (** per query rate *)
-}
+val table2 : experiment
+(** CUP against standard caching on 8 up to 1,024 (full: 4,096) nodes. *)
 
-val table1 :
-  ?pool:Cup_parallel.Pool.t ->
-  ?optimal:push_level_series list ->
-  scale ->
-  policy_row list
-(** Rows: standard caching, linear and logarithmic policies across the
-    paper's α values, second-chance, and the optimal push level at
-    every rate: taken from the [optimal] series at that rate when one
-    is given (e.g. the Figure 3/4 sweeps), from a fresh sweep
-    otherwise. *)
+val table3 : experiment
+(** Naive against replica-independent cut-off, 100 down to 1 replicas. *)
 
-(** {1 Table 2: varying the network size} *)
+val fig5 : experiment
+(** Total cost against the capacity 20% of the nodes drop to, under
+    two fault schedules, at the second rate. *)
 
-type size_row = {
-  nodes : int;
-  miss_cost_ratio : float;  (** CUP / standard caching *)
-  cup_miss_latency : float;  (** one-way hops, as the paper reports *)
-  std_miss_latency : float;
-  saved_per_overhead : float;
-}
+val fig6 : experiment
+(** The same at the highest rate, on a log y axis. *)
 
-val table2 : ?pool:Cup_parallel.Pool.t -> scale -> size_row list
+val ablations : experiment
+(** Section 2.8's queue re-ordering under token-bucket capacity
+    starvation (latency-first, flash-crowd and FIFO ordering of the
+    outgoing update channels), and log-based cut-off after [n]
+    consecutive dry updates, n = 1..5, which generalizes
+    second-chance. *)
 
-(** {1 Table 3: multiple replicas per key} *)
+val overlays : experiment
+(** CUP versus standard caching over three substrates — the 2-d CAN
+    of the paper's evaluation, a Chord ring and Pastry — under the
+    same workload.  CUP's benefits are a property of the
+    query/update-channel design, not of any one routing geometry. *)
 
-type replica_row = {
-  replicas : int;
-  naive_miss_cost : int;
-  naive_misses : int;
-  indep_miss_cost : int;
-  indep_misses : int;
-  indep_total_cost : int;
-}
+val techniques : experiment
+(** With 10 replicas per key, the baseline (every replica refresh
+    propagated separately, as in Table 3) against the two techniques
+    Section 3.6 proposes — aggregating refreshes into batched updates,
+    and suppressing a sampled subset — plus piggy-backed clear-bits.
+    The justified column is the percentage of propagated updates that
+    a query reached within their critical window (Section 3.1). *)
 
-val table3 : ?pool:Cup_parallel.Pool.t -> scale -> replica_row list
+val model : experiment
+(** Push updates only to the authority's direct neighbors
+    ([Push_level 1]) and compare the measured fraction of justified
+    updates with the closed-form [1 - exp (-L T)] of Section 3.1,
+    where each neighbor's subtree carries ~1/fanout of the network
+    query rate and [T] is the replica lifetime.  The fanout is read
+    from the run it measures.  The measured number counts queries that
+    reach the neighbor, a slight undercount of the model's "any query
+    in the subtree" at high rates (fresh caches below absorb some
+    queries). *)
 
-(** {1 Figures 5 and 6: reduced outgoing capacity} *)
-
-type capacity_point = {
-  capacity : float;
-  up_and_down_total : int;
-  once_down_total : int;
-}
-
-type capacity_series = {
-  cap_rate : float;
-  std_total : int;  (** the standard-caching horizontal reference *)
-  cap_points : capacity_point list;
-}
-
-val capacity_sweep :
-  ?pool:Cup_parallel.Pool.t ->
-  ?capacities:float list ->
-  scale ->
-  rate:float ->
-  capacity_series
-
-(** {1 Ablations (beyond the paper's main line)} *)
-
-type ordering_row = {
-  ordering_label : string;
-  ord_total : int;
-  ord_miss : int;
-  ord_misses : int;
-}
-
-val ablation_queue_ordering :
-  ?pool:Cup_parallel.Pool.t -> scale -> ordering_row list
-(** Section 2.8's queue re-ordering, measured under token-bucket
-    capacity starvation: latency-first versus flash-crowd versus FIFO
-    ordering of the outgoing update channels. *)
-
-type dry_row = { dry_window : int; dry_total : int; dry_miss : int }
-
-val ablation_log_based_window :
-  ?pool:Cup_parallel.Pool.t -> scale -> dry_row list
-(** Generalizing second-chance: cut after [n] consecutive dry updates,
-    n = 1..5. *)
-
-(** {1 Section 3.6 propagation-overhead techniques} *)
-
-type technique_row = {
-  technique_label : string;
-  tech_total : int;
-  tech_overhead : int;
-  tech_miss : int;
-  tech_misses : int;
-  tech_justified_pct : float;
-      (** percentage of propagated updates that were justified
-          (Section 3.1): a query reached the receiving node within the
-          update's critical window *)
-}
-
-val propagation_techniques :
-  ?pool:Cup_parallel.Pool.t -> scale -> technique_row list
-(** With many replicas per key, compare the baseline (every replica
-    refresh propagated separately, as in Table 3) against the two
-    techniques Section 3.6 proposes — aggregating refreshes into
-    batched updates, and suppressing a sampled subset — plus
-    piggy-backed clear-bits. *)
-
-type justification_row = {
-  j_policy : string;
-  j_rate : float;
-  j_justified_pct : float;
-  j_tracked : int;
-  j_saved_per_overhead : float;
-}
-
-val justification :
-  ?pool:Cup_parallel.Pool.t -> scale -> justification_row list
+val justification : experiment
 (** The Section 3.1 cost-model check: the fraction of propagated
     updates that are justified, per policy and query rate, next to the
-    realized saved-miss-per-overhead ratio.  The paper argues overhead
-    is fully recovered when at least half the updates are justified. *)
+    realized saved-miss-per-overhead ratio against standard caching at
+    the same rate.  The paper argues overhead is fully recovered when
+    at least half the updates are justified. *)
 
-(** {1 Overlay generality (Section 2.2)} *)
+val names : string list
+(** The twelve experiments' names in run order: [fig3 fig4 table1
+    table2 table3 fig5 fig6 ablations overlays techniques model
+    justification]. *)
 
-type overlay_row = {
-  overlay_label : string;
-  o_policy : string;
-  o_total : int;
-  o_miss : int;
-  o_misses : int;
-  o_latency : float;  (** one-way hops *)
-}
+val print :
+  ?pool:Cup_parallel.Pool.t -> ?csv_dir:string -> scale -> string list -> unit
+(** [print scale selected] runs the experiments named in [selected]
+    in {!names} order, each once, and prints each one's section banner
+    and render to stdout.  [csv_dir] is created if missing.  Raises
+    [Invalid_argument] if [selected] names an experiment outside
+    {!names}, and [Sys_error] if [csv_dir] cannot be created (before
+    anything runs) or written. *)
 
-val overlay_comparison :
-  ?pool:Cup_parallel.Pool.t -> scale -> overlay_row list
-(** CUP versus standard caching over both substrates — the 2-d CAN of
-    the paper's evaluation and a Chord ring — under the same workload.
-    CUP's benefits are a property of the query/update-channel design,
-    not of any one routing geometry. *)
+val section : string -> unit
+(** Print a section banner, as {!print} does before each experiment. *)
+
+(** {1 Push levels} *)
+
+val push_levels : scale -> rate:float -> string * grid
+(** The named grid of fig3, fig4, table1's optimal row and [cup sweep]
+    at one rate: one cell per push level, labelled by the level, with
+    metrics ["total"] and ["miss"]. *)
+
+val optimal : cell list -> cell
+(** The first cell of least ["total"]. *)
+
+val print_push_level :
+  ?csv_dir:string ->
+  log_y:bool ->
+  title:string ->
+  (float * cell list) list ->
+  unit
+(** The Figure 3/4 renderer, one series of push-level cells per rate:
+    a table of total and miss cost per level, each series' optimal
+    level, an ASCII plot, and with [csv_dir] each series in
+    [push_level_RATE_qps.csv]. *)
+
+val table1_rows :
+  scale -> (string -> cell list) -> (string * (float * int) list) list
+(** Table 1's rows before normalization: each label with its total
+    cost at each rate, read from the cells of table1's named grids. *)
 
 (** {1 Replication across seeds} *)
 
@@ -210,10 +198,10 @@ type replicated = {
 
 val replicate :
   ?pool:Cup_parallel.Pool.t -> Scenario.t -> runs:int -> replicated
-(** Run the scenario [runs] times with seeds [seed, seed+1, ...] and
-    report the mean and standard deviation of the headline metrics —
-    for confidence intervals around any single-seed number.  Requires
-    [runs >= 1]. *)
+(** Run the scenario's grid over a seed axis [seed, seed+1, ...,
+    seed+runs-1] and report the mean and standard deviation of the
+    headline metrics — for confidence intervals around any
+    single-seed number.  Requires [runs >= 1]. *)
 
 val replicate_metrics :
   ?pool:Cup_parallel.Pool.t ->
@@ -226,58 +214,3 @@ val replicate_metrics :
     {!Cup_metrics.Registry.merge}, so the combined exposition is
     byte-identical across job counts.  Behind
     [--metrics-out] with [--runs > 1]. *)
-
-(** {1 Model versus simulation (Section 3.1)} *)
-
-type model_row = {
-  m_rate : float;
-  m_fanout : int;  (** the authority's neighbor count in this topology *)
-  measured_justified_pct : float;
-  predicted_justified_pct : float;
-}
-
-val model_check : ?pool:Cup_parallel.Pool.t -> scale -> model_row list
-(** Push updates only to the authority's direct neighbors
-    ([Push_level 1]) and compare the measured fraction of justified
-    updates with the closed-form [1 - exp (-L T)] of Section 3.1,
-    where each neighbor's subtree carries ~1/fanout of the network
-    query rate and [T] is the replica lifetime.  The measured number
-    counts queries that reach the neighbor, a slight undercount of the
-    model's "any query in the subtree" at high rates (fresh caches
-    below absorb some queries). *)
-
-(** {1 The twelve experiments, printed} *)
-
-val names : string list
-(** The paper experiments in run order: [fig3 fig4 table1 table2
-    table3 fig5 fig6 ablations overlays techniques model
-    justification]. *)
-
-val print :
-  ?pool:Cup_parallel.Pool.t ->
-  ?csv_dir:string ->
-  scale ->
-  string list ->
-  unit
-(** [print scale selected] runs the experiments named in [selected]
-    in {!names} order, each once, and prints to stdout each one's
-    section banner, tables and (for the figures) ASCII plots.  Figure
-    3 sweeps the two lowest rates, Figure 4 the two highest, Figure 5
-    runs at the second rate and Figure 6 at the highest.  When fig3 or
-    fig4 is named too, table1's optimal row reuses their sweeps and
-    sweeps the other rates itself.  With [csv_dir] (created if missing),
-    fig3-fig6 and table1-table3 also write their CSV files there, each
-    announced by a ["(wrote PATH)"] line.  Raises [Invalid_argument]
-    if [selected] names an experiment outside {!names}, and
-    [Sys_error] if [csv_dir] cannot be created (before anything runs)
-    or written. *)
-
-val print_push_level :
-  ?csv_dir:string -> log_y:bool -> title:string -> push_level_series list -> unit
-(** The Figure 3/4 renderer: a table of total and miss cost per push
-    level, one column pair per series, each series' optimal level, and
-    an ASCII plot.  With [csv_dir], each series is also written to
-    [push_level_RATE_qps.csv]. *)
-
-val section : string -> unit
-(** Print a section banner, as {!print} does before each experiment. *)

@@ -1072,17 +1072,16 @@ let test_analysis_model_tracks_simulation () =
   (* one mid-curve point: measured within ~20 points of the model *)
   match
     List.find_opt
-      (fun (r : E.model_row) -> r.m_rate = 0.02)
-      (E.model_check E.Scaled)
+      (fun (c : E.cell) -> c.labels = [ "0.02" ])
+      (E.run_grid (List.assoc "model" (E.model.grids E.Scaled)))
   with
   | None -> Alcotest.fail "missing model point"
-  | Some r ->
+  | Some c ->
+      let measured = E.value "justified" c and predicted = E.value "model" c in
       Alcotest.(check bool)
-        (Printf.sprintf "measured %.1f vs model %.1f"
-           r.measured_justified_pct r.predicted_justified_pct)
+        (Printf.sprintf "measured %.1f vs model %.1f" measured predicted)
         true
-        (Float.abs (r.measured_justified_pct -. r.predicted_justified_pct)
-        < 20.)
+        (Float.abs (measured -. predicted) < 20.)
 
 (* {1 Scenario validation} *)
 
@@ -1279,33 +1278,93 @@ let test_runner_rejects_invalid () =
 
 (* {1 Experiment plumbing (tiny instances)} *)
 
+(* Cells come back in cross-product order, first axis outermost, with
+   one label per axis; each run sees its own overrides, and a pool
+   changes nothing. *)
+let test_run_grid_order () =
+  let grid =
+    {
+      E.base = { base with query_duration = 300.; drain = 0. };
+      axes =
+        [
+          E.axis "rate" (Printf.sprintf "%g")
+            (fun cfg query_rate -> { cfg with Scenario.query_rate })
+            [ 0.5; 2. ];
+          E.axis "seed" string_of_int
+            (fun cfg seed -> { cfg with Scenario.seed })
+            [ 1; 2; 3 ];
+        ];
+      metrics =
+        [
+          ("rate", fun live _ -> (Runner.Live.scenario live).query_rate);
+          ("seed", fun live _ -> float_of_int (Runner.Live.scenario live).seed);
+          ("total", fun _ r -> float_of_int (Counters.total_cost r.counters));
+        ];
+    }
+  in
+  let cells = E.run_grid grid in
+  Alcotest.(check (list (list string)))
+    "cross-product order"
+    [
+      [ "0.5"; "1" ]; [ "0.5"; "2" ]; [ "0.5"; "3" ];
+      [ "2"; "1" ]; [ "2"; "2" ]; [ "2"; "3" ];
+    ]
+    (List.map (fun (c : E.cell) -> c.labels) cells);
+  List.iter
+    (fun (c : E.cell) ->
+      Alcotest.(check (list string))
+        "overrides applied" c.labels
+        [
+          Printf.sprintf "%g" (E.value "rate" c);
+          string_of_int (int_of_float (E.value "seed" c));
+        ];
+      Alcotest.(check (list string))
+        "metrics in order" [ "rate"; "seed"; "total" ] (List.map fst c.values))
+    cells;
+  let pooled =
+    Cup_parallel.Pool.with_pool ~jobs:2 (fun pool -> E.run_grid ~pool grid)
+  in
+  Alcotest.(check bool) "a 2-job pool gives the same cells" true (cells = pooled)
+
+let levels ls =
+  E.axis "level" string_of_int
+    (fun cfg l -> Scenario.with_policy cfg (Policy.Push_level l))
+    ls
+
 let test_push_level_sweep_structure () =
-  let s = E.push_level_sweep ~levels:[ 0; 2; 8 ] E.Scaled ~rate:0.25 in
-  Alcotest.(check int) "three points" 3 (List.length s.points);
+  let _, grid = E.push_levels E.Scaled ~rate:0.25 in
+  let cells = E.run_grid { grid with axes = [ levels [ 0; 2; 8 ] ] } in
+  Alcotest.(check int) "three points" 3 (List.length cells);
   Alcotest.(check bool) "optimal is one of the levels" true
-    (List.exists (fun (p : E.push_level_point) -> p.level = s.optimal_level) s.points);
+    (List.exists
+       (fun (c : E.cell) -> c.labels = (E.optimal cells).labels)
+       cells);
   let at l =
-    (List.find (fun (p : E.push_level_point) -> p.level = l) s.points).miss_cost
+    E.value "miss"
+      (List.find (fun (c : E.cell) -> c.labels = [ string_of_int l ]) cells)
   in
   Alcotest.(check bool) "miss cost decreases with push level" true
     (at 8 <= at 2 && at 2 <= at 0)
 
-(* Given a sweep at one rate only, table1 sweeps the other rates
-   itself: the optimal row has a cell at every rate, and the given
-   rate's cell comes from the given (deliberately coarse) sweep. *)
+(* Given push-level cells at one rate only, table1's rows read them for
+   that rate and its own push-level grids for the others: the optimal
+   row has a cell at every rate, and the given rate's cell comes from
+   the given (deliberately coarse) grid. *)
 let test_table1_optimal_every_rate () =
-  let given = E.push_level_sweep ~levels:[ 0; 2 ] E.Scaled ~rate:0.25 in
-  let rows = E.table1 ~optimal:[ given ] E.Scaled in
-  let row label =
-    List.find (fun (r : E.policy_row) -> r.policy_label = label) rows
-  in
+  let name, grid = E.push_levels E.Scaled ~rate:0.25 in
+  let given = E.run_grid { grid with axes = [ levels [ 0; 2 ] ] } in
+  let grids = E.table1.grids E.Scaled in
+  let cells n = if n = name then given else E.run_grid (List.assoc n grids) in
+  let rows = E.table1_rows E.Scaled cells in
+  let row label = List.assoc label rows in
   let optimal = row "optimal push level" in
   Alcotest.(check (list (float 0.)))
     "a cell at every rate"
-    (List.map fst (row "standard-caching").cells)
-    (List.map fst optimal.cells);
-  Alcotest.(check int) "the given sweep's total" given.optimal_total
-    (List.assoc 0.25 optimal.cells).total
+    (List.map fst (row "standard-caching"))
+    (List.map fst optimal);
+  Alcotest.(check int) "the given sweep's total"
+    (int_of_float (E.value "total" (E.optimal given)))
+    (List.assoc 0.25 optimal)
 
 (* A misspelt name must fail before any named experiment runs. *)
 let test_print_rejects_unknown () =
@@ -1442,6 +1501,8 @@ let () =
         @ oversized_scale_cases );
       ( "experiments",
         [
+          Alcotest.test_case "run_grid order and pool" `Quick
+            test_run_grid_order;
           Alcotest.test_case "push level sweep" `Slow
             test_push_level_sweep_structure;
           Alcotest.test_case "table1 optimal row at every rate" `Slow
