@@ -732,6 +732,77 @@ let test_pinned_zipf_multikey () =
        (Policy.Logarithmic 0.5))
     "5a0606c6dd8b202889ce1e7c19e43bc5"
 
+(* Every sender of the transport under every channel fault at once:
+   crashes, jittered loss, duplication, reordering and an asymmetric
+   partition.  The token-bucket drain, reduced Bernoulli capacity and
+   piggybacked clear-bits meet duplication, reordering and a partition
+   in no other pinned run. *)
+let all_faults cfg =
+  {
+    cfg with
+    Scenario.crashes =
+      Some { Scenario.crash_rate = 0.01; recover_after = 20.; warmup = 30. };
+    loss = Some { Scenario.drop = 0.1; jitter = 0.5 };
+    duplication = Some { Scenario.d_probability = 0.05 };
+    reorder = Some { Scenario.r_probability = 0.1; r_spread = 4. };
+    partition =
+      Some
+        {
+          Scenario.fraction = 0.3;
+          p_start = 200.;
+          p_duration = 100.;
+          symmetric = false;
+        };
+  }
+
+let wire_shapes =
+  [
+    ( "token bucket",
+      Scenario.with_policy
+        (all_faults
+           {
+             pinned_base with
+             capacity_mode = Scenario.Token_bucket 50.;
+             refresh_batch_window = 5.;
+           })
+        (Policy.Linear 0.25),
+      [ "2c55de034a0944d27e45c5a85ab02654";
+        "739e0af8e7c5e54356f9b2268e9a37f6";
+        "d89cf15274d9ffb360a62396d97975a1" ] );
+    ( "bernoulli once-down",
+      Scenario.with_policy
+        (all_faults
+           {
+             pinned_base with
+             faults =
+               Some
+                 (Scenario.Once_down
+                    { fraction = 0.25; reduced = 0.25; warmup = 60. });
+           })
+        Policy.second_chance,
+      [ "36200e604fb90d584ea565734e0f7676";
+        "57d34e02d251d1664d5b9f6ba75e90b7";
+        "54239ab61711a6b3f947e59a37439217" ] );
+    ( "piggybacked clear-bits",
+      Scenario.with_policy
+        (all_faults { pinned_base with piggyback_clear_bits = true })
+        Policy.second_chance,
+      [ "2f002805fd26053510b739a795922050";
+        "5839b8d8dd2e34bedea4c7a9b2a1ce4a";
+        "c86b4d555e0738023b21238770353ac8" ] );
+  ]
+
+let test_pinned_wire () =
+  List.iter
+    (fun (name, cfg, digests) ->
+      List.iter2
+        (fun seed digest ->
+          check_pinned
+            (Printf.sprintf "%s seed %d" name seed)
+            { cfg with Scenario.seed } digest)
+        [ 1; 42; 1001 ] digests)
+    wire_shapes
+
 (* [Scale.run] on a 4096-node ring: the summary block and every trace
    record, rendered through [Scale.trace_line], digested together.  One
    shard feeds the tracer straight from its event loop; more shards go
@@ -1466,6 +1537,7 @@ let () =
             (test_pinned_scale [ 1; 2 ]);
           Alcotest.test_case "scale, shards 3 and 4" `Quick
             (test_pinned_scale [ 3; 4 ]);
+          Alcotest.test_case "wire under every fault" `Quick test_pinned_wire;
         ] );
       ( "replication",
         [ Alcotest.test_case "statistics" `Quick test_replicate_statistics ] );
