@@ -1062,19 +1062,16 @@ let micro () =
            done))
   in
   let node_test =
-    let node =
-      Cup_proto.Node.create
-        ~id:(Cup_overlay.Node_id.of_int 0)
-        Cup_proto.Node.default_config
-    in
+    let module Store = Cup_proto.Node_store in
+    let store = Store.create Store.default_config in
+    let node = Cup_overlay.Node_id.of_int 0 in
     let neighbor = Cup_overlay.Node_id.of_int 1 in
+    let route _ _ = Cup_overlay.Route.Forward neighbor in
     Test.make ~name:"node handle_query (cold)"
       (Staged.stage (fun () ->
            ignore
-             (Cup_proto.Node.handle_query node ~now:Cup_dess.Time.zero
-                ~next_hop:(Some neighbor)
-                (Cup_proto.Node.From_neighbor neighbor)
-                key)))
+             (Store.handle_query store ~node ~now:Cup_dess.Time.zero
+                ~owner:false ~route (Store.From_neighbor neighbor) key)))
   in
   let chord = Cup_overlay.Chord.create ~rng ~n:256 () in
   let chord_ids = Array.of_list (Cup_overlay.Chord.node_ids chord) in

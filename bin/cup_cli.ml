@@ -952,7 +952,11 @@ let mk_trace_term ~print_events_default ~allow_convert =
     in
     match args with
     | [ "convert"; input; output ] when allow_convert ->
-        require_file input (fun () -> `Ok (convert_action input output))
+        require_file input (fun () ->
+            try `Ok (convert_action input output)
+            with Sys_error msg ->
+              prerr_endline ("cup trace: " ^ msg);
+              exit 1)
     | "convert" :: rest when allow_convert ->
         `Error
           ( true,
@@ -1075,28 +1079,30 @@ let scale_cmd =
     (* Suffix picks the sink: .ctrace streams compact binary records
        through the background writer (the engine never formats or
        blocks on disk); anything else writes the canonical JSONL. *)
-    let out =
-      Option.map
-        (fun path ->
-          if Filename.check_suffix path ".ctrace" then begin
-            let w = Cup_obs.Binary_writer.to_file path in
-            ( path,
-              (fun ev ->
-                incr count;
-                Cup_obs.Binary_writer.emit_scale w ev),
-              fun () -> Cup_obs.Binary_writer.close w )
-          end
-          else begin
-            let oc = open_out path in
-            ( path,
-              (fun ev ->
-                incr count;
-                output_string oc (Scale.trace_line ev);
-                output_char oc '\n'),
-              fun () -> close_out oc )
-          end)
-        trace_out
+    let open_trace path =
+      try
+        if Filename.check_suffix path ".ctrace" then begin
+          let w = Cup_obs.Binary_writer.to_file path in
+          ( path,
+            (fun ev ->
+              incr count;
+              Cup_obs.Binary_writer.emit_scale w ev),
+            fun () -> Cup_obs.Binary_writer.close w )
+        end
+        else begin
+          let oc = open_out path in
+          ( path,
+            (fun ev ->
+              incr count;
+              output_string oc (Scale.trace_line ev);
+              output_char oc '\n'),
+            fun () -> close_out oc )
+        end
+      with Sys_error msg ->
+        prerr_endline ("cup scale: " ^ msg);
+        exit 1
     in
+    let out = Option.map open_trace trace_out in
     let result =
       try Scale.run ?tracer:(Option.map (fun (_, emit, _) -> emit) out) cfg with
       | Invalid_argument msg ->

@@ -52,7 +52,7 @@ let run_with policy =
 let () =
   Printf.printf "== Flash crowd: %d queries for one key in ~2 seconds ==\n\n"
     burst_size;
-  let report label (c, (s : Cup_proto.Node.stats)) =
+  let report label (c, (s : Cup_proto.Node_store.stats)) =
     Printf.printf
       "%-16s total cost %5d hops | misses %4d | avg miss latency %5.2f hops \
        | queries coalesced in-network: %d\n"

@@ -56,11 +56,10 @@ let () =
   Live.run_until live 310.;
   Live.post_query live ~node:querier ~key;
   Live.run_until live 320.;
-  let node = Live.node live querier in
   Printf.printf "after first query at t=310s:\n";
   Printf.printf "  cached entries at querier: %d\n"
     (List.length
-       (Cup_proto.Node.fresh_entries node
+       (Cup_proto.Node_store.fresh_entries (Live.store live) ~node:querier
           ~now:(Cup_dess.Time.of_seconds 320.)
           key));
   Printf.printf

@@ -15,7 +15,7 @@ module Live = Cup_sim.Runner.Live
 module Scenario = Cup_sim.Scenario
 module Counters = Cup_metrics.Counters
 module Net = Cup_overlay.Net
-module Node = Cup_proto.Node
+module Node_store = Cup_proto.Node_store
 
 let () =
   Printf.printf "== Zipf(1.2) workload over 64 keys ==\n\n";
@@ -37,14 +37,16 @@ let () =
   Live.run_until live (cfg.query_start +. cfg.query_duration);
   let net = Live.network live in
   let now = Cup_dess.Time.of_seconds (cfg.query_start +. cfg.query_duration) in
+  let store = Live.store live in
   let subscription_stats rank =
     let key = Live.key_of_index live rank in
     let fresh = ref 0 and interested = ref 0 in
     List.iter
       (fun id ->
-        let node = Live.node live id in
-        if Node.fresh_entries node ~now key <> [] then incr fresh;
-        if Node.interested_neighbors node key <> [] then incr interested)
+        if Node_store.fresh_entries store ~node:id ~now key <> [] then
+          incr fresh;
+        if Node_store.interested_neighbors store id key <> [] then
+          incr interested)
       (Net.node_ids net);
     (!fresh, !interested)
   in

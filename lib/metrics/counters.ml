@@ -141,7 +141,6 @@ let in_flight t = t.in_flight
 let route_cache_hits t = t.route_cache_hits
 let route_cache_misses t = t.route_cache_misses
 let miss_latency_hops t = t.latency_hops
-let miss_latency_histogram t = t.latency_histogram
 
 let miss_latency_percentile t q = Histogram.quantile t.latency_histogram q
 let avg_miss_latency_hops t = Welford.mean t.latency_hops

@@ -136,9 +136,6 @@ val route_cache_misses : t -> int
 val miss_latency_hops : t -> Welford.t
 (** Distribution of per-miss latencies, in hops. *)
 
-val miss_latency_histogram : t -> Histogram.t
-(** The same distribution with tail quantiles. *)
-
 val miss_latency_percentile : t -> float -> float
 (** [miss_latency_percentile t 0.99] is the p99 per-miss latency in
     hops (upper-bound estimate; see {!Histogram.quantile}). *)

@@ -185,7 +185,7 @@ let remove c r =
       c.expiry.(i) <- c.expiry.(last);
       c.n <- last
 
-(* V2: mirror of [Node.apply_update] — [Refresh]/[Append] overwrite
+(* V2: mirror of [Node_store.apply_update] — [Refresh]/[Append] overwrite
    cache entries unconditionally, so an entry staler than one already
    delivered would regress the receiver's cache.  Entries expired on
    arrival are exempt: the receiver prunes them.  The loops over

@@ -30,15 +30,3 @@ let next_hop t ~node ~target =
   else
     let d = (target - node + t.n) mod t.n in
     Some ((node + top_power_of_two d) mod t.n)
-
-let path_length t ~from ~target =
-  let rec go node hops =
-    match next_hop t ~node ~target with
-    | None -> hops
-    | Some next -> go next (hops + 1)
-  in
-  go from 0
-
-let max_hops t =
-  let rec bits acc p = if p >= t.n then acc else bits (acc + 1) (p * 2) in
-  bits 0 1

@@ -40,9 +40,3 @@ val next_hop : t -> node:int -> target:int -> int option
     largest power of two not exceeding the clockwise distance to
     [target].  The distance at least halves every hop, so a route takes
     at most [ceil (log2 n)] hops. *)
-
-val path_length : t -> from:int -> target:int -> int
-(** Number of hops {!next_hop} takes from [from] to [target]. *)
-
-val max_hops : t -> int
-(** Upper bound on {!path_length} for any pair: [ceil (log2 n)]. *)

@@ -19,11 +19,6 @@ let pp fmt = function
       Format.fprintf fmt "unreachable after %d hops (%a)" count pp_reason
         reason
 
-let is_delivered = function Delivered _ -> true | Unreachable _ -> false
-
-let hop_count = function
-  | Delivered { count; _ } | Unreachable { count; _ } -> count
-
 let hops_exn = function
   | Delivered { hops; _ } -> hops
   | Unreachable { reason; _ } ->

@@ -34,11 +34,6 @@ type t =
 val reason_to_string : reason -> string
 val pp_reason : Format.formatter -> reason -> unit
 val pp : Format.formatter -> t -> unit
-val is_delivered : t -> bool
-
-val hop_count : t -> int
-(** Hops taken, delivered or not — the carried [count], O(1). *)
-
 val hops_exn : t -> Node_id.t list
 (** The hop list of a [Delivered] route.  Raises [Invalid_argument] on
     [Unreachable] — for tests and examples that assume a healthy

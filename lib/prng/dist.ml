@@ -37,8 +37,6 @@ let poisson rng ~mean =
 let bernoulli rng ~p =
   if p >= 1. then true else if p <= 0. then false else Rng.float rng < p
 
-let uniform_int rng ~n = Rng.int rng n
-
 type zipf = { cdf : float array; pmf : float array }
 
 let zipf ~n ~s =

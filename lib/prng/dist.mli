@@ -19,9 +19,6 @@ val bernoulli : Rng.t -> p:float -> bool
 (** [bernoulli rng ~p] is [true] with probability [p] (clamped to
     [\[0, 1\]]). *)
 
-val uniform_int : Rng.t -> n:int -> int
-(** Uniform in [\[0, n)]. *)
-
 val normal : Rng.t -> mu:float -> sigma:float -> float
 (** Gaussian via Box–Muller. *)
 

@@ -7,8 +7,8 @@
     It never performs I/O and knows nothing about time sources or
     message delays — the simulation layer (or a real transport)
     executes the actions and invokes the handlers.  This keeps every
-    protocol rule directly unit-testable; {!Node} is the one-node view
-    the unit tests drive.
+    protocol rule directly unit-testable: the unit tests call the
+    handlers with a node id, as the runners do.
 
     Per neighbor there are two logical channels: handlers that emit
     [Send_query] use the query channel (upstream, toward the

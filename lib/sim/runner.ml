@@ -6,7 +6,6 @@ module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
 module Node_key = Cup_overlay.Node_key
 module Splitmix = Cup_prng.Splitmix
-module Node = Cup_proto.Node
 module Node_store = Cup_proto.Node_store
 module Update = Cup_proto.Update
 module Update_queue = Cup_proto.Update_queue
@@ -25,7 +24,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type result = {
   counters : Counters.t;
-  node_stats : Node.stats;
+  node_stats : Node_store.stats;
   queries_posted : int;
   replica_events : int;
   engine_events : int;
@@ -330,6 +329,26 @@ let duplicated_in_transit t =
 let retry_delay t attempt =
   t.cfg.hop_delay *. 4. *. Float.of_int (1 lsl Stdlib.min attempt 4)
 
+(* Where a message is headed; a local answer crosses no edge. *)
+let receiver : Node_store.action -> Node_id.t = function
+  | Send_query { to_; _ }
+  | Send_update { to_; _ }
+  | Send_clear_bit { to_; _ } ->
+      to_
+  | Answer_local _ -> invalid_arg "Runner: a local answer crosses no edge"
+
+let key_of : Node_store.action -> Key.t = function
+  | Send_query { key; _ }
+  | Send_clear_bit { key; _ }
+  | Answer_local { key; _ } ->
+      key
+  | Send_update { update; _ } -> update.key
+
+(* Updates queued on one node's outgoing channels, every neighbor's
+   summed. *)
+let channel_depth ch =
+  Node_id.Table.fold (fun _ q acc -> acc + Update_queue.length q) ch.queues 0
+
 (* {2 Justified-update accounting (Section 3.1)}
 
    An update pushed to a node is justified if a query for the key
@@ -392,9 +411,14 @@ let judge_pending_updates t ~node ~key =
 
 (* {2 Message transport}
 
-   Each [Send_*] action becomes a delivery event one [hop_delay]
-   later.  Hops are recorded at delivery so that first-time-update
-   hops can be classified by the receiver's pending flag. *)
+   A handler's [Send_*] action is the message.  [perform_one] charges
+   what its class pays at send and hands it to [wire], the one
+   transport every message crosses: it counts the message sent, draws
+   its loss, delay and duplication, and schedules each copy's delivery
+   one (possibly stretched) [hop_delay] later.  Query and clear-bit
+   hops are charged at send; update hops are charged at delivery, so
+   that first-time-update hops can be classified by the receiver's
+   pending flag. *)
 
 let rec perform t ~ctx ~from = function
   | [] -> ()
@@ -402,9 +426,9 @@ let rec perform t ~ctx ~from = function
       perform_one t ~ctx ~from a;
       perform t ~ctx ~from rest
 
-and perform_one t ~ctx ~from = function
-  | Node.Send_query { to_; key } -> send_query t ~ctx ~from ~to_ ~attempt:0 key
-  | Node.Send_clear_bit { to_; key } ->
+and perform_one t ~ctx ~from : Node_store.action -> unit = function
+  | Send_query { key; _ } as msg -> send_query t ~ctx ~from ~attempt:0 ~key msg
+  | Send_clear_bit { key; _ } as msg ->
       if not t.cfg.piggyback_clear_bits then begin
         Counters.record_clear_bit_hop t.counters;
         match t.attribution with
@@ -418,47 +442,10 @@ and perform_one t ~ctx ~from = function
          longer expects updates, so stop watching its deadline. *)
       if t.fault_mode then
         Node_key.Index.remove t.repair (Node_key.pack from key);
-      Counters.record_sent t.counters;
-      let sid = new_span t in
-      if dropped_in_transit t ~from ~to_ then begin
-        (* A lost clear-bit is harmless: the upstream keeps pushing
-           until the bit is cleared by a later cut-off or expiry. *)
-        Counters.record_lost_message t.counters;
-        Counters.record_transport_lost t.counters;
-        if tracing t then
-          emit t
-            (Trace.Message_lost
-               {
-                 at = now t;
-                 from_ = from;
-                 to_;
-                 key;
-                 trace_id = ctx.sc_trace;
-                 span_id = sid;
-                 parent_id = ctx.sc_parent;
-               })
-      end
-      else begin
-        ignore
-          (Engine.schedule_after ~label:"deliver.clear_bit" t.engine
-             ~delay:(delivery_delay t) (fun _ ->
-               deliver_clear_bit t ~ctx ~sid ~from ~to_ key));
-        if duplicated_in_transit t then begin
-          (* The extra copy is a transport message in its own right:
-             own sent/delivered accounting, own span.  Clearing an
-             already-cleared bit is a no-op at the receiver. *)
-          Counters.record_sent t.counters;
-          Counters.record_duplicate t.counters;
-          let dsid = new_span t in
-          ignore
-            (Engine.schedule_after ~label:"deliver.clear_bit" t.engine
-               ~delay:(t.cfg.hop_delay +. delivery_delay t) (fun _ ->
-                 deliver_clear_bit t ~ctx ~sid:dsid ~from ~to_ key))
-        end
-      end
-  | Node.Send_update { to_; update; answering } ->
-      send_update t ~ctx ~from ~to_ ~answering update
-  | Node.Answer_local { posted_at; hit; key; _ } ->
+      wire t ~ctx ~from ~attempt:0 msg
+  | Send_update { update; answering; _ } as msg ->
+      send_update t ~ctx ~from ~answering update msg
+  | Answer_local { posted_at; hit; key; _ } ->
       if tracing t then
         emit t
           (Trace.Local_answer
@@ -502,10 +489,11 @@ and perform_one t ~ctx ~from = function
           posted_at
       end
 
-(* One query crossing one overlay edge.  [attempt] counts transport
-   retries of this logical query: 0 on the first send, bumped each
-   time the message is lost on the wire or reaches a crashed node. *)
-and send_query t ~ctx ~from ~to_ ~attempt key =
+(* [msg], a query for [key], crossing one overlay edge.  [attempt]
+   counts transport retries of this logical query: 0 on the first
+   send, bumped each time the message is lost on the wire or reaches a
+   crashed node. *)
+and send_query t ~ctx ~from ~attempt ~key msg =
   Counters.record_query_hop t.counters;
   (match t.attribution with
   | Some a ->
@@ -515,51 +503,125 @@ and send_query t ~ctx ~from ~to_ ~attempt key =
   if t.fault_mode then
     arm_repair t ~node:from ~key
       ~deadline:(Time.to_seconds (now t) +. t.repair_timeout);
+  wire t ~ctx ~from ~attempt msg
+
+and send_update t ~ctx ~from ~answering (update : Update.t) msg =
+  match (update.kind, t.cfg.capacity_mode) with
+  | Update.First_time, _ when answering ->
+      (* Query answers always flow: a capacity-limited node degrades
+         its dependents to standard caching but still answers them.
+         Proactive first-time pushes are ordinary update propagation
+         and take the capacity-limited paths below. *)
+      wire t ~ctx ~from ~attempt:0 msg
+  | _, Scenario.Bernoulli ->
+      let c = capacity_of t from in
+      if c >= 1. || Dist.bernoulli t.cap_rng ~p:c then
+        wire t ~ctx ~from ~attempt:0 msg
+      else Counters.record_dropped_update t.counters
+  | _, Scenario.Token_bucket _ ->
+      let to_ = receiver msg in
+      let ch = channel_of t from in
+      let queue =
+        match Node_id.Table.find_opt ch.queues to_ with
+        | Some q -> q
+        | None ->
+            let q = Update_queue.create t.cfg.queue_ordering in
+            Node_id.Table.replace ch.queues to_ q;
+            q
+      in
+      (* The span context must survive the queueing delay; it rides
+         the queue as an opaque tag and is rebuilt at drain time. *)
+      if observing t then
+        Update_queue.push
+          ~tag:(ctx.sc_trace, ctx.sc_parent, ctx.sc_root_at)
+          queue update
+      else Update_queue.push queue update;
+      schedule_drain t from ch
+
+(* The wire: one message from [from] to its receiver.  The message
+   takes its span, then its loss draw (and the partition check), its
+   delay draw and its duplication draw; a copy takes a span of its own
+   and a delay one hop longer.  A copy is a transport message in its
+   own right, with its own sent/delivered accounting; receivers
+   tolerate it (queries coalesce in the pending set, entry application
+   is idempotent under the last-writer-wins guard, clearing a cleared
+   bit is a no-op). *)
+and wire t ~ctx ~from ~attempt msg =
   Counters.record_sent t.counters;
   let sid = new_span t in
-  if dropped_in_transit t ~from ~to_ then begin
-    Counters.record_lost_message t.counters;
+  if dropped_in_transit t ~from ~to_:(receiver msg) then begin
     Counters.record_transport_lost t.counters;
-    if tracing t then
-      emit t
-        (Trace.Message_lost
-           {
-             at = now t;
-             from_ = from;
-             to_;
-             key;
-             trace_id = ctx.sc_trace;
-             span_id = sid;
-             parent_id = ctx.sc_parent;
-           });
-    (* Sender-side timeout: re-route after a capped backoff.  The
-       retry descends from the lost message's span, so the repair cost
-       shows up on the trace's critical path. *)
-    let ctx = child_ctx ctx sid in
-    ignore
-      (Engine.schedule_after ~label:"transport.retry" t.engine
-         ~delay:(retry_delay t attempt) (fun _ ->
-           retry_query t ~ctx ~from ~key ~attempt:(attempt + 1)))
+    message_lost t ~ctx ~from ~span:sid ~parent:ctx.sc_parent ~attempt msg
   end
   else begin
-    ignore
-      (Engine.schedule_after ~label:"deliver.query" t.engine
-         ~delay:(delivery_delay t) (fun _ ->
-           deliver_query t ~ctx ~sid ~attempt ~from ~to_ key));
+    deliver_after t ~ctx ~sid ~from ~attempt ~delay:(delivery_delay t) msg;
     if duplicated_in_transit t then begin
-      (* Redelivered queries coalesce in the receiver's pending set;
-         the copy still pays full transport accounting. *)
       Counters.record_sent t.counters;
       Counters.record_duplicate t.counters;
       let dsid = new_span t in
-      ignore
-        (Engine.schedule_after ~label:"deliver.query" t.engine
-           ~delay:(t.cfg.hop_delay +. delivery_delay t) (fun _ ->
-             deliver_query t ~ctx ~sid:dsid ~attempt ~from ~to_ key))
+      deliver_after t ~ctx ~sid:dsid ~from ~attempt
+        ~delay:(t.cfg.hop_delay +. delivery_delay t)
+        msg
     end
   end
 
-and deliver_query t ~ctx ?(sid = 0) ?(attempt = 0) ~from ~to_ key =
+(* The one place a delivery is scheduled: each class under its own
+   engine label, into its own delivery handler. *)
+and deliver_after t ~ctx ~sid ~from ~attempt ~delay (msg : Node_store.action)
+    =
+  (* Constant options: a computed string would box a fresh [Some] per
+     message. *)
+  let label =
+    match msg with
+    | Send_query _ -> Some "deliver.query"
+    | Send_update _ -> Some "deliver.update"
+    | Send_clear_bit _ | Answer_local _ -> Some "deliver.clear_bit"
+  in
+  ignore
+    (Engine.schedule_after ?label t.engine ~delay (fun _ ->
+         match msg with
+         | Send_query { to_; key } ->
+             deliver_query t ~ctx ~sid ~from ~attempt ~to_ key msg
+         | Send_update { to_; update; answering } ->
+             deliver_update t ~ctx ~sid ~from ~to_ ~answering update msg
+         | Send_clear_bit { to_; key } ->
+             deliver_clear_bit t ~ctx ~sid ~from ~to_ key
+         | Answer_local _ -> ()))
+
+(* A message that will never arrive, lost on the wire or at a dead
+   receiver: counted and traced.  A lost query's sender times out and
+   re-routes it after a capped backoff; the retry descends from the
+   lost message's span, so the repair cost shows up on the trace's
+   critical path.  Updates are not retransmitted: the subscriber's
+   justification-deadline repair (below) detects the gap and re-issues
+   its interest instead.  A lost clear-bit is harmless: the upstream
+   keeps pushing until the bit is cleared by a later cut-off or
+   expiry. *)
+and message_lost t ~ctx ~from ~span ~parent ~attempt (msg : Node_store.action)
+    =
+  Counters.record_lost_message t.counters;
+  if tracing t then
+    emit t
+      (Trace.Message_lost
+         {
+           at = now t;
+           from_ = from;
+           to_ = receiver msg;
+           key = key_of msg;
+           trace_id = ctx.sc_trace;
+           span_id = span;
+           parent_id = parent;
+         });
+  match msg with
+  | Send_query { key; _ } ->
+      let ctx = child_ctx ctx span in
+      ignore
+        (Engine.schedule_after ~label:"transport.retry" t.engine
+           ~delay:(retry_delay t attempt) (fun _ ->
+             retry_query t ~ctx ~from ~key ~attempt:(attempt + 1)))
+  | Send_update _ | Send_clear_bit _ | Answer_local _ -> ()
+
+and deliver_query t ~ctx ~sid ~from ~attempt ~to_ key msg =
   if tracing t then
     emit t
       (Trace.Query_forwarded
@@ -579,7 +641,7 @@ and deliver_query t ~ctx ?(sid = 0) ?(attempt = 0) ~from ~to_ key =
     perform t ~ctx:(child_ctx ctx sid) ~from:to_
       (Node_store.handle_query t.store ~node:to_ ~now:(now t)
          ~owner:(Net.owns t.net to_ key) ~route:t.route
-         (Node.From_neighbor from) key)
+         (Node_store.From_neighbor from) key)
   end
   else begin
     (* The next hop crashed with the query in flight: the sender times
@@ -588,27 +650,8 @@ and deliver_query t ~ctx ?(sid = 0) ?(attempt = 0) ~from ~to_ key =
        (graceful churn included), not just injected faults, so the
        conservation identity drains to zero in either case. *)
     Counters.record_transport_lost t.counters;
-    if t.fault_mode then begin
-    Counters.record_lost_message t.counters;
-    let lost_sid = new_span t in
-    if tracing t then
-      emit t
-        (Trace.Message_lost
-           {
-             at = now t;
-             from_ = from;
-             to_;
-             key;
-             trace_id = ctx.sc_trace;
-             span_id = lost_sid;
-             parent_id = sid;
-           });
-    let ctx = child_ctx ctx lost_sid in
-    ignore
-      (Engine.schedule_after ~label:"transport.retry" t.engine
-         ~delay:(retry_delay t attempt) (fun _ ->
-           retry_query t ~ctx ~from ~key ~attempt:(attempt + 1)))
-    end
+    if t.fault_mode then
+      message_lost t ~ctx ~from ~span:(new_span t) ~parent:sid ~attempt msg
   end
 
 (* Re-route a lost or bounced query from its original sender. *)
@@ -628,10 +671,12 @@ and retry_query t ~ctx ~from ~key ~attempt =
            flight, so there is no upstream left to ask; local waiters
            fall back to expiration-based polling. *)
         Counters.record_unreachable t.counters
-    | Route.Forward h -> send_query t ~ctx ~from ~to_:h ~attempt key
+    | Route.Forward h ->
+        send_query t ~ctx ~from ~attempt ~key
+          (Node_store.Send_query { to_ = h; key })
   end
 
-and deliver_clear_bit t ~ctx ?(sid = 0) ~from ~to_ key =
+and deliver_clear_bit t ~ctx ~sid ~from ~to_ key =
   if tracing t then
     emit t
       (Trace.Clear_bit_delivered
@@ -656,82 +701,7 @@ and deliver_clear_bit t ~ctx ?(sid = 0) ~from ~to_ key =
        still leave the in-flight ledger. *)
     Counters.record_transport_lost t.counters
 
-and send_update t ~ctx ~from ~to_ ~answering (update : Update.t) =
-  match (update.kind, t.cfg.capacity_mode) with
-  | Update.First_time, _ when answering ->
-      (* Query answers always flow: a capacity-limited node degrades
-         its dependents to standard caching but still answers them.
-         Proactive first-time pushes are ordinary update propagation
-         and take the capacity-limited paths below. *)
-      transmit_update t ~ctx ~from ~to_ ~answering update
-  | _, Scenario.Bernoulli ->
-      let c = capacity_of t from in
-      if c >= 1. || Dist.bernoulli t.cap_rng ~p:c then
-        transmit_update t ~ctx ~from ~to_ update
-      else Counters.record_dropped_update t.counters
-  | _, Scenario.Token_bucket _ ->
-      let ch = channel_of t from in
-      let queue =
-        match Node_id.Table.find_opt ch.queues to_ with
-        | Some q -> q
-        | None ->
-            let q = Update_queue.create t.cfg.queue_ordering in
-            Node_id.Table.replace ch.queues to_ q;
-            q
-      in
-      (* The span context must survive the queueing delay; it rides
-         the queue as an opaque tag and is rebuilt at drain time. *)
-      if observing t then
-        Update_queue.push
-          ~tag:(ctx.sc_trace, ctx.sc_parent, ctx.sc_root_at)
-          queue update
-      else Update_queue.push queue update;
-      schedule_drain t from ch
-
-and transmit_update t ~ctx ~from ~to_ ?(answering = false) (update : Update.t)
-    =
-  Counters.record_sent t.counters;
-  let sid = new_span t in
-  if dropped_in_transit t ~from ~to_ then begin
-    (* Updates are not retransmitted: the subscriber's
-       justification-deadline repair (below) detects the gap and
-       re-issues its interest instead. *)
-    Counters.record_lost_message t.counters;
-    Counters.record_transport_lost t.counters;
-    if tracing t then
-      emit t
-        (Trace.Message_lost
-           {
-             at = now t;
-             from_ = from;
-             to_;
-             key = update.key;
-             trace_id = ctx.sc_trace;
-             span_id = sid;
-             parent_id = ctx.sc_parent;
-           })
-  end
-  else begin
-    ignore
-      (Engine.schedule_after ~label:"deliver.update" t.engine
-         ~delay:(delivery_delay t) (fun _ ->
-           deliver_update t ~ctx ~sid ~from ~to_ ~answering update));
-    if duplicated_in_transit t then begin
-      (* Entry application is idempotent under the receiver's
-         last-writer-wins guard, so the copy can even arrive after a
-         fresher update without regressing the cache. *)
-      Counters.record_sent t.counters;
-      Counters.record_duplicate t.counters;
-      let dsid = new_span t in
-      ignore
-        (Engine.schedule_after ~label:"deliver.update" t.engine
-           ~delay:(t.cfg.hop_delay +. delivery_delay t) (fun _ ->
-             deliver_update t ~ctx ~sid:dsid ~from ~to_ ~answering update))
-    end
-  end
-
-and deliver_update t ~ctx ?(sid = 0) ~from ~to_ ~answering (update : Update.t)
-    =
+and deliver_update t ~ctx ~sid ~from ~to_ ~answering (update : Update.t) msg =
   if tracing t then
     emit t
       (Trace.Update_delivered
@@ -791,26 +761,17 @@ and deliver_update t ~ctx ?(sid = 0) ~from ~to_ ~answering (update : Update.t)
   else begin
     Counters.record_transport_lost t.counters;
     if t.fault_mode then begin
-    (* The child crashed: the update is lost and the sender prunes the
-       dead edge from its propagation tree so later updates stop
-       burning hops on it. *)
-    Counters.record_lost_message t.counters;
-    if tracing t then
-      emit t
-        (Trace.Message_lost
-           {
-             at = now t;
-             from_ = from;
-             to_;
-             key = update.key;
-             trace_id = ctx.sc_trace;
-             span_id = new_span t;
-             parent_id = sid;
-           });
-    if Net.is_alive t.net from then begin
-      Node_store.drop_neighbor t.store ~node:from to_;
-      Counters.record_repair t.counters
-    end
+      (* The child crashed: the update is lost and the sender prunes
+         the dead edge from its propagation tree so later updates stop
+         burning hops on it.  Its loss record takes a span only when
+         traced. *)
+      message_lost t ~ctx ~from
+        ~span:(if tracing t then new_span t else 0)
+        ~parent:sid ~attempt:0 msg;
+      if Net.is_alive t.net from then begin
+        Node_store.drop_neighbor t.store ~node:from to_;
+        Counters.record_repair t.counters
+      end
     end
   end
 
@@ -956,7 +917,8 @@ and repair_check t st =
             (* Raw re-issue on the wire: bypasses the node's own query
                coalescing, which would swallow the retry while the
                pending-first flag is still set. *)
-            send_query t ~ctx ~from:st.r_node ~to_:h ~attempt:0 st.r_key;
+            send_query t ~ctx ~from:st.r_node ~attempt:0 ~key:st.r_key
+              (Node_store.Send_query { to_ = h; key = st.r_key });
             schedule_repair_check t st
       end
     end
@@ -1011,14 +973,11 @@ and drain_once t node_id ch =
                 { sc_trace; sc_parent; sc_root_at }
             | None -> no_ctx
           in
-          transmit_update t ~ctx ~from:node_id ~to_:neighbor update
+          wire t ~ctx ~from:node_id ~attempt:0
+            (Node_store.Send_update
+               { to_ = neighbor; update; answering = false })
       | None -> ());
-      let remaining =
-        Node_id.Table.fold
-          (fun _ q acc -> acc + Update_queue.length q)
-          ch.queues 0
-      in
-      if remaining > 0 then schedule_drain t node_id ch
+      if channel_depth ch > 0 then schedule_drain t node_id ch
 
 (* {2 Local queries} *)
 
@@ -1058,7 +1017,7 @@ let post_query t ~node ~key =
     perform t ~ctx ~from:node
       (Node_store.handle_query t.store ~node ~now:(now t)
          ~owner:(Net.owns t.net node key) ~route:t.route
-         (Node.From_local (now t)) key)
+         (Node_store.From_local (now t)) key)
   end
 
 (* {2 Workload pumps}
@@ -1146,7 +1105,7 @@ let dispatch_replica_event t (e : Cup_workload.Replica_gen.event) =
             let ctx = origin_ctx t in
             List.iter
               (function
-                | Node.Send_update _ ->
+                | Node_store.Send_update _ ->
                     Counters.record_dropped_update t.counters
                 | other -> perform_one t ~ctx ~from:auth other)
               actions
@@ -1538,11 +1497,7 @@ module Live = struct
     let queued, deepest =
       Node_id.Table.fold
         (fun _ ch (total, deepest) ->
-          let depth =
-            Node_id.Table.fold
-              (fun _ q acc -> acc + Update_queue.length q)
-              ch.queues 0
-          in
+          let depth = channel_depth ch in
           (total + depth, Stdlib.max deepest depth))
         t.channels (0, 0)
     in
@@ -1555,23 +1510,7 @@ module Live = struct
   let wallclock_elapsed t = Unix.gettimeofday () -. t.started
   let queries_posted t = t.queries_posted
 
-  (* Walk the memoized sorted membership instead of sorting the
-     channel table on every report tick. *)
-  let update_queue_depths t =
-    List.filter_map
-      (fun id ->
-        match Node_id.Table.find_opt t.channels id with
-        | None -> None
-        | Some ch ->
-            let depth =
-              Node_id.Table.fold
-                (fun _ q acc -> acc + Update_queue.length q)
-                ch.queues 0
-            in
-            if depth > 0 then Some (id, depth) else None)
-      (Net.node_ids t.net)
-
-  let node t id = Node.view t.store id
+  let store t = t.store
   let counters t = t.counters
   let key_of_index t i = t.keys.(i)
   let authority_of t key = Key.Table.find t.authority key

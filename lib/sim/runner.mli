@@ -1,11 +1,22 @@
 (** Execute a {!Scenario} and account its costs.
 
-    The runner builds the CAN overlay, instantiates one CUP node per
-    overlay node, registers each key at its authority, and drives the
-    replica-lifecycle, query and fault workloads through the
-    discrete-event engine.  Every protocol message crossing an overlay
-    edge is charged one hop to the Section 3.1 cost model
-    ({!Cup_metrics.Counters}).
+    The runner builds the CAN overlay, keeps every node's protocol
+    state in one {!Cup_proto.Node_store}, registers each key at its
+    authority, and drives the replica-lifecycle, query and fault
+    workloads through the discrete-event engine.  Every protocol message
+    crossing an overlay edge is charged one hop to the Section 3.1 cost
+    model ({!Cup_metrics.Counters}).
+
+    {b One wire.}  A handler's [Send_query], [Send_update] or
+    [Send_clear_bit] action is the message, and every message, whoever
+    sends it (a handler, a transport retry, a subscription-repair
+    re-issue or the token-bucket drain), crosses the same transport: it
+    is counted sent, draws its loss (then the partition check), its
+    delay and its duplication, and each copy's delivery is scheduled in
+    one place under its class's [deliver.*] engine label.  Query and
+    clear-bit hops are charged at send, so a query or clear-bit lost on
+    the wire still costs its hop; update hops are charged at delivery,
+    where the receiver's pending flag classifies a first-time update.
 
     First-time updates are never dropped by reduced capacity (they
     carry query answers; a node that cannot propagate updates still
@@ -37,7 +48,7 @@
 
 type result = {
   counters : Cup_metrics.Counters.t;
-  node_stats : Cup_proto.Node.stats;  (** summed over all nodes *)
+  node_stats : Cup_proto.Node_store.stats;  (** summed over all nodes *)
   queries_posted : int;
   replica_events : int;
   engine_events : int;
@@ -90,11 +101,6 @@ module Live : sig
   val scenario : t -> Scenario.t
   val network : t -> Cup_overlay.Net.t
 
-  val update_queue_depths : t -> (Cup_overlay.Node_id.t * int) list
-  (** Nodes with a nonempty Section 2.8 outgoing update channel and
-      the total number of updates queued there, in node order.  Always
-      empty outside token-bucket capacity mode. *)
-
   val queue_stats : t -> queue_stats
   (** Engine pending-event count and update-channel depth gauges in
       one read — the accessor behind [/health], {!Cup_obs.Timeseries}
@@ -106,10 +112,10 @@ module Live : sig
   val queries_posted : t -> int
   (** Locally posted queries so far. *)
 
-  val node : t -> Cup_overlay.Node_id.t -> Cup_proto.Node.t
-  (** A view of the node inside the run's one {!Cup_proto.Node_store}.
-      Views share that store, so their {!Cup_proto.Node.stats} are the
-      whole run's.  A departed node's view holds no state. *)
+  val store : t -> Cup_proto.Node_store.t
+  (** Every node's protocol state, in the run's one store: read a node's
+      state by its id.  Its {!Cup_proto.Node_store.stats} are the whole
+      run's, and a departed node holds no state there. *)
 
   val counters : t -> Cup_metrics.Counters.t
   val key_of_index : t -> int -> Cup_overlay.Key.t

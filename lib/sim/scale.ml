@@ -5,7 +5,6 @@ module Ring = Cup_overlay.Ring
 module Route = Cup_overlay.Route
 module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
-module Node = Cup_proto.Node
 module Node_store = Cup_proto.Node_store
 module Update = Cup_proto.Update
 module Entry = Cup_proto.Entry
@@ -315,7 +314,7 @@ let run ?tracer cfg =
         (L_post { node; key = Query_gen.key_index gen; idx = !idx });
       incr idx);
   (* {2 Shard state} *)
-  let node_cfg = Node.default_config in
+  let node_cfg = Node_store.default_config in
   let stores =
     Array.init shards (fun _ -> Node_store.create ~nodes:cfg.nodes node_cfg)
   in
@@ -403,7 +402,7 @@ let run ?tracer cfg =
     let rec exec node = function
       | [] -> ()
       | act :: rest ->
-          (match (act : Node.action) with
+          (match (act : Node_store.action) with
           | Send_query { to_; key } ->
               t.query_hops <- t.query_hops + 1;
               (match at with
@@ -459,7 +458,7 @@ let run ?tracer cfg =
         let k = Key.of_int arg in
         exec dst
           (Node_store.handle_query store ~node:nid ~now ~owner:(owns dst k)
-             ~route (Node.From_neighbor from) k)
+             ~route (Node_store.From_neighbor from) k)
       end
       else if cls = cls_update then begin
         (match at with
@@ -511,12 +510,13 @@ let run ?tracer cfg =
             let k = Key.of_int key in
             let acts =
               Node_store.handle_query store ~node:(Node_id.of_int node) ~now
-                ~owner:(owns node k) ~route (Node.From_local now) k
+                ~owner:(owns node k) ~route (Node_store.From_local now) k
             in
             let hit =
               List.exists
                 (function
-                  | Node.Answer_local { hit = true; _ } -> true | _ -> false)
+                  | Node_store.Answer_local { hit = true; _ } -> true
+                  | _ -> false)
                 acts
             in
             if not hit then t.misses <- t.misses + 1;

@@ -42,7 +42,7 @@ type t = {
   replicas_per_key : int;
   replica_lifetime : float;
   death_prob : float;
-  node_config : Cup_proto.Node.config;
+  node_config : Cup_proto.Node_store.config;
   hop_delay : float;
   query_rate : float;
   query_start : float;
@@ -74,7 +74,7 @@ let default =
     replicas_per_key = 1;
     replica_lifetime = 300.;
     death_prob = 0.;
-    node_config = Cup_proto.Node.default_config;
+    node_config = Cup_proto.Node_store.default_config;
     hop_delay = 0.01;
     query_rate = 1.;
     query_start = 300.;

@@ -114,7 +114,7 @@ type t = {
   death_prob : float;
       (** probability a replica dies (instead of refreshing) at each
           expiration; a replacement is born to keep the population *)
-  node_config : Cup_proto.Node.config;
+  node_config : Cup_proto.Node_store.config;
   hop_delay : float;  (** seconds per overlay hop *)
   query_rate : float;  (** network-wide Poisson rate, queries/second *)
   query_start : float;
@@ -139,7 +139,7 @@ type t = {
   reorder : reorder_spec option;
       (** per-message delivery-delay jitter: messages can overtake
           each other on the wire.  Receivers discard entries staler
-          than their cache (see {!Cup_proto.Node}), so reordering
+          than their cache (see {!Cup_proto.Node_store}), so reordering
           never regresses freshness. *)
   duplication : duplicate_spec option;
       (** per-message duplicate delivery; protocol handlers tolerate

@@ -8,7 +8,8 @@ module Update_queue = Cup_proto.Update_queue
 module Interest = Cup_proto.Interest
 module Entry = Cup_proto.Entry
 module Replica_id = Cup_proto.Replica_id
-module Node = Cup_proto.Node
+module Store = Cup_proto.Node_store
+module Route = Cup_overlay.Route
 module Node_id = Cup_overlay.Node_id
 module Key = Cup_overlay.Key
 module Time = Cup_dess.Time
@@ -246,33 +247,33 @@ let test_interest_remap () =
 
    Helpers to run handlers and classify the returned actions. *)
 
-let cup_config = Node.default_config
+let cup_config = Store.default_config
 
 let std_config =
-  { Node.policy = Policy.Standard_caching; replica_independent_cutoff = true }
+  { Store.policy = Policy.Standard_caching; replica_independent_cutoff = true }
 
 let queries_sent actions =
   List.filter_map
-    (function Node.Send_query { to_; key } -> Some (to_, key) | _ -> None)
+    (function Store.Send_query { to_; key } -> Some (to_, key) | _ -> None)
     actions
 
 let updates_sent actions =
   List.filter_map
     (function
-      | Node.Send_update { to_; update; answering } ->
+      | Store.Send_update { to_; update; answering } ->
           Some (to_, update, answering)
       | _ -> None)
     actions
 
 let clear_bits_sent actions =
   List.filter_map
-    (function Node.Send_clear_bit { to_; key } -> Some (to_, key) | _ -> None)
+    (function Store.Send_clear_bit { to_; key } -> Some (to_, key) | _ -> None)
     actions
 
 let local_answers actions =
   List.filter_map
     (function
-      | Node.Answer_local { posted_at; hit; entries; _ } ->
+      | Store.Answer_local { posted_at; hit; entries; _ } ->
           Some (posted_at, hit, entries)
       | _ -> None)
     actions
@@ -280,20 +281,38 @@ let local_answers actions =
 let t0 = Time.of_seconds 0.
 let at s = Time.of_seconds s
 
+(* The node every single-node case drives. *)
+let me = nid 0
+
+(* [Store.handle_query] with the routing decision made up front: [None]
+   when the node's zone contains the key, [Some hop] for where a pushed
+   query instance goes. *)
+let handle_query store ~node ~now ~next_hop source k =
+  match next_hop with
+  | None ->
+      Store.handle_query store ~node ~now ~owner:true
+        ~route:(fun _ _ -> Route.Owner)
+        source k
+  | Some hop ->
+      Store.handle_query store ~node ~now ~owner:false
+        ~route:(fun _ _ -> Route.Forward hop)
+        source k
+
 (* A node with one cached fresh entry for [key 1], learned at distance
    [level] from neighbor [up]. *)
 let node_with_cached ?(config = cup_config) ?(level = 3) ~up () =
-  let n = Node.create ~id:(nid 0) config in
+  let n = Store.create config in
   (* A local query creates the pending state and pushes upstream... *)
   let actions =
-    Node.handle_query n ~now:t0 ~next_hop:(Some up) (Node.From_local t0) (key 1)
+    handle_query n ~node:me ~now:t0 ~next_hop:(Some up) (Store.From_local t0)
+      (key 1)
   in
   assert (queries_sent actions = [ (up, key 1) ]);
   (* ...and the first-time update answers it. *)
   let ft =
     Update.first_time ~key:(key 1) ~entries:[ entry ~replica:0 300. ] ~level
   in
-  let actions = Node.handle_update n ~now:(at 1.) ~from:up ft in
+  let actions = Store.handle_update n ~node:me ~now:(at 1.) ~from:up ft in
   assert (local_answers actions <> []);
   n
 
@@ -303,8 +322,8 @@ let test_query_case1_fresh_cache_answers_neighbor () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   let actions =
-    Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-      (Node.From_neighbor (nid 2)) (key 1)
+    handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+      (Store.From_neighbor (nid 2)) (key 1)
   in
   (match updates_sent actions with
   | [ (to_, u, answering) ] ->
@@ -317,14 +336,14 @@ let test_query_case1_fresh_cache_answers_neighbor () =
   Alcotest.(check (list int)) "no query pushed" []
     (List.map (fun (t, _) -> Node_id.to_int t) (queries_sent actions));
   Alcotest.(check (list int)) "interest bit set" [ 2 ]
-    (List.map Node_id.to_int (Node.interested_neighbors n (key 1)))
+    (List.map Node_id.to_int (Store.interested_neighbors n me (key 1)))
 
 let test_query_case1_local_hit () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   let actions =
-    Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-      (Node.From_local (at 2.)) (key 1)
+    handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+      (Store.From_local (at 2.)) (key 1)
   in
   match local_answers actions with
   | [ (posted, true, entries) ] ->
@@ -333,36 +352,36 @@ let test_query_case1_local_hit () =
   | _ -> Alcotest.fail "expected a synchronous hit"
 
 let test_query_case2_cold_pushes_and_sets_pending () =
-  let n = Node.create ~id:(nid 0) cup_config in
+  let n = Store.create cup_config in
   let actions =
-    Node.handle_query n ~now:t0 ~next_hop:(Some (nid 7))
-      (Node.From_neighbor (nid 2)) (key 1)
+    handle_query n ~node:me ~now:t0 ~next_hop:(Some (nid 7))
+      (Store.From_neighbor (nid 2)) (key 1)
   in
   Alcotest.(check int) "one query up" 1 (List.length (queries_sent actions));
-  Alcotest.(check bool) "pending set" true (Node.pending_first n (key 1))
+  Alcotest.(check bool) "pending set" true (Store.pending_first n me (key 1))
 
 let test_query_case2_coalesces () =
-  let n = Node.create ~id:(nid 0) cup_config in
+  let n = Store.create cup_config in
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:(Some (nid 7))
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:t0 ~next_hop:(Some (nid 7))
+       (Store.From_neighbor (nid 2)) (key 1));
   let again =
-    Node.handle_query n ~now:(at 0.1) ~next_hop:(Some (nid 7))
-      (Node.From_neighbor (nid 3)) (key 1)
+    handle_query n ~node:me ~now:(at 0.1) ~next_hop:(Some (nid 7))
+      (Store.From_neighbor (nid 3)) (key 1)
   in
   Alcotest.(check int) "burst coalesced" 0 (List.length (queries_sent again));
-  Alcotest.(check int) "coalesce counted" 1 (Node.stats n).queries_coalesced;
+  Alcotest.(check int) "coalesce counted" 1 (Store.stats n).queries_coalesced;
   Alcotest.(check (list int)) "both interested" [ 2; 3 ]
-    (List.map Node_id.to_int (Node.interested_neighbors n (key 1)))
+    (List.map Node_id.to_int (Store.interested_neighbors n me (key 1)))
 
 let test_query_standard_does_not_coalesce () =
-  let n = Node.create ~id:(nid 0) std_config in
+  let n = Store.create std_config in
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:(Some (nid 7))
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:t0 ~next_hop:(Some (nid 7))
+       (Store.From_neighbor (nid 2)) (key 1));
   let again =
-    Node.handle_query n ~now:(at 0.1) ~next_hop:(Some (nid 7))
-      (Node.From_neighbor (nid 3)) (key 1)
+    handle_query n ~node:me ~now:(at 0.1) ~next_hop:(Some (nid 7))
+      (Store.From_neighbor (nid 3)) (key 1)
   in
   Alcotest.(check int) "second query also pushed" 1
     (List.length (queries_sent again))
@@ -372,20 +391,22 @@ let test_query_case3_expired_repushes () =
   let n = node_with_cached ~up () in
   (* entry expires at t=300 *)
   let actions =
-    Node.handle_query n ~now:(at 301.) ~next_hop:(Some up)
-      (Node.From_local (at 301.)) (key 1)
+    handle_query n ~node:me ~now:(at 301.) ~next_hop:(Some up)
+      (Store.From_local (at 301.)) (key 1)
   in
   Alcotest.(check int) "freshness miss pushes query" 1
     (List.length (queries_sent actions));
-  Alcotest.(check bool) "pending again" true (Node.pending_first n (key 1))
+  Alcotest.(check bool) "pending again" true (Store.pending_first n me (key 1))
 
 let test_query_authority_answers_from_directory () =
-  let n = Node.create ~id:(nid 0) cup_config in
-  Node.add_local_key n (key 1);
-  ignore (Node.replica_birth n ~now:t0 ~key:(key 1) (entry ~replica:4 500.));
+  let n = Store.create cup_config in
+  Store.add_local_key n me (key 1);
+  ignore
+    (Store.replica_birth n ~node:me ~now:t0 ~key:(key 1)
+       (entry ~replica:4 500.));
   let actions =
-    Node.handle_query n ~now:(at 1.) ~next_hop:None
-      (Node.From_neighbor (nid 2)) (key 1)
+    handle_query n ~node:me ~now:(at 1.) ~next_hop:None
+      (Store.From_neighbor (nid 2)) (key 1)
   in
   match updates_sent actions with
   | [ (to_, u, true) ] ->
@@ -397,12 +418,12 @@ let test_query_authority_answers_from_directory () =
 let test_query_becomes_empty_authority () =
   (* next_hop = None but the key is unknown: the node's zone contains
      the key, so it answers as an empty authority. *)
-  let n = Node.create ~id:(nid 0) cup_config in
+  let n = Store.create cup_config in
   let actions =
-    Node.handle_query n ~now:t0 ~next_hop:None (Node.From_neighbor (nid 2))
+    handle_query n ~node:me ~now:t0 ~next_hop:None (Store.From_neighbor (nid 2))
       (key 5)
   in
-  Alcotest.(check bool) "now owns the key" true (Node.owns n (key 5));
+  Alcotest.(check bool) "now owns the key" true (Store.owns n me (key 5));
   match updates_sent actions with
   | [ (_, u, true) ] ->
       Alcotest.(check int) "empty answer" 0 (List.length u.Update.entries)
@@ -413,9 +434,6 @@ let test_query_becomes_empty_authority () =
    The runners drive [Node_store.handle_query] directly, with a routing
    function in place of a precomputed next hop.  These cases count its
    calls. *)
-
-module Store = Cup_proto.Node_store
-module Route = Cup_overlay.Route
 
 let counting_route answer =
   let calls = ref 0 in
@@ -435,29 +453,29 @@ let test_query_routes_only_when_pushing () =
   let query ?(owner = false) ~now source k =
     Store.handle_query store ~node:me ~now ~owner ~route source k
   in
-  let pushed = query ~now:t0 (Node.From_local t0) (key 1) in
+  let pushed = query ~now:t0 (Store.From_local t0) (key 1) in
   Alcotest.(check (list (pair int int))) "cold query pushes upstream"
     [ (7, 1) ]
     (List.map (fun (t, k) -> (Node_id.to_int t, Key.to_int k))
        (queries_sent pushed));
   Alcotest.(check int) "pushing routes once" 1 !calls;
-  let coalesced = query ~now:(at 0.1) (Node.From_neighbor (nid 2)) (key 1) in
+  let coalesced = query ~now:(at 0.1) (Store.From_neighbor (nid 2)) (key 1) in
   Alcotest.(check int) "coalesced: nothing sent" 0 (List.length coalesced);
   Alcotest.(check int) "coalesced: no routing" 1 !calls;
   ignore
     (Store.handle_update store ~node:me ~now:(at 0.5) ~from:up
        (Update.first_time ~key:(key 1) ~entries:[ entry 300. ] ~level:2));
-  let hit = query ~now:(at 1.) (Node.From_local (at 1.)) (key 1) in
+  let hit = query ~now:(at 1.) (Store.From_local (at 1.)) (key 1) in
   Alcotest.(check int) "cache answer" 1 (List.length (local_answers hit));
   Alcotest.(check int) "cache answer: no routing" 1 !calls;
   let auth =
-    query ~owner:true ~now:(at 1.) (Node.From_neighbor (nid 3)) (key 2)
+    query ~owner:true ~now:(at 1.) (Store.From_neighbor (nid 3)) (key 2)
   in
   Alcotest.(check int) "authority answer" 1 (List.length (updates_sent auth));
-  let again = query ~now:(at 2.) (Node.From_neighbor (nid 4)) (key 2) in
+  let again = query ~now:(at 2.) (Store.From_neighbor (nid 4)) (key 2) in
   Alcotest.(check int) "directory answer" 1 (List.length (updates_sent again));
   Alcotest.(check int) "authority answers: no routing" 1 !calls;
-  let expired = query ~now:(at 301.) (Node.From_local (at 301.)) (key 1) in
+  let expired = query ~now:(at 301.) (Store.From_local (at 301.)) (key 1) in
   Alcotest.(check int) "expired entry pushes again" 1
     (List.length (queries_sent expired));
   Alcotest.(check int) "and routes once more" 2 !calls
@@ -486,32 +504,32 @@ let test_query_unroutable_leaves_no_state () =
     Alcotest.(check bool) (label ^ ": pending unchanged") pending
       (Store.pending_first store me k)
   in
-  check_untouched "cold" (key 1) (Node.From_neighbor (nid 2)) ~now:t0;
-  check_untouched "cold local" (key 1) (Node.From_local t0) ~now:t0;
+  check_untouched "cold" (key 1) (Store.From_neighbor (nid 2)) ~now:t0;
+  check_untouched "cold local" (key 1) (Store.From_local t0) ~now:t0;
   (* A key with an expired cached entry and no pending instance. *)
   let _, route = counting_route (Route.Forward (nid 7)) in
   ignore
     (Store.handle_query store ~node:me ~now:t0 ~owner:false ~route
-       (Node.From_neighbor (nid 3)) (key 2));
+       (Store.From_neighbor (nid 3)) (key 2));
   ignore
     (Store.handle_update store ~node:me ~now:(at 0.5) ~from:(nid 7)
        (Update.first_time ~key:(key 2) ~entries:[ entry 10. ] ~level:2));
-  check_untouched "expired" (key 2) (Node.From_neighbor (nid 4)) ~now:(at 20.)
+  check_untouched "expired" (key 2) (Store.From_neighbor (nid 4)) ~now:(at 20.)
 
 (* {2 handle_update} *)
 
 let test_update_first_time_answers_waiters_and_forwards () =
-  let n = Node.create ~id:(nid 0) cup_config in
+  let n = Store.create cup_config in
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:(Some (nid 7))
-       (Node.From_local t0) (key 1));
+    (handle_query n ~node:me ~now:t0 ~next_hop:(Some (nid 7))
+       (Store.From_local t0) (key 1));
   ignore
-    (Node.handle_query n ~now:(at 0.1) ~next_hop:(Some (nid 7))
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 0.1) ~next_hop:(Some (nid 7))
+       (Store.From_neighbor (nid 2)) (key 1));
   let ft =
     Update.first_time ~key:(key 1) ~entries:[ entry 300. ] ~level:2
   in
-  let actions = Node.handle_update n ~now:(at 0.5) ~from:(nid 7) ft in
+  let actions = Store.handle_update n ~node:me ~now:(at 0.5) ~from:(nid 7) ft in
   (match local_answers actions with
   | [ (posted, false, _) ] ->
       Alcotest.(check int) "local waiter answered" 1 (List.length posted)
@@ -524,9 +542,10 @@ let test_update_first_time_answers_waiters_and_forwards () =
       Alcotest.(check int) "level incremented for the next hop" 3
         u.Update.level
   | _ -> Alcotest.fail "expected one forwarded response");
-  Alcotest.(check bool) "pending cleared" false (Node.pending_first n (key 1));
+  Alcotest.(check bool) "pending cleared" false
+    (Store.pending_first n me (key 1));
   Alcotest.(check (option int)) "distance learned" (Some 2)
-    (Node.distance_of n (key 1))
+    (Store.distance_of n me (key 1))
 
 let test_update_refresh_extends_freshness () =
   let up = nid 9 in
@@ -534,9 +553,9 @@ let test_update_refresh_extends_freshness () =
   let refresh =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 600.) ~level:3
   in
-  ignore (Node.handle_update n ~now:(at 299.) ~from:up refresh);
+  ignore (Store.handle_update n ~node:me ~now:(at 299.) ~from:up refresh);
   Alcotest.(check int) "entry still fresh after old expiry" 1
-    (List.length (Node.fresh_entries n ~now:(at 400.) (key 1)))
+    (List.length (Store.fresh_entries n ~node:me ~now:(at 400.) (key 1)))
 
 let test_update_delete_removes_entry () =
   let up = nid 9 in
@@ -544,35 +563,35 @@ let test_update_delete_removes_entry () =
   let delete =
     Update.delete ~key:(key 1) ~entry:(entry ~replica:0 300.) ~level:3
   in
-  ignore (Node.handle_update n ~now:(at 10.) ~from:up delete);
+  ignore (Store.handle_update n ~node:me ~now:(at 10.) ~from:up delete);
   Alcotest.(check int) "entry gone" 0
-    (List.length (Node.fresh_entries n ~now:(at 11.) (key 1)))
+    (List.length (Store.fresh_entries n ~node:me ~now:(at 11.) (key 1)))
 
 let test_update_expired_dropped () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   (* interest from a neighbor so a forward would otherwise happen *)
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   let stale =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 5.) ~level:3
   in
-  let actions = Node.handle_update n ~now:(at 10.) ~from:up stale in
+  let actions = Store.handle_update n ~node:me ~now:(at 10.) ~from:up stale in
   Alcotest.(check int) "nothing forwarded" 0 (List.length (updates_sent actions));
   Alcotest.(check int) "drop counted" 1
-    (Node.stats n).expired_updates_dropped
+    (Store.stats n).expired_updates_dropped
 
 let test_update_forwards_to_interested_only () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   let refresh =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 600.) ~level:3
   in
-  let actions = Node.handle_update n ~now:(at 3.) ~from:up refresh in
+  let actions = Store.handle_update n ~node:me ~now:(at 3.) ~from:up refresh in
   (match updates_sent actions with
   | [ (to_, u, false) ] ->
       Alcotest.(check int) "forwarded to the interested neighbor" 2
@@ -581,11 +600,11 @@ let test_update_forwards_to_interested_only () =
   | _ -> Alcotest.fail "expected one forward");
   (* Clear the neighbor's bit: next refresh must not forward.  With
      recent queries the node itself stays subscribed. *)
-  ignore (Node.handle_clear_bit n ~now:(at 4.) ~from:(nid 2) (key 1));
+  ignore (Store.handle_clear_bit n ~node:me ~now:(at 4.) ~from:(nid 2) (key 1));
   ignore
-    (Node.handle_query n ~now:(at 5.) ~next_hop:(Some up)
-       (Node.From_local (at 5.)) (key 1));
-  let actions = Node.handle_update n ~now:(at 6.) ~from:up refresh in
+    (handle_query n ~node:me ~now:(at 5.) ~next_hop:(Some up)
+       (Store.From_local (at 5.)) (key 1));
+  let actions = Store.handle_update n ~node:me ~now:(at 6.) ~from:up refresh in
   Alcotest.(check int) "no forward after clear-bit" 0
     (List.length (updates_sent actions))
 
@@ -596,17 +615,23 @@ let test_update_second_chance_cuts_after_two_dry () =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 l) ~level:3
   in
   (* no queries since the first-time update: first dry refresh passes *)
-  let a1 = Node.handle_update n ~now:(at 10.) ~from:up (refresh 400.) in
+  let a1 =
+    Store.handle_update n ~node:me ~now:(at 10.) ~from:up (refresh 400.)
+  in
   Alcotest.(check int) "second chance: no clear-bit yet" 0
     (List.length (clear_bits_sent a1));
-  let a2 = Node.handle_update n ~now:(at 20.) ~from:up (refresh 500.) in
+  let a2 =
+    Store.handle_update n ~node:me ~now:(at 20.) ~from:up (refresh 500.)
+  in
   (match clear_bits_sent a2 with
   | [ (to_, k) ] ->
       Alcotest.(check int) "clear-bit to the sender" 9 (Node_id.to_int to_);
       Alcotest.(check int) "for the key" 1 (Key.to_int k)
   | _ -> Alcotest.fail "expected the cut-off clear-bit");
   (* while cut, further updates do not produce duplicate clear-bits *)
-  let a3 = Node.handle_update n ~now:(at 30.) ~from:up (refresh 600.) in
+  let a3 =
+    Store.handle_update n ~node:me ~now:(at 30.) ~from:up (refresh 600.)
+  in
   Alcotest.(check int) "no duplicate clear-bit" 0
     (List.length (clear_bits_sent a3))
 
@@ -616,27 +641,29 @@ let test_update_query_resets_dry_streak () =
   let refresh l =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 l) ~level:3
   in
-  ignore (Node.handle_update n ~now:(at 10.) ~from:up (refresh 400.));
+  ignore (Store.handle_update n ~node:me ~now:(at 10.) ~from:up (refresh 400.));
   (* a query arrives: the streak resets *)
   ignore
-    (Node.handle_query n ~now:(at 15.) ~next_hop:(Some up)
-       (Node.From_local (at 15.)) (key 1));
-  let a = Node.handle_update n ~now:(at 20.) ~from:up (refresh 500.) in
+    (handle_query n ~node:me ~now:(at 15.) ~next_hop:(Some up)
+       (Store.From_local (at 15.)) (key 1));
+  let a =
+    Store.handle_update n ~node:me ~now:(at 20.) ~from:up (refresh 500.)
+  in
   Alcotest.(check int) "no cut after intervening query" 0
     (List.length (clear_bits_sent a))
 
 let test_update_push_level_limits_forwarding () =
-  let config = { cup_config with Node.policy = Policy.Push_level 3 } in
+  let config = { cup_config with Store.policy = Policy.Push_level 3 } in
   let up = nid 9 in
   (* Node at distance 3: forwarding to level 4 exceeds the bound. *)
   let n = node_with_cached ~config ~level:3 ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   let refresh =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 600.) ~level:3
   in
-  let actions = Node.handle_update n ~now:(at 3.) ~from:up refresh in
+  let actions = Store.handle_update n ~node:me ~now:(at 3.) ~from:up refresh in
   Alcotest.(check int) "push level bounds the forward" 0
     (List.length (updates_sent actions));
   Alcotest.(check int) "but no clear-bit either" 0
@@ -644,25 +671,26 @@ let test_update_push_level_limits_forwarding () =
 
 let test_update_push_level_boundary_allows_forward () =
   (* a node at distance 3 may forward to level 4 under Push_level 4 *)
-  let config = { cup_config with Node.policy = Policy.Push_level 4 } in
+  let config = { cup_config with Store.policy = Policy.Push_level 4 } in
   let up = nid 9 in
   let n = node_with_cached ~config ~level:3 ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   let refresh =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 600.) ~level:3
   in
-  let actions = Node.handle_update n ~now:(at 3.) ~from:up refresh in
+  let actions = Store.handle_update n ~node:me ~now:(at 3.) ~from:up refresh in
   Alcotest.(check int) "boundary level still forwards" 1
     (List.length (updates_sent actions))
 
 let test_authority_local_query_is_free_hit () =
-  let n = Node.create ~id:(nid 0) cup_config in
-  Node.add_local_key n (key 1);
-  ignore (Node.replica_birth n ~now:t0 ~key:(key 1) (entry 500.));
+  let n = Store.create cup_config in
+  Store.add_local_key n me (key 1);
+  ignore (Store.replica_birth n ~node:me ~now:t0 ~key:(key 1) (entry 500.));
   let actions =
-    Node.handle_query n ~now:(at 1.) ~next_hop:None (Node.From_local (at 1.))
+    handle_query n ~node:me ~now:(at 1.) ~next_hop:None
+      (Store.From_local (at 1.))
       (key 1)
   in
   match local_answers actions with
@@ -676,7 +704,7 @@ let test_update_naive_vs_independent_cutoff () =
      naive node sees twice the update rate and cuts sooner. *)
   let run ~independent =
     let config =
-      { Node.policy = Policy.second_chance;
+      { Store.policy = Policy.second_chance;
         replica_independent_cutoff = independent }
     in
     let up = nid 9 in
@@ -690,7 +718,10 @@ let test_update_naive_vs_independent_cutoff () =
           ~entry:(entry ~replica (300. +. (100. *. float_of_int i)))
           ~level:3
       in
-      let actions = Node.handle_update n ~now:(at (10. *. float_of_int i)) ~from:up u in
+      let actions =
+        Store.handle_update n ~node:me ~now:(at (10. *. float_of_int i))
+          ~from:up u
+      in
       incr sent;
       if clear_bits_sent actions <> [] then incr cuts
     done;
@@ -711,14 +742,14 @@ let test_update_delete_of_trigger_elects_new_trigger () =
   let append =
     Update.append ~key:(key 1) ~entry:(entry ~replica:1 500.) ~level:3
   in
-  let a0 = Node.handle_update n ~now:(at 5.) ~from:up append in
+  let a0 = Store.handle_update n ~node:me ~now:(at 5.) ~from:up append in
   Alcotest.(check int) "first dry update tolerated" 0
     (List.length (clear_bits_sent a0));
   (* deleting the OTHER replica must not touch the decision state *)
   let delete =
     Update.delete ~key:(key 1) ~entry:(entry ~replica:0 300.) ~level:3
   in
-  let a1 = Node.handle_update n ~now:(at 6.) ~from:up delete in
+  let a1 = Store.handle_update n ~node:me ~now:(at 6.) ~from:up delete in
   Alcotest.(check int) "non-trigger delete is silent" 0
     (List.length (clear_bits_sent a1));
   (* the next dry update for the trigger replica is dry update #2:
@@ -726,7 +757,7 @@ let test_update_delete_of_trigger_elects_new_trigger () =
   let refresh =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:1 600.) ~level:3
   in
-  let a2 = Node.handle_update n ~now:(at 7.) ~from:up refresh in
+  let a2 = Store.handle_update n ~node:me ~now:(at 7.) ~from:up refresh in
   Alcotest.(check int) "trigger replica drives the cut-off" 1
     (List.length (clear_bits_sent a2));
   (* now delete the trigger itself: the remaining replica is adopted,
@@ -734,7 +765,9 @@ let test_update_delete_of_trigger_elects_new_trigger () =
   let delete_trigger =
     Update.delete ~key:(key 1) ~entry:(entry ~replica:1 600.) ~level:3
   in
-  let a3 = Node.handle_update n ~now:(at 8.) ~from:up delete_trigger in
+  let a3 =
+    Store.handle_update n ~node:me ~now:(at 8.) ~from:up delete_trigger
+  in
   Alcotest.(check int) "no duplicate clear-bit while cut" 0
     (List.length (clear_bits_sent a3))
 
@@ -744,20 +777,22 @@ let test_clear_bit_cascades_up () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   (* exhaust the node's own popularity: the first refresh absorbs the
      neighbor's query, the next two are dry, while the downstream
      neighbor's bit holds the subscription open *)
   let refresh l =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 l) ~level:3
   in
-  ignore (Node.handle_update n ~now:(at 10.) ~from:up (refresh 400.));
-  ignore (Node.handle_update n ~now:(at 20.) ~from:up (refresh 500.));
-  ignore (Node.handle_update n ~now:(at 25.) ~from:up (refresh 600.));
+  ignore (Store.handle_update n ~node:me ~now:(at 10.) ~from:up (refresh 400.));
+  ignore (Store.handle_update n ~node:me ~now:(at 20.) ~from:up (refresh 500.));
+  ignore (Store.handle_update n ~node:me ~now:(at 25.) ~from:up (refresh 600.));
   (* the downstream neighbor loses interest -> we are dry and
      bit-less -> cascade the clear-bit upstream *)
-  let actions = Node.handle_clear_bit n ~now:(at 30.) ~from:(nid 2) (key 1) in
+  let actions =
+    Store.handle_clear_bit n ~node:me ~now:(at 30.) ~from:(nid 2) (key 1)
+  in
   match clear_bits_sent actions with
   | [ (to_, _) ] ->
       Alcotest.(check int) "cascaded to upstream" 9 (Node_id.to_int to_)
@@ -767,65 +802,84 @@ let test_clear_bit_stops_at_popular_node () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   (* the node itself is popular (fresh queries since last update) *)
   ignore
-    (Node.handle_query n ~now:(at 3.) ~next_hop:(Some up)
-       (Node.From_local (at 3.)) (key 1));
-  let actions = Node.handle_clear_bit n ~now:(at 4.) ~from:(nid 2) (key 1) in
+    (handle_query n ~node:me ~now:(at 3.) ~next_hop:(Some up)
+       (Store.From_local (at 3.)) (key 1));
+  let actions =
+    Store.handle_clear_bit n ~node:me ~now:(at 4.) ~from:(nid 2) (key 1)
+  in
   Alcotest.(check int) "popularity stops the cascade" 0
     (List.length (clear_bits_sent actions))
 
 let test_clear_bit_at_authority () =
-  let n = Node.create ~id:(nid 0) cup_config in
-  Node.add_local_key n (key 1);
-  ignore (Node.replica_birth n ~now:t0 ~key:(key 1) (entry 500.));
+  let n = Store.create cup_config in
+  Store.add_local_key n me (key 1);
+  ignore (Store.replica_birth n ~node:me ~now:t0 ~key:(key 1) (entry 500.));
   ignore
-    (Node.handle_query n ~now:(at 1.) ~next_hop:None
-       (Node.From_neighbor (nid 2)) (key 1));
-  let actions = Node.handle_clear_bit n ~now:(at 2.) ~from:(nid 2) (key 1) in
+    (handle_query n ~node:me ~now:(at 1.) ~next_hop:None
+       (Store.From_neighbor (nid 2)) (key 1));
+  let actions =
+    Store.handle_clear_bit n ~node:me ~now:(at 2.) ~from:(nid 2) (key 1)
+  in
   Alcotest.(check int) "authority absorbs the clear-bit" 0
     (List.length actions);
   (* subsequent refresh no longer goes to node 2 *)
-  let a = Node.replica_refresh n ~now:(at 3.) ~key:(key 1) (entry 900.) in
+  let a =
+    Store.replica_refresh n ~node:me ~now:(at 3.) ~key:(key 1) (entry 900.)
+  in
   Alcotest.(check int) "unsubscribed neighbor skipped" 0
     (List.length (updates_sent a))
 
 (* {2 Authority origination} *)
 
 let test_authority_origination () =
-  let n = Node.create ~id:(nid 0) cup_config in
-  Node.add_local_key n (key 1);
+  let n = Store.create cup_config in
+  Store.add_local_key n me (key 1);
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:None (Node.From_neighbor (nid 2))
+    (handle_query n ~node:me ~now:t0 ~next_hop:None
+       (Store.From_neighbor (nid 2))
        (key 1));
-  let birth = Node.replica_birth n ~now:(at 1.) ~key:(key 1) (entry ~replica:7 400.) in
+  let birth =
+    Store.replica_birth n ~node:me ~now:(at 1.) ~key:(key 1)
+      (entry ~replica:7 400.)
+  in
   (match updates_sent birth with
   | [ (to_, u, false) ] ->
       Alcotest.(check int) "append to interested" 2 (Node_id.to_int to_);
       Alcotest.(check string) "kind" "append" (Update.kind_to_string u.Update.kind)
   | _ -> Alcotest.fail "expected one append");
-  let refresh = Node.replica_refresh n ~now:(at 2.) ~key:(key 1) (entry ~replica:7 800.) in
+  let refresh =
+    Store.replica_refresh n ~node:me ~now:(at 2.) ~key:(key 1)
+      (entry ~replica:7 800.)
+  in
   Alcotest.(check int) "refresh propagated" 1 (List.length (updates_sent refresh));
-  let death = Node.replica_death n ~now:(at 3.) ~key:(key 1) (rid 7) in
+  let death =
+    Store.replica_death n ~node:me ~now:(at 3.) ~key:(key 1) (rid 7)
+  in
   (match updates_sent death with
   | [ (_, u, false) ] ->
       Alcotest.(check string) "delete" "delete" (Update.kind_to_string u.Update.kind)
   | _ -> Alcotest.fail "expected one delete");
   Alcotest.(check int) "directory empty" 0
-    (List.length (Node.local_directory n (key 1)));
+    (List.length (Store.local_directory n me (key 1)));
   Alcotest.(check int) "death of unknown replica is a no-op" 0
-    (List.length (Node.replica_death n ~now:(at 4.) ~key:(key 1) (rid 99)))
+    (List.length
+       (Store.replica_death n ~node:me ~now:(at 4.) ~key:(key 1) (rid 99)))
 
 let test_authority_refresh_batch () =
-  let n = Node.create ~id:(nid 0) cup_config in
-  Node.add_local_key n (key 1);
+  let n = Store.create cup_config in
+  Store.add_local_key n me (key 1);
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:None (Node.From_neighbor (nid 2))
+    (handle_query n ~node:me ~now:t0 ~next_hop:None
+       (Store.From_neighbor (nid 2))
        (key 1));
   let entries = [ entry ~replica:1 400.; entry ~replica:2 500. ] in
-  let actions = Node.replica_refresh_batch n ~now:(at 1.) ~key:(key 1) entries in
+  let actions =
+    Store.replica_refresh_batch n ~node:me ~now:(at 1.) ~key:(key 1) entries
+  in
   (match updates_sent actions with
   | [ (_, u, false) ] ->
       Alcotest.(check string) "one refresh update" "refresh"
@@ -834,20 +888,26 @@ let test_authority_refresh_batch () =
         (List.length u.Update.entries)
   | _ -> Alcotest.fail "expected exactly one batched update");
   Alcotest.(check int) "directory holds both" 2
-    (List.length (Node.local_directory n (key 1)));
+    (List.length (Store.local_directory n me (key 1)));
   Alcotest.(check int) "empty batch is a no-op" 0
-    (List.length (Node.replica_refresh_batch n ~now:(at 2.) ~key:(key 1) []));
+    (List.length
+       (Store.replica_refresh_batch n ~node:me ~now:(at 2.) ~key:(key 1) []));
   Alcotest.check_raises "unowned key rejected"
     (Invalid_argument "Node.replica_refresh_batch: key not owned") (fun () ->
-      ignore (Node.replica_refresh_batch n ~now:(at 3.) ~key:(key 9) entries))
+      ignore
+        (Store.replica_refresh_batch n ~node:me ~now:(at 3.) ~key:(key 9)
+           entries))
 
 let test_authority_standard_caching_squelches () =
-  let n = Node.create ~id:(nid 0) std_config in
-  Node.add_local_key n (key 1);
+  let n = Store.create std_config in
+  Store.add_local_key n me (key 1);
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:None (Node.From_neighbor (nid 2))
+    (handle_query n ~node:me ~now:t0 ~next_hop:None
+       (Store.From_neighbor (nid 2))
        (key 1));
-  let refresh = Node.replica_refresh n ~now:(at 1.) ~key:(key 1) (entry 400.) in
+  let refresh =
+    Store.replica_refresh n ~node:me ~now:(at 1.) ~key:(key 1) (entry 400.)
+  in
   Alcotest.(check int) "standard caching pushes nothing" 0
     (List.length refresh)
 
@@ -857,46 +917,52 @@ let test_churn_remap_and_retain () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
-  Node.remap_neighbor n ~old_id:(nid 2) ~new_id:(nid 12);
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
+  Store.remap_neighbor n ~node:me ~old_id:(nid 2) ~new_id:(nid 12);
   Alcotest.(check (list int)) "bit remapped" [ 12 ]
-    (List.map Node_id.to_int (Node.interested_neighbors n (key 1)));
-  Node.retain_neighbors n [ nid 9 ];
+    (List.map Node_id.to_int (Store.interested_neighbors n me (key 1)));
+  Store.retain_neighbors n ~node:me [ nid 9 ];
   Alcotest.(check (list int)) "stale bits dropped" []
-    (List.map Node_id.to_int (Node.interested_neighbors n (key 1)))
+    (List.map Node_id.to_int (Store.interested_neighbors n me (key 1)))
 
 let test_churn_retain_resets_stuck_pending () =
-  let n = Node.create ~id:(nid 0) cup_config in
+  let n = Store.create cup_config in
   ignore
-    (Node.handle_query n ~now:t0 ~next_hop:(Some (nid 7))
-       (Node.From_local t0) (key 1));
-  Alcotest.(check bool) "pending set" true (Node.pending_first n (key 1));
+    (handle_query n ~node:me ~now:t0 ~next_hop:(Some (nid 7))
+       (Store.From_local t0) (key 1));
+  Alcotest.(check bool) "pending set" true (Store.pending_first n me (key 1));
   (* we never hear back; the upstream neighbor disappears *)
-  Node.drop_neighbor n (nid 7);
+  Store.drop_neighbor n ~node:me (nid 7);
   (* the upstream was only recorded on update receipt, so dropping a
      neighbor that never answered cannot clear it; a retain without
      the neighbor can *)
-  Node.retain_neighbors n [];
+  Store.retain_neighbors n ~node:me [];
   Alcotest.(check bool) "a later query can re-push" true
     (queries_sent
-       (Node.handle_query n ~now:(at 1.) ~next_hop:(Some (nid 8))
-          (Node.From_local (at 1.)) (key 1))
+       (handle_query n ~node:me ~now:(at 1.) ~next_hop:(Some (nid 8))
+          (Store.From_local (at 1.)) (key 1))
     <> [])
 
 let test_churn_handover_merges_directories () =
-  let a = Node.create ~id:(nid 0) cup_config in
-  Node.add_local_key a (key 1);
-  ignore (Node.replica_birth a ~now:t0 ~key:(key 1) (entry ~replica:1 100.));
-  ignore (Node.replica_birth a ~now:t0 ~key:(key 1) (entry ~replica:2 200.));
-  let moved = Node.handover_local a (key 1) in
+  let a = Store.create cup_config and b = Store.create cup_config in
+  let other = nid 1 in
+  Store.add_local_key a me (key 1);
+  ignore
+    (Store.replica_birth a ~node:me ~now:t0 ~key:(key 1)
+       (entry ~replica:1 100.));
+  ignore
+    (Store.replica_birth a ~node:me ~now:t0 ~key:(key 1)
+       (entry ~replica:2 200.));
+  let moved = Store.handover_local a me (key 1) in
   Alcotest.(check int) "entries extracted" 2 (List.length moved);
-  Alcotest.(check bool) "ownership dropped" false (Node.owns a (key 1));
-  let b = Node.create ~id:(nid 1) cup_config in
-  Node.add_local_key b (key 1);
-  ignore (Node.replica_birth b ~now:t0 ~key:(key 1) (entry ~replica:2 500.));
-  Node.receive_local b (key 1) moved;
-  let dir = Node.local_directory b (key 1) in
+  Alcotest.(check bool) "ownership dropped" false (Store.owns a me (key 1));
+  Store.add_local_key b other (key 1);
+  ignore
+    (Store.replica_birth b ~node:other ~now:t0 ~key:(key 1)
+       (entry ~replica:2 500.));
+  Store.receive_local b other (key 1) moved;
+  let dir = Store.local_directory b other (key 1) in
   Alcotest.(check int) "merged without duplicates" 2 (List.length dir);
   let r2 =
     List.find (fun (e : Entry.t) -> Replica_id.to_int e.Entry.replica = 2) dir
@@ -913,14 +979,16 @@ let test_duplicate_update_delivery_is_idempotent () =
   let up = nid 9 in
   let n = node_with_cached ~up () in
   ignore
-    (Node.handle_query n ~now:(at 2.) ~next_hop:(Some up)
-       (Node.From_neighbor (nid 2)) (key 1));
+    (handle_query n ~node:me ~now:(at 2.) ~next_hop:(Some up)
+       (Store.From_neighbor (nid 2)) (key 1));
   let refresh =
     Update.refresh ~key:(key 1) ~entry:(entry ~replica:0 600.) ~level:3
   in
-  let a1 = Node.handle_update n ~now:(at 3.) ~from:up refresh in
-  let entries_after_first = Node.fresh_entries n ~now:(at 4.) (key 1) in
-  let a2 = Node.handle_update n ~now:(at 4.) ~from:up refresh in
+  let a1 = Store.handle_update n ~node:me ~now:(at 3.) ~from:up refresh in
+  let entries_after_first =
+    Store.fresh_entries n ~node:me ~now:(at 4.) (key 1)
+  in
+  let a2 = Store.handle_update n ~node:me ~now:(at 4.) ~from:up refresh in
   Alcotest.(check bool) "first delivery forwarded" true
     (List.length (updates_sent a1) > 0);
   Alcotest.(check int) "duplicate not re-forwarded" 0
@@ -929,7 +997,7 @@ let test_duplicate_update_delivery_is_idempotent () =
     (List.length (clear_bits_sent a1) + List.length (clear_bits_sent a2));
   Alcotest.(check int) "cache state unchanged"
     (List.length entries_after_first)
-    (List.length (Node.fresh_entries n ~now:(at 5.) (key 1)))
+    (List.length (Store.fresh_entries n ~node:me ~now:(at 5.) (key 1)))
 
 (* {1 Protocol fuzzing}
 
@@ -992,20 +1060,20 @@ let prop_node_fuzz =
     arb
     (fun (policy, independent, ops) ->
       let config =
-        { Node.policy; replica_independent_cutoff = independent }
+        { Store.policy; replica_independent_cutoff = independent }
       in
-      let n = Node.create ~id:(nid 0) config in
+      let n = Store.create config in
       let k = key 1 in
       let clock = ref 0. in
       let neighbor i = nid (i + 1) in
       let check_actions actions =
         List.for_all
           (function
-            | Node.Send_query { to_; _ }
-            | Node.Send_update { to_; _ }
-            | Node.Send_clear_bit { to_; _ } ->
+            | Store.Send_query { to_; _ }
+            | Store.Send_update { to_; _ }
+            | Store.Send_clear_bit { to_; _ } ->
                 not (Node_id.equal to_ (nid 0))
-            | Node.Answer_local _ -> true)
+            | Store.Answer_local _ -> true)
           actions
       in
       let ok = ref true in
@@ -1015,33 +1083,33 @@ let prop_node_fuzz =
           let actions =
             match op with
             | Op_local_query ->
-                Node.handle_query n ~now ~next_hop:(Some (neighbor 0))
-                  (Node.From_local now) k
+                handle_query n ~node:me ~now ~next_hop:(Some (neighbor 0))
+                  (Store.From_local now) k
             | Op_neighbor_query i ->
-                Node.handle_query n ~now ~next_hop:(Some (neighbor 0))
-                  (Node.From_neighbor (neighbor i))
+                handle_query n ~node:me ~now ~next_hop:(Some (neighbor 0))
+                  (Store.From_neighbor (neighbor i))
                   k
             | Op_first_time (i, l) ->
-                Node.handle_update n ~now ~from:(neighbor i)
+                Store.handle_update n ~node:me ~now ~from:(neighbor i)
                   (Update.first_time ~key:k
                      ~entries:[ entry ~replica:0 (!clock +. float_of_int l) ]
                      ~level:2)
             | Op_refresh (i, r, l) ->
-                Node.handle_update n ~now ~from:(neighbor i)
+                Store.handle_update n ~node:me ~now ~from:(neighbor i)
                   (Update.refresh ~key:k
                      ~entry:(entry ~replica:r (!clock +. float_of_int l))
                      ~level:2)
             | Op_append (i, r, l) ->
-                Node.handle_update n ~now ~from:(neighbor i)
+                Store.handle_update n ~node:me ~now ~from:(neighbor i)
                   (Update.append ~key:k
                      ~entry:(entry ~replica:r (!clock +. float_of_int l))
                      ~level:2)
             | Op_delete (i, r) ->
-                Node.handle_update n ~now ~from:(neighbor i)
+                Store.handle_update n ~node:me ~now ~from:(neighbor i)
                   (Update.delete ~key:k ~entry:(entry ~replica:r !clock)
                      ~level:2)
             | Op_clear_bit i ->
-                Node.handle_clear_bit n ~now ~from:(neighbor i) k
+                Store.handle_clear_bit n ~node:me ~now ~from:(neighbor i) k
             | Op_advance s ->
                 clock := !clock +. float_of_int s;
                 []
@@ -1051,7 +1119,7 @@ let prop_node_fuzz =
           if
             List.exists
               (fun (e : Entry.t) -> not (Entry.is_fresh e ~now:(at !clock)))
-              (Node.fresh_entries n ~now:(at !clock) k)
+              (Store.fresh_entries n ~node:me ~now:(at !clock) k)
           then ok := false)
         ops;
       !ok)

@@ -9,6 +9,7 @@ module Runner = Cup_sim.Runner
 module E = Cup_sim.Experiments
 module Counters = Cup_metrics.Counters
 module Policy = Cup_proto.Policy
+module Node_store = Cup_proto.Node_store
 module T = Cup_overlay.Net
 
 (* A small, fast base scenario: 48 nodes, one key, short run. *)
@@ -301,11 +302,10 @@ let test_live_manual_query () =
   in
   Runner.Live.post_query live ~node:querier ~key;
   Runner.Live.run_until live 310.;
-  let node = Runner.Live.node live querier in
   Alcotest.(check int) "querier cached the answer" 1
     (List.length
-       (Cup_proto.Node.fresh_entries node ~now:(Cup_dess.Time.of_seconds 310.)
-          key));
+       (Node_store.fresh_entries (Runner.Live.store live) ~node:querier
+          ~now:(Cup_dess.Time.of_seconds 310.) key));
   ignore (Runner.Live.finish live)
 
 let test_live_churn_preserves_consistency () =
@@ -353,7 +353,7 @@ let test_authority_departure_hands_over_directory () =
   let key = Runner.Live.key_of_index live 0 in
   let auth = Runner.Live.authority_of live key in
   let dir_before =
-    Cup_proto.Node.local_directory (Runner.Live.node live auth) key
+    Node_store.local_directory (Runner.Live.store live) auth key
   in
   Alcotest.(check bool) "authority has directory entries" true
     (dir_before <> []);
@@ -362,7 +362,7 @@ let test_authority_departure_hands_over_directory () =
   Alcotest.(check bool) "authority moved" false
     (Cup_overlay.Node_id.equal auth new_auth);
   let dir_after =
-    Cup_proto.Node.local_directory (Runner.Live.node live new_auth) key
+    Node_store.local_directory (Runner.Live.store live) new_auth key
   in
   Alcotest.(check int) "directory handed over" (List.length dir_before)
     (List.length dir_after);
@@ -387,17 +387,17 @@ let test_authority_crash_loses_then_recovers_directory () =
   let key = Runner.Live.key_of_index live 0 in
   let auth = Runner.Live.authority_of live key in
   Alcotest.(check bool) "directory populated" true
-    (Cup_proto.Node.local_directory (Runner.Live.node live auth) key <> []);
+    (Node_store.local_directory (Runner.Live.store live) auth key <> []);
   Runner.Live.node_leave ~graceful:false live auth;
   let new_auth = Runner.Live.authority_of live key in
   Alcotest.(check int) "crash loses the directory" 0
     (List.length
-       (Cup_proto.Node.local_directory (Runner.Live.node live new_auth) key));
+       (Node_store.local_directory (Runner.Live.store live) new_auth key));
   (* the replica's next keep-alive (at its expiry, within one
      lifetime) rebuilds the index at the new authority *)
   Runner.Live.run_until live (400. +. base.replica_lifetime +. 1.);
   Alcotest.(check bool) "keep-alives rebuild the directory" true
-    (Cup_proto.Node.local_directory (Runner.Live.node live new_auth) key <> []);
+    (Node_store.local_directory (Runner.Live.store live) new_auth key <> []);
   ignore (Runner.Live.finish live)
 
 (* {1 Fault injection} *)
@@ -500,15 +500,14 @@ let test_justification_backlog_recount () =
 (* A crash frees the victim's protocol state: node ids are never
    reused, so nothing would read it again.  The victim held state when
    it crashed, holds none afterwards, and [check_invariants] finds no
-   state on any departed node at each checkpoint.  [Live.node] reads
-   the shared store on this run too. *)
+   state on any departed node at each checkpoint. *)
 let test_departed_nodes_hold_no_state () =
   let live = Runner.Live.create fault_cfg in
   let victims = ref [] and held = ref 0 in
+  let store = Runner.Live.store live in
   let holds id =
-    let node = Runner.Live.node live id in
-    Cup_proto.Node.cached_keys node <> []
-    || Cup_proto.Node.owned_keys node <> []
+    Node_store.cached_keys store id <> []
+    || Node_store.owned_keys store id <> []
   in
   Runner.Live.set_tracer live
     (Some
