@@ -4,8 +4,8 @@
 #
 #   sh test/golden.sh [GROUP...]
 #
-# GROUP is one of table1, paper, grid, fault, top, fuzz, run256 and obs
-# (default: all eight).  Run it from the root of a checkout; it runs that
+# GROUP is one of table1, paper, grid, fault, top, fuzz, run256, obs and
+# can64k (default: all nine).  Run it from the root of a checkout; it runs that
 # checkout's CLI through dune.  The outputs land in golden-out/; the
 # host-dependent lines (output paths, wallclock) are filtered out before
 # hashing.  Exits non-zero if any pinned output differs.
@@ -84,10 +84,18 @@ obs() {
     --metrics-out "$OUT/obs-metrics.prom" > /dev/null
 }
 
-[ $# -gt 0 ] || set -- table1 paper grid fault top fuzz run256 obs
+# A 65,536-node run on each CAN placement, the largest overlay any pin
+# builds.
+can64k() {
+  set -- --nodes 65536 --keys 8 --rate 20 --duration 100 --seed 11
+  $CUP run "$@" --overlay can | grep -v 'wallclock' > "$OUT/can64k-random.txt"
+  $CUP run "$@" --overlay can-grid | grep -v 'wallclock' > "$OUT/can64k-grid.txt"
+}
+
+[ $# -gt 0 ] || set -- table1 paper grid fault top fuzz run256 obs can64k
 for group in "$@"; do
   case $group in
-    table1 | paper | grid | fault | top | fuzz | run256 | obs) "$group" ;;
+    table1 | paper | grid | fault | top | fuzz | run256 | obs | can64k) "$group" ;;
     *) echo "golden.sh: unknown group $group" >&2; exit 2 ;;
   esac
   grep -E "  $group[.-]" "$SUMS" | (cd "$OUT" && sha256sum -c -)

@@ -516,6 +516,108 @@ let test_key_point_is_to_point () =
         (Point.equal first (Key.to_point key) && Point.equal again first))
     [ 0; 1; 7; 1000; 5000; (1 lsl 20) - 1; 1 lsl 20; (1 lsl 24) + 3 ]
 
+(* {1 Builds and churn reports, pinned} *)
+
+(* Everything a build leaves behind that a run can see: per alive node
+   its zones in list order (bounds printed exactly, with [%h]) and its
+   neighbor ids, then the owner of every point of a 64 x 64 grid whose
+   lines fall on zone edges.  One MD5 over all the builds. *)
+let build_digest builds =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (label, t) ->
+      Printf.bprintf b "%s size %d\n" label (T.size t);
+      List.iter
+        (fun id ->
+          Printf.bprintf b "n%d" (Node_id.to_int id);
+          List.iter
+            (fun (z : Zone.t) ->
+              Printf.bprintf b " [%h %h %h %h]" z.x_lo z.x_hi z.y_lo z.y_hi)
+            (T.zones_of t id);
+          Buffer.add_string b " :";
+          List.iter
+            (fun n -> Printf.bprintf b " %d" (Node_id.to_int n))
+            (T.neighbors t id);
+          Buffer.add_char b '\n')
+        (T.node_ids t);
+      for i = 0 to 63 do
+        for j = 0 to 63 do
+          let p = { Point.x = float_of_int i /. 64.; y = float_of_int j /. 64. } in
+          Printf.bprintf b "%d " (Node_id.to_int (T.owner_of_point t p))
+        done;
+        Buffer.add_char b '\n'
+      done)
+    builds;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_can_build_pinned () =
+  let sizes = [ 2; 7; 100; 1000; 4096 ] in
+  let random =
+    List.concat_map
+      (fun seed ->
+        List.map
+          (fun n ->
+            let rng = Rng.create ~seed in
+            ( Printf.sprintf "random seed %d n %d" seed n,
+              T.create ~rng ~n ~placement:`Random () ))
+          sizes)
+      [ 1; 2; 3 ]
+  in
+  let grid =
+    List.map
+      (fun n -> (Printf.sprintf "grid n %d" n, T.create ~n ~placement:`Grid ()))
+      [ 1; 5; 64; 300; 4096 ]
+  in
+  Alcotest.(check string) "digest" "a74dfc6a32b2a2d43bcbf7d4c1bc94db"
+    (build_digest (random @ grid))
+
+(* [affected] is what the runner's churn patches read: after every
+   move it must list exactly the alive nodes, the subject aside, whose
+   neighbor lists changed, in increasing order. *)
+let prop_change_reports_affected =
+  QCheck.Test.make ~count:300
+    ~name:"join and leave report exactly the changed nodes"
+    QCheck.(
+      triple small_int bool
+        (make ~print:(Print.list print_move)
+           Gen.(list_size (0 -- 25) move_gen)))
+    (fun (seed, grid, moves) ->
+      let rng = Rng.create ~seed in
+      let n = 1 + (seed mod 24) in
+      let t =
+        if grid then T.create ~n ~placement:`Grid ()
+        else T.create ~rng ~n ~placement:`Random ()
+      in
+      let pick i = List.nth (T.node_ids t) (i mod T.size t) in
+      let snapshot () = List.map (fun id -> (id, T.neighbors t id)) (T.node_ids t) in
+      List.for_all
+        (fun move ->
+          let before = snapshot () in
+          let change =
+            match move with
+            | Join_random -> Some (T.join_random t ~rng)
+            | Join_at_corner i ->
+                let z = List.hd (T.zones_of t (pick i)) in
+                Some (T.join_at t { Point.x = z.Zone.x_lo; y = z.Zone.y_lo })
+            | Leave i -> if T.size t > 1 then Some (T.leave t (pick i)) else None
+          in
+          match change with
+          | None -> true
+          | Some change ->
+              let changed =
+                List.filter_map
+                  (fun (id, after) ->
+                    match List.assoc_opt id before with
+                    | Some old
+                      when (not (Node_id.equal id change.T.subject))
+                           && not (List.equal Node_id.equal old after) ->
+                        Some id
+                    | Some _ | None -> None)
+                  (snapshot ())
+              in
+              List.equal Node_id.equal change.T.affected changed)
+        moves)
+
 (* {1 Chord} *)
 
 module Chord = Cup_overlay.Chord
@@ -1112,10 +1214,15 @@ let () =
             test_topo_leave_last_rejected;
           Alcotest.test_case "leave dead rejected" `Quick
             test_topo_leave_dead_rejected;
+          Alcotest.test_case "CAN build pinned" `Quick test_can_build_pinned;
         ] );
       ( "topology properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_churn_preserves_invariants; prop_route_terminates ] );
+          [
+            prop_churn_preserves_invariants;
+            prop_route_terminates;
+            prop_change_reports_affected;
+          ] );
       ( "routing",
         [
           QCheck_alcotest.to_alcotest prop_next_hop_matches_reference;
