@@ -193,9 +193,9 @@ let print_result (r : Runner.result) =
       /. float_of_int r.tracked_updates);
   Printf.printf
     "queries posted: %d, replica events: %d, engine events: %d, wallclock: \
-     %.2fs (%.0f events/s)\n"
+     %.2fs (%.0f events/s), setup: %.3fs\n"
     r.queries_posted r.replica_events r.engine_events r.wallclock
-    r.events_per_sec;
+    r.events_per_sec r.setup_seconds;
   (match r.profile with
   | Some profile ->
       Format.printf "engine profile:@.%a@."

@@ -1,15 +1,16 @@
-(* Routing state is flat.  Nodes sit in one array indexed by id.  A
-   node keeps its neighbors as an [int array] of ids in increasing
-   order.  Beside the node array, also by id, sit a liveness map (one
-   byte per id) and each node's zone bounds as one [float array], four
-   floats per zone ([x_lo; x_hi; y_lo; y_hi]) in the order of [zones].
-   So [is_alive] and [owns] load no node record, and [next_hop] is one
+(* Routing state is flat.  Nodes sit in one array indexed by id.
+   Beside the node array, also by id, sit a liveness map (one byte per
+   id), each node's zone bounds as one [float array], four floats per
+   zone ([x_lo; x_hi; y_lo; y_hi]) in the order of [zones], and each
+   node's neighbors as an [int array] of ids in increasing order.  So
+   [is_alive] and [owns] load no node record, and [next_hop] is one
    loop over ints and unboxed floats: it looks up no table, follows no
-   list, loads no neighbor's record and allocates nothing per neighbor.
-   The neighbor arrays only ever name alive nodes ([leave] removes the
+   list, loads no node record and allocates nothing per neighbor.  The
+   neighbor arrays only ever name alive nodes ([leave] removes the
    departing node from every neighbor's array), and their increasing
    order gives the routing tie-break, equal distance to the lower id,
-   for free.
+   for free.  [join_at] and [leave] test adjacency on the bounds too,
+   so changing the membership walks no zone list either.
 
    Point location: CAN's zone-split history is kept as a binary
    space-partition tree over the unit square, so finding the zone that
@@ -28,7 +29,6 @@ type node = {
   id : Node_id.t;
   mutable zones : Zone.t list;
   mutable leaves : int list; (* the tree cells of [zones], same order *)
-  mutable neighbors : int array; (* alive neighbor ids, increasing *)
 }
 
 type t = {
@@ -37,6 +37,10 @@ type t = {
   mutable bounds : float array array;
       (* by id: an alive node's [zones] flattened, four floats each;
          [[||]] for every other id *)
+  mutable neighbors : int array array;
+      (* by id: an alive node's alive neighbor ids, increasing; [[||]]
+         for every other id *)
+  mutable scratch : int array; (* [link_split]'s working space *)
   mutable alive_count : int;
   mutable next_id : int;
   mutable generation : int; (* bumped on every membership change *)
@@ -55,7 +59,7 @@ type change = {
 }
 
 (* Fills the node slots no id has reached yet.  Never mutated. *)
-let vacant = { id = Node_id.of_int 0; zones = []; leaves = []; neighbors = [||] }
+let vacant = { id = Node_id.of_int 0; zones = []; leaves = [] }
 
 let bounds_of zones =
   let b = Array.make (4 * List.length zones) 0. in
@@ -101,13 +105,11 @@ let node_ids t =
     !ids
   end
 
-let neighbors t id =
-  Array.fold_right
-    (fun n acc -> Node_id.of_int n :: acc)
-    (get t id).neighbors []
+let ids_of a = Array.fold_right (fun n acc -> Node_id.of_int n :: acc) a []
 
-let neighbor_nodes t node =
-  Array.fold_right (fun n acc -> t.nodes.(n) :: acc) node.neighbors []
+let neighbors t id =
+  if is_alive t id then ids_of t.neighbors.(Node_id.to_int id)
+  else raise Not_found
 
 let zones_of t id = (get t id).zones
 
@@ -191,7 +193,7 @@ let next_hop t id (p : Point.t) =
     let i = Node_id.to_int id in
     if bounds_contain t.bounds.(i) p 0 then Route.Owner
     else
-      let ns = t.nodes.(i).neighbors in
+      let ns = t.neighbors.(i) in
       if Array.length ns = 0 then Route.Stuck Route.No_progress
       else begin
         let best = ref ns.(0) and best_d = ref Float.infinity in
@@ -249,43 +251,67 @@ let without_edge a n =
     b
   end
 
-(* Recompute the neighbor relation between [node] and every candidate,
-   fixing both directions.  Returns candidates whose sets changed. *)
-let refresh_edges t node candidates =
-  let n = Node_id.to_int node.id in
-  List.filter
-    (fun cand ->
-      if (not (is_alive t cand.id)) || Node_id.equal cand.id node.id then false
-      else begin
-        let c = Node_id.to_int cand.id in
-        let adjacent = nodes_adjacent node cand in
-        let had = linked node.neighbors c in
-        if adjacent && not had then begin
-          node.neighbors <- with_edge node.neighbors c;
-          cand.neighbors <- with_edge cand.neighbors n;
-          true
-        end
-        else if (not adjacent) && had then begin
-          node.neighbors <- without_edge node.neighbors c;
-          cand.neighbors <- without_edge cand.neighbors n;
-          true
-        end
-        else false
-      end)
-    candidates
+(* [a] without [drop] unless [drop < 0], and with [add] appended unless
+   [add < 0], in one copy: [a] holds [drop], and [add] is above every
+   id in [a]. *)
+let drop_append a drop add =
+  let len = Array.length a in
+  let cut = if drop < 0 then len else index_of a drop 0 in
+  let b =
+    Array.make
+      (len - (if drop < 0 then 0 else 1) + if add < 0 then 0 else 1)
+      add
+  in
+  Array.blit a 0 b 0 cut;
+  if drop >= 0 then Array.blit a (cut + 1) b cut (len - cut - 1);
+  b
 
-(* A new node owning [zone], whose tree leaf is [leaf]. *)
+(* {2 Adjacency on bounds}  {!Zone.adjacent} in the same float
+   operations, so every answer is the same.  [if a <= b then a else b]
+   stands in for [Float.min] and [if a >= b then a else b] for
+   [Float.max], as in [axis_gap]; a zero's sign cannot change the
+   overlap test's [> 0.]. *)
+
+let[@inline] seam_eq a b = a = b || (a = 0. && b = 1.) || (a = 1. && b = 0.)
+
+let[@inline] overlap a_lo a_hi b_lo b_hi =
+  (if a_hi <= b_hi then a_hi else b_hi) -. (if a_lo >= b_lo then a_lo else b_lo)
+  > 0.
+
+(* Whether zone [i] of bounds [a] and zone [k] of bounds [b] are
+   adjacent. *)
+let zones_adjacent (a : float array) i (b : float array) k =
+  let ax_lo = a.(i) and ax_hi = a.(i + 1) in
+  let ay_lo = a.(i + 2) and ay_hi = a.(i + 3) in
+  let bx_lo = b.(k) and bx_hi = b.(k + 1) in
+  let by_lo = b.(k + 2) and by_hi = b.(k + 3) in
+  ((seam_eq ax_hi bx_lo || seam_eq bx_hi ax_lo)
+  && overlap ay_lo ay_hi by_lo by_hi)
+  || ((seam_eq ay_hi by_lo || seam_eq by_hi ay_lo)
+     && overlap ax_lo ax_hi bx_lo bx_hi)
+
+(* Whether [a]'s zone [i] is adjacent to one of [b]'s zones from zone
+   [k] on, or a later zone of [a] to any zone of [b]. *)
+let rec regions_adjacent a i b k =
+  if i >= Array.length a then false
+  else if k >= Array.length b then regions_adjacent a (i + 4) b 0
+  else zones_adjacent a i b k || regions_adjacent a i b (k + 4)
+
+(* [nodes_adjacent] on two nodes' bounds. *)
+let bounds_adjacent a b = regions_adjacent a 0 b 0
+
+(* A new node owning [zone], whose tree leaf is [leaf].  Its neighbor
+   array is the caller's to fill. *)
 let fresh_node t zone leaf =
   let i = t.next_id in
   if i = Array.length t.nodes then begin
     let more = Stdlib.max 1 i in
     t.nodes <- Array.append t.nodes (Array.make more vacant);
     t.alive <- Bytes.cat t.alive (Bytes.make more '\000');
-    t.bounds <- Array.append t.bounds (Array.make more [||])
+    t.bounds <- Array.append t.bounds (Array.make more [||]);
+    t.neighbors <- Array.append t.neighbors (Array.make more [||])
   end;
-  let node =
-    { id = Node_id.of_int i; zones = [ zone ]; leaves = [ leaf ]; neighbors = [||] }
-  in
+  let node = { id = Node_id.of_int i; zones = [ zone ]; leaves = [ leaf ] } in
   t.nodes.(i) <- node;
   Bytes.set t.alive i '\001';
   t.bounds.(i) <- bounds_of [ zone ];
@@ -311,6 +337,64 @@ let split_leaf t leaf zone =
   t.cells <- low + 2;
   low
 
+(* The edges a split changes, in one pass: node [o] has just given the
+   new node [fresh] half of a zone, and only [o]'s previous neighbors
+   can gain or lose an edge.  Each is tested once against [fresh]'s
+   zone and once against [o]'s remaining region, and its array is
+   copied at most once: it loses [o] when it no longer abuts [o], and
+   gains [fresh], above every other id, by an append.  The two halves
+   of a split zone abut, so [o] and [fresh] are always linked.  The
+   loop runs downward over the previous neighbors merged with [o]
+   itself, so the changed nodes are consed in increasing order, and
+   [fresh]'s and [o]'s arrays fill [scratch] from the top ([fresh]'s
+   in cells [0 .. len], [o]'s in [len + 1 .. 2 len + 1]), each then
+   copied out once.  Returns the nodes whose arrays changed, [o] among
+   them, in increasing order. *)
+let link_split t o fresh =
+  let prev = t.neighbors.(o) in
+  let len = Array.length prev in
+  if Array.length t.scratch < 2 * (len + 1) then
+    t.scratch <- Array.make (4 * (len + 1)) 0;
+  let s = t.scratch in
+  let fresh_b = t.bounds.(fresh) and o_b = t.bounds.(o) in
+  let top_fresh = ref len and top_o = ref ((2 * len) + 1) in
+  s.(!top_o) <- fresh;
+  decr top_o;
+  let changed = ref [] and j = ref (len - 1) and o_placed = ref false in
+  while !j >= 0 || not !o_placed do
+    if (not !o_placed) && (!j < 0 || prev.(!j) < o) then begin
+      o_placed := true;
+      s.(!top_fresh) <- o;
+      decr top_fresh;
+      changed := Node_id.of_int o :: !changed
+    end
+    else begin
+      let m = prev.(!j) in
+      decr j;
+      let m_b = t.bounds.(m) in
+      let to_fresh = bounds_adjacent m_b fresh_b in
+      let to_o = bounds_adjacent m_b o_b in
+      if to_fresh then begin
+        s.(!top_fresh) <- m;
+        decr top_fresh
+      end;
+      if to_o then begin
+        s.(!top_o) <- m;
+        decr top_o
+      end;
+      if to_fresh || not to_o then begin
+        t.neighbors.(m) <-
+          drop_append t.neighbors.(m)
+            (if to_o then -1 else o)
+            (if to_fresh then fresh else -1);
+        changed := Node_id.of_int m :: !changed
+      end
+    end
+  done;
+  t.neighbors.(fresh) <- Array.sub s (!top_fresh + 1) (len - !top_fresh);
+  t.neighbors.(o) <- Array.sub s (!top_o + 1) ((2 * len) + 1 - !top_o);
+  !changed
+
 let join_at t p =
   if t.alive_count = 0 then begin
     t.cells <- 1;
@@ -319,7 +403,8 @@ let join_at t p =
   end
   else begin
     let leaf = leaf_of_point t p in
-    let owner = get t (Node_id.of_int t.tags.(leaf)) in
+    let o = t.tags.(leaf) in
+    let owner = t.nodes.(o) in
     let zone =
       match List.find_opt (fun z -> Zone.contains z p) owner.zones with
       | Some z -> z
@@ -334,19 +419,9 @@ let join_at t p =
     set_zones t owner
       (keep :: List.filter (fun z -> not (Zone.equal z zone)) owner.zones)
       (keep_cell :: List.filter (fun c -> c <> leaf) owner.leaves);
-    t.tags.(keep_cell) <- (owner.id :> int);
+    t.tags.(keep_cell) <- o;
     let node = fresh_node t give give_cell in
-    (* Only previous neighbors of the split node (and the split node
-       itself) can gain or lose an edge. *)
-    let candidates = owner :: neighbor_nodes t owner in
-    let touched_new = refresh_edges t node candidates in
-    let touched_owner = refresh_edges t owner candidates in
-    let affected =
-      List.sort_uniq Node_id.compare
-        (owner.id
-        :: List.map (fun n -> n.id) touched_new
-        @ List.map (fun n -> n.id) touched_owner)
-    in
+    let affected = link_split t o (Node_id.to_int node.id) in
     { subject = node.id; peer = Some owner.id; affected }
   end
 
@@ -365,49 +440,50 @@ let leave t id =
     with Not_found -> invalid_arg "Topology.leave: unknown or dead node"
   in
   if t.alive_count = 1 then invalid_arg "Topology.leave: cannot remove last node";
-  let departing_neighbors = neighbor_nodes t node in
-  (* CAN takeover rule: the neighbor with the smallest region absorbs
-     the departing zones (lowest id on ties, for determinism).  A
-     single fold instead of sorting the whole neighbor list. *)
-  let taker =
-    match
-      List.fold_left
-        (fun acc n ->
-          let v = total_volume n in
-          match acc with
-          | Some (_, best_v) when best_v < v -> acc
-          | Some (best, best_v)
-            when best_v = v && Node_id.compare best.id n.id <= 0 ->
-              acc
-          | Some _ | None -> Some (n, v))
-        None departing_neighbors
-    with
-    | None -> assert false (* alive > 1 implies at least one neighbor *)
-    | Some (taker, _) -> taker
-  in
   let gone = Node_id.to_int id in
+  let departing = t.neighbors.(gone) in
+  (* CAN takeover rule: the neighbor with the smallest region absorbs
+     the departing zones (lowest id on ties, for determinism: the
+     neighbors come in increasing id order). *)
+  let taker = ref (-1) and taker_v = ref 0. in
+  for j = 0 to Array.length departing - 1 do
+    let v = total_volume t.nodes.(departing.(j)) in
+    if !taker < 0 || v < !taker_v then begin
+      taker := departing.(j);
+      taker_v := v
+    end
+  done;
+  let taker = !taker in
+  if taker < 0 then assert false (* alive > 1 implies at least one neighbor *);
+  let taker_node = t.nodes.(taker) in
   Bytes.set t.alive gone '\000';
   t.bounds.(gone) <- [||];
+  t.neighbors.(gone) <- [||];
   t.alive_count <- t.alive_count - 1;
   t.generation <- t.generation + 1;
-  (* Drop the departed node from every neighbor's array. *)
-  List.iter
-    (fun n -> n.neighbors <- without_edge n.neighbors gone)
-    departing_neighbors;
-  set_zones t taker (node.zones @ taker.zones) (node.leaves @ taker.leaves);
-  List.iter (fun c -> t.tags.(c) <- (taker.id :> int)) node.leaves;
-  let candidates =
-    List.filter (fun n -> not (Node_id.equal n.id taker.id)) departing_neighbors
-    @ neighbor_nodes t taker
-  in
-  let touched = refresh_edges t taker candidates in
-  let affected =
-    List.sort_uniq Node_id.compare
-      (taker.id
-      :: List.map (fun n -> n.id) departing_neighbors
-      @ List.map (fun n -> n.id) touched)
-  in
-  { subject = id; peer = Some taker.id; affected }
+  set_zones t taker_node (node.zones @ taker_node.zones)
+    (node.leaves @ taker_node.leaves);
+  List.iter (fun c -> t.tags.(c) <- taker) node.leaves;
+  (* Every departing neighbor drops the departed node; one not yet
+     linked to the taker gains it if it abuts the taker's grown
+     region.  That region only grows, so no other edge changes, and
+     the changed nodes are exactly the departing neighbors. *)
+  let taker_b = t.bounds.(taker) in
+  let gained = ref [] in
+  for j = Array.length departing - 1 downto 0 do
+    let m = departing.(j) in
+    if m <> taker then begin
+      let a = without_edge t.neighbors.(m) gone in
+      if (not (linked a taker)) && bounds_adjacent t.bounds.(m) taker_b then begin
+        t.neighbors.(m) <- with_edge a taker;
+        gained := m :: !gained
+      end
+      else t.neighbors.(m) <- a
+    end
+  done;
+  t.neighbors.(taker) <-
+    List.fold_left with_edge (without_edge t.neighbors.(taker) gone) !gained;
+  { subject = id; peer = Some taker_node.id; affected = ids_of departing }
 
 let create ?rng ~n ~placement () =
   if n < 1 then invalid_arg "Topology.create: n must be >= 1";
@@ -416,6 +492,8 @@ let create ?rng ~n ~placement () =
       nodes = Array.make n vacant;
       alive = Bytes.make n '\000';
       bounds = Array.make n [||];
+      neighbors = Array.make n [||];
+      scratch = [||];
       alive_count = 0;
       next_id = 0;
       generation = 0;
@@ -453,13 +531,16 @@ let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let* () =
     let slots = Array.length t.nodes in
-    if Bytes.length t.alive <> slots || Array.length t.bounds <> slots then
-      Error "liveness map or bounds array not sized to the node array"
+    if
+      Bytes.length t.alive <> slots
+      || Array.length t.bounds <> slots
+      || Array.length t.neighbors <> slots
+    then Error "liveness map, bounds or neighbor arrays not sized to the node array"
     else Ok ()
   in
   (* Every slot: the node array holds the id's node, the liveness map
      holds a flag that is set only below [next_id], and a slot that is
-     not alive has no bounds. *)
+     not alive has no bounds and no neighbors. *)
   let* () =
     let misplaced = ref None in
     Array.iteri
@@ -472,7 +553,9 @@ let check_invariants t =
         else if flag <> '\000' && (flag <> '\001' || i >= t.next_id) then
           misplaced := Some (i, "has a bad liveness flag")
         else if flag = '\000' && t.bounds.(i) <> [||] then
-          misplaced := Some (i, "is not alive but has zone bounds"))
+          misplaced := Some (i, "is not alive but has zone bounds")
+        else if flag = '\000' && t.neighbors.(i) <> [||] then
+          misplaced := Some (i, "is not alive but has neighbors"))
       t.nodes;
     match !misplaced with
     | None -> Ok ()
@@ -550,7 +633,7 @@ let check_invariants t =
     if t.bounds.(Node_id.to_int node.id) <> bounds_of node.zones then
       Error
         (Format.asprintf "node %a: zone bounds out of sync" Node_id.pp node.id)
-    else if node.neighbors <> geometric then
+    else if t.neighbors.(Node_id.to_int node.id) <> geometric then
       Error
         (Format.asprintf "node %a: neighbor array out of sync" Node_id.pp
            node.id)

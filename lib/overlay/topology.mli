@@ -33,9 +33,10 @@ val create : ?rng:Cup_prng.Rng.t -> n:int -> placement:[ `Random | `Grid ] -> un
     [`Random] joins each node at a uniformly random point (requires
     [rng]); [`Grid] repeatedly splits the largest zone (lowest owner id
     on ties), producing a regular grid when [n] is a power of two.
-    Requires [n >= 1].  Each join costs one {!owner_of_point} walk plus
-    work linear in the split node's neighbor count, so the build is
-    O(n log n): expected for [`Random], exact for [`Grid]. *)
+    Requires [n >= 1].  Every node joins through {!join_at}, so each
+    join costs one {!owner_of_point} walk plus one pass over the split
+    node's neighbors, and the build is O(n log n): expected for
+    [`Random], exact for [`Grid]. *)
 
 val size : t -> int
 (** Number of alive nodes. *)
@@ -99,12 +100,19 @@ val join_random : t -> rng:Cup_prng.Rng.t -> change
     the point splits, the new node takes the half containing it. *)
 
 val join_at : t -> Point.t -> change
-(** As {!join_random} with an explicit point. *)
+(** As {!join_random} with an explicit point.  One pass over the split
+    node's previous neighbors, the only nodes whose neighbor sets can
+    change: each is tested for adjacency once against the new node's
+    half and once against the split node's remaining region, on the
+    flat zone bounds, and its neighbor array is copied at most once.
+    [affected] comes out in increasing order with no sort. *)
 
 val leave : t -> Node_id.t -> change
 (** Graceful departure: the neighbor owning the smallest region takes
-    over the departing node's zones.  Raises [Invalid_argument] when
-    asked to remove the last node or a dead node. *)
+    over the departing node's zones.  The taker's region only grows,
+    so only the departing node's neighbors are tested against it, and
+    [affected] is exactly those neighbors.  Raises [Invalid_argument]
+    when asked to remove the last node or a dead node. *)
 
 val check_invariants : t -> (unit, string) result
 (** Full O(n^2) consistency check: zones tile the torus (volumes sum
@@ -113,5 +121,8 @@ val check_invariants : t -> (unit, string) result
     state matches the geometry: each node's slot in the node array
     holds it, the liveness map flags exactly the alive nodes, the
     bounds array holds each alive node's zones and nothing for any
-    other id, and each neighbor array lists exactly the alive nodes
-    adjacent to its node, in increasing order.  For tests. *)
+    other id, and the neighbor arrays are empty for every other id
+    and list exactly the alive nodes adjacent to their node, in
+    increasing order, where adjacency is {!Zone.adjacent} over the
+    zone lists, not the bounds {!join_at} and {!leave} test.  For
+    tests. *)

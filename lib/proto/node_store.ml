@@ -357,7 +357,7 @@ let originate t ls (update : Update.t) =
 
 let local_exn t node key op =
   let ls = find_local t node key in
-  if ls == nil then invalid_arg ("Node." ^ op ^ ": key not owned") else ls
+  if ls == nil then invalid_arg ("Node_store." ^ op ^ ": key not owned") else ls
 
 let replica_birth t ~node ~now:_ ~key entry =
   let ls = local_exn t node key "replica_birth" in

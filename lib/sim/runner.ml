@@ -29,6 +29,7 @@ type result = {
   replica_events : int;
   engine_events : int;
   wallclock : float;
+  setup_seconds : float;
   events_per_sec : float;
   tracked_updates : int;
   justified_updates : int;
@@ -158,7 +159,8 @@ type live = {
   mutable metrics : metric_set option;
   mutable attribution : Attribution.t option;
   mutable next_span : int; (* last span id handed out; 0 = none yet *)
-  started : float; (* host wallclock at creation *)
+  started : float; (* host wallclock once the overlay is built *)
+  mutable setup_seconds : float; (* host seconds [create] took *)
 }
 
 (* Call sites build the [Trace.event] record lazily behind a
@@ -1222,6 +1224,7 @@ let create_base cfg =
       attribution = None;
       next_span = 0;
       started = Unix.gettimeofday ();
+      setup_seconds = 0.;
     }
   in
   let stop = Time.of_seconds (Scenario.sim_end cfg) in
@@ -1333,6 +1336,7 @@ let finish t =
     replica_events = t.replica_events;
     engine_events;
     wallclock;
+    setup_seconds = t.setup_seconds;
     events_per_sec =
       (if wallclock > 0. then float_of_int engine_events /. wallclock else 0.);
     tracked_updates = t.tracked_updates;
@@ -1463,6 +1467,7 @@ let pump_crashes t gen =
   next ()
 
 let create cfg =
+  let t0 = Unix.gettimeofday () in
   let t = create_base cfg in
   (match cfg.Scenario.crashes with
   | None -> ()
@@ -1472,6 +1477,7 @@ let create cfg =
            ~recover_after
            ~start:(Time.of_seconds (cfg.query_start +. warmup))
            ~stop:(Time.of_seconds (cfg.query_start +. cfg.query_duration))));
+  t.setup_seconds <- Unix.gettimeofday () -. t0;
   t
 
 let run cfg = finish (create cfg)

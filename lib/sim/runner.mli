@@ -52,7 +52,12 @@ type result = {
   queries_posted : int;
   replica_events : int;
   engine_events : int;
-  wallclock : float;  (** host seconds the run took *)
+  wallclock : float;
+      (** host seconds the run took, counted from the end of the
+          overlay build and the key placement *)
+  setup_seconds : float;
+      (** host seconds {!Live.create} took, the overlay build
+          included *)
   events_per_sec : float;
       (** [engine_events / wallclock]; [0.] when the wallclock rounded
           to zero — the simulator's throughput baseline *)

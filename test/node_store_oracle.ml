@@ -270,7 +270,7 @@ let originate t ls (update : Update.t) =
 let local_exn t node key op =
   match find_local t node key with
   | Some ls -> ls
-  | None -> invalid_arg ("Node." ^ op ^ ": key not owned")
+  | None -> invalid_arg ("Node_store." ^ op ^ ": key not owned")
 
 let replica_birth t ~node ~now:_ ~key entry =
   let ls = local_exn t node key "replica_birth" in

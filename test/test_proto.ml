@@ -893,7 +893,8 @@ let test_authority_refresh_batch () =
     (List.length
        (Store.replica_refresh_batch n ~node:me ~now:(at 2.) ~key:(key 1) []));
   Alcotest.check_raises "unowned key rejected"
-    (Invalid_argument "Node.replica_refresh_batch: key not owned") (fun () ->
+    (Invalid_argument "Node_store.replica_refresh_batch: key not owned")
+    (fun () ->
       ignore
         (Store.replica_refresh_batch n ~node:me ~now:(at 3.) ~key:(key 9)
            entries))
